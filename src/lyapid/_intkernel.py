@@ -1,9 +1,12 @@
-"""Integer fraction-free elimination helpers for the classification hot path.
+"""The package's single exact elimination kernel.
 
-The sweep classifies thousands of graphs, each requiring an exact Lyapunov
-solve (a p^2 x p^2 integer system) and an exact rank test.  Working on
-plain Python ints avoids per-operation gcd normalization of Fractions;
-rank is invariant under the row scalings used here.
+Every rank, determinant and square solve that feeds a verdict runs through
+:func:`bareiss_forward`: fraction-free (Bareiss) elimination on rows of
+plain Python ints.  Rational matrices reach it through
+:func:`common_denominator`, which scales values to integers by their lcm
+denominator; rank and solutions are invariant under such row scalings, and
+a determinant only needs the scales divided back out.  Working on ints
+avoids the per-operation gcd normalization of Fractions.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ from fractions import Fraction
 
 
 def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
-    """In-place fraction-free elimination; returns (pivot_cols, sign)."""
+    """In-place fraction-free elimination; returns (pivot_cols, sign).
+
+    pivot_cols are the columns in which pivots were found, in order; sign
+    is the parity of the row swaps.  Rows beyond the pivot rows end up zero
+    in the first ``limit_cols`` columns.
+    """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     stop = nc if limit_cols is None else limit_cols
@@ -55,11 +63,22 @@ def int_rank(rows: list[list[int]]) -> int:
     return len(pivot_cols)
 
 
+def int_det(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (consumes ``rows``)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    pivot_cols, sign = bareiss_forward(rows)
+    if len(pivot_cols) < n:
+        return 0
+    return sign * rows[n - 1][n - 1]
+
+
 def solve_square_int(a_rows: list[list[int]], b: list[int]) -> list[Fraction]:
     """Exact solution of a square nonsingular integer system.
 
     Raises:
-        ZeroDivisionError-free ValueError if the system is singular.
+        ValueError: if the system is singular.
     """
     n = len(a_rows)
     aug = [list(a_rows[i]) + [b[i]] for i in range(n)]
@@ -77,9 +96,9 @@ def solve_square_int(a_rows: list[list[int]], b: list[int]) -> list[Fraction]:
     return x
 
 
-def common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+def common_denominator(values) -> tuple[list[int], int]:
     """Scale rationals to integers: returns (numerators, positive lcm denominator)."""
     den = 1
     for v in values:
         den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in values], den
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -72,6 +72,13 @@ def _volatility(matrix) -> VolatilityMatrix:
         raise _CliError(EXIT_PRECONDITION, f"volatility matrix: {exc}") from exc
 
 
+def _classify_config(args, **extra) -> ClassifyConfig:
+    try:
+        return ClassifyConfig(trials=args.trials, bound=args.bound, seed=args.seed, **extra)
+    except ValueError as exc:
+        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
+
+
 def _cmd_solve(args) -> int:
     drift_matrix = _read_matrix(args.drift)
     vol = _volatility(_read_matrix(args.vol))
@@ -107,9 +114,7 @@ def _cmd_classify(args) -> int:
             raise _CliError(EXIT_PRECONDITION, "volatility size does not match the graph")
     else:
         vol = VolatilityMatrix.identity(g.p)
-    cfg = ClassifyConfig(trials=args.trials, bound=args.bound, seed=args.seed,
-                         use_kernel_route=args.kernel_route)
-    verdict = classify(g, vol, cfg)
+    verdict = classify(g, vol, _classify_config(args, use_kernel_route=args.kernel_route))
     print(json.dumps(verdict.to_json(), indent=2))
     return EXIT_OK
 
@@ -117,6 +122,9 @@ def _cmd_classify(args) -> int:
 def _cmd_sweep(args) -> int:
     if not 3 <= args.p <= 5:
         raise _CliError(EXIT_PRECONDITION, "sweep supports 3 <= p <= 5")
+    if args.jobs < 1:
+        raise _CliError(EXIT_PRECONDITION, f"jobs must be >= 1, got {args.jobs}")
+    _classify_config(args)  # rejects bad --trials / --bound before any work
     policy = EnumPolicy(max_edges=args.max_edges, connectivity=args.connectivity)
     report = run_sweep(
         args.p,

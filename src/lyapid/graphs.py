@@ -379,11 +379,17 @@ def graph_from_json(data) -> DiGraph:
         data = json.loads(data)
     if not isinstance(data, dict) or "p" not in data:
         raise ValueError('graph JSON must be an object with keys "p" and "edges"')
-    p = int(data["p"])
+    p = data["p"]
+    if not _is_int(p):
+        raise ValueError(f'"p" must be an integer, got {p!r}')
     raw = data.get("edges", [])
-    edges = set()
+    if not isinstance(raw, list):
+        raise ValueError(f'"edges" must be a list of [i, j] pairs, got {raw!r}')
     for e in raw:
-        if len(e) != 2:
-            raise ValueError(f"bad edge {e!r}")
-        edges.add((int(e[0]), int(e[1])))
-    return DiGraph(p, frozenset(edges))
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise ValueError(f"bad edge {e!r}: expected a pair of integer nodes")
+    return DiGraph(p, frozenset(tuple(e) for e in raw))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)

@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from . import _intkernel
 from .graphs import DiGraph, Edge, is_dag, is_simple, necessary_criterion, no_trek_pairs
-from .linalg import RatMatrix, Rational, det, rank, solve_linear
+from .linalg import AFFINE, RatMatrix, Rational, det, matrix_strings, solve_linear
 from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
-    _build_A_int,
-    _build_H_int,
+    _a_rows,
+    _h_rows,
     _matrix_to_int_rows,
     _solve_sigma_scaled,
     build_A,
@@ -50,10 +50,6 @@ RANK_DEFICIT_WITNESS = "rank-deficit-witness"
 NO_THEOREM = "no-theorem-route"
 
 
-def _matrix_strings(m: RatMatrix) -> list[list[str]]:
-    return [[str(x) for x in m.row(i)] for i in range(m.rows)]
-
-
 @dataclass(frozen=True)
 class RankSample:
     """One sampled model point and the exact rank evidence found there."""
@@ -65,8 +61,8 @@ class RankSample:
 
     def to_json(self) -> dict:
         out = {
-            "drift": _matrix_strings(self.drift),
-            "sigma": _matrix_strings(self.sigma),
+            "drift": matrix_strings(self.drift),
+            "sigma": matrix_strings(self.sigma),
             "rank": self.rank,
         }
         if self.kernel_vector:
@@ -133,6 +129,12 @@ class ClassifyConfig:
     bound: int = 2**20
     seed: int = 0
     use_kernel_route: bool = False
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.bound < 1:
+            raise ValueError(f"bound must be >= 1, got {self.bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +208,17 @@ def _rank_test_at_sample(g: DiGraph, c_rows: list[list[int]], rng: random.Random
     m_rows = [[int(x) for x in drift.matrix.row(i)] for i in range(p)]
     n_mat, den = _solve_sigma_scaled(m_rows, c_rows, p)
     if use_kernel:
-        restricted = _build_H_int(n_mat, p, g.non_edges())
+        restricted = _h_rows(n_mat, g.non_edges())
         target = p * (p - 1) // 2
     else:
-        restricted = _build_A_int(n_mat, p, g.edge_index())
+        restricted = _a_rows(n_mat, g.edge_index())
         target = g.num_edges
     achieved = _intkernel.int_rank(restricted)
     sigma = RatMatrix(p, p, [Fraction(v, den) for row in n_mat for v in row])
     return drift, sigma, achieved, target
 
 
-def _generic_by_sampling(
-    g: DiGraph,
-    vol: VolatilityMatrix,
-    trials: int,
-    bound: int,
-    seed: int,
-    use_kernel: bool,
-) -> IdentVerdict:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig) -> IdentVerdict:
     if is_simple(g):
         return check_global(g, vol)
 
@@ -235,16 +228,17 @@ def _generic_by_sampling(
     c_matrix = RatMatrix.identity(g.p) if substituted else vol.matrix
     c_rows, gamma = _matrix_to_int_rows(c_matrix)
     edges = tuple(g.edge_index())
-    route_note = "kernel-restriction (H) route" if use_kernel else "coefficient (A) route"
-    notes = [route_note]
+    notes = [
+        "kernel-restriction (H) route" if cfg.use_kernel_route else "coefficient (A) route"
+    ]
     if substituted:
         notes.append("sampled with identity volatility (diagonal C equivalence)")
 
-    rng = _derive_rng(seed, salt=g.p)
+    rng = _derive_rng(cfg.seed, salt=g.p)
     deficits: list[RankSample] = []
-    for _ in range(trials):
+    for _ in range(cfg.trials):
         drift, sigma_scaled, achieved, target = _rank_test_at_sample(
-            g, c_rows, rng, bound, use_kernel
+            g, c_rows, rng, cfg.bound, cfg.use_kernel_route
         )
         # sigma_scaled solves (M, gamma * C_sampled); rescale to solve (M, C_sampled).
         sigma = sigma_scaled.scale(Fraction(1, gamma)) if gamma != 1 else sigma_scaled
@@ -277,13 +271,13 @@ def _generic_by_sampling(
             note="; ".join(
                 notes
                 + [
-                    f"all {trials} samples rank-deficient; failure bound "
-                    f"(degree {g.num_edges * g.p * g.p} over {bound + 1} values per entry)"
+                    f"all {cfg.trials} samples rank-deficient; failure bound "
+                    f"(degree {g.num_edges * g.p * g.p} over {cfg.bound + 1} values per entry)"
                 ]
             ),
             edges=edges,
             samples=tuple(deficits),
-            failure_bound=_failure_bound(g, bound, trials),
+            failure_bound=_failure_bound(g, cfg.bound, cfg.trials),
         ),
     )
 
@@ -293,7 +287,7 @@ def _kernel_vector(g: DiGraph, sigma: RatMatrix) -> tuple:
     a_res = restrict_A(build_A(sigma), g)
     zero = RatMatrix.zeros(a_res.rows, 1)
     sol = solve_linear(a_res, zero)
-    if sol.kind != "affine":
+    if sol.kind != AFFINE:
         return ()
     return tuple(sol.kernel.col(0))
 
@@ -312,7 +306,7 @@ def check_generic(
     rank-deficient the model is declared non-identifiable with an explicit
     per-sample kernel vector and a stated failure bound.
     """
-    return _generic_by_sampling(g, vol, trials, bound, seed, use_kernel=False)
+    return _generic_by_sampling(g, vol, ClassifyConfig(trials, bound, seed))
 
 
 def check_generic_via_kernel(
@@ -328,7 +322,9 @@ def check_generic_via_kernel(
     rank p(p-1)/2; at any fixed positive definite Sigma this is equivalent
     to the coefficient-matrix rank condition, so the two routes agree.
     """
-    return _generic_by_sampling(g, vol, trials, bound, seed, use_kernel=True)
+    return _generic_by_sampling(
+        g, vol, ClassifyConfig(trials, bound, seed, use_kernel_route=True)
+    )
 
 
 def classify(
@@ -363,12 +359,7 @@ def classify(
                 ),
             ),
         )
-    if is_simple(g):
-        kind = THEOREM_DAG if is_dag(g) else THEOREM_SIMPLE
-        return IdentVerdict(IdentClass.GLOBALLY_IDENTIFIABLE, Certificate(kind=kind))
-    return _generic_by_sampling(
-        g, vol, cfg.trials, cfg.bound, cfg.seed, cfg.use_kernel_route
-    )
+    return _generic_by_sampling(g, vol, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +469,9 @@ def positivity_sample(
             [sum(low[i][t] * low[j][t] for t in range(p)) for j in range(p)]
             for i in range(p)
         ]
-        restricted = _build_H_int(sig, p, non_edges)
+        restricted = _h_rows(sig, non_edges)
         if square:
-            value = _det_int(restricted)
+            value = _intkernel.int_det(restricted)
             if value > 0:
                 pos += 1
             elif value < 0:
@@ -488,7 +479,7 @@ def positivity_sample(
             else:
                 zero += 1
         else:
-            full = _intkernel.int_rank([row[:] for row in restricted]) == cols
+            full = _intkernel.int_rank(restricted) == cols
             if full:
                 pos += 1
             else:
@@ -496,12 +487,3 @@ def positivity_sample(
     return PositivityReport(
         graph=g, trials=trials, positive=pos, negative=neg, zero=zero, square=square
     )
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    work = [row[:] for row in rows]
-    n = len(work)
-    pivot_cols, sign = _intkernel.bareiss_forward(work)
-    if len(pivot_cols) < n:
-        return 0
-    return sign * work[n - 1][n - 1]

@@ -14,10 +14,11 @@ so clarity wins over asymptotics everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from . import _intkernel
 
 # The exact scalar type: always reduced, positive denominator.
 Rational = Fraction
@@ -257,7 +258,7 @@ class Polynomial:
 class SolutionSet:
     """Exact solution set of a linear system ``a x = b``.
 
-    kind is one of ``"unique"``, ``"affine"``, ``"inconsistent"``.  For a
+    kind is one of :data:`UNIQUE`, :data:`AFFINE`, :data:`INCONSISTENT`.  For a
     unique solution ``particular`` holds it; an affine set additionally
     carries a ``kernel`` whose columns form a basis of the homogeneous
     solutions.  ``dim`` is the dimension of the solution set (0 for unique,
@@ -342,69 +343,15 @@ def commutation_matrix(p: int) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination core
+# Exact rank and determinant (via the integer kernel)
 # ---------------------------------------------------------------------------
-
-
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank/solve invariant)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
-
-
-def _bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
-    """In-place fraction-free elimination (Bareiss).
-
-    Returns (pivot_cols, sign) where pivot_cols are the columns in which
-    pivots were found, in order.  Rows beyond the pivot rows end up zero in
-    the first ``limit_cols`` columns.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    stop = nc if limit_cols is None else limit_cols
-    prev = 1
-    sign = 1
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(stop):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        pc = rows[r][c]
-        for i in range(r + 1, nr):
-            ric = rows[i][c]
-            ri = rows[i]
-            rr = rows[r]
-            for j in range(c, nc):
-                ri[j] = (pc * ri[j] - ric * rr[j]) // prev
-        prev = pc
-        pivot_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivot_cols, sign
 
 
 def rank(m: RatMatrix) -> int:
     """Exact rank over the rationals via fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    rows = _integer_rows(m)
-    pivot_cols, _ = _bareiss_forward(rows)
-    return len(pivot_cols)
+    return _intkernel.int_rank(
+        [_intkernel.common_denominator(m.row(i))[0] for i in range(m.rows)]
+    )
 
 
 def det(m: RatMatrix) -> Rational:
@@ -415,22 +362,13 @@ def det(m: RatMatrix) -> Rational:
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
     rows = []
-    denom = Fraction(1)
-    for i in range(n):
-        row = m.row(i)
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    denom = 1
+    for i in range(m.rows):
+        nums, scale = _intkernel.common_denominator(m.row(i))
+        rows.append(nums)
         denom *= scale
-        rows.append([int(x * scale) for x in row])
-    pivot_cols, sign = _bareiss_forward(rows)
-    if len(pivot_cols) < n:
-        return Fraction(0)
-    return Fraction(sign * rows[n - 1][n - 1]) / denom
+    return Fraction(_intkernel.int_det(rows), denom)
 
 
 def solve_linear(a: RatMatrix, b: RatMatrix) -> SolutionSet:
@@ -619,6 +557,11 @@ def parse_matrix_csv(text: str) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
+def matrix_strings(m: RatMatrix) -> list[list[str]]:
+    """The rows of ``m`` as exact strings ("n" or "n/d"), as JSON carries them."""
+    return [[str(x) for x in m.row(i)] for i in range(m.rows)]
+
+
 def format_matrix_csv(m: RatMatrix) -> str:
     """Render a matrix in the exact CSV format (lossless round trip)."""
-    return "\n".join(",".join(str(x) for x in m.row(i)) for i in range(m.rows))
+    return "\n".join(",".join(row) for row in matrix_strings(m))

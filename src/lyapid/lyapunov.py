@@ -19,20 +19,20 @@ from fractions import Fraction
 from . import _intkernel
 from .graphs import DiGraph, Edge
 from .linalg import (
+    AFFINE,
+    INCONSISTENT,
+    UNIQUE,
     RatMatrix,
     SolutionSet,
     commutation_matrix,
     is_positive_definite,
     is_stable,
     kron,
+    matrix_strings,
     solve_linear,
     sym_pairs,
     vech,
 )
-
-UNIQUE = "unique"
-AFFINE = "affine"
-INCONSISTENT = "inconsistent"
 
 
 class NotStableError(ValueError):
@@ -146,15 +146,11 @@ class FiberResult:
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "edges": [list(e) for e in self.edges]}
         if self.kind == UNIQUE:
-            out["drift"] = [[str(x) for x in self.drift.matrix.row(i)]
-                            for i in range(self.drift.matrix.rows)]
+            out["drift"] = matrix_strings(self.drift.matrix)
             out["dim"] = 0
         elif self.kind == AFFINE:
             out["particular"] = [str(x) for x in self.particular.col(0)]
-            out["kernel_basis"] = [
-                [str(x) for x in self.kernel_basis.col(j)]
-                for j in range(self.kernel_basis.cols)
-            ]
+            out["kernel_basis"] = matrix_strings(self.kernel_basis.transpose())
             out["dim"] = self.dim
         return out
 
@@ -164,15 +160,19 @@ class FiberResult:
 # ---------------------------------------------------------------------------
 
 
-def kronecker_sum(m: RatMatrix) -> RatMatrix:
-    """I_p (x) M + M (x) I_p, the coefficient matrix of vec(Sigma)."""
-    p = m.rows
-    eye = RatMatrix.identity(p)
-    return kron(eye, m) + kron(m, eye)
+# Each matrix has one builder (``_kron_sum_rows``, ``_a_rows``, ``_h_rows``)
+# from nested rows to nested rows, generic over the exact scalar: ``int``
+# numerators on the sampling path, ``Fraction`` entries behind the public
+# ``RatMatrix`` adapters.
 
 
-def _kron_sum_int_rows(m_rows: list[list[int]], p: int) -> list[list[int]]:
-    """Integer rows of I (x) M + M (x) I for integer M (vec ordering)."""
+def _flat(rows: list[list]) -> list:
+    return [x for row in rows for x in row]
+
+
+def _kron_sum_rows(m_rows: list[list]) -> list[list]:
+    """Rows of I (x) M + M (x) I in vec ordering."""
+    p = len(m_rows)
     n = p * p
     rows = [[0] * n for _ in range(n)]
     for c in range(p):
@@ -182,8 +182,14 @@ def _kron_sum_int_rows(m_rows: list[list[int]], p: int) -> list[list[int]]:
             for r2 in range(p):
                 row[base + r2] += m_rows[r][r2]
             for c2 in range(p):
-                rows[base + r][c2 * p + r] += m_rows[c][c2]
+                row[c2 * p + r] += m_rows[c][c2]
     return rows
+
+
+def kronecker_sum(m: RatMatrix) -> RatMatrix:
+    """I_p (x) M + M (x) I_p, the coefficient matrix of vec(Sigma)."""
+    n = m.rows * m.rows
+    return RatMatrix(n, n, _flat(_kron_sum_rows(m.to_lists())))
 
 
 def _solve_sigma_scaled(m_rows: list[list[int]], c_rows: list[list[int]], p: int):
@@ -192,23 +198,17 @@ def _solve_sigma_scaled(m_rows: list[list[int]], c_rows: list[list[int]], p: int
     Sigma = N / D with N an integer p x p matrix.  Raises ValueError when
     the Kronecker sum is singular (two eigenvalues of M summing to zero).
     """
-    system = _kron_sum_int_rows(m_rows, p)
+    system = _kron_sum_rows(m_rows)
     rhs = [-c_rows[r][c] for c in range(p) for r in range(p)]  # -vec(C)
     x = _intkernel.solve_square_int(system, rhs)
     nums, den = _intkernel.common_denominator(x)
-    n_mat = [[nums[c * p + r] for c in range(p)] for r in range(p)]
-    if den < 0:  # keep the denominator positive
-        den = -den
-        n_mat = [[-v for v in row] for row in n_mat]
-    return n_mat, den
+    return [[nums[c * p + r] for c in range(p)] for r in range(p)], den
 
 
 def _matrix_to_int_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
     """Clear denominators globally: returns (integer rows, positive scale)."""
-    flat = list(m.entries)
-    nums, den = _intkernel.common_denominator(flat)
-    rows = [nums[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
-    return rows, den
+    nums, den = _intkernel.common_denominator(m.entries)
+    return [nums[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], den
 
 
 def solve_for_sigma(drift: DriftMatrix, vol: VolatilityMatrix) -> CovMatrix:
@@ -246,6 +246,29 @@ def _unwrap(sigma) -> RatMatrix:
     return sigma.matrix if isinstance(sigma, CovMatrix) else sigma
 
 
+def _all_edges(p: int) -> list[Edge]:
+    """Every potential edge i -> j in vec order."""
+    return [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
+
+
+def _a_rows(s_rows: list[list], edges: list[Edge]) -> list[list]:
+    """Rows of A(Sigma), one column per edge of ``edges`` (see :func:`build_A`)."""
+    out = []
+    for (k, l) in sym_pairs(len(s_rows)):
+        row = []
+        for (i, j) in edges:
+            if j != k and j != l:
+                row.append(0)
+            elif j == k and k != l:
+                row.append(s_rows[l - 1][i - 1])
+            elif j == l and l != k:
+                row.append(s_rows[k - 1][i - 1])
+            else:
+                row.append(2 * s_rows[j - 1][i - 1])
+        out.append(row)
+    return out
+
+
 def build_A(sigma) -> RatMatrix:
     """The p(p+1)/2 x p^2 coefficient matrix of the half-vectorized equation.
 
@@ -258,19 +281,7 @@ def build_A(sigma) -> RatMatrix:
     if not s.is_symmetric():
         raise ValueError("A(Sigma) requires a symmetric Sigma")
     p = s.rows
-    out = []
-    for (k, l) in sym_pairs(p):
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                if j != k and j != l:
-                    out.append(Fraction(0))
-                elif j == k and k != l:
-                    out.append(s[l - 1, i - 1])
-                elif j == l and l != k:
-                    out.append(s[k - 1, i - 1])
-                else:
-                    out.append(2 * s[j - 1, i - 1])
-    return RatMatrix(p * (p + 1) // 2, p * p, out)
+    return RatMatrix(p * (p + 1) // 2, p * p, _flat(_a_rows(s.to_lists(), _all_edges(p))))
 
 
 def build_A_product(sigma) -> RatMatrix:
@@ -293,24 +304,6 @@ def atilde(sigma) -> RatMatrix:
     return kron(s, eye) + kron(eye, s) @ commutation_matrix(p)
 
 
-def _build_A_int(n_rows: list[list[int]], p: int, edges: list[Edge]) -> list[list[int]]:
-    """Integer A(Sigma) restricted to ``edges`` (Sigma given by numerators)."""
-    out = []
-    for (k, l) in sym_pairs(p):
-        row = []
-        for (i, j) in edges:
-            if j != k and j != l:
-                row.append(0)
-            elif j == k and k != l:
-                row.append(n_rows[l - 1][i - 1])
-            elif j == l and l != k:
-                row.append(n_rows[k - 1][i - 1])
-            else:
-                row.append(2 * n_rows[j - 1][i - 1])
-        out.append(row)
-    return out
-
-
 def restrict_A(a: RatMatrix, g: DiGraph) -> RatMatrix:
     """Columns of A(Sigma) for the edges of ``g``, in lexicographic edge order."""
     p = g.p
@@ -325,6 +318,23 @@ def skew_basis_pairs(p: int) -> list[tuple[int, int]]:
     return [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
 
 
+def _h_rows(s_rows: list[list], edges: list[Edge]) -> list[list]:
+    """Rows of H(Sigma), one row per edge of ``edges`` (see :func:`build_H`)."""
+    pairs = skew_basis_pairs(len(s_rows))
+    out = []
+    for (i, j) in edges:
+        row = []
+        for (k, l) in pairs:
+            if i == k:
+                row.append(-s_rows[l - 1][j - 1])
+            elif i == l:
+                row.append(s_rows[k - 1][j - 1])
+            else:
+                row.append(0)
+        out.append(row)
+    return out
+
+
 def build_H(sigma) -> RatMatrix:
     """The p^2 x p(p-1)/2 kernel basis of A(Sigma).
 
@@ -337,34 +347,7 @@ def build_H(sigma) -> RatMatrix:
     if not s.is_symmetric():
         raise ValueError("H(Sigma) requires a symmetric Sigma")
     p = s.rows
-    out = []
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            for (k, l) in skew_basis_pairs(p):
-                if i == k:
-                    out.append(-s[l - 1, j - 1])
-                elif i == l:
-                    out.append(s[k - 1, j - 1])
-                else:
-                    out.append(Fraction(0))
-    return RatMatrix(p * p, p * (p - 1) // 2, out)
-
-
-def _build_H_int(n_rows: list[list[int]], p: int, non_edges: list[Edge]) -> list[list[int]]:
-    """Integer H(Sigma) restricted to ``non_edges`` rows."""
-    pairs = skew_basis_pairs(p)
-    out = []
-    for (i, j) in non_edges:
-        row = []
-        for (k, l) in pairs:
-            if i == k:
-                row.append(-n_rows[l - 1][j - 1])
-            elif i == l:
-                row.append(n_rows[k - 1][j - 1])
-            else:
-                row.append(0)
-        out.append(row)
-    return out
+    return RatMatrix(p * p, p * (p - 1) // 2, _flat(_h_rows(s.to_lists(), _all_edges(p))))
 
 
 def restrict_H(h: RatMatrix, g: DiGraph) -> RatMatrix:
@@ -392,9 +375,9 @@ def fiber(sigma: CovMatrix, g: DiGraph, vol: VolatilityMatrix) -> FiberResult:
     a_res = restrict_A(build_A(sigma), g)
     rhs = -vech(vol.matrix)
     sol: SolutionSet = solve_linear(a_res, rhs)
-    if sol.kind == "inconsistent":
+    if sol.kind == INCONSISTENT:
         return FiberResult(INCONSISTENT, edges)
-    if sol.kind == "unique":
+    if sol.kind == UNIQUE:
         return FiberResult(
             UNIQUE, edges, drift=DriftMatrix(g, _edge_vector_to_matrix(sol.particular, g))
         )

@@ -23,6 +23,7 @@ from .identifiability import (
     RANK_DEFICIT_WITNESS,
     classify,
 )
+from .linalg import matrix_strings
 from .lyapunov import VolatilityMatrix
 
 CSV_HEADER = "p,policy,total_nonsimple,non_identifiable,non_identifiable_eq9,wall_seconds"
@@ -129,9 +130,9 @@ def _row_witness(verdict: IdentVerdict):
     if cert.kind != RANK_DEFICIT_WITNESS or not cert.samples:
         return None, None
     sample = cert.samples[0]
-    drift = tuple(tuple(str(x) for x in sample.drift.row(i)) for i in range(sample.drift.rows))
-    sigma = tuple(tuple(str(x) for x in sample.sigma.row(i)) for i in range(sample.sigma.rows))
-    return drift, sigma
+    return tuple(
+        tuple(map(tuple, matrix_strings(m))) for m in (sample.drift, sample.sigma)
+    )
 
 
 def classify_one(task) -> SweepRow:

@@ -5,6 +5,7 @@ The classification-table criterion drives the real CLI; everything else
 exercises the library directly.
 """
 
+import hashlib
 import json
 import random
 import re
@@ -52,6 +53,12 @@ DOC = Path(__file__).resolve().parent.parent / "docs" / "table1_reproduction.md"
 
 PUBLISHED = {3: (2, 0, 0), 4: (80, 3, 2), 5: (4862, 68, 37)}
 
+# sha256 of SweepReport.canonical_bytes() for the seed-0 sweeps.
+CANONICAL_SHA256 = {
+    4: "1290d02d27473cf0b42d7e3270e21e8b96c27d80f308f13bd8620dc99b665d7d",
+    5: "2840b4bc359ee31444938c4b722ce5dfd02d6e4e02e9ee461f31d81edaa47c95",
+}
+
 
 def _report(criterion: str, message: str) -> None:
     print(f"CRITERION {criterion}: PASS - {message}")
@@ -68,6 +75,14 @@ def _run_sweep_cli(p: int, tmp_path, jobs: int = 2):
     code = main(["sweep", "--p", str(p), "--jobs", str(jobs), "--out", str(out)])
     assert code == 0
     return json.loads(out.read_text())
+
+
+def _canonical_sha256(report: dict) -> str:
+    """sha256 of the canonical body: the report without its timing fields."""
+    body = {k: v for k, v in report.items() if k != "wall_seconds"}
+    body["rows"] = [{k: v for k, v in row.items() if k != "elapsed_ms"}
+                    for row in report["rows"]]
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def _random_simple_graph(p: int, rng: random.Random) -> DiGraph:
@@ -108,6 +123,7 @@ class TestCriterion01Table:
             totals["non_identifiable"],
             totals["non_identifiable_eq9"],
         )
+        assert _canonical_sha256(report) == CANONICAL_SHA256[4]
         docs = _documented_table()
         assert computed == tuple(docs["computed"]["4"])
         assert computed[:2] == PUBLISHED[4][:2]
@@ -144,6 +160,7 @@ class TestCriterion01Table:
             totals["non_identifiable"],
             totals["non_identifiable_eq9"],
         ) == PUBLISHED[5]
+        assert _canonical_sha256(report) == CANONICAL_SHA256[5]
         _report("1c", f"p=5 sweep totals {PUBLISHED[5]} (exact match)")
 
     def test_non_identifiable_rows_carry_replayable_certificates(self, tmp_path):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from lyapid.cli import main
-from lyapid.graphs import graph_to_json
+from lyapid.graphs import graph_from_json, graph_to_json
 from lyapid.catalog import three_cycle, two_cycle, two_cycle_out_edge
 from lyapid.linalg import parse_matrix_csv
 
@@ -18,6 +18,31 @@ def workdir(tmp_path):
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Graph JSON that must be rejected, not coerced: only JSON integers are nodes.
+MALFORMED_GRAPHS = {
+    "edges-not-a-list": {"p": 3, "edges": 5},
+    "null-node": {"p": 3, "edges": [[1, None]]},
+    "null-p": {"p": None, "edges": []},
+    "float-p": {"p": 3.7, "edges": [[1, 2]]},
+    "float-node": {"p": 3, "edges": [[1, 2.9]]},
+    "bool-p": {"p": True, "edges": []},
+}
+
+BAD_SAMPLING_ARGS = [
+    ["classify", "--bound", "0"],
+    ["classify", "--bound", "-5"],
+    ["classify", "--trials", "0"],
+    ["sweep", "--p", "3", "--trials", "0"],
+    ["sweep", "--p", "3", "--bound", "0"],
+    ["sweep", "--p", "3", "--jobs", "0"],
+]
 
 
 class TestSolve:
@@ -121,6 +146,14 @@ class TestClassifyCommand:
         graph = _write(workdir / "g.json", "{not json")
         assert main(["classify", "--graph", graph]) == 1
 
+    @pytest.mark.parametrize("data", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS.keys())
+    def test_invalid_graph_exit_1(self, workdir, capsys, data):
+        with pytest.raises(ValueError):
+            graph_from_json(data)
+        graph = _write(workdir / "g.json", json.dumps(data))
+        assert main(["classify", "--graph", graph]) == 1
+        _assert_one_line_error(capsys)
+
     def test_kernel_route_agrees(self, workdir, capsys):
         graph = _write(
             workdir / "g.json", json.dumps(graph_to_json(two_cycle_out_edge()))
@@ -177,6 +210,16 @@ class TestSweepCommand:
             if r.classification is IdentClass.NON_IDENTIFIABLE
         )
         assert ni_eq9 <= ni <= total
+
+
+class TestSamplingParameters:
+    @pytest.mark.parametrize("argv", BAD_SAMPLING_ARGS, ids=" ".join)
+    def test_bad_sampling_parameters_exit_2(self, workdir, capsys, argv):
+        if argv[0] == "classify":
+            graph = json.dumps(graph_to_json(two_cycle_out_edge()))
+            argv = argv + ["--graph", _write(workdir / "g.json", graph)]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
 
 
 class TestPropsCommand:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lyapid import _intkernel, identifiability
 from lyapid.catalog import (
     complete_dag,
     completed_four_cycle,
@@ -361,3 +362,77 @@ class TestPositivitySample:
     def test_rejects_non_simple(self):
         with pytest.raises(ValueError):
             positivity_sample(two_cycle(), trials=1)
+
+
+def _scaled_rows(m: RatMatrix, d: int) -> list[list]:
+    return [[d * x for x in row] for row in m.to_lists()]
+
+
+class TestIntegerHotPath:
+    """The sampling path's integer rows against the public Fraction builders."""
+
+    @pytest.mark.parametrize("kernel_route", [False, True])
+    @pytest.mark.parametrize(
+        "graph_fn", [two_cycle_out_edge, fan_in_two_cycle, two_cycle_two_sinks,
+                     two_cycle_two_sources]
+    )
+    def test_rank_tested_rows_are_scaled_restrictions(self, monkeypatch, graph_fn,
+                                                      kernel_route):
+        g = graph_fn()
+        tested = []
+        int_rank = _intkernel.int_rank
+
+        def capture(rows):
+            tested.append([row[:] for row in rows])
+            return int_rank(rows)
+
+        monkeypatch.setattr(_intkernel, "int_rank", capture)
+        check = check_generic_via_kernel if kernel_route else check_generic
+        cert = check(g, VolatilityMatrix.identity(g.p), trials=3, seed=11).certificate
+        samples = [cert.witness] if cert.witness is not None else list(cert.samples)
+        assert len(tested) == len(samples) >= 1
+        for rows, sample in zip(tested, samples):
+            # the sampling path solves Sigma = N / D with D the lcm denominator
+            _, d = _intkernel.common_denominator(sample.sigma.entries)
+            if kernel_route:
+                expected = restrict_H(build_H(sample.sigma), g)
+            else:
+                expected = restrict_A(build_A(sample.sigma), g)
+            assert rows == _scaled_rows(expected, d)
+
+    @pytest.mark.parametrize(
+        "graph_fn", [three_cycle, two_cycle_out_edge, fan_in_two_cycle,
+                     two_cycle_two_sources, completed_four_cycle]
+    )
+    def test_builders_on_numerators_match_fraction_builders(self, graph_fn):
+        g = graph_fn()
+        rng = random.Random(2024 + g.num_edges)
+        for _ in range(10):
+            sigma = random_pd_matrix(g.p, rng)
+            nums, d = _intkernel.common_denominator(sigma.entries)
+            n_rows = [nums[i * g.p : (i + 1) * g.p] for i in range(g.p)]
+            assert identifiability._a_rows(n_rows, g.edge_index()) == _scaled_rows(
+                restrict_A(build_A(sigma), g), d
+            )
+            assert identifiability._h_rows(n_rows, g.non_edges()) == _scaled_rows(
+                restrict_H(build_H(sigma), g), d
+            )
+
+    def test_int_det_matches_fraction_det(self):
+        rng = random.Random(5)
+        for n in range(7):
+            for _ in range(15):
+                rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+                if n > 1 and rng.random() < 0.3:  # force some singular matrices
+                    rows[-1] = [2 * x for x in rows[0]]
+                expected = det(RatMatrix(n, n, [x for row in rows for x in row]))
+                assert _intkernel.int_det([row[:] for row in rows]) == expected
+
+
+class TestClassifyConfig:
+    @pytest.mark.parametrize("field, value", [("trials", 0), ("bound", 0), ("bound", -5)])
+    def test_rejects_bad_sampling_parameters(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            ClassifyConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            check_generic(two_cycle(), VolatilityMatrix.identity(2), **{field: value})
