@@ -122,7 +122,11 @@ class ClassifyConfig:
 
     Five independent samples with entry bound 2^20 push the failure
     probability of a (probabilistic) non-identifiability verdict below
-    2^-40 for every graph on at most five nodes.
+    2^-40 for every graph on at most five nodes.  :func:`classify` samples
+    only graphs with |E| <= p(p+1)/2 = 15 (larger ones stop at the
+    edge-count bound), so the degree in :func:`_failure_bound` is at most
+    15 * 25 = 375 and the bound is (375 / (2^20 + 1))^5, about 2^-57; even
+    |E| = 25, which :func:`check_generic` accepts, gives about 2^-53.
     """
 
     trials: int = 5
@@ -188,8 +192,25 @@ def _derive_rng(seed: int, salt: int) -> random.Random:
 
 
 def _failure_bound(g: DiGraph, bound: int, trials: int) -> float:
-    # Degree of a cleared-denominator maximal minor in the drift entries,
-    # then a union bound over independent samples.
+    """Probability that a generically identifiable ``g`` has every sample deficient.
+
+    Cramer's rule on the Lyapunov system K vec(Sigma) = -vec(C), with
+    K = I (x) M + M (x) I, gives det(K) Sigma = adj(K)(-vec C): entries that
+    are polynomials of degree at most p^2 - 1 in the drift entries.  A(Sigma)
+    is linear in Sigma, so an |E| x |E| minor f of A(det(K) Sigma) restricted
+    to the edges is a polynomial of degree at most |E| (p^2 - 1) <= |E| p^2,
+    and it vanishes at a stable M (det(K) != 0) exactly when the same minor
+    of A(Sigma) does.  If ``g`` is generically identifiable, some such f is
+    not the zero polynomial.  Schwartz-Zippel bounds Pr[f(M) = 0] by
+    degree / s when each variable, conditional on the variables drawn before
+    it, is uniform on a set of at least s values: the usual induction on the
+    last variable only uses that conditional law.  Take the off-diagonal
+    entries first (2 bound + 1 values each), then each diagonal entry, which
+    given the off-diagonal ones is a fixed shift minus a uniform draw from
+    [0, bound]: s = bound + 1.  Samples are drawn independently, so the
+    per-sample bounds multiply.  The kernel (H) route decides the same rank
+    condition at each sampled Sigma, so the bound covers it too.
+    """
     degree = g.num_edges * g.p * g.p
     per_sample = min(1.0, degree / (bound + 1))
     return per_sample**trials

@@ -2,7 +2,8 @@
 
 Given a stable drift matrix M supported on a graph and a positive definite
 volatility matrix C, the equation has a unique positive definite solution
-Sigma; solving for Sigma is a p^2 x p^2 linear system in vec(Sigma).
+Sigma; solving for Sigma is a p(p+1)/2 x p(p+1)/2 linear system in
+vech(Sigma).
 Solving the *inverse* problem -- recovering M from (Sigma, C) subject to the
 sparsity pattern -- is a linear system in vec(M) whose coefficient matrix we
 call A(Sigma); its kernel is spanned by the columns of H(Sigma).  This
@@ -12,6 +13,7 @@ random stable drift matrices for generic rank tests.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,12 +51,12 @@ class DriftMatrix:
 
     Entry ``m_ji`` belongs to edge ``i -> j``; the support condition
     (``m_ji = 0`` whenever ``i -> j`` is not an edge) is enforced on
-    construction, and stability is decided exactly and cached.
+    construction.  Stability is decided exactly the first time ``stable``
+    is read, and cached.
     """
 
     graph: DiGraph
     matrix: RatMatrix
-    stable: bool = field(init=False)
 
     def __post_init__(self):
         p = self.graph.p
@@ -66,7 +68,11 @@ class DriftMatrix:
                     raise ValueError(
                         f"entry m[{j},{i}] nonzero but edge {i}->{j} is absent"
                     )
-        object.__setattr__(self, "stable", is_stable(self.matrix))
+
+    @functools.cached_property
+    def stable(self) -> bool:
+        """Whether every eigenvalue has negative real part (exact Hurwitz test)."""
+        return is_stable(self.matrix)
 
     @classmethod
     def from_matrix(cls, matrix: RatMatrix) -> "DriftMatrix":
@@ -163,7 +169,9 @@ class FiberResult:
 # Each matrix has one builder (``_kron_sum_rows``, ``_a_rows``, ``_h_rows``)
 # from nested rows to nested rows, generic over the exact scalar: ``int``
 # numerators on the sampling path, ``Fraction`` entries behind the public
-# ``RatMatrix`` adapters.
+# ``RatMatrix`` adapters.  Sigma itself is solved from the smaller vech
+# system of :func:`_solve_sigma_scaled`, so ``_kron_sum_rows`` backs only
+# the public :func:`kronecker_sum`.
 
 
 def _flat(rows: list[list]) -> list:
@@ -195,14 +203,28 @@ def kronecker_sum(m: RatMatrix) -> RatMatrix:
 def _solve_sigma_scaled(m_rows: list[list[int]], c_rows: list[list[int]], p: int):
     """Exact Sigma for integer (M, C): returns (numerators N, denominator D).
 
-    Sigma = N / D with N an integer p x p matrix.  Raises ValueError when
-    the Kronecker sum is singular (two eigenvalues of M summing to zero).
+    Sigma = N / D with N an integer symmetric p x p matrix, D > 0 and
+    gcd(D, N) = 1.  The unknowns are vech(Sigma), one per pair k <= l, and
+    the equations vech(M Sigma + Sigma M^T) = -vech(C).  On symmetric
+    matrices the Lyapunov operator has the eigenvalues lambda_i + lambda_j
+    for i <= j -- every pairwise sum -- so this system is singular exactly
+    when the Kronecker sum is.  Raises ValueError when it is singular (two
+    eigenvalues of M summing to zero).
     """
-    system = _kron_sum_rows(m_rows)
-    rhs = [-c_rows[r][c] for c in range(p) for r in range(p)]  # -vec(C)
-    x = _intkernel.solve_square_int(system, rhs)
-    nums, den = _intkernel.common_denominator(x)
-    return [[nums[c * p + r] for c in range(p)] for r in range(p)], den
+    pairs = [(k, l) for k in range(p) for l in range(k, p)]
+    index = {}
+    for pos, (k, l) in enumerate(pairs):
+        index[k, l] = index[l, k] = pos
+    system = []
+    for (i, j) in pairs:
+        row = [0] * len(pairs)
+        for t in range(p):
+            # (M Sigma)_ij = sum_t m_it s_tj and (Sigma M^T)_ij = sum_t s_it m_jt.
+            row[index[t, j]] += m_rows[i][t]
+            row[index[i, t]] += m_rows[j][t]
+        system.append(row)
+    x, den = _intkernel.solve_square_int(system, [-c_rows[i][j] for (i, j) in pairs])
+    return [[x[index[r, c]] for c in range(p)] for r in range(p)], den
 
 
 def _matrix_to_int_rows(m: RatMatrix) -> tuple[list[list[int]], int]:

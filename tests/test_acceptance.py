@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lyapid import _intkernel
 from lyapid.catalog import (
     complete_dag,
     completed_four_cycle,
@@ -48,6 +49,7 @@ from lyapid.lyapunov import (
     solve_for_sigma,
 )
 from lyapid.properties import complete_graph, random_pd_matrix
+from lyapid.sweep import run_sweep
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "table1_reproduction.md"
 
@@ -83,6 +85,29 @@ def _canonical_sha256(report: dict) -> str:
     body["rows"] = [{k: v for k, v in row.items() if k != "elapsed_ms"}
                     for row in report["rows"]]
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def _count_exact_rank_fallbacks(monkeypatch) -> dict:
+    """Count int_rank calls, and those that reach exact Bareiss elimination."""
+    counts = {"int_rank": 0, "bareiss": 0}
+    inside = []
+    int_rank, forward = _intkernel.int_rank, _intkernel.bareiss_forward
+
+    def counted_rank(rows):
+        counts["int_rank"] += 1
+        inside.append(True)
+        try:
+            return int_rank(rows)
+        finally:
+            inside.pop()
+
+    def counted_forward(rows, limit_cols=None):
+        counts["bareiss"] += bool(inside)
+        return forward(rows, limit_cols)
+
+    monkeypatch.setattr(_intkernel, "int_rank", counted_rank)
+    monkeypatch.setattr(_intkernel, "bareiss_forward", counted_forward)
+    return counts
 
 
 def _random_simple_graph(p: int, rng: random.Random) -> DiGraph:
@@ -162,6 +187,24 @@ class TestCriterion01Table:
         ) == PUBLISHED[5]
         assert _canonical_sha256(report) == CANONICAL_SHA256[5]
         _report("1c", f"p=5 sweep totals {PUBLISHED[5]} (exact match)")
+
+    def test_p4_mod_q_rank_falls_back_only_on_deficit_rows(self, monkeypatch):
+        counts = _count_exact_rank_fallbacks(monkeypatch)
+        report = run_sweep(4)
+        assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
+        # the one rank-deficit row draws 5 samples; every full rank is proved mod q
+        assert counts["bareiss"] == 5
+        _report("1e", f"{counts['int_rank']} ranks, {counts['bareiss']} exact fallbacks")
+
+    def test_p4_hash_unchanged_by_exact_fallback(self, monkeypatch):
+        # mod 3 most full-rank samples look deficient, so int_rank re-ranks
+        # them exactly; the report must not change.
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", 3)
+        counts = _count_exact_rank_fallbacks(monkeypatch)
+        report = run_sweep(4)
+        assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
+        assert counts["bareiss"] > counts["int_rank"] // 2
+        _report("1f", f"q = 3: {counts['bareiss']} of {counts['int_rank']} ranks fell back")
 
     def test_non_identifiable_rows_carry_replayable_certificates(self, tmp_path):
         report = _run_sweep_cli(4, tmp_path)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lyapid import _intkernel, identifiability
+from lyapid import _intkernel, identifiability, lyapunov
 from lyapid.catalog import (
     complete_dag,
     completed_four_cycle,
@@ -40,6 +40,7 @@ from lyapid.linalg import RatMatrix, det, rank, rat, vech
 from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
+    NotStableError,
     VolatilityMatrix,
     build_A,
     build_H,
@@ -436,3 +437,33 @@ class TestClassifyConfig:
             ClassifyConfig(**{field: value})
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             check_generic(two_cycle(), VolatilityMatrix.identity(2), **{field: value})
+
+
+class TestLazyStability:
+    """Sampled drifts are stable by construction; nothing re-proves it."""
+
+    def test_sampling_never_decides_stability(self, monkeypatch):
+        # a 2-cycle on {1, 2} feeding the path 2 -> 3 -> 4 -> 5 is generically
+        # identifiable; the 2-cycle and node 4 both feeding sink 3, plus
+        # 4 -> 5, is rank-deficient at every sample
+        graphs = [
+            DiGraph(5, frozenset({(1, 2), (2, 1), (2, 3), (3, 4), (4, 5)})),
+            DiGraph(5, frozenset({(1, 2), (2, 1), (1, 3), (2, 3), (4, 3), (4, 5)})),
+        ]
+        vol = VolatilityMatrix.identity(5)
+        cfg = ClassifyConfig(seed=4)
+        expected = [classify(g, vol, cfg).to_json() for g in graphs]
+
+        def refuse(m):
+            raise AssertionError("the sampling path decided stability")
+
+        monkeypatch.setattr(lyapunov, "is_stable", refuse)
+        assert [classify(g, vol, cfg).to_json() for g in graphs] == expected
+        assert expected[0]["certificate"]["kind"] == FULL_RANK_WITNESS
+        assert expected[1]["certificate"]["kind"] == RANK_DEFICIT_WITNESS
+
+    def test_stability_is_decided_on_read(self):
+        unstable = DriftMatrix(DiGraph(1), RatMatrix.from_rows([[1]]))
+        assert unstable.stable is False
+        with pytest.raises(NotStableError):
+            solve_for_sigma(unstable, VolatilityMatrix.identity(1))

@@ -1,0 +1,93 @@
+"""The exact elimination kernel: the mod-q rank proof, its fallback, the solve."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lyapid import _intkernel
+from lyapid._intkernel import (
+    bareiss_forward,
+    common_denominator,
+    int_rank,
+    mod_rank,
+    solve_square_int,
+)
+from lyapid.linalg import UNIQUE, RatMatrix, solve_linear
+
+Q = _intkernel.MOD_PRIME
+
+# Small entries make rank deficiency common; huge ones make residues mod q
+# unrelated to the integers.
+_entries = st.one_of(st.integers(-2, 2), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _int_matrices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    return [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def _copy(rows):
+    return [row[:] for row in rows]
+
+
+class TestModularRank:
+    @settings(max_examples=150, deadline=None)
+    @given(_int_matrices())
+    def test_int_rank_is_the_exact_rank_and_bounds_mod_rank(self, rows):
+        exact = len(bareiss_forward(_copy(rows))[0])
+        assert int_rank(_copy(rows)) == exact
+        assert mod_rank(rows) <= exact
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([[Q, 0], [0, 1]], 2),
+            ([[1, 1], [1, 1 + Q]], 2),
+            ([[2, 4], [3, 6 + Q]], 2),
+            ([[Q], [2 * Q]], 1),
+            ([[1, 2, 3], [2, 4, 6 + Q]], 2),
+        ],
+    )
+    def test_full_rank_over_q_but_deficient_mod_q(self, rows, rank):
+        assert mod_rank(rows) < rank
+        assert int_rank(_copy(rows)) == rank
+
+    def test_mod_rank_leaves_rows_intact(self):
+        rows = [[3, 5, 7], [2, 4, 8], [1, 1, Q + 4]]
+        before = _copy(rows)
+        mod_rank(rows)
+        assert rows == before
+
+
+class TestSolveSquareInt:
+    def test_matches_reduced_fraction_solution(self):
+        rng = random.Random(61)
+        for n in range(1, 7):
+            for _ in range(10):
+                a = [[rng.randint(-(2**30), 2**30) for _ in range(n)] for _ in range(n)]
+                b = [rng.choice([0, rng.randint(-50, 50)]) for _ in range(n)]
+                sol = solve_linear(
+                    RatMatrix(n, n, [Fraction(x) for row in a for x in row]),
+                    RatMatrix.column([Fraction(x) for x in b]),
+                )
+                assert sol.kind == UNIQUE
+                nums, den = solve_square_int(a, b)
+                assert (nums, den) == common_denominator(sol.particular.col(0))
+                assert den > 0 and math.gcd(den, *nums) == 1
+
+    def test_row_swaps_and_negative_determinant(self):
+        # zero leading entry forces a swap; det = -1
+        nums, den = solve_square_int([[0, 1], [1, 0]], [3, -4])
+        assert (nums, den) == ([-4, 3], 1)
+        nums, den = solve_square_int([[0, 2], [3, 0]], [1, 1])
+        assert (nums, den) == ([2, 3], 6)
+
+    def test_singular_raises(self):
+        with pytest.raises(ValueError):
+            solve_square_int([[1, 2], [2, 4]], [1, 1])

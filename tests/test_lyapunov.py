@@ -1,10 +1,12 @@
 """Tests for the Lyapunov solver, the A/H builders, fibers, and sampling."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from lyapid import _intkernel
 from lyapid.catalog import (
     complete_dag,
     fan_in_two_cycle,
@@ -13,12 +15,13 @@ from lyapid.catalog import (
     two_cycle_out_edge,
 )
 from lyapid.graphs import DiGraph, ancestor_sets
-from lyapid.linalg import RatMatrix, det, rank, vec, vech
+from lyapid.linalg import RatMatrix, det, rank, solve_linear, vec, vech
 from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
     NotStableError,
     VolatilityMatrix,
+    _solve_sigma_scaled,
     atilde,
     build_A,
     build_A_product,
@@ -513,3 +516,33 @@ class TestModelInvariants:
         lhs = kronecker_sum(m) @ vec(sigma)
         rhs = vec(m @ sigma + sigma @ m.transpose())
         assert lhs == rhs
+
+
+class TestSolveSigmaScaled:
+    """The vech(Sigma) solve against the full Kronecker-sum system."""
+
+    def test_matches_kronecker_sum_solution(self):
+        rng = random.Random(53)
+        for p in range(2, 6):
+            for _ in range(6):
+                m = [[rng.randint(-40, 40) for _ in range(p)] for _ in range(p)]
+                for i in range(p):  # strictly diagonally dominant, so stable
+                    m[i][i] = -(sum(abs(v) for v in m[i]) + rng.randint(1, 40))
+                c = [[0] * p for _ in range(p)]
+                for i in range(p):
+                    c[i][i] = rng.randint(1, 30)
+                    for j in range(i):
+                        c[i][j] = c[j][i] = rng.randint(-9, 9)
+                c[0][1] = c[1][0] = rng.randint(1, 9)  # never diagonal
+                mat = RatMatrix(p, p, [Fraction(x) for row in m for x in row])
+                cmat = RatMatrix(p, p, [Fraction(x) for row in c for x in row])
+                sol = solve_linear(kronecker_sum(mat), -vec(cmat))
+                nums, den = _intkernel.common_denominator(sol.particular.col(0))
+                expected = [[nums[col * p + r] for col in range(p)] for r in range(p)]
+                n_mat, d = _solve_sigma_scaled(m, c, p)
+                assert (n_mat, d) == (expected, den)
+                assert d > 0 and math.gcd(d, *(v for row in n_mat for v in row)) == 1
+
+    def test_singular_when_eigenvalues_sum_to_zero(self):
+        with pytest.raises(ValueError):
+            _solve_sigma_scaled([[1, 0], [0, -1]], [[1, 0], [0, 1]], 2)
