@@ -15,6 +15,9 @@ divisible by q -- pays for exact fraction-free (Bareiss) elimination in
 :func:`bareiss_forward`.  :func:`solve_square_int` back-substitutes in
 integers too, using Cramer's rule to keep every intermediate integral, and
 returns a reduced numerator vector over one denominator.
+:func:`rank_and_kernel` takes a kernel vector from the same Bareiss echelon
+that ranks a deficient matrix, by that back-substitution, so a deficient
+matrix is eliminated once.
 """
 
 from __future__ import annotations
@@ -123,6 +126,31 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
+def _back_substitute(rows: list[list[int]], n: int, col: int, d: int) -> list[int]:
+    """d x for the upper-triangular system rows[:n][:n] x = rows[:n][col].
+
+    Exact when d x is an integer vector: every step then divides
+    ``rows[r][r] * y[r]`` by ``rows[r][r]``.
+    """
+    y = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        acc = d * row[col]
+        for j in range(r + 1, n):
+            if row[j]:
+                acc -= row[j] * y[j]
+        y[r] = acc // row[r]
+    return y
+
+
+def _reduced(nums: list[int], d: int) -> tuple[list[int], int]:
+    """nums / d with a positive denominator sharing no factor with all of nums."""
+    g = math.gcd(d, *nums)
+    if d < 0:
+        g = -g
+    return [v // g for v in nums], d // g
+
+
 def solve_square_int(a_rows: list[list[int]], b: list[int]) -> tuple[list[int], int]:
     """Exact solution x = nums / den of a square nonsingular integer system.
 
@@ -140,18 +168,32 @@ def solve_square_int(a_rows: list[list[int]], b: list[int]) -> tuple[list[int], 
     if len(pivot_cols) < n:
         raise ValueError("singular system")
     d = aug[n - 1][n - 1] if n else 1
-    y = [0] * n
-    for r in range(n - 1, -1, -1):
-        row = aug[r]
-        acc = d * row[n]
-        for j in range(r + 1, n):
-            if row[j]:
-                acc -= row[j] * y[j]
-        y[r] = acc // row[r]
-    g = math.gcd(d, *y)
-    if d < 0:
-        g = -g
-    return [v // g for v in y], d // g
+    return _reduced(_back_substitute(aug, n, n, d), d)
+
+
+def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] | None]:
+    """Exact rank and, below full column rank, one kernel vector (consumes ``rows``).
+
+    The kernel vector is returned as (numerators, positive den) in lowest
+    terms, or None at full column rank.  It is the first basis vector of the
+    reduced-row-echelon kernel: with f the first non-pivot column, x[f] = 1,
+    x[f+1:] = 0, and x[:f] solves the leading f pivot columns.  Bareiss
+    leaves those columns upper triangular with last pivot d = +-their
+    leading f x f minor, so by Cramer's rule d x is an integer vector.
+    """
+    if not rows or not rows[0]:
+        return 0, None
+    cols = len(rows[0])
+    if mod_rank(rows) == cols:
+        return cols, None
+    pivot_cols, _ = bareiss_forward(rows)
+    rank = len(pivot_cols)
+    if rank == cols:
+        return rank, None
+    f = next((c for c, pc in enumerate(pivot_cols) if c != pc), rank)
+    d = rows[f - 1][f - 1] if f else 1
+    nums = [-v for v in _back_substitute(rows, f, f, d)] + [d] + [0] * (cols - f - 1)
+    return rank, _reduced(nums, d)
 
 
 def common_denominator(values) -> tuple[list[int], int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import _intkernel
 from .graphs import DiGraph, Edge, is_dag, is_simple, necessary_criterion, no_trek_pairs
-from .linalg import AFFINE, RatMatrix, Rational, det, matrix_strings, solve_linear
+from .linalg import RatMatrix, Rational, det, matrix_strings
 from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
@@ -222,21 +222,27 @@ def _rank_test_at_sample(g: DiGraph, c_rows: list[list[int]], rng: random.Random
 
     ``c_rows`` is the integer-scaled volatility; the returned sigma solves
     the Lyapunov equation for (M, c_rows) and the caller undoes the scale.
-    Returns (drift, sigma, achieved rank, target rank).
+    Returns (drift, sigma, achieved rank, target rank, kernel vector), the
+    kernel vector being an edge-indexed nonzero vector in the kernel of the
+    restricted A at sigma, or () at full rank.
     """
     p = g.p
     drift = sample_stable_drift(g, rng, bound)
     m_rows = [[int(x) for x in drift.matrix.row(i)] for i in range(p)]
     n_mat, den = _solve_sigma_scaled(m_rows, c_rows, p)
     if use_kernel:
-        restricted = _h_rows(n_mat, g.non_edges())
         target = p * (p - 1) // 2
+        achieved = _intkernel.int_rank(_h_rows(n_mat, g.non_edges()))
+        kernel = None
+        if achieved < target:
+            # A is linear in Sigma = N / den, so A(N) has the kernel of A(Sigma)
+            _, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
     else:
-        restricted = _a_rows(n_mat, g.edge_index())
         target = g.num_edges
-    achieved = _intkernel.int_rank(restricted)
+        achieved, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
     sigma = RatMatrix(p, p, [Fraction(v, den) for row in n_mat for v in row])
-    return drift, sigma, achieved, target
+    kernel_vec = () if kernel is None else tuple(Fraction(v, kernel[1]) for v in kernel[0])
+    return drift, sigma, achieved, target, kernel_vec
 
 
 def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig) -> IdentVerdict:
@@ -258,7 +264,7 @@ def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig)
     rng = _derive_rng(cfg.seed, salt=g.p)
     deficits: list[RankSample] = []
     for _ in range(cfg.trials):
-        drift, sigma_scaled, achieved, target = _rank_test_at_sample(
+        drift, sigma_scaled, achieved, target, kernel_vec = _rank_test_at_sample(
             g, c_rows, rng, cfg.bound, cfg.use_kernel_route
         )
         # sigma_scaled solves (M, gamma * C_sampled); rescale to solve (M, C_sampled).
@@ -279,7 +285,6 @@ def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig)
                     witness=witness,
                 ),
             )
-        kernel_vec = _kernel_vector(g, sigma)
         deficits.append(
             RankSample(
                 drift=drift.matrix, sigma=sigma, rank=achieved, kernel_vector=kernel_vec
@@ -301,16 +306,6 @@ def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig)
             failure_bound=_failure_bound(g, cfg.bound, cfg.trials),
         ),
     )
-
-
-def _kernel_vector(g: DiGraph, sigma: RatMatrix) -> tuple:
-    """A nonzero edge-indexed kernel vector of the restricted A at sigma."""
-    a_res = restrict_A(build_A(sigma), g)
-    zero = RatMatrix.zeros(a_res.rows, 1)
-    sol = solve_linear(a_res, zero)
-    if sol.kind != AFFINE:
-        return ()
-    return tuple(sol.kernel.col(0))
 
 
 def check_generic(

@@ -29,9 +29,11 @@ from lyapid.cli import main
 from lyapid.graphs import DiGraph, is_simple
 from lyapid.identifiability import (
     FULL_RANK_WITNESS,
+    ClassifyConfig,
     IdentClass,
     check_generic,
     check_generic_via_kernel,
+    classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
     positivity_sample,
@@ -61,6 +63,19 @@ CANONICAL_SHA256 = {
     5: "2840b4bc359ee31444938c4b722ce5dfd02d6e4e02e9ee461f31d81edaa47c95",
 }
 
+# sha256 of json.dumps(classify(g, I, ClassifyConfig(seed=s)).to_json(),
+# sort_keys=True) for two rank-deficit graphs at seeds 0-2: the certificate
+# bytes, kernel vectors included.
+P5_DEFICIT = DiGraph(5, frozenset({(1, 2), (2, 1), (1, 3), (2, 3), (4, 3), (4, 5)}))
+DEFICIT_VERDICT_SHA256 = {
+    ("two_cycle_two_sinks", 0): "efd1bdffc37e7d1e260d8835d456b1dd7337dd74bc72231bc9613a6158cd6d43",
+    ("two_cycle_two_sinks", 1): "a9adb24ba370b97327bc542cdba1ffe90c4251aa871af7b02c1b502403108d8f",
+    ("two_cycle_two_sinks", 2): "5db58a8cae3f24bd010208b3c28bbf44c3a9b0d425b00b8f877383e01b936a22",
+    ("p5_deficit", 0): "ba2f5ca9823116c384b56f5768cc6a594d1ef5c075934379383bb92597f7ace0",
+    ("p5_deficit", 1): "451aab0f77bc42b06cb99eef110343db855430cdc870916264bdce92cd7c3759",
+    ("p5_deficit", 2): "a1e10032dec41e5193b7b40b76e03155cd6facf8775e0cc601b9c88db0f228f5",
+}
+
 
 def _report(criterion: str, message: str) -> None:
     print(f"CRITERION {criterion}: PASS - {message}")
@@ -88,24 +103,30 @@ def _canonical_sha256(report: dict) -> str:
 
 
 def _count_exact_rank_fallbacks(monkeypatch) -> dict:
-    """Count int_rank calls, and those that reach exact Bareiss elimination."""
+    """Count rank calls (int_rank and rank_and_kernel), and those that reach
+    exact Bareiss elimination."""
     counts = {"int_rank": 0, "bareiss": 0}
     inside = []
-    int_rank, forward = _intkernel.int_rank, _intkernel.bareiss_forward
 
-    def counted_rank(rows):
-        counts["int_rank"] += 1
-        inside.append(True)
-        try:
-            return int_rank(rows)
-        finally:
-            inside.pop()
+    def counted(ranker):
+        def counted_rank(rows):
+            counts["int_rank"] += 1
+            inside.append(True)
+            try:
+                return ranker(rows)
+            finally:
+                inside.pop()
+
+        return counted_rank
+
+    forward = _intkernel.bareiss_forward
 
     def counted_forward(rows, limit_cols=None):
         counts["bareiss"] += bool(inside)
         return forward(rows, limit_cols)
 
-    monkeypatch.setattr(_intkernel, "int_rank", counted_rank)
+    for name in ("int_rank", "rank_and_kernel"):
+        monkeypatch.setattr(_intkernel, name, counted(getattr(_intkernel, name)))
     monkeypatch.setattr(_intkernel, "bareiss_forward", counted_forward)
     return counts
 
@@ -205,6 +226,14 @@ class TestCriterion01Table:
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
         assert counts["bareiss"] > counts["int_rank"] // 2
         _report("1f", f"q = 3: {counts['bareiss']} of {counts['int_rank']} ranks fell back")
+
+    @pytest.mark.parametrize("name, seed", sorted(DEFICIT_VERDICT_SHA256))
+    def test_deficit_certificate_bytes_pinned(self, name, seed):
+        g = two_cycle_two_sinks() if name == "two_cycle_two_sinks" else P5_DEFICIT
+        verdict = classify(g, VolatilityMatrix.identity(g.p), ClassifyConfig(seed=seed))
+        body = json.dumps(verdict.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == DEFICIT_VERDICT_SHA256[name, seed]
+        _report("1g", f"{name} seed {seed}: rank-deficit certificate bytes pinned")
 
     def test_non_identifiable_rows_carry_replayable_certificates(self, tmp_path):
         report = _run_sweep_cli(4, tmp_path)

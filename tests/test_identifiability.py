@@ -36,7 +36,7 @@ from lyapid.identifiability import (
     dag_determinant_identity,
     positivity_sample,
 )
-from lyapid.linalg import RatMatrix, det, rank, rat, vech
+from lyapid.linalg import AFFINE, RatMatrix, det, rank, rat, solve_linear, vech
 from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
@@ -381,13 +381,15 @@ class TestIntegerHotPath:
                                                       kernel_route):
         g = graph_fn()
         tested = []
-        int_rank = _intkernel.int_rank
+        # the A route ranks through rank_and_kernel, the H route through int_rank
+        name = "int_rank" if kernel_route else "rank_and_kernel"
+        ranker = getattr(_intkernel, name)
 
         def capture(rows):
             tested.append([row[:] for row in rows])
-            return int_rank(rows)
+            return ranker(rows)
 
-        monkeypatch.setattr(_intkernel, "int_rank", capture)
+        monkeypatch.setattr(_intkernel, name, capture)
         check = check_generic_via_kernel if kernel_route else check_generic
         cert = check(g, VolatilityMatrix.identity(g.p), trials=3, seed=11).certificate
         samples = [cert.witness] if cert.witness is not None else list(cert.samples)
@@ -428,6 +430,34 @@ class TestIntegerHotPath:
                     rows[-1] = [2 * x for x in rows[0]]
                 expected = det(RatMatrix(n, n, [x for row in rows for x in row]))
                 assert _intkernel.int_det([row[:] for row in rows]) == expected
+
+
+def _rref_kernel_vector(g: DiGraph, sigma: RatMatrix) -> tuple:
+    """The first kernel basis vector of the Fraction RREF of the restricted A."""
+    a_res = restrict_A(build_A(sigma), g)
+    sol = solve_linear(a_res, RatMatrix.zeros(a_res.rows, 1))
+    return tuple(sol.kernel.col(0)) if sol.kind == AFFINE else ()
+
+
+# the p = 5 rank-deficit graph of TestLazyStability
+P5_DEFICIT = DiGraph(5, frozenset({(1, 2), (2, 1), (1, 3), (2, 3), (4, 3), (4, 5)}))
+
+
+class TestKernelVectorOracle:
+    """Kernel vectors from the Bareiss echelon equal the Fraction RREF ones."""
+
+    @pytest.mark.parametrize("kernel_route", [False, True])
+    @pytest.mark.parametrize("g", [two_cycle_two_sinks(), P5_DEFICIT],
+                             ids=["two_cycle_two_sinks", "p5_deficit"])
+    def test_every_deficit_sample_matches_rref(self, g, kernel_route):
+        vol = VolatilityMatrix.identity(g.p)
+        check = check_generic_via_kernel if kernel_route else check_generic
+        for seed in range(5):
+            cert = check(g, vol, seed=seed).certificate
+            assert cert.kind == RANK_DEFICIT_WITNESS
+            for sample in cert.samples:
+                assert sample.kernel_vector
+                assert sample.kernel_vector == _rref_kernel_vector(g, sample.sigma)
 
 
 class TestClassifyConfig:

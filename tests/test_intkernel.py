@@ -14,9 +14,10 @@ from lyapid._intkernel import (
     common_denominator,
     int_rank,
     mod_rank,
+    rank_and_kernel,
     solve_square_int,
 )
-from lyapid.linalg import UNIQUE, RatMatrix, solve_linear
+from lyapid.linalg import AFFINE, UNIQUE, RatMatrix, solve_linear
 
 Q = _intkernel.MOD_PRIME
 
@@ -32,8 +33,43 @@ def _int_matrices(draw):
     return [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
 
 
+@st.composite
+def _dependent_matrices(draw):
+    """Integer matrices, tall ones included, some with a column forced to be a
+    combination of earlier ones."""
+    rows = draw(_int_matrices())
+    cols = len(rows[0])
+    if cols > 1 and draw(st.booleans()):
+        target = draw(st.integers(1, cols - 1))
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(target)]
+        for row in rows:
+            row[target] = sum(c * x for c, x in zip(coeffs, row))
+    return rows
+
+
 def _copy(rows):
     return [row[:] for row in rows]
+
+
+def _rref_kernel_vector(rows):
+    """The first kernel basis vector of the Fraction RREF, or None."""
+    nr, nc = len(rows), len(rows[0])
+    sol = solve_linear(
+        RatMatrix(nr, nc, [Fraction(x) for row in rows for x in row]),
+        RatMatrix.zeros(nr, 1),
+    )
+    return list(sol.kernel.col(0)) if sol.kind == AFFINE else None
+
+
+def _check_rank_and_kernel(rows):
+    exact = len(bareiss_forward(_copy(rows))[0])
+    rank, kernel = rank_and_kernel(_copy(rows))
+    assert rank == exact
+    assert (kernel is None) == (exact == len(rows[0]))
+    if kernel is not None:
+        nums, den = kernel
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert [Fraction(v, den) for v in nums] == _rref_kernel_vector(rows)
 
 
 class TestModularRank:
@@ -91,3 +127,37 @@ class TestSolveSquareInt:
     def test_singular_raises(self):
         with pytest.raises(ValueError):
             solve_square_int([[1, 2], [2, 4]], [1, 1])
+
+
+class TestRankAndKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_dependent_matrices())
+    def test_matches_bareiss_rank_and_rref_kernel(self, rows):
+        _check_rank_and_kernel(rows)
+
+    def test_zero_first_column_gives_first_unit_vector(self):
+        assert rank_and_kernel([[0, 1, 2], [0, 3, 4]]) == (2, ([1, 0, 0], 1))
+
+    def test_full_rank_over_q_but_deficient_mod_q(self):
+        rows = [[Q, 0], [0, 1]]
+        assert mod_rank(rows) < 2
+        assert rank_and_kernel(rows) == (2, None)
+
+    def test_dependent_column_after_a_row_swap(self):
+        # column 2 = 2 * column 0 - column 1; a zero leading entry forces a swap
+        rank, kernel = rank_and_kernel([[0, 1, -1], [3, 1, 5], [1, 2, 0]])
+        assert rank == 2
+        assert kernel == ([-2, 1, 1], 1)
+
+    def test_holds_with_a_tiny_prime(self, monkeypatch):
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", 3)
+        rng = random.Random(3)
+        for _ in range(60):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+            if nc > 1 and rng.random() < 0.5:
+                for row in rows:
+                    row[-1] = row[0] - 2 * row[1]
+            _check_rank_and_kernel(rows)
+        assert rank_and_kernel([[3, 0], [0, 1]]) == (2, None)
+        assert rank_and_kernel([[0, 1, 2], [0, 3, 4]]) == (2, ([1, 0, 0], 1))
