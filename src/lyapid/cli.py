@@ -19,7 +19,7 @@ from .graphs import (
     graph_from_json,
 )
 from .identifiability import ClassifyConfig, classify
-from .linalg import format_matrix_csv, is_positive_definite, parse_matrix_csv
+from .linalg import format_matrix_csv, parse_matrix_csv
 from .lyapunov import (
     CovMatrix,
     DriftMatrix,
@@ -97,11 +97,13 @@ def _cmd_fiber(args) -> int:
     g = _read_graph(args.graph)
     sigma_matrix = _read_matrix(args.sigma)
     vol = _volatility(_read_matrix(args.vol))
-    if not (sigma_matrix.is_symmetric() and is_positive_definite(sigma_matrix)):
-        raise _CliError(EXIT_PRECONDITION, "sigma must be symmetric positive definite")
-    if sigma_matrix.rows != g.p or vol.matrix.rows != g.p:
+    try:
+        sigma = CovMatrix(sigma_matrix)
+    except ValueError as exc:
+        raise _CliError(EXIT_PRECONDITION, "sigma must be symmetric positive definite") from exc
+    if sigma.p != g.p or vol.matrix.rows != g.p:
         raise _CliError(EXIT_PRECONDITION, "matrix sizes do not match the graph")
-    result = fiber(CovMatrix(sigma_matrix), g, vol)
+    result = fiber(sigma, g, vol)
     print(json.dumps(result.to_json(), indent=2))
     return EXIT_OK
 

@@ -2,10 +2,9 @@
 
 Every certificate produced by this package ultimately rests on a rank, a
 determinant, or a linear solve computed here.  All of it is exact: scalars
-are arbitrary-precision rationals (``fractions.Fraction``), elimination is
-fraction-free (Bareiss) on integer-scaled rows, and stability of a matrix is
-decided by the Hurwitz criterion on its exact characteristic polynomial.
-Floating point never feeds a verdict.
+are arbitrary-precision rationals (``fractions.Fraction``) and elimination
+is fraction-free (Bareiss) on integer-scaled rows.  Floating point never
+feeds a verdict.
 
 Matrices are dense, row-major and immutable after construction; sizes in
 this package stay tiny (at most ``p*p = 25`` columns for ``p = 5`` nodes),
@@ -224,37 +223,6 @@ class RatMatrix:
 
 
 @dataclass(frozen=True)
-class Polynomial:
-    """Polynomial with exact rational coefficients, ascending degree.
-
-    The coefficient tuple carries no trailing zeros, so the leading
-    coefficient is nonzero unless this is the zero polynomial.
-    """
-
-    coefficients: tuple[Rational, ...]
-
-    def __init__(self, coefficients: Iterable):
-        coeffs = [rat(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial reports -1."""
-        return len(self.coefficients) - 1
-
-    def __call__(self, x) -> Rational:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * rat(x) + c
-        return acc
-
-    def coefficient(self, k: int) -> Rational:
-        return self.coefficients[k] if 0 <= k < len(self.coefficients) else Fraction(0)
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     """Exact solution set of a linear system ``a x = b``.
 
@@ -279,18 +247,6 @@ class SolutionSet:
 # ---------------------------------------------------------------------------
 # Structured constructions
 # ---------------------------------------------------------------------------
-
-
-def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Kronecker product, shape (a.rows*b.rows) x (a.cols*b.cols)."""
-    out = []
-    for i in range(a.rows):
-        for r in range(b.rows):
-            brow = b.row(r)
-            for j in range(a.cols):
-                aij = a[i, j]
-                out.extend(aij * x for x in brow)
-    return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
 def vec(m: RatMatrix) -> RatMatrix:
@@ -327,19 +283,6 @@ def vech(s: RatMatrix) -> RatMatrix:
 def sym_pairs(p: int) -> list[tuple[int, int]]:
     """The vech index pairs (k, l), k <= l, 1-based, lexicographic."""
     return [(k, l) for k in range(1, p + 1) for l in range(k, p + 1)]
-
-
-def commutation_matrix(p: int) -> RatMatrix:
-    """The p^2 x p^2 permutation K_p with K_p vec(M) = vec(M^T)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    n = p * p
-    ent = [Fraction(0)] * (n * n)
-    for r in range(p):
-        for c in range(p):
-            # vec(M^T) position of M[r, c] is r*p + c; vec(M) position is c*p + r.
-            ent[(r * p + c) * n + (c * p + r)] = Fraction(1)
-    return RatMatrix(n, n, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -445,71 +388,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial and stability
+# Positive definiteness
 # ---------------------------------------------------------------------------
-
-
-def char_poly(m: RatMatrix) -> Polynomial:
-    """Characteristic polynomial det(tI - M) via Faddeev-LeVerrier.
-
-    Raises:
-        ValueError: if ``m`` is not square.
-    """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [Fraction(1)]  # c_0 = 1 for t^n
-    aux = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        prod = m @ aux
-        ck = -prod.trace() / k
-        coeffs.append(ck)
-        if k < n:
-            aux = prod + RatMatrix.identity(n).scale(ck)
-    # coeffs is [1, c_1, ..., c_n] for t^n + c_1 t^{n-1} + ... + c_n.
-    return Polynomial(list(reversed(coeffs)))
-
-
-def hurwitz_matrix(poly: Polynomial) -> RatMatrix:
-    """The n x n Hurwitz matrix of a degree-n polynomial."""
-    n = poly.degree
-    if n < 1:
-        raise ValueError("Hurwitz matrix needs degree >= 1")
-    # a_k is the coefficient of t^(n-k).
-    a = [poly.coefficient(n - k) for k in range(n + 1)]
-
-    def entry(i: int, j: int) -> Rational:
-        k = 2 * j - i  # 1-based index into a
-        return a[k] if 0 <= k <= n else Fraction(0)
-
-    return RatMatrix(n, n, [entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)])
-
-
-def is_stable(m: RatMatrix) -> bool:
-    """Exact test that every eigenvalue of ``m`` has negative real part.
-
-    Decided by the Routh-Hurwitz criterion in its determinant form: with the
-    characteristic polynomial normalized to positive leading coefficient,
-    the matrix is stable iff all leading principal minors of the Hurwitz
-    matrix are positive.  This form needs no pivoting and has no singular
-    special cases; any non-positive minor certifies instability.
-    """
-    if not m.is_square:
-        raise ValueError("stability of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return True
-    poly = char_poly(m)  # monic, so the leading coefficient is positive
-    coeffs = [poly.coefficient(n - k) for k in range(n + 1)]
-    # All coefficients positive is necessary; cheap early reject.
-    if any(c <= 0 for c in coeffs):
-        return False
-    h = hurwitz_matrix(poly)
-    for k in range(1, n + 1):
-        idx = list(range(k))
-        if det(h.select_rows(idx).select_columns(idx)) <= 0:
-            return False
-    return True
 
 
 def is_positive_definite(s: RatMatrix) -> bool:

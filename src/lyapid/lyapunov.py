@@ -26,10 +26,7 @@ from .linalg import (
     UNIQUE,
     RatMatrix,
     SolutionSet,
-    commutation_matrix,
     is_positive_definite,
-    is_stable,
-    kron,
     matrix_strings,
     solve_linear,
     sym_pairs,
@@ -41,18 +38,14 @@ class NotStableError(ValueError):
     """The drift matrix has an eigenvalue with non-negative real part."""
 
 
-class SingularSumError(ValueError):
-    """Two eigenvalues of the drift matrix sum to zero; vec system singular."""
-
-
 @dataclass(frozen=True)
 class DriftMatrix:
     """A drift matrix together with the graph carrying its support.
 
     Entry ``m_ji`` belongs to edge ``i -> j``; the support condition
     (``m_ji = 0`` whenever ``i -> j`` is not an edge) is enforced on
-    construction.  Stability is decided exactly the first time ``stable``
-    is read, and cached.
+    construction.  Stability is decided exactly (by :func:`is_stable`) the
+    first time ``stable`` is read, and cached.
     """
 
     graph: DiGraph
@@ -71,7 +64,7 @@ class DriftMatrix:
 
     @functools.cached_property
     def stable(self) -> bool:
-        """Whether every eigenvalue has negative real part (exact Hurwitz test)."""
+        """Whether every eigenvalue has negative real part (exact Lyapunov test)."""
         return is_stable(self.matrix)
 
     @classmethod
@@ -233,16 +226,40 @@ def _matrix_to_int_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
     return [nums[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], den
 
 
+def is_stable(m: RatMatrix) -> bool:
+    """Exact test that every eigenvalue of ``m`` has negative real part.
+
+    Lyapunov's theorem: for C positive definite, M is stable exactly when
+    M Sigma + Sigma M^T + C = 0 has a unique solution and it is positive
+    definite.  (If M^T v = lambda v, then 2 Re(lambda) v* Sigma v = -v* C v;
+    a singular system means two eigenvalues sum to zero.)  Decided with
+    C = I on integer-scaled M, by the leading principal minors of the
+    numerator N of Sigma = N / D, D > 0.
+    """
+    if not m.is_square:
+        raise ValueError("stability of a non-square matrix")
+    p = m.rows
+    m_rows, _ = _matrix_to_int_rows(m)
+    eye = [[int(i == j) for j in range(p)] for i in range(p)]
+    try:
+        n_mat, _ = _solve_sigma_scaled(m_rows, eye, p)
+    except ValueError:
+        return False
+    return all(
+        _intkernel.int_det([row[:k] for row in n_mat[:k]]) > 0 for k in range(1, p + 1)
+    )
+
+
 def solve_for_sigma(drift: DriftMatrix, vol: VolatilityMatrix) -> CovMatrix:
     """The unique positive definite Sigma with M Sigma + Sigma M^T + C = 0.
 
+    One solve decides stability too (see :func:`is_stable`; C is positive
+    definite by construction of ``vol``).
+
     Raises:
-        NotStableError: if the drift matrix is not stable.
-        SingularSumError: if the vectorized system is singular (cannot
-            happen for stable drift matrices).
+        NotStableError: if the system is singular or its solution is not
+            positive definite, i.e. the drift matrix is not stable.
     """
-    if not drift.stable:
-        raise NotStableError("drift matrix is not stable")
     m, c = drift.matrix, vol.matrix
     p = m.rows
     if c.rows != p:
@@ -252,11 +269,12 @@ def solve_for_sigma(drift: DriftMatrix, vol: VolatilityMatrix) -> CovMatrix:
     try:
         # Sigma(alpha M, gamma C) = (gamma / alpha) Sigma(M, C).
         n_mat, den = _solve_sigma_scaled(m_rows, c_rows, p)
+        scale = Fraction(alpha, den * gamma)
+        return CovMatrix(
+            RatMatrix(p, p, [n_mat[r][c2] * scale for r in range(p) for c2 in range(p)])
+        )
     except ValueError as exc:
-        raise SingularSumError("two eigenvalues of M sum to zero") from exc
-    scale = Fraction(alpha, den * gamma)
-    sigma = RatMatrix(p, p, [n_mat[r][c2] * scale for r in range(p) for c2 in range(p)])
-    return CovMatrix(sigma)
+        raise NotStableError("drift matrix is not stable") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -304,26 +322,6 @@ def build_A(sigma) -> RatMatrix:
         raise ValueError("A(Sigma) requires a symmetric Sigma")
     p = s.rows
     return RatMatrix(p * (p + 1) // 2, p * p, _flat(_a_rows(s.to_lists(), _all_edges(p))))
-
-
-def build_A_product(sigma) -> RatMatrix:
-    """A(Sigma) from the product form: the k <= l rows of atilde(Sigma).
-
-    Cross-validates :func:`build_A`; the two constructions agree entrywise.
-    """
-    s = _unwrap(sigma)
-    p = s.rows
-    full = atilde(s)
-    rows = [(l - 1) * p + (k - 1) for (k, l) in sym_pairs(p)]
-    return full.select_rows(rows)
-
-
-def atilde(sigma) -> RatMatrix:
-    """The square p^2 x p^2 form Sigma (x) I + (I (x) Sigma) K_p."""
-    s = _unwrap(sigma)
-    p = s.rows
-    eye = RatMatrix.identity(p)
-    return kron(s, eye) + kron(eye, s) @ commutation_matrix(p)
 
 
 def restrict_A(a: RatMatrix, g: DiGraph) -> RatMatrix:

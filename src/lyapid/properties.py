@@ -24,14 +24,12 @@ from .identifiability import (
     cycle3_determinant_identity,
     dag_determinant_identity,
 )
-from .linalg import RatMatrix, rank, vec
+from .linalg import RatMatrix, rank, sym_pairs, vec
 from .lyapunov import (
     CovMatrix,
     DriftMatrix,
     VolatilityMatrix,
-    atilde,
     build_A,
-    build_A_product,
     build_H,
     sample_stable_drift,
     solve_for_sigma,
@@ -101,6 +99,54 @@ def complete_graph(p: int) -> DiGraph:
     return DiGraph(
         p, frozenset((i, j) for i in range(1, p + 1) for j in range(1, p + 1))
     )
+
+
+# ---------------------------------------------------------------------------
+# Cross-check constructions: the product form of A(Sigma)
+# ---------------------------------------------------------------------------
+
+
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product, shape (a.rows*b.rows) x (a.cols*b.cols)."""
+    out = []
+    for i in range(a.rows):
+        for r in range(b.rows):
+            brow = b.row(r)
+            for j in range(a.cols):
+                aij = a[i, j]
+                out.extend(aij * x for x in brow)
+    return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def commutation_matrix(p: int) -> RatMatrix:
+    """The p^2 x p^2 permutation K_p with K_p vec(M) = vec(M^T)."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    n = p * p
+    ent = [Fraction(0)] * (n * n)
+    for r in range(p):
+        for c in range(p):
+            # vec(M^T) position of M[r, c] is r*p + c; vec(M) position is c*p + r.
+            ent[(r * p + c) * n + (c * p + r)] = Fraction(1)
+    return RatMatrix(n, n, ent)
+
+
+def atilde(sigma: RatMatrix) -> RatMatrix:
+    """The square p^2 x p^2 form Sigma (x) I + (I (x) Sigma) K_p."""
+    p = sigma.rows
+    eye = RatMatrix.identity(p)
+    return kron(sigma, eye) + kron(eye, sigma) @ commutation_matrix(p)
+
+
+def build_A_product(sigma: RatMatrix) -> RatMatrix:
+    """A(Sigma) from the product form: the k <= l rows of atilde(Sigma).
+
+    Cross-validates :func:`lyapid.lyapunov.build_A`; the two constructions
+    agree entrywise.
+    """
+    p = sigma.rows
+    rows = [(l - 1) * p + (k - 1) for (k, l) in sym_pairs(p)]
+    return atilde(sigma).select_rows(rows)
 
 
 # ---------------------------------------------------------------------------

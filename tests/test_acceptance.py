@@ -43,14 +43,13 @@ from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
     VolatilityMatrix,
-    atilde,
     build_A,
     build_H,
     fiber,
     sample_stable_drift,
     solve_for_sigma,
 )
-from lyapid.properties import complete_graph, random_pd_matrix
+from lyapid.properties import atilde, complete_graph, random_pd_matrix
 from lyapid.sweep import run_sweep
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "table1_reproduction.md"

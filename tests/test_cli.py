@@ -64,6 +64,13 @@ class TestSolve:
         vol = _write(workdir / "c.csv", "2\n")
         assert main(["solve", "--drift", drift, "--vol", vol]) == 2
 
+    def test_imaginary_pair_drift_exit_2(self, workdir, capsys):
+        # The Lyapunov system of this drift is singular (i + (-i) = 0).
+        drift = _write(workdir / "m.csv", "0,1\n-1,0\n")
+        vol = _write(workdir / "c.csv", "1,0\n0,1\n")
+        assert main(["solve", "--drift", drift, "--vol", vol]) == 2
+        _assert_one_line_error(capsys)
+
     def test_non_pd_volatility_exit_2(self, workdir):
         drift = _write(workdir / "m.csv", "-1,0\n0,-1\n")
         vol = _write(workdir / "c.csv", "1,2\n2,1\n")
@@ -107,11 +114,14 @@ class TestFiberCommand:
         assert result["kind"] == "affine"
         assert result["dim"] == 1
 
-    def test_non_pd_sigma_exit_2(self, workdir):
+    @pytest.mark.parametrize("sigma_text", ["1,2\n2,1\n", "2,1\n0,2\n"],
+                             ids=["indefinite", "non-symmetric"])
+    def test_non_pd_sigma_exit_2(self, workdir, capsys, sigma_text):
         graph = _write(workdir / "g.json", json.dumps(graph_to_json(two_cycle())))
-        sigma = _write(workdir / "s.csv", "1,2\n2,1\n")
+        sigma = _write(workdir / "s.csv", sigma_text)
         vol = _write(workdir / "c.csv", "1,0\n0,1\n")
         assert main(["fiber", "--graph", graph, "--sigma", sigma, "--vol", vol]) == 2
+        _assert_one_line_error(capsys)
 
 
 class TestClassifyCommand:

@@ -9,17 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapid.linalg import (
-    Polynomial,
     RatMatrix,
-    char_poly,
-    commutation_matrix,
     det,
     format_matrix_csv,
-    hurwitz_matrix,
     inverse,
     is_positive_definite,
-    is_stable,
-    kron,
     parse_matrix_csv,
     rank,
     rat,
@@ -28,6 +22,8 @@ from lyapid.linalg import (
     vec,
     vech,
 )
+from lyapid.lyapunov import is_stable
+from lyapid.properties import commutation_matrix, kron
 
 
 def _random_matrix(rng, rows, cols, lo=-100, hi=100, max_den=1):
@@ -273,36 +269,6 @@ class TestSolveLinear:
                 assert (sol.kind == "unique") == (rank(a) == nc)
 
 
-class TestCharPoly:
-    def test_degree_one(self):
-        assert char_poly(RatMatrix.from_rows([[-1]])) == Polynomial([1, 1])
-
-    def test_negated_identity(self):
-        # char poly of -I_2 is t^2 + 2t + 1
-        assert char_poly(-RatMatrix.identity(2)) == Polynomial([1, 2, 1])
-
-    def test_sum_of_roots_is_trace(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            m = _random_matrix(rng, 5, 5, lo=-9, hi=9, max_den=2)
-            poly = char_poly(m)
-            # det(tI - M) = t^5 - tr(M) t^4 + ...
-            assert poly.coefficient(4) == -m.trace()
-
-    def test_constant_term_is_det_of_negation(self):
-        rng = random.Random(37)
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            m = _random_matrix(rng, n, n, lo=-5, hi=5)
-            assert char_poly(m).coefficient(0) == det(-m)
-
-    def test_evaluation_matches_det(self):
-        rng = random.Random(41)
-        m = _random_matrix(rng, 4, 4, lo=-4, hi=4)
-        t = Fraction(7, 3)
-        assert char_poly(m)(t) == det(RatMatrix.identity(4).scale(t) - m)
-
-
 class TestStability:
     def test_negated_identity_stable(self):
         for p in range(1, 6):
@@ -344,12 +310,6 @@ class TestStability:
             )
             conj = pm @ m @ inverse(pm)
             assert is_stable(m) == is_stable(conj)
-
-    def test_hurwitz_matrix_layout(self):
-        # t^3 + a1 t^2 + a2 t + a3
-        poly = Polynomial([7, 5, 3, 1])  # ascending: a3=7, a2=5, a1=3
-        h = hurwitz_matrix(poly)
-        assert h == RatMatrix.from_rows([[3, 7, 0], [1, 5, 0], [0, 3, 7]])
 
 
 class TestPositiveDefinite:

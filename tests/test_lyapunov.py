@@ -22,10 +22,9 @@ from lyapid.lyapunov import (
     NotStableError,
     VolatilityMatrix,
     _solve_sigma_scaled,
-    atilde,
     build_A,
-    build_A_product,
     build_H,
+    is_stable,
     fiber,
     kronecker_sum,
     restrict_A,
@@ -34,7 +33,13 @@ from lyapid.lyapunov import (
     skew_to_drift,
     solve_for_sigma,
 )
-from lyapid.properties import complete_graph, random_pd_matrix, random_volatility
+from lyapid.properties import (
+    atilde,
+    build_A_product,
+    complete_graph,
+    random_pd_matrix,
+    random_volatility,
+)
 
 # A symmetric 3x3 with distinct entries; the builders are entrywise linear
 # in Sigma, so checking them at one such point checks the formulas.
@@ -120,6 +125,67 @@ class TestSolveForSigma:
             d = sample_stable_drift(complete_graph(p), rng, bound=5)
             vol = random_volatility(p, rng, diagonal=rng.random() < 0.5)
             assert isinstance(solve_for_sigma(d, vol), CovMatrix)
+
+
+# Drifts at the edge of the stable region: (rows, stable).  The unstable
+# ones with two eigenvalues summing to zero make the Lyapunov system
+# singular; "fractions-unstable" has a nonsingular system whose solution is
+# not positive definite.
+BORDERLINE_DRIFTS = {
+    "nilpotent": ([[0, 1], [0, 0]], False),
+    "imaginary-pair": ([[0, 1], [-1, 0]], False),
+    "eigenvalues-sum-to-zero": ([[1, 0], [0, -1]], False),
+    "zero-scalar": ([[0]], False),
+    "stable-non-normal": ([[-1, 1000], [0, -1]], True),
+    "stable-complex-pair": ([[-1, 5], [-5, -1]], True),
+    "fractions-stable": (
+        [[Fraction(-1, 2), Fraction(1, 3)], [Fraction(-7, 4), Fraction(-2, 5)]],
+        True,
+    ),
+    "fractions-unstable": ([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-1, 3)]], False),
+}
+
+
+class TestStabilityDecidedBySolve:
+    """is_stable and solve_for_sigma make the same decision."""
+
+    @pytest.mark.parametrize("name", sorted(BORDERLINE_DRIFTS))
+    def test_borderline_drifts(self, name):
+        rows, stable = BORDERLINE_DRIFTS[name]
+        m = RatMatrix.from_rows(rows)
+        drift = DriftMatrix.from_matrix(m)
+        assert is_stable(m) is stable
+        assert drift.stable is stable
+        p = m.rows
+        for vol in (VolatilityMatrix.identity(p), random_volatility(p, random.Random(p))):
+            if stable:
+                sigma = solve_for_sigma(drift, vol).matrix
+                residual = m @ sigma + sigma @ m.transpose() + vol.matrix
+                assert all(x == 0 for x in residual.entries)
+            else:
+                with pytest.raises(NotStableError):
+                    solve_for_sigma(drift, vol)
+
+    def test_agree_on_small_integer_drifts(self):
+        # Entries in [-2, 2] hit singular systems and non-PD solutions often.
+        rng = random.Random(57)
+        outcomes = set()
+        for _ in range(300):
+            p = rng.randint(1, 3)
+            m = RatMatrix(p, p, [Fraction(rng.randint(-2, 2)) for _ in range(p * p)])
+            vol = random_volatility(p, rng)
+            try:
+                solve_for_sigma(DriftMatrix.from_matrix(m), vol)
+                solved = True
+            except NotStableError:
+                solved = False
+            assert is_stable(m) is solved
+            outcomes.add(solved)
+        assert outcomes == {True, False}
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            is_stable(RatMatrix.zeros(2, 3))
 
 
 class TestBuildA:
