@@ -17,16 +17,34 @@ integers too, using Cramer's rule to keep every intermediate integral, and
 returns a reduced numerator vector over one denominator.
 :func:`rank_and_kernel` takes a kernel vector from the same Bareiss echelon
 that ranks a deficient matrix, by that back-substitution, so a deficient
-matrix is eliminated once.
+matrix is eliminated once.  :func:`leading_minors_positive` decides
+positive definiteness from the pivots of one such pass.
+
+:func:`mod_gauss_jordan` is the one numpy routine: Gauss-Jordan over
+GF(SCREEN_PRIME) on a whole stack of same-shape residue matrices at once,
+for callers that bring thousands of small systems (the sweep's screen, see
+``identifiability._classify_batch``).  It proves, never refutes: if the
+vech Lyapunov system K vech(Sigma) = -vech(C) is nonsingular mod q, its
+determinant -- and so the denominator D of Sigma = N / D -- is a unit mod
+q, and the solution mod q is the reduction of Sigma.  A(Sigma) is linear in
+Sigma, so A(Sigma mod q) is the reduction of A(Sigma), and a full column
+rank mod q is a nonzero minor mod q, hence a nonzero minor over Q.  A zero
+pivot or a deficit mod q proves nothing and goes to the exact path.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # The Mersenne prime 2^61 - 1.  Read at call time, so a test can swap in a
 # tiny prime to force the exact fallback.
 MOD_PRIME = 2**61 - 1
+
+# The Mersenne prime 2^31 - 1 of :func:`mod_gauss_jordan`: the product of
+# two residues fits in an int64.  Read at call time, like MOD_PRIME.
+SCREEN_PRIME = 2**31 - 1
 
 
 def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
@@ -124,6 +142,80 @@ def int_det(rows: list[list[int]]) -> int:
     if len(pivot_cols) < n:
         return 0
     return sign * rows[n - 1][n - 1]
+
+
+def leading_minors_positive(rows: list[list[int]]) -> bool:
+    """Whether every leading principal minor of a square integer matrix is positive.
+
+    Fraction-free elimination without row exchanges: while the earlier
+    pivots are nonzero, the k-th pivot is the k-th leading principal minor
+    (Sylvester's identity), so the pass stops at the first pivot that is
+    not positive.  ``rows`` is left intact.
+    """
+    work = [list(row) for row in rows]
+    n = len(work)
+    prev = 1
+    for k in range(n):
+        rk = work[k]
+        pk = rk[k]
+        if pk <= 0:
+            return False
+        for i in range(k + 1, n):
+            ri = work[i]
+            rik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
+        prev = pk
+    return True
+
+
+def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x^(q-2) mod q elementwise: the inverse of every nonzero residue."""
+    result = np.ones_like(x)
+    base = x
+    e = q - 2
+    while e:
+        if e & 1:
+            result = result * base % q
+        base = base * base % q
+        e >>= 1
+    return result
+
+
+def mod_gauss_jordan(stack: np.ndarray, limit_cols: int | None = None):
+    """Gauss-Jordan over GF(SCREEN_PRIME) on a stack of same-shape matrices.
+
+    ``stack`` is a (batch, rows, cols) int64 array of residues in [0, q);
+    the caller reduces its entries mod q, in Python for entries that may
+    not fit in 64 bits.  Column c of every matrix is eliminated at row c,
+    after a swap that brings up the first row at or below c that is nonzero
+    there.  Returns (full, reduced): ``full[k]`` says that each of the first
+    ``limit_cols`` columns (all by default) of matrix k got a pivot, i.e.
+    they have full column rank mod q.  Then ``reduced[k]`` holds the
+    identity in those columns, so for an augmented system [K | b] its
+    column ``limit_cols`` is K^-1 b mod q.  Where ``full[k]`` is False only
+    the flag is meaningful.
+    """
+    q = SCREEN_PRIME
+    work = np.array(stack, dtype=np.int64)
+    batch, nr, nc = work.shape
+    stop = nc if limit_cols is None else limit_cols
+    full = np.full(batch, stop <= nr)
+    at = np.arange(batch)
+    for c in range(min(stop, nr)):
+        nonzero = work[:, c:, c] != 0
+        full &= nonzero.any(axis=1)
+        piv = c + nonzero.argmax(axis=1)
+        row_c = work[at, c]
+        work[at, c] = work[at, piv]
+        work[at, piv] = row_c
+        pivot_row = work[:, c, c:] * _inverse_mod(work[:, c, c], q)[:, None] % q
+        work[:, c, c:] = pivot_row
+        factors = work[:, :, c].copy()
+        factors[:, c] = 0
+        # Each product is below q^2 < 2^62, so the difference fits in int64.
+        work[:, :, c:] = (work[:, :, c:] - factors[:, :, None] * pivot_row[:, None, :]) % q
+    return full, work
 
 
 def _back_substitute(rows: list[list[int]], n: int, col: int, d: int) -> list[int]:

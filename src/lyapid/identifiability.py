@@ -12,9 +12,14 @@ Schwartz-Zippel-style failure bound.
 from __future__ import annotations
 
 import enum
+import functools
 import random
-from dataclasses import dataclass
+import time
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import _intkernel
 from .graphs import DiGraph, Edge, is_dag, is_simple, necessary_criterion, no_trek_pairs
@@ -23,12 +28,14 @@ from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
     _a_rows,
+    _draw_drift_rows,
     _h_rows,
     _matrix_to_int_rows,
     _solve_sigma_scaled,
+    _unvech,
+    _vech_system,
     build_A,
     restrict_A,
-    sample_stable_drift,
 )
 
 
@@ -52,12 +59,34 @@ NO_THEOREM = "no-theorem-route"
 
 @dataclass(frozen=True)
 class RankSample:
-    """One sampled model point and the exact rank evidence found there."""
+    """One sampled model point and the exact rank evidence found there.
 
-    drift: RatMatrix
-    sigma: RatMatrix
+    The drift is kept as the integer rows it was drawn as, and the sampled
+    volatility as (integer rows, scale gamma), C = rows / gamma.  ``drift``
+    and ``sigma`` become exact ``RatMatrix`` values the first time they are
+    read.  Sigma = N / (D gamma) takes (N, D) from the exact solve of the
+    sampling path (``solved``); a witness proved by the modular screen of
+    :func:`_classify_batch` has none, and runs that same solve when read.
+    """
+
+    drift_rows: tuple[tuple[int, ...], ...]
+    volatility: tuple[tuple[tuple[int, ...], ...], int]
     rank: int
     kernel_vector: tuple[Rational, ...] = ()
+    solved: tuple[list[list[int]], int] | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def drift(self) -> RatMatrix:
+        p = len(self.drift_rows)
+        return RatMatrix(p, p, [x for row in self.drift_rows for x in row])
+
+    @functools.cached_property
+    def sigma(self) -> RatMatrix:
+        c_rows, gamma = self.volatility
+        p = len(c_rows)
+        n_mat, den = self.solved or _solve_sigma_scaled(self.drift_rows, c_rows, p)
+        den *= gamma
+        return RatMatrix(p, p, [Fraction(v, den) for row in n_mat for v in row])
 
     def to_json(self) -> dict:
         out = {
@@ -216,80 +245,83 @@ def _failure_bound(g: DiGraph, bound: int, trials: int) -> float:
     return per_sample**trials
 
 
-def _rank_test_at_sample(g: DiGraph, c_rows: list[list[int]], rng: random.Random,
-                         bound: int, use_kernel: bool):
-    """Sample one stable drift, solve exactly, and rank-test the restriction.
+def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility,
+                         use_kernel: bool) -> RankSample:
+    """Solve exactly at the drift ``m_rows`` and rank-test the restriction.
 
-    ``c_rows`` is the integer-scaled volatility; the returned sigma solves
-    the Lyapunov equation for (M, c_rows) and the caller undoes the scale.
-    Returns (drift, sigma, achieved rank, target rank, kernel vector), the
-    kernel vector being an edge-indexed nonzero vector in the kernel of the
-    restricted A at sigma, or () at full rank.
+    ``volatility`` is (integer C rows, scale); the rank is that of the
+    restricted H (kernel route) or A at Sigma.  A sample below the target
+    rank carries an edge-indexed nonzero vector in the kernel of the
+    restricted A at Sigma.
     """
     p = g.p
-    drift = sample_stable_drift(g, rng, bound)
-    m_rows = [[int(x) for x in drift.matrix.row(i)] for i in range(p)]
-    n_mat, den = _solve_sigma_scaled(m_rows, c_rows, p)
+    n_mat, den = _solve_sigma_scaled(m_rows, volatility[0], p)
     if use_kernel:
-        target = p * (p - 1) // 2
         achieved = _intkernel.int_rank(_h_rows(n_mat, g.non_edges()))
         kernel = None
-        if achieved < target:
+        if achieved < p * (p - 1) // 2:
             # A is linear in Sigma = N / den, so A(N) has the kernel of A(Sigma)
             _, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
     else:
-        target = g.num_edges
         achieved, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
-    sigma = RatMatrix(p, p, [Fraction(v, den) for row in n_mat for v in row])
     kernel_vec = () if kernel is None else tuple(Fraction(v, kernel[1]) for v in kernel[0])
-    return drift, sigma, achieved, target, kernel_vec
+    return RankSample(tuple(map(tuple, m_rows)), volatility, achieved, kernel_vec,
+                      solved=(n_mat, den))
 
 
-def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig) -> IdentVerdict:
-    if is_simple(g):
-        return check_global(g, vol)
+def _sampling_volatility(p: int, vol: VolatilityMatrix):
+    """((integer C rows, scale gamma), substituted) for sampling on p nodes.
 
-    # With diagonal volatility the identifiability class matches the
-    # identity-volatility model, so sampling may use C = I_p.
-    substituted = vol.diagonal and vol.matrix != RatMatrix.identity(g.p)
-    c_matrix = RatMatrix.identity(g.p) if substituted else vol.matrix
-    c_rows, gamma = _matrix_to_int_rows(c_matrix)
-    edges = tuple(g.edge_index())
+    With diagonal volatility the identifiability class matches the
+    identity-volatility model, so sampling may use C = I_p.
+    """
+    substituted = vol.diagonal and vol.matrix != RatMatrix.identity(p)
+    c_rows, gamma = _matrix_to_int_rows(RatMatrix.identity(p) if substituted else vol.matrix)
+    return (tuple(map(tuple, c_rows)), gamma), substituted
+
+
+def _route_notes(cfg: ClassifyConfig, substituted: bool) -> list[str]:
     notes = [
         "kernel-restriction (H) route" if cfg.use_kernel_route else "coefficient (A) route"
     ]
     if substituted:
         notes.append("sampled with identity volatility (diagonal C equivalence)")
+    return notes
 
+
+def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
+                     witness: RankSample) -> IdentVerdict:
+    if not vol.diagonal:
+        notes = notes + [
+            "volatility is non-diagonal: global identifiability undetermined, "
+            "verdict records generic identifiability only"
+        ]
+    return IdentVerdict(
+        IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL,
+        Certificate(
+            kind=FULL_RANK_WITNESS,
+            note="; ".join(notes),
+            edges=tuple(g.edge_index()),
+            witness=witness,
+        ),
+    )
+
+
+def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig,
+                      volatility, substituted: bool) -> IdentVerdict:
+    """The exact sampling stage for a non-simple ``g``; ``volatility`` and
+    ``substituted`` are :func:`_sampling_volatility` at g.p."""
+    notes = _route_notes(cfg, substituted)
+    target = g.p * (g.p - 1) // 2 if cfg.use_kernel_route else g.num_edges
     rng = _derive_rng(cfg.seed, salt=g.p)
     deficits: list[RankSample] = []
     for _ in range(cfg.trials):
-        drift, sigma_scaled, achieved, target, kernel_vec = _rank_test_at_sample(
-            g, c_rows, rng, cfg.bound, cfg.use_kernel_route
+        sample = _rank_test_at_sample(
+            g, _draw_drift_rows(g, rng, cfg.bound), volatility, cfg.use_kernel_route
         )
-        # sigma_scaled solves (M, gamma * C_sampled); rescale to solve (M, C_sampled).
-        sigma = sigma_scaled.scale(Fraction(1, gamma)) if gamma != 1 else sigma_scaled
-        if achieved == target:
-            witness = RankSample(drift=drift.matrix, sigma=sigma, rank=achieved)
-            if not vol.diagonal:
-                notes.append(
-                    "volatility is non-diagonal: global identifiability undetermined, "
-                    "verdict records generic identifiability only"
-                )
-            return IdentVerdict(
-                IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL,
-                Certificate(
-                    kind=FULL_RANK_WITNESS,
-                    note="; ".join(notes),
-                    edges=edges,
-                    witness=witness,
-                ),
-            )
-        deficits.append(
-            RankSample(
-                drift=drift.matrix, sigma=sigma, rank=achieved, kernel_vector=kernel_vec
-            )
-        )
+        if sample.rank == target:
+            return _witness_verdict(g, vol, notes, sample)
+        deficits.append(sample)
     return IdentVerdict(
         IdentClass.NON_IDENTIFIABLE,
         Certificate(
@@ -301,11 +333,17 @@ def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig)
                     f"(degree {g.num_edges * g.p * g.p} over {cfg.bound + 1} values per entry)"
                 ]
             ),
-            edges=edges,
+            edges=tuple(g.edge_index()),
             samples=tuple(deficits),
             failure_bound=_failure_bound(g, cfg.bound, cfg.trials),
         ),
     )
+
+
+def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig) -> IdentVerdict:
+    if is_simple(g):
+        return check_global(g, vol)
+    return _rank_by_sampling(g, vol, cfg, *_sampling_volatility(g.p, vol))
 
 
 def check_generic(
@@ -353,6 +391,12 @@ def classify(
     rank test.  Certificates record which stage decided.
     """
     cfg = cfg or ClassifyConfig()
+    return _bound_verdict(g, vol) or _generic_by_sampling(g, vol, cfg)
+
+
+def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:
+    """The cascade's counting stages: the edge-count bound, then (diagonal
+    volatility) the trek bound; None when neither decides."""
     p = g.p
     bound_dim = p * (p + 1) // 2
     if g.num_edges > bound_dim:
@@ -375,7 +419,121 @@ def classify(
                 ),
             ),
         )
-    return _generic_by_sampling(g, vol, cfg)
+    return None
+
+
+def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
+                    cfgs: list[ClassifyConfig],
+                    elapsed_ms: list[float] | None = None) -> list[IdentVerdict]:
+    """:func:`classify` for many graphs at once: the same verdicts, byte for byte.
+
+    The first A-route sample of every graph that reaches sampling is drawn
+    as :func:`_rank_by_sampling` would draw it and screened for all graphs
+    together by :func:`_screen_full_rank`.  A graph the screen proves full
+    rank gets its full-rank-witness verdict at once, its sigma solved
+    exactly only when read; every other graph runs the exact path from its
+    first sample.  ``elapsed_ms``, when given, is extended with each
+    graph's time; a screened graph's includes its share of the screen.
+    """
+    verdicts: list[IdentVerdict | None] = [None] * len(graphs)
+    times = [0.0] * len(graphs)
+    pending: dict[int, list[int]] = defaultdict(list)  # p -> indices to screen
+    for k, (g, cfg) in enumerate(zip(graphs, cfgs)):
+        started = time.perf_counter()
+        verdict = _bound_verdict(g, vol)
+        if verdict is None and (cfg.use_kernel_route or is_simple(g)):
+            verdict = _generic_by_sampling(g, vol, cfg)
+        if verdict is None:
+            pending[g.p].append(k)
+        verdicts[k] = verdict
+        times[k] = (time.perf_counter() - started) * 1e3
+    for p, members in pending.items():
+        started = time.perf_counter()
+        volatility, substituted = _sampling_volatility(p, vol)
+        drifts = [
+            _draw_drift_rows(graphs[k], _derive_rng(cfgs[k].seed, salt=p), cfgs[k].bound)
+            for k in members
+        ]
+        proved = _screen_full_rank([graphs[k] for k in members], drifts, volatility[0])
+        share = (time.perf_counter() - started) * 1e3 / len(members)
+        for k, m_rows, full in zip(members, drifts, proved):
+            started = time.perf_counter()
+            g, cfg = graphs[k], cfgs[k]
+            if full:
+                witness = RankSample(tuple(map(tuple, m_rows)), volatility, g.num_edges)
+                verdicts[k] = _witness_verdict(g, vol, _route_notes(cfg, substituted), witness)
+            else:
+                verdicts[k] = _rank_by_sampling(g, vol, cfg, volatility, substituted)
+            times[k] += share + (time.perf_counter() - started) * 1e3
+    if elapsed_ms is not None:
+        elapsed_ms.extend(times)
+    return verdicts
+
+
+@functools.lru_cache(maxsize=None)
+def _screen_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vech system and A(Sigma) as integer matrices of their linear inputs.
+
+    Row t of the first is the coefficient block K of :func:`_vech_system`
+    at the t-th unit drift in row-major order, flattened; row t of the
+    second is :func:`_a_rows` over every potential edge (vec order) at the
+    symmetric Sigma with unit vech entry t, flattened.  Both builders are
+    linear, so a batch of inputs times a table is the batch of builds.
+    """
+    n = p * (p + 1) // 2
+    zeros = [[0] * p for _ in range(p)]
+    k_table = []
+    for t in range(p * p):
+        unit = [[int(r * p + c == t) for c in range(p)] for r in range(p)]
+        k_table.append([x for row in _vech_system(unit, zeros)[0] for x in row])
+    edges = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
+    a_table = [
+        [x for row in _a_rows(_unvech([int(u == t) for u in range(n)], p), edges) for x in row]
+        for t in range(n)
+    ]
+    tables = np.array(k_table, dtype=np.int64), np.array(a_table, dtype=np.int64)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
+                      c_rows) -> list[bool]:
+    """Which drifts the GF(q) screen proves to give A(Sigma)_E full column rank.
+
+    All graphs share p and the integer volatility rows ``c_rows``.  Every
+    vech system [K | -vech(C)] is reduced mod q and solved in one batch;
+    the graphs whose K is nonsingular mod q get A(Sigma mod q)_E, grouped by
+    |E| and ranked one batch per group.  True is a proof of full rank over
+    Q (see ``_intkernel``); False only sends the graph to the exact path.
+    Entries are reduced mod q in Python first, since the drift bound is
+    unbounded; a table entry is at most 2 and a table column has at most
+    two nonzero entries, so every product stays below 2^33.
+    """
+    if not graphs:
+        return []
+    q = _intkernel.SCREEN_PRIME
+    p = len(c_rows)
+    n = p * (p + 1) // 2
+    k_table, a_table = _screen_tables(p)
+    drift_mod = np.array([[x % q for row in m for x in row] for m in drifts], dtype=np.int64)
+    rhs = _vech_system([[0] * p for _ in range(p)], c_rows)[1]
+    systems = np.empty((len(drifts), n, n + 1), dtype=np.int64)
+    systems[:, :, :n] = (drift_mod @ k_table).reshape(-1, n, n) % q
+    systems[:, :, n] = [b % q for b in rhs]
+    solved, reduced = _intkernel.mod_gauss_jordan(systems, limit_cols=n)
+    ok = np.flatnonzero(solved)
+    a_full = (reduced[ok, :, n] @ a_table).reshape(-1, n, p * p) % q
+    cols = [[(i - 1) * p + (j - 1) for (i, j) in graphs[k].edge_index()] for k in ok.tolist()]
+    by_size: dict[int, list[int]] = defaultdict(list)
+    for pos, c in enumerate(cols):
+        by_size[len(c)].append(pos)
+    proved = np.zeros(len(graphs), dtype=bool)
+    for members in by_size.values():
+        picked = np.array([cols[pos] for pos in members], dtype=np.int64)
+        stack = np.take_along_axis(a_full[members], picked[:, None, :], axis=2)
+        proved[ok[members]] = _intkernel.mod_gauss_jordan(stack)[0]
+    return proved.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -400,11 +400,11 @@ def is_positive_definite(s: RatMatrix) -> bool:
     """
     if not s.is_symmetric():
         raise ValueError("positive definiteness requires a symmetric matrix")
-    for k in range(1, s.rows + 1):
-        idx = list(range(k))
-        if det(s.select_rows(idx).select_columns(idx)) <= 0:
-            return False
-    return True
+    # Scaling by the positive common denominator D multiplies the k-th
+    # leading minor by D^k, keeping its sign.
+    nums, _ = _intkernel.common_denominator(s.entries)
+    n = s.rows
+    return _intkernel.leading_minors_positive([nums[i * n : (i + 1) * n] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -193,31 +193,56 @@ def kronecker_sum(m: RatMatrix) -> RatMatrix:
     return RatMatrix(n, n, _flat(_kron_sum_rows(m.to_lists())))
 
 
-def _solve_sigma_scaled(m_rows: list[list[int]], c_rows: list[list[int]], p: int):
-    """Exact Sigma for integer (M, C): returns (numerators N, denominator D).
+@functools.lru_cache(maxsize=None)
+def _vech_positions(p: int) -> tuple[tuple[int, ...], ...]:
+    """positions[k][l]: the vech index of the pair (k, l) or (l, k), 0-based."""
+    pos = [[0] * p for _ in range(p)]
+    n = 0
+    for k in range(p):
+        for l in range(k, p):
+            pos[k][l] = pos[l][k] = n
+            n += 1
+    return tuple(map(tuple, pos))
 
-    Sigma = N / D with N an integer symmetric p x p matrix, D > 0 and
-    gcd(D, N) = 1.  The unknowns are vech(Sigma), one per pair k <= l, and
-    the equations vech(M Sigma + Sigma M^T) = -vech(C).  On symmetric
-    matrices the Lyapunov operator has the eigenvalues lambda_i + lambda_j
-    for i <= j -- every pairwise sum -- so this system is singular exactly
-    when the Kronecker sum is.  Raises ValueError when it is singular (two
-    eigenvalues of M summing to zero).
+
+def _vech_system(m_rows: list[list], c_rows: list[list]) -> tuple[list[list], list]:
+    """Rows K and right side b of vech(M Sigma + Sigma M^T) = -vech(C).
+
+    The unknowns are vech(Sigma), one per pair k <= l.  Linear in M and C,
+    so it is built alike from integers and from residues mod q.
     """
+    p = len(m_rows)
+    index = _vech_positions(p)
     pairs = [(k, l) for k in range(p) for l in range(k, p)]
-    index = {}
-    for pos, (k, l) in enumerate(pairs):
-        index[k, l] = index[l, k] = pos
     system = []
     for (i, j) in pairs:
         row = [0] * len(pairs)
         for t in range(p):
             # (M Sigma)_ij = sum_t m_it s_tj and (Sigma M^T)_ij = sum_t s_it m_jt.
-            row[index[t, j]] += m_rows[i][t]
-            row[index[i, t]] += m_rows[j][t]
+            row[index[t][j]] += m_rows[i][t]
+            row[index[i][t]] += m_rows[j][t]
         system.append(row)
-    x, den = _intkernel.solve_square_int(system, [-c_rows[i][j] for (i, j) in pairs])
-    return [[x[index[r, c]] for c in range(p)] for r in range(p)], den
+    return system, [-c_rows[i][j] for (i, j) in pairs]
+
+
+def _unvech(x: list, p: int) -> list[list]:
+    """The symmetric p x p rows with vech ``x``."""
+    index = _vech_positions(p)
+    return [[x[index[r][c]] for c in range(p)] for r in range(p)]
+
+
+def _solve_sigma_scaled(m_rows: list[list[int]], c_rows: list[list[int]], p: int):
+    """Exact Sigma for integer (M, C): returns (numerators N, denominator D).
+
+    Sigma = N / D with N an integer symmetric p x p matrix, D > 0 and
+    gcd(D, N) = 1, solved on the vech system of :func:`_vech_system`.  On
+    symmetric matrices the Lyapunov operator has the eigenvalues
+    lambda_i + lambda_j for i <= j -- every pairwise sum -- so this system
+    is singular exactly when the Kronecker sum is.  Raises ValueError when
+    it is singular (two eigenvalues of M summing to zero).
+    """
+    x, den = _intkernel.solve_square_int(*_vech_system(m_rows, c_rows))
+    return _unvech(x, p), den
 
 
 def _matrix_to_int_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
@@ -245,9 +270,7 @@ def is_stable(m: RatMatrix) -> bool:
         n_mat, _ = _solve_sigma_scaled(m_rows, eye, p)
     except ValueError:
         return False
-    return all(
-        _intkernel.int_det([row[:k] for row in n_mat[:k]]) > 0 for k in range(1, p + 1)
-    )
+    return _intkernel.leading_minors_positive(n_mat)
 
 
 def solve_for_sigma(drift: DriftMatrix, vol: VolatilityMatrix) -> CovMatrix:
@@ -425,24 +448,33 @@ def skew_to_drift(k: RatMatrix, sigma: CovMatrix, vol: VolatilityMatrix) -> RatM
     return (k - vol.matrix.scale(Fraction(1, 2))) @ inverse(sigma.matrix)
 
 
-def sample_stable_drift(g: DiGraph, rng_seed, bound: int = 2**20) -> DriftMatrix:
-    """A random integer drift matrix supported on ``g``, stable by construction.
+def _draw_drift_rows(g: DiGraph, rng: random.Random, bound: int) -> list[list[int]]:
+    """The integer rows of a random drift matrix supported on ``g``.
 
     Off-diagonal entries are uniform integers in [-bound, bound]; each
     diagonal entry is -(row absolute sum + 1 + uniform in [0, bound]), so
     strict diagonal dominance puts every Gershgorin disc in the open left
     half-plane.
     """
+    p = g.p
+    rows = [[0] * p for _ in range(p)]
+    for (i, j) in g.edge_index():
+        if i != j:
+            rows[j - 1][i - 1] = rng.randint(-bound, bound)
+    for i in range(p):
+        row = rows[i]
+        row_sum = sum(abs(v) for jj, v in enumerate(row) if jj != i)
+        row[i] = -(row_sum + 1 + rng.randint(0, bound))
+    return rows
+
+
+def sample_stable_drift(g: DiGraph, rng_seed, bound: int = 2**20) -> DriftMatrix:
+    """A random integer drift matrix supported on ``g``, stable by construction.
+
+    The entries are those of :func:`_draw_drift_rows`.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
-    p = g.p
-    ent = [[0] * p for _ in range(p)]
-    for (i, j) in g.edge_index():
-        if i != j:
-            ent[j - 1][i - 1] = rng.randint(-bound, bound)
-    for i in range(p):
-        row_sum = sum(abs(v) for jj, v in enumerate(ent[i]) if jj != i)
-        ent[i][i] = -(row_sum + 1 + rng.randint(0, bound))
-    matrix = RatMatrix(p, p, [x for row in ent for x in row])
-    return DriftMatrix(g, matrix)
+    rows = _draw_drift_rows(g, rng, bound)
+    return DriftMatrix(g, RatMatrix(g.p, g.p, [x for row in rows for x in row]))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapid import _intkernel
+from lyapid import _intkernel, identifiability
 from lyapid.catalog import (
     complete_dag,
     completed_four_cycle,
@@ -217,14 +217,27 @@ class TestCriterion01Table:
         _report("1e", f"{counts['int_rank']} ranks, {counts['bareiss']} exact fallbacks")
 
     def test_p4_hash_unchanged_by_exact_fallback(self, monkeypatch):
-        # mod 3 most full-rank samples look deficient, so int_rank re-ranks
-        # them exactly; the report must not change.
+        # mod 3 most first samples fail the sweep's batched screen, so they
+        # take the exact path, where most full-rank samples look deficient
+        # to int_rank too and are re-ranked exactly; the report must not change.
+        monkeypatch.setattr(_intkernel, "SCREEN_PRIME", 3)
         monkeypatch.setattr(_intkernel, "MOD_PRIME", 3)
         counts = _count_exact_rank_fallbacks(monkeypatch)
+        exact_path = identifiability._rank_by_sampling
+        fallbacks = []
+
+        def counted(g, *args):
+            fallbacks.append(g)
+            return exact_path(g, *args)
+
+        monkeypatch.setattr(identifiability, "_rank_by_sampling", counted)
         report = run_sweep(4)
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
+        sampled = sum(1 for row in report.rows if row.certificate_kind != "trek-bound")
+        assert len(fallbacks) > sampled // 2
         assert counts["bareiss"] > counts["int_rank"] // 2
-        _report("1f", f"q = 3: {counts['bareiss']} of {counts['int_rank']} ranks fell back")
+        _report("1f", f"q = 3: {len(fallbacks)} of {sampled} sampled graphs left the "
+                      f"screen; {counts['bareiss']} of {counts['int_rank']} ranks fell back")
 
     @pytest.mark.parametrize("name, seed", sorted(DEFICIT_VERDICT_SHA256))
     def test_deficit_certificate_bytes_pinned(self, name, seed):

@@ -1,8 +1,10 @@
 """Tests for the classifiers, certificates, and determinant identities."""
 
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lyapid import _intkernel, identifiability, lyapunov
@@ -50,6 +52,7 @@ from lyapid.lyapunov import (
     solve_for_sigma,
 )
 from lyapid.properties import complete_graph, random_pd_matrix, random_volatility
+from lyapid.sweep import derive_graph_seed
 
 IDENTITY3 = VolatilityMatrix.identity(3)
 IDENTITY4 = VolatilityMatrix.identity(4)
@@ -497,3 +500,98 @@ class TestLazyStability:
         assert unstable.stable is False
         with pytest.raises(NotStableError):
             solve_for_sigma(unstable, VolatilityMatrix.identity(1))
+
+
+def _verdict_bytes(verdict) -> bytes:
+    return json.dumps(verdict.to_json(), sort_keys=True).encode()
+
+
+class TestClassifyBatch:
+    """The batched entry point with its modular screen against classify, byte for byte."""
+
+    @pytest.mark.parametrize("p, stride", [(4, 1), (5, 16)])
+    def test_matches_classify_on_sweep_candidates(self, p, stride):
+        graphs = list(enumerate_candidates(p))[::stride]
+        vol = VolatilityMatrix.identity(p)
+        cfgs = [ClassifyConfig(seed=derive_graph_seed(0, g)) for g in graphs]
+        elapsed = []
+        batch = identifiability._classify_batch(graphs, vol, cfgs, elapsed)
+        assert len(elapsed) == len(graphs) and min(elapsed) >= 0
+        screened = 0
+        for g, cfg, verdict in zip(graphs, cfgs, batch):
+            witness = verdict.certificate.witness
+            screened += witness is not None and witness.solved is None
+            assert _verdict_bytes(verdict) == _verdict_bytes(classify(g, vol, cfg))
+        # every full-rank first sample but a handful is proved by the screen
+        assert screened > 0.9 * len(graphs)
+
+    def test_every_cascade_branch_alone_and_mixed(self):
+        rng = random.Random(3)
+        diagonal = VolatilityMatrix(RatMatrix.diagonal([2, 3, Fraction(1, 5)]))
+        full = VolatilityMatrix(random_pd_matrix(3, rng))
+        cases = [
+            (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=1)),
+            (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=1, use_kernel_route=True)),
+            (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=2, bound=2**80)),
+            (two_cycle_out_edge(), diagonal, ClassifyConfig(seed=3)),
+            (two_cycle_out_edge(), full, ClassifyConfig(seed=4, trials=2)),
+            (three_cycle(), full, ClassifyConfig()),
+            (two_cycle(), VolatilityMatrix.identity(2), ClassifyConfig()),
+            (fan_in_two_cycle(), IDENTITY4, ClassifyConfig()),
+            (two_cycle_two_sinks(), IDENTITY4, ClassifyConfig(seed=5)),
+            (two_cycle_two_sinks(), IDENTITY4, ClassifyConfig(seed=5, use_kernel_route=True)),
+        ]
+        expected = [_verdict_bytes(classify(g, vol, cfg)) for g, vol, cfg in cases]
+        for (g, vol, cfg), want in zip(cases, expected):
+            [verdict] = identifiability._classify_batch([g], vol, [cfg])
+            assert _verdict_bytes(verdict) == want
+        # one volatility per batch: mixed p and configurations under the identity
+        mixed = [(g, cfg) for g, vol, cfg in cases if vol.matrix == RatMatrix.identity(g.p)]
+        graphs = [g for g, _ in mixed]
+        batch = identifiability._classify_batch(
+            graphs, IDENTITY4, [cfg for _, cfg in mixed]
+        )
+        assert [_verdict_bytes(v) for v in batch] == [
+            _verdict_bytes(classify(g, IDENTITY4, cfg)) for g, cfg in mixed
+        ]
+
+    def test_empty_batch(self):
+        assert identifiability._classify_batch([], IDENTITY3, []) == []
+
+    def test_screened_witness_solves_sigma_once_on_read(self, monkeypatch):
+        g, cfg = two_cycle_out_edge(), ClassifyConfig(seed=2)
+        [verdict] = identifiability._classify_batch([g], IDENTITY3, [cfg])
+        witness = verdict.certificate.witness
+        assert witness.solved is None
+        solve = identifiability._solve_sigma_scaled
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(identifiability, "_solve_sigma_scaled", counted)
+        sigma = witness.sigma
+        assert witness.sigma is sigma and len(calls) == 1
+        assert sigma == solve_for_sigma(DriftMatrix(g, witness.drift), IDENTITY3).matrix
+        assert witness == classify(g, IDENTITY3, cfg).certificate.witness
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_screen_tables_are_the_builders(self, p):
+        """The tabulated builds against the loop builders they come from."""
+        q = _intkernel.SCREEN_PRIME
+        n = p * (p + 1) // 2
+        rng = random.Random(p)
+        k_table, a_table = identifiability._screen_tables(p)
+        zeros = [[0] * p for _ in range(p)]
+        edges = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
+        for _ in range(5):
+            m = [[rng.randint(-(2**80), 2**80) for _ in range(p)] for _ in range(p)]
+            m_mod = np.array([x % q for row in m for x in row], dtype=np.int64)
+            k_rows, _ = lyapunov._vech_system(m, zeros)
+            assert ((m_mod @ k_table) % q).tolist() == [x % q for row in k_rows for x in row]
+            s = [rng.randrange(q) for _ in range(n)]
+            a_rows = identifiability._a_rows(lyapunov._unvech(s, p), edges)
+            assert ((np.array(s, dtype=np.int64) @ a_table) % q).tolist() == [
+                x % q for row in a_rows for x in row
+            ]

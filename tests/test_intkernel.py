@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,10 @@ from lyapid import _intkernel
 from lyapid._intkernel import (
     bareiss_forward,
     common_denominator,
+    int_det,
     int_rank,
+    leading_minors_positive,
+    mod_gauss_jordan,
     mod_rank,
     rank_and_kernel,
     solve_square_int,
@@ -161,3 +165,86 @@ class TestRankAndKernel:
             _check_rank_and_kernel(rows)
         assert rank_and_kernel([[3, 0], [0, 1]]) == (2, None)
         assert rank_and_kernel([[0, 1, 2], [0, 3, 4]]) == (2, ([1, 0, 0], 1))
+
+
+def _stack(rng, batch, nr, nc, q):
+    """Random small-entry matrices, some with a dependent last column, and
+    their residues mod q as one stack."""
+    mats = []
+    for _ in range(batch):
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        if nc > 1 and rng.random() < 0.3:
+            for row in rows:
+                row[-1] = row[0] - 2 * row[1 % (nc - 1)]
+        mats.append(rows)
+    return mats, np.array([[[x % q for x in row] for row in m] for m in mats], dtype=np.int64)
+
+
+class TestModGaussJordan:
+    """The batched GF(q) elimination against the per-matrix mod_rank loop."""
+
+    @pytest.mark.parametrize("q", [_intkernel.SCREEN_PRIME, 3, 7])
+    def test_flags_match_mod_rank(self, monkeypatch, q):
+        monkeypatch.setattr(_intkernel, "SCREEN_PRIME", q)
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
+        rng = random.Random(q)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            mats, stack = _stack(rng, 12, nr, nc, q)
+            full, _ = mod_gauss_jordan(stack)
+            assert full.tolist() == [mod_rank(m) == nc for m in mats]
+
+    @pytest.mark.parametrize("q", [_intkernel.SCREEN_PRIME, 5])
+    def test_solves_augmented_systems(self, monkeypatch, q):
+        monkeypatch.setattr(_intkernel, "SCREEN_PRIME", q)
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
+        rng = random.Random(11 + q)
+        for n in range(1, 8):
+            mats, stack = _stack(rng, 15, n, n + 1, q)
+            full, reduced = mod_gauss_jordan(stack, limit_cols=n)
+            for rows, ok, red in zip(mats, full.tolist(), reduced):
+                assert ok == (mod_rank([row[:n] for row in rows]) == n)
+                if ok:
+                    assert (red[:, :n] == np.eye(n, dtype=np.int64)).all()
+                    x = red[:, n].tolist()
+                    for row in rows:
+                        assert (sum(a * v for a, v in zip(row, x)) - row[n]) % q == 0
+
+    def test_full_rank_mod_q_is_full_rank_over_q(self):
+        rng = random.Random(8)
+        q = _intkernel.SCREEN_PRIME
+        for _ in range(30):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            mats, stack = _stack(rng, 10, nr, nc, q)
+            for rows, ok in zip(mats, mod_gauss_jordan(stack)[0].tolist()):
+                if ok:
+                    assert int_rank(_copy(rows)) == nc
+
+    def test_wider_than_tall_is_never_full(self):
+        full, _ = mod_gauss_jordan(np.ones((3, 2, 4), dtype=np.int64))
+        assert not full.any()
+
+    def test_input_left_intact(self):
+        stack = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
+        mod_gauss_jordan(stack)
+        assert stack.tolist() == [[[0, 1], [1, 0]]]
+
+
+class TestLeadingMinorsPositive:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_matches_the_minors_one_by_one(self, rows):
+        n = len(rows)
+        expected = all(
+            int_det([row[:k] for row in rows[:k]]) > 0 for k in range(1, n + 1)
+        )
+        before = _copy(rows)
+        assert leading_minors_positive(rows) == expected
+        assert rows == before
+
+    def test_zero_leading_minor_with_positive_determinant(self):
+        # det = 1 > 0, but the first leading minor is 0
+        assert not leading_minors_positive([[0, 1], [-1, 0]])
+        assert leading_minors_positive([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])

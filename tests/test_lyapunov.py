@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lyapid import _intkernel
+from lyapid import _intkernel, lyapunov
 from lyapid.catalog import (
     complete_dag,
     fan_in_two_cycle,
@@ -494,6 +494,15 @@ class TestSampleStableDrift:
             if drifts[a] != drifts[b]
         )
         assert distinct_pairs >= 99 * 100 // 2  # all pairs in practice
+
+    def test_rows_are_the_drawn_integers(self):
+        # sample_stable_drift wraps _draw_drift_rows: same stream, same entries
+        g = two_cycle_out_edge()
+        for bound in (1, 9, 2**80):
+            rows = lyapunov._draw_drift_rows(g, random.Random(5), bound)
+            drift = sample_stable_drift(g, random.Random(5), bound=bound)
+            assert drift.matrix == RatMatrix.from_rows(rows)
+            assert all(type(x) is int for row in rows for x in row)
 
     def test_deterministic_given_seed(self):
         g = complete_graph(4)
