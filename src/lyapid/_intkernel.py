@@ -7,18 +7,42 @@ denominator; rank and solutions are invariant under such row scalings, and
 a determinant only needs the scales divided back out.  Working on ints
 avoids the per-operation gcd normalization of Fractions.
 
-:func:`int_rank` first eliminates over GF(q) (:func:`mod_rank`).  Reducing
-mod q maps every minor to its residue, so the rank over GF(q) never exceeds
-the rank over Q; a full rank found mod q is therefore the exact rank.  Only
-a matrix that is deficient mod q -- rank-deficient over Q, or unluckily
-divisible by q -- pays for exact fraction-free (Bareiss) elimination in
-:func:`bareiss_forward`.  :func:`solve_square_int` back-substitutes in
-integers too, using Cramer's rule to keep every intermediate integral, and
-returns a reduced numerator vector over one denominator.
-:func:`rank_and_kernel` takes a kernel vector from the same Bareiss echelon
-that ranks a deficient matrix, by that back-substitution, so a deficient
-matrix is eliminated once.  :func:`leading_minors_positive` decides
-positive definiteness from the pivots of one such pass.
+:func:`int_rank` first eliminates over GF(q) (:func:`mod_echelon`).
+Reducing mod q maps every minor to its residue, so the rank over GF(q)
+never exceeds the rank over Q; a full rank found mod q is therefore the
+exact rank.  Only a matrix that is deficient mod q -- rank-deficient over
+Q, or unluckily divisible by q -- pays for exact fraction-free (Bareiss)
+elimination in :func:`bareiss_forward`.  :func:`solve_square_int`
+back-substitutes in integers too, using Cramer's rule to keep every
+intermediate integral, and returns a reduced numerator vector over one
+denominator.  :func:`leading_minors_positive` decides positive
+definiteness from the pivots of one such pass.
+
+:func:`rank_and_kernel` ranks the same way and, below full column rank,
+returns the first reduced-row-echelon kernel vector x: with f the first
+non-pivot column, x[f] = 1, x[f+1:] = 0 and x[:f] solves the first f
+columns.  When the rank mod q is exactly n - 1 (n columns), f and the rows
+S of the first f pivots come from the mod-q echelon, and x[:f] = y is
+lifted q-adically from B y = -a, B being rows S of columns :f and a rows S
+of column f (Dixon; :func:`_lift_kernel`), then rationally reconstructed
+and checked exactly against every row.  The result is the one Bareiss
+would give:
+
+- B is upper triangular mod q up to unit row operations, so det B is
+  nonzero mod q and hence over Q: columns :f are independent over Q.
+- The exact check A x = 0 puts column f in their span over Q, so f is
+  also the first non-pivot column over Q, and x, the only kernel vector
+  with x[f] = 1 and x[f+1:] = 0, is the first RREF kernel vector.
+- The rank is at least n - 1 (a nonzero (n-1)-minor mod q is a nonzero
+  minor over Q) and at most n - 1 (x is a nonzero kernel vector).
+
+Reconstruction cannot be trusted before q^k > 2 H^2, H the Hadamard bound
+of [B | a], which bounds det B and every Cramer numerator; the exact check
+makes an earlier success safe.  If no check passes by that bound, column f
+is not in the span over Q (A is deficient only mod q), and the matrix goes
+to Bareiss like any other deficit mod q.  Any other deficit mod q goes
+there at once: then one Bareiss pass gives both the rank and x, by
+back-substitution against its f-th pivot, +-the leading f x f minor.
 
 :func:`mod_gauss_jordan` is the one numpy routine: Gauss-Jordan over
 GF(SCREEN_PRIME) on a whole stack of same-shape residue matrices at once,
@@ -35,6 +59,7 @@ pivot or a deficit mod q proves nothing and goes to the exact path.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -87,15 +112,19 @@ def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
     return pivot_cols, sign
 
 
-def mod_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over GF(MOD_PRIME); ``rows`` is left intact.
+def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Row echelon form over GF(MOD_PRIME); ``rows`` is left intact.
 
-    Never larger than the rank over Q.
+    Returns (pivot_cols, pivot_rows): the columns in which pivots were
+    found, in order, and the original index of each pivot's row.  The
+    number of pivots, the rank mod q, never exceeds the rank over Q.
     """
     q = MOD_PRIME
     work = [[x % q for x in row] for row in rows]
+    order = list(range(len(work)))
     nr = len(work)
     nc = len(work[0]) if nr else 0
+    pivot_cols: list[int] = []
     r = 0
     for c in range(nc):
         piv = None
@@ -106,16 +135,18 @@ def mod_rank(rows: list[list[int]]) -> int:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
+        order[r], order[piv] = order[piv], order[r]
         tail = work[r][c:]
         inv = pow(tail[0], -1, q)
         for i in range(r + 1, nr):
             f = work[i][c] * inv % q
             if f:
                 work[i][c:] = [(a - f * b) % q for a, b in zip(work[i][c:], tail)]
+        pivot_cols.append(c)
         r += 1
         if r == nr:
             break
-    return r
+    return pivot_cols, order[:r]
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -126,7 +157,7 @@ def int_rank(rows: list[list[int]]) -> int:
     """
     if not rows or not rows[0]:
         return 0
-    modular = mod_rank(rows)
+    modular = len(mod_echelon(rows)[0])
     if modular == min(len(rows), len(rows[0])):
         return modular
     pivot_cols, _ = bareiss_forward(rows)
@@ -263,21 +294,131 @@ def solve_square_int(a_rows: list[list[int]], b: list[int]) -> tuple[list[int], 
     return _reduced(_back_substitute(aug, n, n, d), d)
 
 
+def _inverse_mod_q(rows: list[list[int]], q: int) -> list[list[int]]:
+    """The inverse mod q of a square integer matrix that is a unit mod q."""
+    n = len(rows)
+    work = [[x % q for x in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if work[i][c])
+        work[c], work[piv] = work[piv], work[c]
+        inv = pow(work[c][c], -1, q)
+        pivot_row = [v * inv % q for v in work[c][c:]]
+        work[c][c:] = pivot_row
+        for i in range(n):
+            f = work[i][c]
+            if f and i != c:
+                work[i][c:] = [(a - f * b) % q for a, b in zip(work[i][c:], pivot_row)]
+    return [row[n:] for row in work]
+
+
+def _rational(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b u mod modulus, |a| <= bound and 0 < b <= bound, or None.
+
+    Half of the extended Euclidean algorithm on (modulus, u); when
+    2 bound^2 < modulus at most one such a / b exists (Wang).
+    """
+    r0, r1 = modulus, u % modulus
+    t0, t1 = 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        t0, t1 = t1, t0 - k * t1
+    if not 0 < abs(t1) <= bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(y: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Rationals nums / den congruent to ``y`` mod ``modulus``, or None.
+
+    One running common denominator: each entry times the denominator so far
+    is reconstructed, so once the denominator is complete the later entries
+    come out as integers at once.
+    """
+    bound = math.isqrt(modulus // 2)
+    nums: list[int] = []
+    den = 1
+    for v in y:
+        ab = _rational(v * den, modulus, bound)
+        if ab is None:
+            return None
+        a, b = ab
+        if b != 1:
+            den *= b
+            if den > bound:
+                return None
+            nums = [n * b for n in nums]
+        nums.append(a)
+    return nums, den
+
+
+def _lift_kernel(rows: list[list[int]], f: int,
+                 basis_rows: list[int]) -> tuple[list[int], int] | None:
+    """The kernel vector x with x[f] = 1, x[f+1:] = 0, by q-adic lifting, or None.
+
+    ``basis_rows`` index f rows whose first f columns form a matrix B that
+    is nonsingular mod q = MOD_PRIME; x[:f] = y solves B y = -a, a being
+    column f of those rows (Dixon, Numer. Math. 40, 1982).  B is inverted
+    mod q once; each step takes one q-adic digit of y from the residual and
+    divides the updated residual by q exactly.  Reconstructions are tried
+    on a schedule that thins out as the lift grows, and one is accepted
+    only if rows x = 0 holds exactly on every row.  Returns None, for the
+    caller to fall back on, once q^k > 2 H^2 without an accepted vector,
+    H^2 being the Hadamard bound on the squared f x f minors of [B | a].
+    """
+    q = MOD_PRIME
+    b_mat = [rows[i][:f] for i in basis_rows]
+    residual = [-rows[i][f] for i in basis_rows]
+    inverse = _inverse_mod_q(b_mat, q)
+    hadamard_sq = math.prod(sum(v * v for v in rows[i][:f + 1]) for i in basis_rows)
+    y = [0] * f
+    modulus = 1
+    steps = 0
+    next_try = 1
+    while True:
+        residual_mod = [v % q for v in residual]
+        digit = [sum(map(mul, row, residual_mod)) % q for row in inverse]
+        y = [v + modulus * d for v, d in zip(y, digit)]
+        modulus *= q
+        residual = [(v - sum(map(mul, b_row, digit))) // q
+                    for v, b_row in zip(residual, b_mat)]
+        steps += 1
+        last = modulus > 2 * hadamard_sq
+        if steps >= next_try or last:
+            next_try = steps + 1 + steps // 4
+            found = _reconstruct(y, modulus)
+            if found is not None:
+                x = found[0] + [found[1]]
+                if not any(sum(map(mul, row, x)) for row in rows):
+                    return _reduced(x + [0] * (len(rows[0]) - f - 1), found[1])
+        if last:
+            return None
+
+
 def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] | None]:
     """Exact rank and, below full column rank, one kernel vector (consumes ``rows``).
 
     The kernel vector is returned as (numerators, positive den) in lowest
     terms, or None at full column rank.  It is the first basis vector of the
     reduced-row-echelon kernel: with f the first non-pivot column, x[f] = 1,
-    x[f+1:] = 0, and x[:f] solves the leading f pivot columns.  Bareiss
+    x[f+1:] = 0, and x[:f] solves the leading f pivot columns.  At a rank
+    of exactly cols - 1 mod q it is lifted from the mod-q echelon
+    (:func:`_lift_kernel`).  Otherwise, or if the lift fails, Bareiss
     leaves those columns upper triangular with last pivot d = +-their
     leading f x f minor, so by Cramer's rule d x is an integer vector.
     """
     if not rows or not rows[0]:
         return 0, None
     cols = len(rows[0])
-    if mod_rank(rows) == cols:
+    modular_cols, modular_rows = mod_echelon(rows)
+    if len(modular_cols) == cols:
         return cols, None
+    if len(modular_cols) == cols - 1:
+        f = next((c for c, pc in enumerate(modular_cols) if c != pc), cols - 1)
+        kernel = _lift_kernel(rows, f, modular_rows[:f])
+        if kernel is not None:
+            return cols - 1, kernel
     pivot_cols, _ = bareiss_forward(rows)
     rank = len(pivot_cols)
     if rank == cols:

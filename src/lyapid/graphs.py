@@ -282,25 +282,30 @@ def _permutation_mask_tables(p: int):
 
     Masks use bit ``q-1-r`` for the edge of lexicographic rank r, so that a
     numerically larger mask corresponds to a lexicographically smaller
-    sorted edge list (all masks compared have equal popcount).
+    sorted edge list (all masks compared have equal popcount).  Returns
+    (pairs, q, half, lo, hi): row k of ``lo`` (``hi``) maps the low
+    ``half`` bits (the high ``q - half`` bits) of a mask to their image
+    under the k-th node relabelling, so an image is ``lo[k][low] | hi[k][high]``.
     """
     pairs = _offdiag_pairs(p)
     q = len(pairs)
     index = {e: k for k, e in enumerate(pairs)}
     half = q // 2
-    tables = []
-    for perm in itertools.permutations(range(1, p + 1)):
-        dest = [q - 1 - index[(perm[i - 1], perm[j - 1])] for (i, j) in pairs]
-        lo = np.zeros(1 << half, dtype=np.int64)
-        hi = np.zeros(1 << (q - half), dtype=np.int64)
-        for v in range(1, 1 << half):
-            low_bit = v & (-v)
-            lo[v] = lo[v ^ low_bit] | (1 << dest[low_bit.bit_length() - 1])
-        for v in range(1, 1 << (q - half)):
-            low_bit = v & (-v)
-            hi[v] = hi[v ^ low_bit] | (1 << dest[half + low_bit.bit_length() - 1])
-        tables.append((lo, hi))
-    return pairs, q, half, tables
+    # dest[k, t]: the bit that bit t (the edge of rank q-1-t) moves to
+    dest = np.array(
+        [[q - 1 - index[(perm[i - 1], perm[j - 1])] for (i, j) in reversed(pairs)]
+         for perm in itertools.permutations(range(1, p + 1))],
+        dtype=np.int64,
+    )
+
+    def table(first: int, width: int) -> np.ndarray:
+        v = np.arange(1 << width, dtype=np.int64)
+        out = np.zeros((len(dest), 1 << width), dtype=np.int64)
+        for t in range(width):
+            out |= ((v >> t) & 1) << dest[:, first + t, None]
+        return out
+
+    return pairs, q, half, table(0, half), table(half, q - half)
 
 
 def _mask_to_edges(mask: int, pairs: list[Edge], q: int) -> frozenset:
@@ -310,10 +315,11 @@ def _mask_to_edges(mask: int, pairs: list[Edge], q: int) -> frozenset:
 def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[DiGraph]:
     """All non-simple graphs on [p] passing the policy, one per isomorphism class.
 
-    Graphs are yielded as canonical representatives in a deterministic
-    order.  Every graph contains at least one 2-cycle, satisfies
-    ``num_edges <= policy.max_edges`` (self-loops included) and the policy's
-    connectivity filter.
+    Graphs are yielded as canonical representatives in ascending order of
+    their canonical masks (the largest mask of each relabelling class; see
+    :func:`_permutation_mask_tables`).  Every graph contains at least one
+    2-cycle, satisfies ``num_edges <= policy.max_edges`` (self-loops
+    included) and the policy's connectivity filter.
 
     Raises:
         ValueError: unless 2 <= p <= 5 (the intended sweep range).
@@ -322,39 +328,30 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
         raise ValueError("enumeration supports 2 <= p <= 5")
     policy = policy or EnumPolicy()
     max_off = policy.resolved_max_edges(p) - p
-    pairs, q, half, tables = _permutation_mask_tables(p)
+    pairs, q, half, lo, hi = _permutation_mask_tables(p)
     index = {e: k for k, e in enumerate(pairs)}
 
-    masks: list[int] = []
-    for k in range(2, max_off + 1):
-        for combo in itertools.combinations(range(q), k):
-            m = 0
-            for c in combo:
-                m |= 1 << (q - 1 - c)
-            masks.append(m)
-    if not masks:
-        return
-    arr = np.array(masks, dtype=np.int64)
-
+    # edges[m] is the popcount of m: the second half of 0..2^(t+1)-1 has one
+    # more bit than the first
+    edges = np.zeros(1, dtype=np.int8)
+    for _ in range(q):
+        edges = np.concatenate([edges, edges + 1])
+    masks = np.flatnonzero((edges >= 2) & (edges <= max_off))
     # Keep graphs containing at least one 2-cycle.
-    nonsimple = np.zeros(len(arr), dtype=bool)
+    nonsimple = np.zeros(len(masks), dtype=bool)
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
             t = (1 << (q - 1 - index[(i, j)])) | (1 << (q - 1 - index[(j, i)]))
-            nonsimple |= (arr & t) == t
-    arr = arr[nonsimple]
-    if arr.size == 0:
-        return
+            nonsimple |= (masks & t) == t
+    masks = masks[nonsimple]
 
     # Canonicalize: the maximal mask over all relabellings encodes the
-    # lexicographically minimal edge set (equal popcount throughout).
-    low = arr & ((1 << half) - 1)
-    high = arr >> half
-    canon = np.zeros(len(arr), dtype=np.int64)
-    for lo, hi in tables:
-        np.maximum(canon, lo[low] | hi[high], out=canon)
-    for mask in np.unique(canon):
-        offdiag = sorted(_mask_to_edges(int(mask), pairs, q))
+    # lexicographically minimal edge set (equal popcount throughout), so a
+    # mask that some relabelling maps higher is not canonical.
+    for lo_k, hi_k in zip(lo, hi):
+        masks = masks[(lo_k[masks & ((1 << half) - 1)] | hi_k[masks >> half]) <= masks]
+    for mask in masks.tolist():
+        offdiag = sorted(_mask_to_edges(mask, pairs, q))
         if _passes_connectivity(p, offdiag, policy.connectivity):
             yield DiGraph(p, frozenset(offdiag))
 

@@ -102,9 +102,10 @@ def _canonical_sha256(report: dict) -> str:
 
 
 def _count_exact_rank_fallbacks(monkeypatch) -> dict:
-    """Count rank calls (int_rank and rank_and_kernel), and those that reach
-    exact Bareiss elimination."""
-    counts = {"int_rank": 0, "bareiss": 0}
+    """Count rank calls (int_rank and rank_and_kernel), the kernel vectors
+    lifted from the mod-q echelon, and the calls that reach exact Bareiss
+    elimination."""
+    counts = {"int_rank": 0, "lifted": 0, "bareiss": 0}
     inside = []
 
     def counted(ranker):
@@ -124,9 +125,17 @@ def _count_exact_rank_fallbacks(monkeypatch) -> dict:
         counts["bareiss"] += bool(inside)
         return forward(rows, limit_cols)
 
+    lift = _intkernel._lift_kernel
+
+    def counted_lift(*args):
+        kernel = lift(*args)
+        counts["lifted"] += kernel is not None
+        return kernel
+
     for name in ("int_rank", "rank_and_kernel"):
         monkeypatch.setattr(_intkernel, name, counted(getattr(_intkernel, name)))
     monkeypatch.setattr(_intkernel, "bareiss_forward", counted_forward)
+    monkeypatch.setattr(_intkernel, "_lift_kernel", counted_lift)
     return counts
 
 
@@ -212,9 +221,12 @@ class TestCriterion01Table:
         counts = _count_exact_rank_fallbacks(monkeypatch)
         report = run_sweep(4)
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
-        # the one rank-deficit row draws 5 samples; every full rank is proved mod q
-        assert counts["bareiss"] == 5
-        _report("1e", f"{counts['int_rank']} ranks, {counts['bareiss']} exact fallbacks")
+        # the one rank-deficit row draws 5 samples, each with its kernel
+        # vector lifted from the mod-q echelon; every full rank is proved mod q
+        assert counts["lifted"] == 5
+        assert counts["bareiss"] == 0
+        _report("1e", f"{counts['int_rank']} ranks, {counts['lifted']} lifted kernel "
+                      f"vectors, {counts['bareiss']} exact fallbacks")
 
     def test_p4_hash_unchanged_by_exact_fallback(self, monkeypatch):
         # mod 3 most first samples fail the sweep's batched screen, so they
@@ -246,6 +258,22 @@ class TestCriterion01Table:
         body = json.dumps(verdict.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == DEFICIT_VERDICT_SHA256[name, seed]
         _report("1g", f"{name} seed {seed}: rank-deficit certificate bytes pinned")
+
+    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("name, seed", sorted(DEFICIT_VERDICT_SHA256))
+    def test_deficit_certificate_bytes_pinned_under_a_tiny_prime(self, monkeypatch, name,
+                                                                  seed, q):
+        # mod a tiny prime most samples are deficient by more than one mod q
+        # and go straight to Bareiss, and some lifts fail and fall back (mod 5:
+        # 3 lifted, 2 failed lifts over the six verdicts); the bytes must not move
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
+        counts = _count_exact_rank_fallbacks(monkeypatch)
+        g = two_cycle_two_sinks() if name == "two_cycle_two_sinks" else P5_DEFICIT
+        verdict = classify(g, VolatilityMatrix.identity(g.p), ClassifyConfig(seed=seed))
+        body = json.dumps(verdict.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == DEFICIT_VERDICT_SHA256[name, seed]
+        _report("1h", f"{name} seed {seed}, q = {q}: {counts['lifted']} lifted, "
+                      f"{counts['bareiss']} exact fallbacks, bytes pinned")
 
     def test_non_identifiable_rows_carry_replayable_certificates(self, tmp_path):
         report = _run_sweep_cli(4, tmp_path)

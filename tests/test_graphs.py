@@ -1,5 +1,7 @@
 """Tests for graphs: predicates, treks, canonical forms, enumeration."""
 
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -236,36 +238,54 @@ class TestSubgraph:
             subgraph(DiGraph(2), {(1, 2), (1, 1), (2, 2)})
 
 
-def _brute_force_classes(p, max_edges, connectivity):
-    """Independent orbit enumeration oracle (tiny p only)."""
+@functools.lru_cache(maxsize=None)
+def _nonsimple_classes(p):
+    """Canonical forms of every non-simple graph on p nodes, by brute force."""
     pairs = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1) if i != j]
-    seen = set()
-    classes = []
+    classes = set()
     for r in range(len(pairs) + 1):
         for combo in itertools.combinations(pairs, r):
-            edges = frozenset(combo)
-            g = DiGraph(p, edges)
-            if g.num_edges > max_edges or is_simple(g):
-                continue
-            if connectivity == "weakly-connected":
-                adj = {v: set() for v in range(1, p + 1)}
-                for (i, j) in edges:
-                    adj[i].add(j)
-                    adj[j].add(i)
-                stack, comp = [1], {1}
-                while stack:
-                    u = stack.pop()
-                    for v in adj[u]:
-                        if v not in comp:
-                            comp.add(v)
-                            stack.append(v)
-                if len(comp) < p:
-                    continue
-            canon = canonical_form(g)
-            if canon.edges not in seen:
-                seen.add(canon.edges)
-                classes.append(canon)
+            g = DiGraph(p, frozenset(combo))
+            if not is_simple(g):
+                classes.add(canonical_form(g))
     return classes
+
+
+def _weakly_connected(g):
+    adj = {v: set() for v in range(1, g.p + 1)}
+    for (i, j) in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    stack, comp = [1], {1}
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in comp:
+                comp.add(v)
+                stack.append(v)
+    return len(comp) == g.p
+
+
+def _brute_force_classes(p, max_edges, connectivity):
+    """Independent orbit enumeration oracle (tiny p only), in no set order."""
+    keep = {
+        "none": lambda g: True,
+        "no-isolated-nodes": lambda g: {v for e in g.offdiag_edges for v in e}
+        == set(range(1, p + 1)),
+        "weakly-connected": _weakly_connected,
+    }[connectivity]
+    return [g for g in _nonsimple_classes(p) if g.num_edges <= max_edges and keep(g)]
+
+
+def _mask(g):
+    """The enumeration's sort key: bit q-1-r set for the edge of rank r."""
+    pairs = [(i, j) for i in range(1, g.p + 1) for j in range(1, g.p + 1) if i != j]
+    return sum(1 << (len(pairs) - 1 - pairs.index(e)) for e in g.offdiag_edges)
+
+
+# sha256 of json.dumps([sorted(g.offdiag_edges) for g in enumerate_candidates(5)]):
+# the default p = 5 candidates in yield order.
+P5_ENUMERATION_SHA256 = "c438457fa0d93a5997cdaf502228e46c1a7e53679902590fd2b0b961bd0a79eb"
 
 
 class TestEnumeration:
@@ -322,6 +342,19 @@ class TestEnumeration:
     def test_p2_is_empty(self):
         # the only non-simple 2-node graph has 4 > 3 edges
         assert list(enumerate_candidates(2)) == []
+
+    def test_p5_yield_order_pinned(self):
+        edges = [sorted(g.offdiag_edges) for g in enumerate_candidates(5)]
+        assert len(edges) == 4862
+        assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == P5_ENUMERATION_SHA256
+
+    @pytest.mark.parametrize("connectivity", ["none", "no-isolated-nodes", "weakly-connected"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_matches_brute_force_in_mask_order(self, p, connectivity):
+        for max_edges in sorted({p, p + 2, p * (p + 1) // 2, p * p}):
+            policy = EnumPolicy(max_edges=max_edges, connectivity=connectivity)
+            oracle = sorted(_brute_force_classes(p, max_edges, connectivity), key=_mask)
+            assert list(enumerate_candidates(p, policy)) == oracle
 
     def test_simple_graphs_respect_dimension_bound(self):
         rng = random.Random(19)

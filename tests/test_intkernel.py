@@ -16,8 +16,8 @@ from lyapid._intkernel import (
     int_det,
     int_rank,
     leading_minors_positive,
+    mod_echelon,
     mod_gauss_jordan,
-    mod_rank,
     rank_and_kernel,
     solve_square_int,
 )
@@ -53,6 +53,26 @@ def _dependent_matrices(draw):
 
 def _copy(rows):
     return [row[:] for row in rows]
+
+
+def mod_rank(rows):
+    """The rank over GF(MOD_PRIME)."""
+    return len(mod_echelon(rows)[0])
+
+
+def _bareiss_rank_and_kernel(rows):
+    """The reference: rank and first RREF kernel vector from one Bareiss pass."""
+    rows = _copy(rows)
+    pivot_cols, _ = bareiss_forward(rows)
+    rank, cols = len(pivot_cols), len(rows[0])
+    if rank == cols:
+        return rank, None
+    f = next((c for c, pc in enumerate(pivot_cols) if c != pc), rank)
+    # x[:f] solves the leading f pivot rows, which are upper triangular
+    x = [Fraction(0)] * f + [Fraction(1)] + [Fraction(0)] * (cols - f - 1)
+    for r in range(f - 1, -1, -1):
+        x[r] = -sum(rows[r][j] * x[j] for j in range(r + 1, f + 1)) / rows[r][r]
+    return rank, common_denominator(x)
 
 
 def _rref_kernel_vector(rows):
@@ -104,6 +124,15 @@ class TestModularRank:
         mod_rank(rows)
         assert rows == before
 
+    @settings(max_examples=100, deadline=None)
+    @given(_dependent_matrices())
+    def test_echelon_pivot_rows_are_original_rows(self, rows):
+        pivot_cols, pivot_rows = mod_echelon(rows)
+        assert len(pivot_rows) == len(set(pivot_rows)) == len(pivot_cols)
+        # the pivot rows and columns of the input form a unit minor mod q
+        minor = [[rows[i][c] for c in pivot_cols] for i in pivot_rows]
+        assert int_det(minor) % Q
+
 
 class TestSolveSquareInt:
     def test_matches_reduced_fraction_solution(self):
@@ -133,6 +162,45 @@ class TestSolveSquareInt:
             solve_square_int([[1, 2], [2, 4]], [1, 1])
 
 
+_big = st.integers(-(2**300), 2**300)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Integer matrices with ~300-bit entries, tall and wide, with optional
+    zero first column, zero leading entry and dependent columns."""
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [[draw(_big) for _ in range(nc)] for _ in range(nr)]
+    if draw(st.booleans()):
+        for row in rows:
+            row[0] = 0
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    for _ in range(draw(st.integers(0, 2)) if nc > 1 else 0):
+        target = draw(st.integers(1, nc - 1))
+        coeffs = [draw(st.integers(-(2**40), 2**40)) for _ in range(target)]
+        for row in rows:
+            row[target] = sum(c * x for c, x in zip(coeffs, row))
+    return rows
+
+
+def _forbid_bareiss(monkeypatch):
+    def refuse(rows, limit_cols=None):
+        raise AssertionError("fell back to Bareiss")
+
+    monkeypatch.setattr(_intkernel, "bareiss_forward", refuse)
+
+
+def _dependent_last_column(rng, nr, nc, bits=300, q_offset=0):
+    """Random rows whose last column is a combination of the others, plus
+    q_offset times a random vector."""
+    rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(nc - 1)] for _ in range(nr)]
+    coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(nc - 1)]
+    for row in rows:
+        row.append(sum(c * x for c, x in zip(coeffs, row)) + q_offset * rng.randint(1, 9))
+    return rows
+
+
 class TestRankAndKernel:
     @settings(max_examples=200, deadline=None)
     @given(_dependent_matrices())
@@ -152,6 +220,46 @@ class TestRankAndKernel:
         rank, kernel = rank_and_kernel([[0, 1, -1], [3, 1, 5], [1, 2, 0]])
         assert rank == 2
         assert kernel == ([-2, 1, 1], 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_cases())
+    def test_matches_bareiss_on_300_bit_entries(self, rows):
+        assert rank_and_kernel(_copy(rows)) == _bareiss_rank_and_kernel(rows)
+
+    @pytest.mark.parametrize("nr, nc", [(15, 15), (15, 10), (6, 7), (1, 2), (4, 1)])
+    def test_deficiency_one_is_lifted_without_bareiss(self, monkeypatch, nr, nc):
+        rng = random.Random(nr * 31 + nc)
+        rows = _dependent_last_column(rng, nr, nc)
+        expected = _bareiss_rank_and_kernel(rows)
+        assert expected[0] == nc - 1
+        _forbid_bareiss(monkeypatch)
+        assert rank_and_kernel(_copy(rows)) == expected
+
+    def test_deficiency_two_takes_the_exact_path(self):
+        rng = random.Random(2)
+        rows = _dependent_last_column(rng, 8, 4)
+        for row in rows:
+            row.append(3 * row[0] - row[1])
+        expected = _bareiss_rank_and_kernel(rows)
+        assert expected[0] == 3 and mod_rank(rows) == 3
+        assert rank_and_kernel(_copy(rows)) == expected
+
+    def test_deficient_only_mod_q_falls_back_to_the_exact_rank(self, monkeypatch):
+        # the last column is a combination of the others mod q only, so the
+        # lift runs to its Hadamard bound, finds no kernel vector and falls back
+        rng = random.Random(5)
+        rows = _dependent_last_column(rng, 6, 5, bits=100, q_offset=Q)
+        assert mod_rank(rows) == 4
+        lifts = []
+        lift = _intkernel._lift_kernel
+
+        def counted(*args):
+            lifts.append(lift(*args))
+            return lifts[-1]
+
+        monkeypatch.setattr(_intkernel, "_lift_kernel", counted)
+        assert rank_and_kernel(_copy(rows)) == (5, None) == _bareiss_rank_and_kernel(rows)
+        assert lifts == [None]
 
     def test_holds_with_a_tiny_prime(self, monkeypatch):
         monkeypatch.setattr(_intkernel, "MOD_PRIME", 3)
