@@ -1,22 +1,26 @@
-"""The package's single exact elimination kernel.
+"""The package's single exact elimination kernel, with one loop per arithmetic.
+
+- :func:`bareiss_forward`, fraction-free elimination over the integers:
+  ranks, determinants, square solves and positive definiteness.
+- :func:`mod_echelon`, LU factorization over GF(MOD_PRIME) on int lists:
+  full-rank proofs and the factors of the kernel lift.
+- :func:`mod_gauss_jordan`, Gauss-Jordan over GF(SCREEN_PRIME) on numpy
+  stacks: the sweep's batched screen.
 
 Every rank, determinant and square solve that feeds a verdict runs on rows
 of plain Python ints.  Rational matrices reach it through
 :func:`common_denominator`, which scales values to integers by their lcm
 denominator; rank and solutions are invariant under such row scalings, and
-a determinant only needs the scales divided back out.  Working on ints
-avoids the per-operation gcd normalization of Fractions.
+a determinant only needs the scales divided back out.
 
-:func:`int_rank` first eliminates over GF(q) (:func:`mod_echelon`).
-Reducing mod q maps every minor to its residue, so the rank over GF(q)
-never exceeds the rank over Q; a full rank found mod q is therefore the
-exact rank.  Only a matrix that is deficient mod q -- rank-deficient over
-Q, or unluckily divisible by q -- pays for exact fraction-free (Bareiss)
-elimination in :func:`bareiss_forward`.  :func:`solve_square_int`
-back-substitutes in integers too, using Cramer's rule to keep every
-intermediate integral, and returns a reduced numerator vector over one
-denominator.  :func:`leading_minors_positive` decides positive
-definiteness from the pivots of one such pass.
+:func:`int_rank` first eliminates over GF(q).  Reducing mod q maps every
+minor to its residue, so the rank over GF(q) never exceeds the rank over Q;
+a full rank found mod q is therefore the exact rank.  Only a matrix that is
+deficient mod q -- rank-deficient over Q, or unluckily divisible by q --
+pays for Bareiss.  :func:`solve_square_int` back-substitutes in integers,
+using Cramer's rule to keep every intermediate integral.  Without a row
+exchange the k-th Bareiss pivot is the k-th leading principal minor
+(Sylvester), which is all :func:`leading_minors_positive` needs.
 
 :func:`rank_and_kernel` ranks the same way and, below full column rank,
 returns the first reduced-row-echelon kernel vector x: with f the first
@@ -24,11 +28,11 @@ non-pivot column, x[f] = 1, x[f+1:] = 0 and x[:f] solves the first f
 columns.  When the rank mod q is exactly n - 1 (n columns), f and the rows
 S of the first f pivots come from the mod-q echelon, and x[:f] = y is
 lifted q-adically from B y = -a, B being rows S of columns :f and a rows S
-of column f (Dixon; :func:`_lift_kernel`), then rationally reconstructed
-and checked exactly against every row.  The result is the one Bareiss
-would give:
+of column f (Dixon; :func:`_lift_kernel`, which takes B's LU factors from
+the echelon), then rationally reconstructed and checked exactly against
+every row.  The result is the one Bareiss would give:
 
-- B is upper triangular mod q up to unit row operations, so det B is
+- B = L U mod q with a unit L and no zero on U's diagonal, so det B is
   nonzero mod q and hence over Q: columns :f are independent over Q.
 - The exact check A x = 0 puts column f in their span over Q, so f is
   also the first non-pivot column over Q, and x, the only kernel vector
@@ -44,16 +48,22 @@ to Bareiss like any other deficit mod q.  Any other deficit mod q goes
 there at once: then one Bareiss pass gives both the rank and x, by
 back-substitution against its f-th pivot, +-the leading f x f minor.
 
-:func:`mod_gauss_jordan` is the one numpy routine: Gauss-Jordan over
-GF(SCREEN_PRIME) on a whole stack of same-shape residue matrices at once,
-for callers that bring thousands of small systems (the sweep's screen, see
-``identifiability._classify_batch``).  It proves, never refutes: if the
+:func:`mod_gauss_jordan` eliminates a whole stack of same-shape residue
+matrices at once, for callers that bring thousands of small systems
+(``identifiability._classify_batch``).  It proves, never refutes: if the
 vech Lyapunov system K vech(Sigma) = -vech(C) is nonsingular mod q, its
 determinant -- and so the denominator D of Sigma = N / D -- is a unit mod
 q, and the solution mod q is the reduction of Sigma.  A(Sigma) is linear in
 Sigma, so A(Sigma mod q) is the reduction of A(Sigma), and a full column
 rank mod q is a nonzero minor mod q, hence a nonzero minor over Q.  A zero
-pivot or a deficit mod q proves nothing and goes to the exact path.
+pivot or a deficit mod q proves nothing and goes to the exact path.  It
+stays apart from :func:`mod_echelon` because numpy pays only in bulk: a
+batch of one p = 5 graph costs several times ``classify`` on it, a batch
+of thousands about 0.1 ms a graph.  The caller decides which runs.
+
+The Fraction RREF of ``linalg.solve_linear`` stays outside this kernel: it
+solves the affine systems of ``fiber`` and is the tests' reference for
+kernel vectors.
 """
 
 from __future__ import annotations
@@ -73,17 +83,17 @@ SCREEN_PRIME = 2**31 - 1
 
 
 def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
-    """In-place fraction-free elimination; returns (pivot_cols, sign).
+    """In-place fraction-free elimination; returns (pivot_cols, swaps).
 
-    pivot_cols are the columns in which pivots were found, in order; sign
-    is the parity of the row swaps.  Rows beyond the pivot rows end up zero
+    pivot_cols are the columns in which pivots were found, in order; swaps
+    is the number of row exchanges.  Rows beyond the pivot rows end up zero
     in the first ``limit_cols`` columns.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     stop = nc if limit_cols is None else limit_cols
     prev = 1
-    sign = 1
+    swaps = 0
     pivot_cols: list[int] = []
     r = 0
     for c in range(stop):
@@ -96,7 +106,7 @@ def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
+            swaps += 1
         pc = rows[r][c]
         for i in range(r + 1, nr):
             ric = rows[i][c]
@@ -109,15 +119,20 @@ def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
         r += 1
         if r == nr:
             break
-    return pivot_cols, sign
+    return pivot_cols, swaps
 
 
-def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Row echelon form over GF(MOD_PRIME); ``rows`` is left intact.
+def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int], list[list[int]]]:
+    """LU factorization over GF(MOD_PRIME), with row exchanges; ``rows`` is left intact.
 
-    Returns (pivot_cols, pivot_rows): the columns in which pivots were
-    found, in order, and the original index of each pivot's row.  The
-    number of pivots, the rank mod q, never exceeds the rank over Q.
+    Returns (pivot_cols, pivot_rows, work): the columns in which pivots were
+    found, in order, the original index of each pivot's row, and the work
+    rows.  The number of pivots, the rank mod q, never exceeds the rank over
+    Q.  Each elimination multiplier is stored in the entry it zeroes and
+    travels with its row.  So when the first f pivots sit in columns :f,
+    the top-left f x f block of ``work`` holds L and U with L U = B mod q,
+    B being rows ``pivot_rows[:f]`` of columns :f: U on and above the
+    diagonal, and below it the multipliers of L, whose diagonal is 1.
     """
     q = MOD_PRIME
     work = [[x % q for x in row] for row in rows]
@@ -136,17 +151,19 @@ def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int]]:
             continue
         work[r], work[piv] = work[piv], work[r]
         order[r], order[piv] = order[piv], order[r]
-        tail = work[r][c:]
-        inv = pow(tail[0], -1, q)
+        tail = work[r][c + 1:]
+        inv = pow(work[r][c], -1, q)
         for i in range(r + 1, nr):
-            f = work[i][c] * inv % q
-            if f:
-                work[i][c:] = [(a - f * b) % q for a, b in zip(work[i][c:], tail)]
+            row = work[i]
+            m = row[c] * inv % q
+            if m:
+                row[c] = m
+                row[c + 1:] = [(a - m * b) % q for a, b in zip(row[c + 1:], tail)]
         pivot_cols.append(c)
         r += 1
         if r == nr:
             break
-    return pivot_cols, order[:r]
+    return pivot_cols, order[:r], work
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -169,35 +186,24 @@ def int_det(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    pivot_cols, sign = bareiss_forward(rows)
+    pivot_cols, swaps = bareiss_forward(rows)
     if len(pivot_cols) < n:
         return 0
-    return sign * rows[n - 1][n - 1]
+    return (-1) ** swaps * rows[n - 1][n - 1]
 
 
 def leading_minors_positive(rows: list[list[int]]) -> bool:
     """Whether every leading principal minor of a square integer matrix is positive.
 
-    Fraction-free elimination without row exchanges: while the earlier
-    pivots are nonzero, the k-th pivot is the k-th leading principal minor
-    (Sylvester's identity), so the pass stops at the first pivot that is
-    not positive.  ``rows`` is left intact.
+    While Bareiss exchanges no row, its k-th pivot is the k-th leading
+    principal minor (Sylvester's identity); a zero leading minor forces an
+    exchange or a skipped column.  So the minors are all positive exactly
+    when one pass makes no exchange and finds n positive pivots.  ``rows``
+    is left intact.
     """
     work = [list(row) for row in rows]
-    n = len(work)
-    prev = 1
-    for k in range(n):
-        rk = work[k]
-        pk = rk[k]
-        if pk <= 0:
-            return False
-        for i in range(k + 1, n):
-            ri = work[i]
-            rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
-        prev = pk
-    return True
+    pivot_cols, swaps = bareiss_forward(work)
+    return not swaps and len(pivot_cols) == len(work) and all(work[k][k] > 0 for k in pivot_cols)
 
 
 def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
@@ -294,24 +300,6 @@ def solve_square_int(a_rows: list[list[int]], b: list[int]) -> tuple[list[int], 
     return _reduced(_back_substitute(aug, n, n, d), d)
 
 
-def _inverse_mod_q(rows: list[list[int]], q: int) -> list[list[int]]:
-    """The inverse mod q of a square integer matrix that is a unit mod q."""
-    n = len(rows)
-    work = [[x % q for x in row] + [int(i == j) for j in range(n)]
-            for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if work[i][c])
-        work[c], work[piv] = work[piv], work[c]
-        inv = pow(work[c][c], -1, q)
-        pivot_row = [v * inv % q for v in work[c][c:]]
-        work[c][c:] = pivot_row
-        for i in range(n):
-            f = work[i][c]
-            if f and i != c:
-                work[i][c:] = [(a - f * b) % q for a, b in zip(work[i][c:], pivot_row)]
-    return [row[n:] for row in work]
-
-
 def _rational(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
     """(a, b) with a = b u mod modulus, |a| <= bound and 0 < b <= bound, or None.
 
@@ -353,32 +341,40 @@ def _reconstruct(y: list[int], modulus: int) -> tuple[list[int], int] | None:
     return nums, den
 
 
-def _lift_kernel(rows: list[list[int]], f: int,
-                 basis_rows: list[int]) -> tuple[list[int], int] | None:
+def _lift_kernel(rows: list[list[int]], f: int, basis_rows: list[int],
+                 lu: list[list[int]]) -> tuple[list[int], int] | None:
     """The kernel vector x with x[f] = 1, x[f+1:] = 0, by q-adic lifting, or None.
 
     ``basis_rows`` index f rows whose first f columns form a matrix B that
-    is nonsingular mod q = MOD_PRIME; x[:f] = y solves B y = -a, a being
-    column f of those rows (Dixon, Numer. Math. 40, 1982).  B is inverted
-    mod q once; each step takes one q-adic digit of y from the residual and
-    divides the updated residual by q exactly.  Reconstructions are tried
-    on a schedule that thins out as the lift grows, and one is accepted
-    only if rows x = 0 holds exactly on every row.  Returns None, for the
-    caller to fall back on, once q^k > 2 H^2 without an accepted vector,
-    H^2 being the Hadamard bound on the squared f x f minors of [B | a].
+    is nonsingular mod q = MOD_PRIME, and the top-left f x f block of ``lu``
+    holds its factors L U = B mod q (:func:`mod_echelon`); x[:f] = y solves
+    B y = -a, a being column f of those rows (Dixon, Numer. Math. 40, 1982).
+    Each step takes one q-adic digit of y from the residual, by forward
+    substitution with L and back substitution with U, and divides the
+    updated residual by q exactly.  Reconstructions are tried on a schedule
+    that thins out as the lift grows, and one is accepted only if rows x = 0
+    holds exactly on every row.  Returns None, for the caller to fall back
+    on, once q^k > 2 H^2 without an accepted vector, H^2 being the Hadamard
+    bound on the squared f x f minors of [B | a].
     """
     q = MOD_PRIME
     b_mat = [rows[i][:f] for i in basis_rows]
     residual = [-rows[i][f] for i in basis_rows]
-    inverse = _inverse_mod_q(b_mat, q)
+    lower = [row[:k] for k, row in enumerate(lu[:f])]
+    upper = [row[k + 1:f] for k, row in enumerate(lu[:f])]
+    pivot_inv = [pow(lu[k][k], -1, q) for k in range(f)]
     hadamard_sq = math.prod(sum(v * v for v in rows[i][:f + 1]) for i in basis_rows)
     y = [0] * f
     modulus = 1
     steps = 0
     next_try = 1
     while True:
-        residual_mod = [v % q for v in residual]
-        digit = [sum(map(mul, row, residual_mod)) % q for row in inverse]
+        z: list[int] = []
+        for low, v in zip(lower, residual):
+            z.append((v - sum(map(mul, low, z))) % q)
+        digit = [0] * f
+        for k in range(f - 1, -1, -1):
+            digit[k] = (z[k] - sum(map(mul, upper[k], digit[k + 1:]))) * pivot_inv[k] % q
         y = [v + modulus * d for v, d in zip(y, digit)]
         modulus *= q
         residual = [(v - sum(map(mul, b_row, digit))) // q
@@ -411,12 +407,12 @@ def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] |
     if not rows or not rows[0]:
         return 0, None
     cols = len(rows[0])
-    modular_cols, modular_rows = mod_echelon(rows)
+    modular_cols, modular_rows, lu = mod_echelon(rows)
     if len(modular_cols) == cols:
         return cols, None
     if len(modular_cols) == cols - 1:
         f = next((c for c, pc in enumerate(modular_cols) if c != pc), cols - 1)
-        kernel = _lift_kernel(rows, f, modular_rows[:f])
+        kernel = _lift_kernel(rows, f, modular_rows[:f], lu)
         if kernel is not None:
             return cols - 1, kernel
     pivot_cols, _ = bareiss_forward(rows)

@@ -146,6 +146,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_props(args) -> int:
+    if args.trials < 1:
+        raise _CliError(EXIT_PRECONDITION, f"trials must be >= 1, got {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [run_suite(name, trials=args.trials, seed=args.seed) for name in names]
     print(json.dumps([r.to_json() for r in results], indent=2))

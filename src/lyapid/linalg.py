@@ -13,6 +13,7 @@ so clarity wins over asymptotics everywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -425,10 +426,11 @@ def parse_matrix_csv(text: str) -> RatMatrix:
         cells = []
         for cell in line.split(","):
             token = cell.strip()
-            try:
-                cells.append(Fraction(token))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"line {lineno}: bad rational literal {token!r}") from exc
+            # Only "n" or "n/d" with d > 0: Fraction alone also takes decimals
+            # and exponents, and "1e999999999" would never finish.
+            if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", token):
+                raise ValueError(f"line {lineno}: bad rational literal {token!r}")
+            cells.append(Fraction(token))
         rows.append(cells)
     if not rows:
         raise ValueError("empty matrix")

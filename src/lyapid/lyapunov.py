@@ -159,38 +159,16 @@ class FiberResult:
 # ---------------------------------------------------------------------------
 
 
-# Each matrix has one builder (``_kron_sum_rows``, ``_a_rows``, ``_h_rows``)
-# from nested rows to nested rows, generic over the exact scalar: ``int``
-# numerators on the sampling path, ``Fraction`` entries behind the public
-# ``RatMatrix`` adapters.  Sigma itself is solved from the smaller vech
-# system of :func:`_solve_sigma_scaled`, so ``_kron_sum_rows`` backs only
-# the public :func:`kronecker_sum`.
+# Each matrix has one builder (``_a_rows``, ``_h_rows``) from nested rows to
+# nested rows, generic over the exact scalar: ``int`` numerators on the
+# sampling path, ``Fraction`` entries behind the public ``RatMatrix``
+# adapters.  Sigma itself is solved from the vech system of
+# :func:`_solve_sigma_scaled`; the full Kronecker-sum system only cross-checks
+# it (``properties.kronecker_sum``).
 
 
 def _flat(rows: list[list]) -> list:
     return [x for row in rows for x in row]
-
-
-def _kron_sum_rows(m_rows: list[list]) -> list[list]:
-    """Rows of I (x) M + M (x) I in vec ordering."""
-    p = len(m_rows)
-    n = p * p
-    rows = [[0] * n for _ in range(n)]
-    for c in range(p):
-        base = c * p
-        for r in range(p):
-            row = rows[base + r]
-            for r2 in range(p):
-                row[base + r2] += m_rows[r][r2]
-            for c2 in range(p):
-                row[c2 * p + r] += m_rows[c][c2]
-    return rows
-
-
-def kronecker_sum(m: RatMatrix) -> RatMatrix:
-    """I_p (x) M + M (x) I_p, the coefficient matrix of vec(Sigma)."""
-    n = m.rows * m.rows
-    return RatMatrix(n, n, _flat(_kron_sum_rows(m.to_lists())))
 
 
 @functools.lru_cache(maxsize=None)

@@ -194,9 +194,10 @@ def run_sweep(
     started = time.perf_counter()
     graphs = list(enumerate_candidates(p, policy))
     items = [(tuple(sorted(g.offdiag_edges)), derive_graph_seed(seed, g)) for g in graphs]
-    if jobs > 1 and len(items) > 1:
-        shards = [(p, trials, bound, items[k::jobs]) for k in range(jobs)]
-        with multiprocessing.Pool(processes=jobs) as pool:
+    workers = min(jobs, len(items))
+    if workers > 1:
+        shards = [(p, trials, bound, items[k::workers]) for k in range(workers)]
+        with multiprocessing.Pool(processes=workers) as pool:
             rows = [row for part in pool.map(_classify_shard, shards, chunksize=1)
                     for row in part]
     else:

@@ -42,6 +42,8 @@ BAD_SAMPLING_ARGS = [
     ["sweep", "--p", "3", "--trials", "0"],
     ["sweep", "--p", "3", "--bound", "0"],
     ["sweep", "--p", "3", "--jobs", "0"],
+    ["props", "--suite", "cycle3", "--trials", "0"],
+    ["props", "--suite", "cycle3", "--trials", "-3"],
 ]
 
 
@@ -80,6 +82,14 @@ class TestSolve:
         drift = _write(workdir / "m.csv", "nonsense\n")
         vol = _write(workdir / "c.csv", "2\n")
         assert main(["solve", "--drift", drift, "--vol", vol]) == 1
+
+    @pytest.mark.parametrize("cell", ["1e400", "0.5", "1_0"])
+    def test_literal_outside_the_grammar_exit_1(self, workdir, capsys, cell):
+        drift = _write(workdir / "m.csv", f"{cell}\n")
+        vol = _write(workdir / "c.csv", "2\n")
+        assert main(["solve", "--drift", drift, "--vol", vol]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad rational literal" in err, err
 
     def test_missing_file_exit_1(self, workdir):
         vol = _write(workdir / "c.csv", "2\n")

@@ -127,11 +127,24 @@ class TestModularRank:
     @settings(max_examples=100, deadline=None)
     @given(_dependent_matrices())
     def test_echelon_pivot_rows_are_original_rows(self, rows):
-        pivot_cols, pivot_rows = mod_echelon(rows)
+        pivot_cols, pivot_rows, _ = mod_echelon(rows)
         assert len(pivot_rows) == len(set(pivot_rows)) == len(pivot_cols)
         # the pivot rows and columns of the input form a unit minor mod q
         minor = [[rows[i][c] for c in pivot_cols] for i in pivot_rows]
         assert int_det(minor) % Q
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dependent_matrices())
+    def test_echelon_factors_multiply_back_to_the_pivot_rows(self, rows):
+        pivot_cols, pivot_rows, work = mod_echelon(rows)
+        # f: the first non-pivot column, or the rank if the pivots fill :rank
+        f = next((c for c, pc in enumerate(pivot_cols) if c != pc), len(pivot_cols))
+        lower = [[work[i][k] if k < i else int(k == i) for k in range(f)] for i in range(f)]
+        upper = [[work[k][j] if j >= k else 0 for j in range(f)] for k in range(f)]
+        product = [[sum(lower[i][k] * upper[k][j] for k in range(f)) % Q for j in range(f)]
+                   for i in range(f)]
+        assert product == [[rows[i][j] % Q for j in range(f)] for i in pivot_rows[:f]]
+        assert all(upper[k][k] for k in range(f))
 
 
 class TestSolveSquareInt:

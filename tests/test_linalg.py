@@ -363,3 +363,11 @@ class TestCsvFormat:
     def test_reject_zero_denominator(self):
         with pytest.raises(ValueError):
             parse_matrix_csv("1/0\n")
+
+    @pytest.mark.parametrize("cell", ["1e400", "0.5", "1_0", "1/-2", "1/00", "\u0663"])
+    def test_only_integers_and_integer_ratios(self, cell):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_matrix_csv(f"1,{cell}\n")
+
+    def test_signs_and_padding(self):
+        assert parse_matrix_csv(" +3/04 , -0 \n").to_lists() == [[Fraction(3, 4), 0]]

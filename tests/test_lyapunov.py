@@ -26,7 +26,6 @@ from lyapid.lyapunov import (
     build_H,
     is_stable,
     fiber,
-    kronecker_sum,
     restrict_A,
     restrict_H,
     sample_stable_drift,
@@ -35,6 +34,7 @@ from lyapid.lyapunov import (
 )
 from lyapid.properties import (
     atilde,
+    kronecker_sum,
     build_A_product,
     complete_graph,
     random_pd_matrix,

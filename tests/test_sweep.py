@@ -37,6 +37,38 @@ def test_screened_sweep_matches_the_exact_path(monkeypatch, p, kwargs):
     assert screened.canonical_bytes() == _exact_sweep(monkeypatch, p, **kwargs).canonical_bytes()
 
 
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in process."""
+
+    def __init__(self, sizes, shards, processes):
+        sizes.append(processes)
+        self.shards = shards
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, shards, chunksize=1):
+        self.shards.extend(shards)
+        return [func(shard) for shard in shards]
+
+
+@pytest.mark.parametrize("p, jobs, workers", [(3, 5, 2), (3, 64, 2), (4, 3, 3), (3, 1, None)])
+def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
+    sizes, shards = [], []
+    monkeypatch.setattr(
+        sweep.multiprocessing, "Pool",
+        lambda processes: _SerialPool(sizes, shards, processes),
+    )
+    report = sweep.run_sweep(p, jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert len(shards) == (workers or 0) and all(shard[3] for shard in shards)
+    monkeypatch.undo()
+    assert report.canonical_bytes() == sweep.run_sweep(p).canonical_bytes()
+
+
 def test_satisfies_eq9_is_the_trek_criterion():
     report = sweep.run_sweep(4)
     assert [row.satisfies_eq9 for row in report.rows] == [
