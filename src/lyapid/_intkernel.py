@@ -4,8 +4,8 @@
   ranks, determinants, square solves and positive definiteness.
 - :func:`mod_echelon`, LU factorization over GF(MOD_PRIME) on int lists:
   full-rank proofs and the factors of the kernel lift.
-- :func:`mod_gauss_jordan`, Gauss-Jordan over GF(SCREEN_PRIME) on numpy
-  stacks: the sweep's batched screen.
+- :func:`mod_gauss`, forward Gaussian elimination over GF(SCREEN_PRIME) on
+  numpy stacks: the sweep's batched screen.
 
 Every rank, determinant and square solve that feeds a verdict runs on rows
 of plain Python ints.  Rational matrices reach it through
@@ -48,18 +48,21 @@ to Bareiss like any other deficit mod q.  Any other deficit mod q goes
 there at once: then one Bareiss pass gives both the rank and x, by
 back-substitution against its f-th pivot, +-the leading f x f minor.
 
-:func:`mod_gauss_jordan` eliminates a whole stack of same-shape residue
-matrices at once, for callers that bring thousands of small systems
-(``identifiability._classify_batch``).  It proves, never refutes: if the
-vech Lyapunov system K vech(Sigma) = -vech(C) is nonsingular mod q, its
-determinant -- and so the denominator D of Sigma = N / D -- is a unit mod
-q, and the solution mod q is the reduction of Sigma.  A(Sigma) is linear in
-Sigma, so A(Sigma mod q) is the reduction of A(Sigma), and a full column
-rank mod q is a nonzero minor mod q, hence a nonzero minor over Q.  A zero
-pivot or a deficit mod q proves nothing and goes to the exact path.  It
-stays apart from :func:`mod_echelon` because numpy pays only in bulk: a
-batch of one p = 5 graph costs several times ``classify`` on it, a batch
-of thousands about 0.1 ms a graph.  The caller decides which runs.
+:func:`mod_gauss` eliminates a whole stack of same-shape residue matrices
+at once, for callers that bring thousands of small systems
+(``identifiability._classify_batch``).  The screen needs only a full-rank
+flag per matrix and, for the vech systems, one solved column, so the
+elimination runs forward only and back-substitutes just that column.  It
+proves, never refutes: if the vech Lyapunov system K vech(Sigma) = -vech(C)
+is nonsingular mod q, its determinant -- and so the denominator D of
+Sigma = N / D -- is a unit mod q, and the solution mod q is the reduction
+of Sigma.  A(Sigma) is linear in Sigma, so A(Sigma mod q) is the reduction
+of A(Sigma), and a full column rank mod q is a nonzero minor mod q, hence a
+nonzero minor over Q.  A zero pivot or a deficit mod q proves nothing and
+goes to the exact path.  It stays apart from :func:`mod_echelon` because
+numpy pays only in bulk: a batch of one p = 5 graph costs several times
+``classify`` on it, a batch of thousands about 0.1 ms a graph.  The caller
+decides which runs.
 
 The Fraction RREF of ``linalg.solve_linear`` stays outside this kernel: it
 solves the affine systems of ``fiber`` and is the tests' reference for
@@ -77,7 +80,7 @@ import numpy as np
 # tiny prime to force the exact fallback.
 MOD_PRIME = 2**61 - 1
 
-# The Mersenne prime 2^31 - 1 of :func:`mod_gauss_jordan`: the product of
+# The Mersenne prime 2^31 - 1 of :func:`mod_gauss`: the product of
 # two residues fits in an int64.  Read at call time, like MOD_PRIME.
 SCREEN_PRIME = 2**31 - 1
 
@@ -219,27 +222,30 @@ def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
     return result
 
 
-def mod_gauss_jordan(stack: np.ndarray, limit_cols: int | None = None):
-    """Gauss-Jordan over GF(SCREEN_PRIME) on a stack of same-shape matrices.
+def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
+    """Gaussian elimination over GF(SCREEN_PRIME) on a stack of same-shape matrices.
 
     ``stack`` is a (batch, rows, cols) int64 array of residues in [0, q);
     the caller reduces its entries mod q, in Python for entries that may
     not fit in 64 bits.  Column c of every matrix is eliminated at row c,
     after a swap that brings up the first row at or below c that is nonzero
-    there.  Returns (full, reduced): ``full[k]`` says that each of the first
+    there; the pivot row is normalised and only the rows below it are
+    updated.  Returns (full, work): ``full[k]`` says that each of the first
     ``limit_cols`` columns (all by default) of matrix k got a pivot, i.e.
-    they have full column rank mod q.  Then ``reduced[k]`` holds the
-    identity in those columns, so for an augmented system [K | b] its
-    column ``limit_cols`` is K^-1 b mod q.  Where ``full[k]`` is False only
-    the flag is meaningful.
+    they have full column rank mod q.  Then the columns from
+    ``limit_cols`` on are back-substituted, so for an augmented system
+    [K | b] rows :limit_cols of column ``limit_cols`` of ``work[k]`` are
+    K^-1 b mod q.  Where ``full[k]`` is False only the flag is meaningful.
     """
     q = SCREEN_PRIME
     work = np.array(stack, dtype=np.int64)
     batch, nr, nc = work.shape
     stop = nc if limit_cols is None else limit_cols
     full = np.full(batch, stop <= nr)
+    if stop > nr:
+        return full, work
     at = np.arange(batch)
-    for c in range(min(stop, nr)):
+    for c in range(stop):
         nonzero = work[:, c:, c] != 0
         full &= nonzero.any(axis=1)
         piv = c + nonzero.argmax(axis=1)
@@ -248,10 +254,17 @@ def mod_gauss_jordan(stack: np.ndarray, limit_cols: int | None = None):
         work[at, piv] = row_c
         pivot_row = work[:, c, c:] * _inverse_mod(work[:, c, c], q)[:, None] % q
         work[:, c, c:] = pivot_row
-        factors = work[:, :, c].copy()
-        factors[:, c] = 0
         # Each product is below q^2 < 2^62, so the difference fits in int64.
-        work[:, :, c:] = (work[:, :, c:] - factors[:, :, None] * pivot_row[:, None, :]) % q
+        below = work[:, c + 1:, c:]
+        below -= below[:, :, :1] * pivot_row[:, None, :]
+        below %= q
+    if nc > stop:
+        # Unit upper-triangular back-substitution.  Each product is reduced
+        # before the sum: three unreduced ones, near q^2 = 2^62 each,
+        # overflow int64.
+        for r in range(stop - 2, -1, -1):
+            products = work[:, r, r + 1:stop, None] * work[:, r + 1:stop, stop:] % q
+            work[:, r, stop:] = (work[:, r, stop:] - products.sum(axis=1)) % q
     return full, work
 
 

@@ -121,11 +121,28 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _report_json(report: dict) -> str:
+    """The sweep report as JSON: the header fields, then one row per line.
+
+    Every piece goes through the C encoder (``indent`` would force the
+    pure-Python one), and the text loads back to ``report``.
+    """
+    header = {k: v for k, v in report.items() if k != "rows"}
+    rows = ",\n".join(map(json.dumps, report["rows"]))
+    return f'{json.dumps(header)[:-1]}, "rows": [\n{rows}\n]}}'
+
+
 def _cmd_sweep(args) -> int:
     if not 3 <= args.p <= 5:
         raise _CliError(EXIT_PRECONDITION, "sweep supports 3 <= p <= 5")
     if args.jobs < 1:
         raise _CliError(EXIT_PRECONDITION, f"jobs must be >= 1, got {args.jobs}")
+    # p self-loops plus one 2-cycle is the smallest non-simple graph.
+    if args.max_edges is not None and args.max_edges < args.p + 2:
+        raise _CliError(
+            EXIT_PRECONDITION,
+            f"max-edges must be >= p + 2 = {args.p + 2}, got {args.max_edges}",
+        )
     _classify_config(args)  # rejects bad --trials / --bound before any work
     policy = EnumPolicy(max_edges=args.max_edges, connectivity=args.connectivity)
     report = run_sweep(
@@ -136,7 +153,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
-    payload = json.dumps(report.to_json(), indent=2)
+    payload = _report_json(report.to_json())
     if args.out:
         Path(args.out).write_text(payload + "\n")
     else:

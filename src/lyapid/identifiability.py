@@ -521,9 +521,10 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
     systems = np.empty((len(drifts), n, n + 1), dtype=np.int64)
     systems[:, :, :n] = (drift_mod @ k_table).reshape(-1, n, n) % q
     systems[:, :, n] = [b % q for b in rhs]
-    solved, reduced = _intkernel.mod_gauss_jordan(systems, limit_cols=n)
+    solved, reduced = _intkernel.mod_gauss(systems, limit_cols=n)
     ok = np.flatnonzero(solved)
-    a_full = (reduced[ok, :, n] @ a_table).reshape(-1, n, p * p) % q
+    a_full = (reduced[ok, :, n] @ a_table).reshape(-1, n, p * p)
+    a_full %= q
     cols = [[(i - 1) * p + (j - 1) for (i, j) in graphs[k].edge_index()] for k in ok.tolist()]
     by_size: dict[int, list[int]] = defaultdict(list)
     for pos, c in enumerate(cols):
@@ -532,7 +533,7 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
     for members in by_size.values():
         picked = np.array([cols[pos] for pos in members], dtype=np.int64)
         stack = np.take_along_axis(a_full[members], picked[:, None, :], axis=2)
-        proved[ok[members]] = _intkernel.mod_gauss_jordan(stack)[0]
+        proved[ok[members]] = _intkernel.mod_gauss(stack)[0]
     return proved.tolist()
 
 

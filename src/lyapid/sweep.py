@@ -20,6 +20,7 @@ canonical bytes are those of ``classify`` by construction.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -157,12 +158,12 @@ def _classify_shard(shard) -> list[SweepRow]:
     elapsed: list[float] = []
     verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), cfgs, elapsed)
     rows = []
-    for g, verdict, elapsed_ms in zip(graphs, verdicts, elapsed):
+    for (edges, _), g, verdict, elapsed_ms in zip(items, graphs, verdicts, elapsed):
         drift, sigma = _row_witness(verdict)
         kind = verdict.certificate.kind
         rows.append(SweepRow(
             p=p,
-            edges=tuple(sorted(g.offdiag_edges)),
+            edges=edges,
             num_edges=g.num_edges,
             classification=verdict.classification,
             certificate_kind=kind,
@@ -197,7 +198,18 @@ def run_sweep(
     workers = min(jobs, len(items))
     if workers > 1:
         shards = [(p, trials, bound, items[k::workers]) for k in range(workers)]
-        with multiprocessing.Pool(processes=workers) as pool:
+        # Frozen objects are never walked by the collector, so the forked
+        # workers neither scan the heap they inherit nor copy its pages on
+        # write.  A caller that froze its own heap keeps that freeze as it is.
+        thaw = not gc.get_freeze_count()
+        if thaw:
+            gc.freeze()
+        try:
+            pool = multiprocessing.Pool(processes=workers)
+        finally:
+            if thaw:
+                gc.unfreeze()
+        with pool:
             rows = [row for part in pool.map(_classify_shard, shards, chunksize=1)
                     for row in part]
     else:

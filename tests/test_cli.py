@@ -202,6 +202,33 @@ class TestSweepCommand:
     def test_p_out_of_range_exit_2(self):
         assert main(["sweep", "--p", "6"]) == 2
 
+    # p self-loops and one 2-cycle need p + 2 = 5 edges at p = 3.
+    @pytest.mark.parametrize("max_edges", ["-5", "0", "4"])
+    def test_impossible_max_edges_exit_2(self, capsys, max_edges):
+        assert main(["sweep", "--p", "3", "--max-edges", max_edges]) == 2
+        _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_report_has_one_row_per_line(self, workdir, capsys, to_file):
+        from lyapid.sweep import run_sweep
+
+        def untimed(report):
+            report.pop("wall_seconds")
+            for row in report["rows"]:
+                row.pop("elapsed_ms")
+            return report
+
+        out = workdir / "report.json"
+        argv = ["sweep", "--p", "4", "--seed", "5", "--trials", "3", "--jobs", "2"]
+        assert main(argv + ["--out", str(out)] if to_file else argv) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        expected = untimed(run_sweep(4, seed=5, trials=3).to_json())
+        assert untimed(json.loads(text)) == expected
+        lines = text.splitlines()
+        row_lines = [line for line in lines if line.startswith('{"p": 4, "edges"')]
+        assert len(row_lines) == len(expected["rows"]) == 80
+        assert len(lines) == len(row_lines) + 2
+
     def test_report_byte_reproducible_modulo_timing(self, workdir):
         from lyapid.sweep import run_sweep
 

@@ -1,5 +1,7 @@
 """The sweep's sharded, screened batches against the per-graph exact path."""
 
+import gc
+
 import pytest
 
 from lyapid import sweep
@@ -67,6 +69,18 @@ def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
     assert len(shards) == (workers or 0) and all(shard[3] for shard in shards)
     monkeypatch.undo()
     assert report.canonical_bytes() == sweep.run_sweep(p).canonical_bytes()
+
+
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_parallel_sweep_leaves_the_gc_freeze_count_unchanged(caller_froze):
+    if caller_froze:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        sweep.run_sweep(4, jobs=2)
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
 
 
 def test_satisfies_eq9_is_the_trek_criterion():
