@@ -50,19 +50,44 @@ back-substitution against its f-th pivot, +-the leading f x f minor.
 
 :func:`mod_gauss` eliminates a whole stack of same-shape residue matrices
 at once, for callers that bring thousands of small systems
-(``identifiability._classify_batch``).  The screen needs only a full-rank
-flag per matrix and, for the vech systems, one solved column, so the
-elimination runs forward only and back-substitutes just that column.  It
-proves, never refutes: if the vech Lyapunov system K vech(Sigma) = -vech(C)
-is nonsingular mod q, its determinant -- and so the denominator D of
-Sigma = N / D -- is a unit mod q, and the solution mod q is the reduction
-of Sigma.  A(Sigma) is linear in Sigma, so A(Sigma mod q) is the reduction
-of A(Sigma), and a full column rank mod q is a nonzero minor mod q, hence a
-nonzero minor over Q.  A zero pivot or a deficit mod q proves nothing and
-goes to the exact path.  It stays apart from :func:`mod_echelon` because
-numpy pays only in bulk: a batch of one p = 5 graph costs several times
-``classify`` on it, a batch of thousands about 0.1 ms a graph.  The caller
-decides which runs.
+(``identifiability._classify_batch``).  The stack is batch-last, so each
+row operation runs over contiguous memory.  The screen needs only a
+full-rank flag per matrix and, for the vech systems, one solved column, so
+the elimination runs forward only and back-substitutes just that column.
+It proves, never refutes: if the vech Lyapunov system
+K vech(Sigma) = -vech(C) is nonsingular mod q, its determinant -- and so
+the denominator D of Sigma = N / D -- is a unit mod q, and the solution
+mod q is the reduction of Sigma.  H(Sigma) (below) is linear in Sigma, so
+H(Sigma mod q) is the reduction of H(Sigma), and a full column rank of its
+non-edge rows mod q is a nonzero minor mod q, hence a nonzero minor over
+Q: A(Sigma)_E has full column rank.  A zero pivot or a deficit mod q proves
+nothing and goes to the exact path.  It stays apart from
+:func:`mod_echelon` because numpy pays only in bulk: a batch of one p = 5
+graph costs several times ``classify`` on it, a batch of thousands about
+0.1 ms a graph.  The caller decides which runs.
+
+Every rank test of the identifiability question -- does A(Sigma)_E, the
+columns of A(Sigma) for the edge set E, have full column rank |E|? -- is
+decided on the kernel basis H(Sigma) restricted to the non-edges, which is
+smaller (at p = 5, (25 - |E|) x 10 against 15 x |E|):
+
+- Column (k, l) of H(Sigma) is vec(Sigma K) for a skew K, so
+  A(Sigma) H(Sigma) = 0.  At an invertible Sigma, A(Sigma) maps onto the
+  symmetric matrices, so its kernel has dimension m = p(p-1)/2 and is
+  exactly the column span of H(Sigma).
+- Take x supported on E.  Then A x = 0 exactly when x = H c with
+  H_nonE c = 0.  Hence rank A_E = |E| - m + rank H_nonE, and A_E has full
+  column rank exactly when H_nonE has full column rank m.
+- When rank H_nonE = m - 1, the kernel of A_E is one-dimensional and
+  spanned by x = H_E c, c the kernel vector of H_nonE.  x divided by its
+  last nonzero entry is the first reduced-row-echelon kernel vector of
+  A_E, the one :func:`rank_and_kernel` returns for A_E.
+
+So a one-dimensional kernel costs one :func:`rank_and_kernel` on H_nonE and
+one product.  At a kernel of dimension two or more the span of the H_E c
+does not single out A_E's first RREF vector without an echelon of A_E, so
+the caller ranks A_E itself; it does so too when H_nonE has no rows (the
+complete graph).
 
 The Fraction RREF of ``linalg.solve_linear`` stays outside this kernel: it
 solves the affine systems of ``fiber`` and is the tests' reference for
@@ -225,46 +250,53 @@ def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
 def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
     """Gaussian elimination over GF(SCREEN_PRIME) on a stack of same-shape matrices.
 
-    ``stack`` is a (batch, rows, cols) int64 array of residues in [0, q);
-    the caller reduces its entries mod q, in Python for entries that may
-    not fit in 64 bits.  Column c of every matrix is eliminated at row c,
-    after a swap that brings up the first row at or below c that is nonzero
-    there; the pivot row is normalised and only the rows below it are
-    updated.  Returns (full, work): ``full[k]`` says that each of the first
-    ``limit_cols`` columns (all by default) of matrix k got a pivot, i.e.
-    they have full column rank mod q.  Then the columns from
-    ``limit_cols`` on are back-substituted, so for an augmented system
-    [K | b] rows :limit_cols of column ``limit_cols`` of ``work[k]`` are
-    K^-1 b mod q.  Where ``full[k]`` is False only the flag is meaningful.
+    ``stack`` is a (rows, cols, batch) int64 array of residues in [0, q):
+    matrix k is ``stack[:, :, k]``, so each row operation runs over
+    contiguous memory.  The caller reduces the entries mod q, in Python for
+    entries that may not fit in 64 bits.  Column c of every matrix is
+    eliminated at row c, after a swap that brings up the first row at or
+    below c that is nonzero there; the pivot row is normalised and only the
+    rows below it are updated.  Returns (full, work): ``full[k]`` says that
+    each of the first ``limit_cols`` columns (all by default) of matrix k
+    got a pivot, i.e. they have full column rank mod q.  Then the columns
+    from ``limit_cols`` on are back-substituted, so for an augmented system
+    [K | b] rows :limit_cols of column ``limit_cols`` of ``work[:, :, k]``
+    are K^-1 b mod q.  Where ``full[k]`` is False only the flag is
+    meaningful.
     """
     q = SCREEN_PRIME
     work = np.array(stack, dtype=np.int64)
-    batch, nr, nc = work.shape
+    nr, nc, batch = work.shape
     stop = nc if limit_cols is None else limit_cols
     full = np.full(batch, stop <= nr)
     if stop > nr:
         return full, work
-    at = np.arange(batch)
     for c in range(stop):
-        nonzero = work[:, c:, c] != 0
-        full &= nonzero.any(axis=1)
-        piv = c + nonzero.argmax(axis=1)
-        row_c = work[at, c]
-        work[at, c] = work[at, piv]
-        work[at, piv] = row_c
-        pivot_row = work[:, c, c:] * _inverse_mod(work[:, c, c], q)[:, None] % q
-        work[:, c, c:] = pivot_row
+        nonzero = work[c:, c] != 0
+        full &= nonzero.any(axis=0)
+        # Rows above c are final and every row at or below c is zero left of
+        # column c, so a swap need only move columns c: of the few matrices
+        # whose pivot is not already in place.
+        swap = np.flatnonzero(~nonzero[0])
+        if swap.size:
+            piv = c + nonzero[:, swap].argmax(axis=0)
+            pivot_rows = work[piv, c:, swap]
+            work[piv, c:, swap] = work[c, c:, swap]
+            work[c, c:, swap] = pivot_rows
+        pivot_row = work[c, c:]
+        pivot_row *= _inverse_mod(work[c, c], q)
+        pivot_row %= q
         # Each product is below q^2 < 2^62, so the difference fits in int64.
-        below = work[:, c + 1:, c:]
-        below -= below[:, :, :1] * pivot_row[:, None, :]
+        below = work[c + 1:, c:]
+        below -= below[:, :1] * pivot_row
         below %= q
     if nc > stop:
         # Unit upper-triangular back-substitution.  Each product is reduced
         # before the sum: three unreduced ones, near q^2 = 2^62 each,
         # overflow int64.
         for r in range(stop - 2, -1, -1):
-            products = work[:, r, r + 1:stop, None] * work[:, r + 1:stop, stop:] % q
-            work[:, r, stop:] = (work[:, r, stop:] - products.sum(axis=1)) % q
+            products = work[r, r + 1:stop, None] * work[r + 1:stop, stop:] % q
+            work[r, stop:] = (work[r, stop:] - products.sum(axis=0)) % q
     return full, work
 
 

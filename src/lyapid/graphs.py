@@ -138,27 +138,36 @@ def is_dag(g: DiGraph) -> bool:
     return seen == g.p
 
 
+def _ancestor_masks(g: DiGraph) -> list[int]:
+    """Reflexive ancestor bitmasks: bit v - 1 of ``masks[w - 1]`` is set iff
+    v is an ancestor of w (see :func:`ancestor_sets`).
+
+    The transitive closure of the parent masks, one pivot node at a time
+    (Warshall).
+    """
+    p = g.p
+    masks = [1 << v for v in range(p)]
+    for (i, j) in g.edges:
+        masks[j - 1] |= 1 << (i - 1)
+    for k in range(p):
+        bit = 1 << k
+        through = masks[k]
+        for w in range(p):
+            if masks[w] & bit:
+                masks[w] |= through
+    return masks
+
+
 def ancestor_sets(g: DiGraph) -> dict[int, set[int]]:
     """Reflexive ancestor sets over the off-diagonal edge relation.
 
     ``v in ancestor_sets(g)[w]`` iff there is a directed path (possibly
     trivial) from v to w that uses no self-loops.
     """
-    parents: dict[int, list[int]] = {v: [] for v in range(1, g.p + 1)}
-    for (i, j) in g.offdiag_edges:
-        parents[j].append(i)
-    anc = {}
-    for v in range(1, g.p + 1):
-        reached = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in parents[u]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        anc[v] = reached
-    return anc
+    return {
+        w: {v for v in range(1, g.p + 1) if mask >> (v - 1) & 1}
+        for w, mask in enumerate(_ancestor_masks(g), start=1)
+    }
 
 
 def has_trek(g: DiGraph, i: int, j: int) -> bool:
@@ -169,19 +178,14 @@ def has_trek(g: DiGraph, i: int, j: int) -> bool:
     """
     if not (1 <= i <= g.p and 1 <= j <= g.p):
         raise ValueError(f"nodes must lie in 1..{g.p}")
-    anc = ancestor_sets(g)
-    return bool(anc[i] & anc[j])
+    masks = _ancestor_masks(g)
+    return bool(masks[i - 1] & masks[j - 1])
 
 
 def no_trek_pairs(g: DiGraph) -> int:
     """Number of unordered pairs {i, j}, i != j, with no trek between them."""
-    anc = ancestor_sets(g)
-    count = 0
-    for i in range(1, g.p + 1):
-        for j in range(i + 1, g.p + 1):
-            if not (anc[i] & anc[j]):
-                count += 1
-    return count
+    masks = _ancestor_masks(g)
+    return sum(not a & b for i, a in enumerate(masks) for b in masks[i + 1:])
 
 
 def necessary_criterion(g: DiGraph) -> bool:

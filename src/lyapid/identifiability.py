@@ -18,6 +18,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -252,21 +253,39 @@ def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility,
     ``volatility`` is (integer C rows, scale); the rank is that of the
     restricted H (kernel route) or A at Sigma.  A sample below the target
     rank carries an edge-indexed nonzero vector in the kernel of the
-    restricted A at Sigma.
+    restricted A at Sigma.  Both routes rank H(N) on the non-edges, Sigma
+    being N / den: rank A_E = |E| - p(p-1)/2 + rank H_nonE, and at a
+    one-dimensional kernel the kernel vector of A_E comes from that of
+    H_nonE (see ``_intkernel``).  A(N)_E itself is ranked only when H_nonE
+    has no rows or A_E's kernel has dimension two or more.
     """
     p = g.p
     n_mat, den = _solve_sigma_scaled(m_rows, volatility[0], p)
-    if use_kernel:
-        achieved = _intkernel.int_rank(_h_rows(n_mat, g.non_edges()))
-        kernel = None
-        if achieved < p * (p - 1) // 2:
-            # A is linear in Sigma = N / den, so A(N) has the kernel of A(Sigma)
-            _, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
+    skew = p * (p - 1) // 2
+    h_nonedge = _h_rows(n_mat, g.non_edges())
+    h_rank, c = _intkernel.rank_and_kernel(h_nonedge)
+    if h_nonedge and h_rank >= skew - 1:
+        rank = g.num_edges - skew + h_rank
+        kernel = None if c is None else _kernel_from_h(n_mat, g, c)
     else:
-        achieved, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
+        rank, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
+    achieved = h_rank if use_kernel else rank
     kernel_vec = () if kernel is None else tuple(Fraction(v, kernel[1]) for v in kernel[0])
     return RankSample(tuple(map(tuple, m_rows)), volatility, achieved, kernel_vec,
                       solved=(n_mat, den))
+
+
+def _kernel_from_h(n_mat: list[list[int]], g: DiGraph,
+                   c: tuple[list[int], int]) -> tuple[list[int], int]:
+    """The first RREF kernel vector of A(N)_E, from the kernel vector c of H(N)_nonE.
+
+    Valid when the kernel of A(N)_E is one-dimensional: it is then spanned
+    by x = H(N)_E c, and x over its last nonzero entry is the RREF vector.
+    Returned as (numerators, positive den) in lowest terms, like
+    ``_intkernel.rank_and_kernel``.
+    """
+    x = [sum(map(mul, row, c[0])) for row in _h_rows(n_mat, g.edge_index())]
+    return _intkernel._reduced(x, next(v for v in reversed(x) if v))
 
 
 def _sampling_volatility(p: int, vol: VolatilityMatrix):
@@ -471,30 +490,39 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
 
 
 @functools.lru_cache(maxsize=None)
-def _screen_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vech system and A(Sigma) as integer matrices of their linear inputs.
+def _screen_plans(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather plans for the vech system and for H(Sigma), read off their builders.
 
-    Row t of the first is the coefficient block K of :func:`_vech_system`
-    at the t-th unit drift in row-major order, flattened; row t of the
-    second is :func:`_a_rows` over every potential edge (vec order) at the
-    symmetric Sigma with unit vech entry t, flattened.  Both builders are
-    linear, so a batch of inputs times a table is the batch of builds.
+    An entry of the coefficient block K of :func:`_vech_system` is a sum of
+    at most two drift entries, the same one twice for a coefficient 2:
+    K[r, u] is ``d[k_plan[0, r, u]] + d[k_plan[1, r, u]]`` for the
+    row-major drift entries d with a zero appended.  An entry of
+    :func:`_h_rows` over every potential edge (vec order) is 0 or +-one
+    entry of Sigma: H[e, c] is ``s[h_plan[e, c]]`` for s the vech of Sigma,
+    then the vech of -Sigma, then a zero.
     """
     n = p * (p + 1) // 2
+    zero = p * p
     zeros = [[0] * p for _ in range(p)]
-    k_table = []
+    k_plan = np.full((2, n, n), zero, dtype=np.int64)
+    filled = np.zeros((n, n), dtype=np.int64)
     for t in range(p * p):
         unit = [[int(r * p + c == t) for c in range(p)] for r in range(p)]
-        k_table.append([x for row in _vech_system(unit, zeros)[0] for x in row])
+        for r, row in enumerate(_vech_system(unit, zeros)[0]):
+            for u, coef in enumerate(row):
+                for _ in range(coef):
+                    k_plan[filled[r, u], r, u] = t
+                    filled[r, u] += 1
     edges = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
-    a_table = [
-        [x for row in _a_rows(_unvech([int(u == t) for u in range(n)], p), edges) for x in row]
-        for t in range(n)
-    ]
-    tables = np.array(k_table, dtype=np.int64), np.array(a_table, dtype=np.int64)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    h_plan = np.full((p * p, p * (p - 1) // 2), 2 * n, dtype=np.int64)
+    for t in range(n):
+        for e, row in enumerate(_h_rows(_unvech([int(u == t) for u in range(n)], p), edges)):
+            for c, coef in enumerate(row):
+                if coef:
+                    h_plan[e, c] = t if coef > 0 else n + t
+    for plan in (k_plan, h_plan):
+        plan.setflags(write=False)
+    return k_plan, h_plan
 
 
 def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
@@ -503,36 +531,48 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
 
     All graphs share p and the integer volatility rows ``c_rows``.  Every
     vech system [K | -vech(C)] is reduced mod q and solved in one batch;
-    the graphs whose K is nonsingular mod q get A(Sigma mod q)_E, grouped by
-    |E| and ranked one batch per group.  True is a proof of full rank over
-    Q (see ``_intkernel``); False only sends the graph to the exact path.
-    Entries are reduced mod q in Python first, since the drift bound is
-    unbounded; a table entry is at most 2 and a table column has at most
-    two nonzero entries, so every product stays below 2^33.
+    the graphs whose K is nonsingular mod q get H(Sigma mod q) on their
+    non-edges, grouped by |E| and ranked one batch per group.  A_E has full
+    column rank exactly when H_nonE has full column rank p(p-1)/2, so True
+    is a proof over Q (see ``_intkernel``); False only sends the graph to
+    the exact path.  Entries are reduced mod q in Python first, since the
+    drift bound is unbounded; both builds are gathers of residues
+    (:func:`_screen_plans`), so no product is formed before elimination.
     """
     if not graphs:
         return []
     q = _intkernel.SCREEN_PRIME
     p = len(c_rows)
     n = p * (p + 1) // 2
-    k_table, a_table = _screen_tables(p)
-    drift_mod = np.array([[x % q for row in m for x in row] for m in drifts], dtype=np.int64)
+    k_plan, h_plan = _screen_plans(p)
+    batch = len(drifts)
+    drift_mod = np.zeros((p * p + 1, batch), dtype=np.int64)
+    drift_mod[:p * p] = np.array([[x % q for row in m for x in row] for m in drifts],
+                                 dtype=np.int64).T
     rhs = _vech_system([[0] * p for _ in range(p)], c_rows)[1]
-    systems = np.empty((len(drifts), n, n + 1), dtype=np.int64)
-    systems[:, :, :n] = (drift_mod @ k_table).reshape(-1, n, n) % q
-    systems[:, :, n] = [b % q for b in rhs]
+    systems = np.empty((n, n + 1, batch), dtype=np.int64)
+    np.add(drift_mod[k_plan[0]], drift_mod[k_plan[1]], out=systems[:, :n])
+    systems[:, :n] %= q
+    systems[:, n] = np.array([b % q for b in rhs], dtype=np.int64)[:, None]
     solved, reduced = _intkernel.mod_gauss(systems, limit_cols=n)
     ok = np.flatnonzero(solved)
-    a_full = (reduced[ok, :, n] @ a_table).reshape(-1, n, p * p)
-    a_full %= q
-    cols = [[(i - 1) * p + (j - 1) for (i, j) in graphs[k].edge_index()] for k in ok.tolist()]
-    by_size: dict[int, list[int]] = defaultdict(list)
-    for pos, c in enumerate(cols):
-        by_size[len(c)].append(pos)
+    sigma = reduced[:, n, ok]
+    # rows of vech(Sigma), vech(-Sigma) and a zero row, one column per graph
+    s_ext = np.concatenate([sigma, -sigma % q, np.zeros((1, ok.size), dtype=np.int64)])
+    is_edge = np.zeros((ok.size, p * p), dtype=bool)
+    at, cols = [], []
+    for pos, k in enumerate(ok.tolist()):
+        for (i, j) in graphs[k].edges:
+            at.append(pos)
+            cols.append((i - 1) * p + (j - 1))
+    is_edge[at, cols] = True
+    sizes = is_edge.sum(axis=1)
     proved = np.zeros(len(graphs), dtype=bool)
-    for members in by_size.values():
-        picked = np.array([cols[pos] for pos in members], dtype=np.int64)
-        stack = np.take_along_axis(a_full[members], picked[:, None, :], axis=2)
+    for size in set(sizes.tolist()):
+        members = np.flatnonzero(sizes == size)
+        non_edges = np.nonzero(~is_edge[members])[1].reshape(members.size, p * p - size)
+        # stack[r, c, g] = H(Sigma_g)[non-edge r of g, c], batch last
+        stack = s_ext[h_plan[non_edges.T].transpose(0, 2, 1), members]
         proved[ok[members]] = _intkernel.mod_gauss(stack)[0]
     return proved.tolist()
 

@@ -432,17 +432,29 @@ def _draw_drift_rows(g: DiGraph, rng: random.Random, bound: int) -> list[list[in
     Off-diagonal entries are uniform integers in [-bound, bound]; each
     diagonal entry is -(row absolute sum + 1 + uniform in [0, bound]), so
     strict diagonal dominance puts every Gershgorin disc in the open left
-    half-plane.
+    half-plane.  Each draw takes getrandbits(k) for the bit length k of the
+    range's size and rejects values past the range, as ``rng.randint`` does
+    in CPython, so the stream and the entries are those of ``randint``.
     """
     p = g.p
+    getrandbits = rng.getrandbits
     rows = [[0] * p for _ in range(p)]
+    width = 2 * bound + 1
+    bits = width.bit_length()
     for (i, j) in g.edge_index():
         if i != j:
-            rows[j - 1][i - 1] = rng.randint(-bound, bound)
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            rows[j - 1][i - 1] = r - bound
+    width = bound + 1
+    bits = width.bit_length()
     for i in range(p):
         row = rows[i]
-        row_sum = sum(abs(v) for jj, v in enumerate(row) if jj != i)
-        row[i] = -(row_sum + 1 + rng.randint(0, bound))
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        row[i] = -(sum(map(abs, row)) + 1 + r)
     return rows
 
 

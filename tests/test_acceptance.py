@@ -103,10 +103,18 @@ def _canonical_sha256(report: dict) -> str:
 
 def _count_exact_rank_fallbacks(monkeypatch) -> dict:
     """Count rank calls (int_rank and rank_and_kernel), the kernel vectors
-    lifted from the mod-q echelon, and the calls that reach exact Bareiss
-    elimination."""
-    counts = {"int_rank": 0, "lifted": 0, "bareiss": 0}
+    lifted from the mod-q echelon, the calls that reach exact Bareiss
+    elimination, the kernel vectors of A(N)_E taken from those of H(N)_nonE,
+    and the samples that rank A(N)_E itself (the A fallback)."""
+    counts = {"int_rank": 0, "lifted": 0, "bareiss": 0, "from_h": 0, "a_fallback": 0}
     inside = []
+
+    def tallied(key, fn):
+        def tallied_fn(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return tallied_fn
 
     def counted(ranker):
         def counted_rank(rows):
@@ -136,6 +144,9 @@ def _count_exact_rank_fallbacks(monkeypatch) -> dict:
         monkeypatch.setattr(_intkernel, name, counted(getattr(_intkernel, name)))
     monkeypatch.setattr(_intkernel, "bareiss_forward", counted_forward)
     monkeypatch.setattr(_intkernel, "_lift_kernel", counted_lift)
+    monkeypatch.setattr(identifiability, "_kernel_from_h",
+                        tallied("from_h", identifiability._kernel_from_h))
+    monkeypatch.setattr(identifiability, "_a_rows", tallied("a_fallback", identifiability._a_rows))
     return counts
 
 
@@ -221,12 +232,16 @@ class TestCriterion01Table:
         counts = _count_exact_rank_fallbacks(monkeypatch)
         report = run_sweep(4)
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
-        # the one rank-deficit row draws 5 samples, each with its kernel
-        # vector lifted from the mod-q echelon; every full rank is proved mod q
+        # the one rank-deficit row draws 5 samples, each with the kernel
+        # vector of H_nonE lifted from the mod-q echelon and mapped to A_E's;
+        # every full rank is proved mod q, and A(N)_E is never ranked itself
         assert counts["lifted"] == 5
         assert counts["bareiss"] == 0
+        assert counts["from_h"] == 5
+        assert counts["a_fallback"] == 0
         _report("1e", f"{counts['int_rank']} ranks, {counts['lifted']} lifted kernel "
-                      f"vectors, {counts['bareiss']} exact fallbacks")
+                      f"vectors, {counts['from_h']} taken from H, {counts['a_fallback']} "
+                      f"A fallbacks, {counts['bareiss']} exact fallbacks")
 
     def test_p4_hash_unchanged_by_exact_fallback(self, monkeypatch):
         # mod 3 most first samples fail the sweep's batched screen, so they
@@ -265,7 +280,7 @@ class TestCriterion01Table:
                                                                   seed, q):
         # mod a tiny prime most samples are deficient by more than one mod q
         # and go straight to Bareiss, and some lifts fail and fall back (mod 5:
-        # 3 lifted, 2 failed lifts over the six verdicts); the bytes must not move
+        # one lifted kernel vector per verdict); the bytes must not move
         monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
         counts = _count_exact_rank_fallbacks(monkeypatch)
         g = two_cycle_two_sinks() if name == "two_cycle_two_sinks" else P5_DEFICIT

@@ -160,6 +160,30 @@ class TestTreks:
             g = many_parents_two_cycle(p)
             assert no_trek_pairs(g) == math.comb(p - 1, 2) - 1
 
+    @pytest.mark.parametrize("connectivity", ["none", "no-isolated-nodes", "weakly-connected"])
+    def test_no_trek_pairs_match_set_based_count_on_candidates(self, connectivity):
+        # the reference: reflexive ancestor sets by search, then pairwise intersections
+        def set_based(g):
+            parents = {v: [i for (i, j) in g.offdiag_edges if j == v] for v in range(1, g.p + 1)}
+            anc = {}
+            for v in range(1, g.p + 1):
+                reached, stack = {v}, [v]
+                while stack:
+                    for w in parents[stack.pop()]:
+                        if w not in reached:
+                            reached.add(w)
+                            stack.append(w)
+                anc[v] = reached
+            return sum(not anc[i] & anc[j]
+                       for i in range(1, g.p + 1) for j in range(i + 1, g.p + 1))
+
+        checked = 0
+        for p in range(2, 6):
+            for g in enumerate_candidates(p, EnumPolicy(connectivity=connectivity)):
+                assert no_trek_pairs(g) == set_based(g)
+                checked += 1
+        assert checked > 4862
+
     def test_necessary_criterion_cases(self):
         # 2p+1 edges against a trek-adjusted bound of 2p
         for p in (4, 5, 6):

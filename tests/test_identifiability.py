@@ -1,5 +1,6 @@
 """Tests for the classifiers, certificates, and determinant identities."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -384,15 +385,14 @@ class TestIntegerHotPath:
                                                       kernel_route):
         g = graph_fn()
         tested = []
-        # the A route ranks through rank_and_kernel, the H route through int_rank
-        name = "int_rank" if kernel_route else "rank_and_kernel"
-        ranker = getattr(_intkernel, name)
+        # both routes rank the non-edge rows of H through rank_and_kernel
+        ranker = _intkernel.rank_and_kernel
 
         def capture(rows):
             tested.append([row[:] for row in rows])
             return ranker(rows)
 
-        monkeypatch.setattr(_intkernel, name, capture)
+        monkeypatch.setattr(_intkernel, "rank_and_kernel", capture)
         check = check_generic_via_kernel if kernel_route else check_generic
         cert = check(g, VolatilityMatrix.identity(g.p), trials=3, seed=11).certificate
         samples = [cert.witness] if cert.witness is not None else list(cert.samples)
@@ -400,10 +400,7 @@ class TestIntegerHotPath:
         for rows, sample in zip(tested, samples):
             # the sampling path solves Sigma = N / D with D the lcm denominator
             _, d = _intkernel.common_denominator(sample.sigma.entries)
-            if kernel_route:
-                expected = restrict_H(build_H(sample.sigma), g)
-            else:
-                expected = restrict_A(build_A(sample.sigma), g)
+            expected = restrict_H(build_H(sample.sigma), g)
             assert rows == _scaled_rows(expected, d)
 
     @pytest.mark.parametrize(
@@ -461,6 +458,120 @@ class TestKernelVectorOracle:
             for sample in cert.samples:
                 assert sample.kernel_vector
                 assert sample.kernel_vector == _rref_kernel_vector(g, sample.sigma)
+
+
+# check_generic's deficit graphs from the catalog (no bound stage runs there),
+# the full-rank two_cycle_out_edge, and a p = 3 graph with 8 edges, whose
+# 6 x 8 restricted A has a kernel of dimension 2 or more at every sample
+P3_EIGHT_EDGES = DiGraph(3, frozenset({(1, 2), (2, 1), (1, 3), (3, 1), (2, 3)}))
+H_ROUTE_GRAPHS = {
+    "two_cycle": two_cycle(),
+    "two_cycle_p3": two_cycle(3),
+    "two_cycle_out_edge": two_cycle_out_edge(),
+    "fan_in_two_cycle": fan_in_two_cycle(),
+    "two_cycle_two_sinks": two_cycle_two_sinks(),
+    "two_cycle_two_sources": two_cycle_two_sources(),
+    "many_parents_two_cycle_4": many_parents_two_cycle(4),
+    "many_parents_two_cycle_5": many_parents_two_cycle(5),
+    "p5_deficit": P5_DEFICIT,
+    "p3_eight_edges": P3_EIGHT_EDGES,
+}
+
+# sha256 of the verdict JSON (sort_keys) at seed 0 for the complete graphs,
+# which have no non-edge rows of H, under check_generic and its kernel route
+COMPLETE_GRAPH_VERDICT_SHA256 = {
+    (2, False): "ae52fe5d2fcfb8a0a2bc0774d77bf8b21b578e40abb4cf5e93b4f8030dc9cb73",
+    (2, True): "0c672beb5155bd1241887a2fc8bf9f05a9a73cda1810b263cb3ba9330a2a1bd4",
+    (3, False): "6829bc84efb5b009b099c83d7590025b7419f54398ca5f2255641d587c91c5ac",
+    (3, True): "cfe452c15aff211730371c888780f14d32fe2dd42f5abcd16f7e232629bde03e",
+}
+
+
+def _count_h_route(monkeypatch) -> dict:
+    """Count kernel vectors taken from H_nonE and rankings of A(N)_E itself."""
+    counts = {"from_h": 0, "a_fallback": 0}
+    from_h, a_rows = identifiability._kernel_from_h, identifiability._a_rows
+
+    def counted_from_h(*args):
+        counts["from_h"] += 1
+        return from_h(*args)
+
+    def counted_a_rows(*args):
+        counts["a_fallback"] += 1
+        return a_rows(*args)
+
+    monkeypatch.setattr(identifiability, "_kernel_from_h", counted_from_h)
+    monkeypatch.setattr(identifiability, "_a_rows", counted_a_rows)
+    return counts
+
+
+class TestKernelRestrictionRanks:
+    """Every rank is decided on H(N) restricted to the non-edges."""
+
+    @pytest.mark.parametrize("kernel_route", [False, True])
+    @pytest.mark.parametrize("name", sorted(H_ROUTE_GRAPHS))
+    def test_matches_the_a_route_rank_and_kernel(self, name, kernel_route):
+        g = H_ROUTE_GRAPHS[name]
+        volatility, _ = identifiability._sampling_volatility(g.p, VolatilityMatrix.identity(g.p))
+        skew = g.p * (g.p - 1) // 2
+        for seed in range(3):
+            rng = identifiability._derive_rng(seed, salt=g.p)
+            for _ in range(3):
+                m_rows = lyapunov._draw_drift_rows(g, rng, 2**20)
+                sample = identifiability._rank_test_at_sample(g, m_rows, volatility,
+                                                              kernel_route)
+                n_mat, _ = lyapunov._solve_sigma_scaled(m_rows, [list(r) for r in volatility[0]],
+                                                        g.p)
+                rank, kernel = _intkernel.rank_and_kernel(
+                    lyapunov._a_rows(n_mat, g.edge_index()))
+                assert sample.rank == (rank - g.num_edges + skew if kernel_route else rank)
+                expected = () if kernel is None else tuple(
+                    Fraction(v, kernel[1]) for v in kernel[0])
+                assert sample.kernel_vector == expected
+
+    @pytest.mark.parametrize("check", [check_generic, check_generic_via_kernel])
+    def test_kernel_of_dimension_two_takes_the_a_fallback(self, monkeypatch, check):
+        counts = _count_h_route(monkeypatch)
+        cert = check(P3_EIGHT_EDGES, IDENTITY3, seed=1).certificate
+        assert cert.kind == RANK_DEFICIT_WITNESS
+        assert counts == {"from_h": 0, "a_fallback": len(cert.samples)}
+        for sample in cert.samples:
+            assert sample.rank <= (6 if check is check_generic else 1)
+            assert sample.kernel_vector == _rref_kernel_vector(P3_EIGHT_EDGES, sample.sigma)
+
+    @pytest.mark.parametrize("kernel_route", [False, True])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_complete_graph_classifies_as_pinned(self, monkeypatch, p, kernel_route):
+        # H_nonE has no rows: the A fallback ranks every sample
+        counts = _count_h_route(monkeypatch)
+        check = check_generic_via_kernel if kernel_route else check_generic
+        verdict = check(complete_graph(p), VolatilityMatrix.identity(p))
+        body = json.dumps(verdict.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == COMPLETE_GRAPH_VERDICT_SHA256[p, kernel_route]
+        assert counts == {"from_h": 0, "a_fallback": 5}
+
+    def test_one_dimensional_kernels_come_from_h(self, monkeypatch):
+        counts = _count_h_route(monkeypatch)
+        cert = check_generic(P5_DEFICIT, VolatilityMatrix.identity(5)).certificate
+        assert counts == {"from_h": 5, "a_fallback": 0}
+        for sample in cert.samples:
+            assert sample.kernel_vector == _rref_kernel_vector(P5_DEFICIT, sample.sigma)
+
+    @pytest.mark.parametrize("p, stride", [(4, 1), (5, 11)])
+    def test_screen_proofs_are_exact_full_ranks(self, p, stride):
+        vol = VolatilityMatrix.identity(p)
+        graphs = [g for g in enumerate_candidates(p)
+                  if identifiability._bound_verdict(g, vol) is None][::stride]
+        drifts = [lyapunov._draw_drift_rows(g, identifiability._derive_rng(0, salt=p), 2**20)
+                  for g in graphs]
+        eye = [[int(i == j) for j in range(p)] for i in range(p)]
+        proved = identifiability._screen_full_rank(graphs, drifts, eye)
+        assert sum(proved) > len(graphs) // 2
+        for g, m_rows, full in zip(graphs, drifts, proved):
+            if full:
+                n_mat, _ = lyapunov._solve_sigma_scaled(m_rows, eye, p)
+                assert _intkernel.int_rank(lyapunov._a_rows(n_mat, g.edge_index())) == \
+                    g.num_edges
 
 
 class TestClassifyConfig:
@@ -578,20 +689,20 @@ class TestClassifyBatch:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_screen_tables_are_the_builders(self, p):
-        """The tabulated builds against the loop builders they come from."""
+        """The gather plans of the screen against the loop builders they come from."""
         q = _intkernel.SCREEN_PRIME
         n = p * (p + 1) // 2
         rng = random.Random(p)
-        k_table, a_table = identifiability._screen_tables(p)
+        k_plan, h_plan = identifiability._screen_plans(p)
         zeros = [[0] * p for _ in range(p)]
         edges = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
         for _ in range(5):
             m = [[rng.randint(-(2**80), 2**80) for _ in range(p)] for _ in range(p)]
-            m_mod = np.array([x % q for row in m for x in row], dtype=np.int64)
+            m_mod = np.array([x % q for row in m for x in row] + [0], dtype=np.int64)
             k_rows, _ = lyapunov._vech_system(m, zeros)
-            assert ((m_mod @ k_table) % q).tolist() == [x % q for row in k_rows for x in row]
+            k_gathered = (m_mod[k_plan[0]] + m_mod[k_plan[1]]) % q
+            assert k_gathered.tolist() == [[x % q for x in row] for row in k_rows]
             s = [rng.randrange(q) for _ in range(n)]
-            a_rows = identifiability._a_rows(lyapunov._unvech(s, p), edges)
-            assert ((np.array(s, dtype=np.int64) @ a_table) % q).tolist() == [
-                x % q for row in a_rows for x in row
-            ]
+            s_ext = np.array(s + [-x % q for x in s] + [0], dtype=np.int64)
+            h_rows = identifiability._h_rows(lyapunov._unvech(s, p), edges)
+            assert s_ext[h_plan].tolist() == [[x % q for x in row] for row in h_rows]

@@ -290,7 +290,7 @@ class TestRankAndKernel:
 
 def _stack(rng, batch, nr, nc, q):
     """Random small-entry matrices, some with a dependent last column, and
-    their residues mod q as one stack."""
+    their residues mod q as one batch-last (rows, cols, batch) stack."""
     mats = []
     for _ in range(batch):
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
@@ -298,7 +298,8 @@ def _stack(rng, batch, nr, nc, q):
             for row in rows:
                 row[-1] = row[0] - 2 * row[1 % (nc - 1)]
         mats.append(rows)
-    return mats, np.array([[[x % q for x in row] for row in m] for m in mats], dtype=np.int64)
+    residues = np.array([[[x % q for x in row] for row in m] for m in mats], dtype=np.int64)
+    return mats, np.ascontiguousarray(residues.transpose(1, 2, 0))
 
 
 class TestModGaussJordan:
@@ -323,10 +324,10 @@ class TestModGaussJordan:
         for n in range(1, 8):
             mats, stack = _stack(rng, 15, n, n + 1, q)
             full, reduced = mod_gauss(stack, limit_cols=n)
-            for rows, ok, red in zip(mats, full.tolist(), reduced):
+            for k, (rows, ok) in enumerate(zip(mats, full.tolist())):
                 assert ok == (mod_rank([row[:n] for row in rows]) == n)
                 if ok:
-                    x = red[:, n].tolist()
+                    x = reduced[:, n, k].tolist()
                     for row in rows:
                         assert (sum(a * v for a, v in zip(row, x)) - row[n]) % q == 0
 
@@ -341,13 +342,14 @@ class TestModGaussJordan:
                     assert int_rank(_copy(rows)) == nc
 
     def test_wider_than_tall_is_never_full(self):
-        full, _ = mod_gauss(np.ones((3, 2, 4), dtype=np.int64))
+        full, _ = mod_gauss(np.ones((2, 4, 3), dtype=np.int64))
         assert not full.any()
 
     def test_input_left_intact(self):
-        stack = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
+        # one 2 x 2 matrix [[0, 1], [1, 0]], batch last; its pivot needs a swap
+        stack = np.array([[[0], [1]], [[1], [0]]], dtype=np.int64)
         mod_gauss(stack)
-        assert stack.tolist() == [[[0, 1], [1, 0]]]
+        assert stack.tolist() == [[[0], [1]], [[1], [0]]]
 
 
 class TestLeadingMinorsPositive:

@@ -504,6 +504,28 @@ class TestSampleStableDrift:
             assert drift.matrix == RatMatrix.from_rows(rows)
             assert all(type(x) is int for row in rows for x in row)
 
+    @pytest.mark.parametrize("bound", [1, 2, 7, 2**20, 2**80 + 3])
+    def test_draws_are_the_randint_draws(self, bound):
+        # the reference: the same draws spelled with rng.randint
+        def by_randint(g, rng):
+            p = g.p
+            rows = [[0] * p for _ in range(p)]
+            for (i, j) in g.edge_index():
+                if i != j:
+                    rows[j - 1][i - 1] = rng.randint(-bound, bound)
+            for i in range(p):
+                row_sum = sum(abs(v) for jj, v in enumerate(rows[i]) if jj != i)
+                rows[i][i] = -(row_sum + 1 + rng.randint(0, bound))
+            return rows
+
+        for g in (two_cycle(), two_cycle_out_edge(), fan_in_two_cycle(), complete_graph(5)):
+            for seed in range(20):
+                drawn_rng, reference_rng = random.Random(seed), random.Random(seed)
+                assert lyapunov._draw_drift_rows(g, drawn_rng, bound) == by_randint(
+                    g, reference_rng)
+                # both streams end in the same state
+                assert drawn_rng.random() == reference_rng.random()
+
     def test_deterministic_given_seed(self):
         g = complete_graph(4)
         assert (
