@@ -10,14 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .graphs import (
-    CONNECTIVITY_CHOICES,
-    DiGraph,
-    EnumPolicy,
-    graph_from_json,
-)
+from .graphs import CONNECTIVITY_CHOICES, EnumPolicy, graph_from_json
 from .identifiability import ClassifyConfig, classify
 from .linalg import format_matrix_csv, parse_matrix_csv
 from .lyapunov import (
@@ -43,25 +39,15 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read_matrix(path: str):
+def _read_file(path: str, parse):
+    """parse(the file's text); an unreadable or malformed file exits 1."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     try:
-        return parse_matrix_csv(text)
+        return parse(text)
     except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
-
-
-def _read_graph(path: str) -> DiGraph:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    try:
-        return graph_from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
@@ -80,8 +66,8 @@ def _classify_config(args, **extra) -> ClassifyConfig:
 
 
 def _cmd_solve(args) -> int:
-    drift_matrix = _read_matrix(args.drift)
-    vol = _volatility(_read_matrix(args.vol))
+    drift_matrix = _read_file(args.drift, parse_matrix_csv)
+    vol = _volatility(_read_file(args.vol, parse_matrix_csv))
     if not drift_matrix.is_square or drift_matrix.rows != vol.matrix.rows:
         raise _CliError(EXIT_PRECONDITION, "drift and volatility sizes do not match")
     drift = DriftMatrix.from_matrix(drift_matrix)
@@ -94,9 +80,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    g = _read_graph(args.graph)
-    sigma_matrix = _read_matrix(args.sigma)
-    vol = _volatility(_read_matrix(args.vol))
+    g = _read_file(args.graph, graph_from_json)
+    sigma_matrix = _read_file(args.sigma, parse_matrix_csv)
+    vol = _volatility(_read_file(args.vol, parse_matrix_csv))
     try:
         sigma = CovMatrix(sigma_matrix)
     except ValueError as exc:
@@ -109,9 +95,9 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read_file(args.graph, graph_from_json)
     if args.vol is not None:
-        vol = _volatility(_read_matrix(args.vol))
+        vol = _volatility(_read_file(args.vol, parse_matrix_csv))
         if vol.matrix.rows != g.p:
             raise _CliError(EXIT_PRECONDITION, "volatility size does not match the graph")
     else:
@@ -145,19 +131,14 @@ def _cmd_sweep(args) -> int:
         )
     _classify_config(args)  # rejects bad --trials / --bound before any work
     policy = EnumPolicy(max_edges=args.max_edges, connectivity=args.connectivity)
-    report = run_sweep(
-        args.p,
-        policy=policy,
-        trials=args.trials,
-        bound=args.bound,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    payload = _report_json(report.to_json())
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    else:
-        print(payload)
+    try:  # opened before the sweep, so an unwritable path costs no sweep
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise _CliError(EXIT_PRECONDITION, f"cannot write {args.out}: {exc}") from exc
+    with out as stream:
+        report = run_sweep(args.p, policy=policy, trials=args.trials, bound=args.bound,
+                           seed=args.seed, jobs=args.jobs)
+        stream.write(_report_json(report.to_json()) + "\n")
     print(report.summary_csv(), file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
 

@@ -254,33 +254,6 @@ def _offdiag_pairs(p: int) -> list[Edge]:
     return [(i, j) for i in range(1, p + 1) for j in range(1, p + 1) if i != j]
 
 
-def _is_weakly_connected(p: int, offdiag: Iterable[Edge]) -> bool:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, p + 1)}
-    for (i, j) in offdiag:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == p
-
-
-def _passes_connectivity(p: int, offdiag: list[Edge], connectivity: str) -> bool:
-    if connectivity == "none":
-        return True
-    touched = {v for e in offdiag for v in e}
-    if len(touched) < p:
-        return False
-    if connectivity == "no-isolated-nodes":
-        return True
-    return _is_weakly_connected(p, offdiag)
-
-
 def _permutation_mask_tables(p: int):
     """Per-permutation lookup tables mapping edge bitmasks to permuted masks.
 
@@ -312,18 +285,26 @@ def _permutation_mask_tables(p: int):
     return pairs, q, half, table(0, half), table(half, q - half)
 
 
-def _mask_to_edges(mask: int, pairs: list[Edge], q: int) -> frozenset:
-    return frozenset(pairs[q - 1 - t] for t in range(q) if (mask >> t) & 1)
+def _candidate_edges(p: int, policy: EnumPolicy | None = None) -> list[tuple[Edge, ...]]:
+    """Sorted off-diagonal edges of every candidate, in ascending canonical mask.
 
+    The canonical masks are built by orderly generation (Read 1978; McKay
+    1998), one edge count at a time: each canonical parent is extended only
+    by a bit below its lowest set bit, and a child is kept only if no
+    relabelling maps it to a larger mask.  The 2-cycle and connectivity
+    filters run afterwards, so parents that are not candidates still extend.
 
-def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[DiGraph]:
-    """All non-simple graphs on [p] passing the policy, one per isomorphism class.
-
-    Graphs are yielded as canonical representatives in ascending order of
-    their canonical masks (the largest mask of each relabelling class; see
-    :func:`_permutation_mask_tables`).  Every graph contains at least one
-    2-cycle, satisfies ``num_edges <= policy.max_edges`` (self-loops
-    included) and the policy's connectivity filter.
+    This reaches every canonical mask exactly once.  Lemma: removing the
+    lowest set bit b of a canonical mask m leaves a canonical mask m - b.
+    So every canonical child has a canonical parent, and only the one that
+    drops its lowest bit.  Proof: a relabelling pi permutes bits, so
+    suppose pi(m') > m' for m' = m - b, and let t be the first (highest)
+    bit where the two differ, set in pi(m') only.  Every bit of m' lies
+    above b, so t <= b would leave pi(m') with all of m' and bit t besides;
+    hence t > b.  Above t, m agrees with m', and so does
+    pi(m) = pi(m') + pi(b) unless pi(b) > t adds a bit there.  Either way
+    the first difference between pi(m) and m is a bit of pi(m) (pi(b) or
+    t): pi(m) > m, and m is not canonical.
 
     Raises:
         ValueError: unless 2 <= p <= 5 (the intended sweep range).
@@ -331,33 +312,54 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
     if not (2 <= p <= 5):
         raise ValueError("enumeration supports 2 <= p <= 5")
     policy = policy or EnumPolicy()
-    max_off = policy.resolved_max_edges(p) - p
     pairs, q, half, lo, hi = _permutation_mask_tables(p)
-    index = {e: k for k, e in enumerate(pairs)}
+    levels = [np.array([1 << (q - 1)], dtype=np.int64)]  # the canonical 1-arc mask
+    for _ in range(policy.resolved_max_edges(p) - p - 1):
+        parents = levels[-1]
+        low = parents & -parents
+        masks = np.concatenate([parents[low > (1 << t)] | (1 << t) for t in range(q)])
+        for lo_k, hi_k in zip(lo, hi):
+            masks = masks[(lo_k[masks & ((1 << half) - 1)] | hi_k[masks >> half]) <= masks]
+        levels.append(masks)
+    masks = np.concatenate(levels)
 
-    # edges[m] is the popcount of m: the second half of 0..2^(t+1)-1 has one
-    # more bit than the first
-    edges = np.zeros(1, dtype=np.int8)
-    for _ in range(q):
-        edges = np.concatenate([edges, edges + 1])
-    masks = np.flatnonzero((edges >= 2) & (edges <= max_off))
-    # Keep graphs containing at least one 2-cycle.
-    nonsimple = np.zeros(len(masks), dtype=bool)
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            t = (1 << (q - 1 - index[(i, j)])) | (1 << (q - 1 - index[(j, i)]))
-            nonsimple |= (masks & t) == t
-    masks = masks[nonsimple]
+    # (node pair, arc pair) bitmasks of every unordered pair i < j
+    bit = {e: 1 << (q - 1 - r) for r, e in enumerate(pairs)}
+    links = [((1 << i - 1) | (1 << j - 1), bit[i, j] | bit[j, i])
+             for (i, j) in pairs if i < j]
+    keep = np.zeros(len(masks), dtype=bool)
+    for _, arcs in links:
+        keep |= (masks & arcs) == arcs
+    if policy.connectivity == "no-isolated-nodes":
+        reach = np.zeros_like(masks)
+        for nodes, arcs in links:
+            reach[(masks & arcs) != 0] |= nodes
+        keep &= reach == (1 << p) - 1
+    elif policy.connectivity == "weakly-connected":
+        reach = np.ones_like(masks)  # node 1, then its undirected neighbours
+        for _ in range(p - 1):
+            for nodes, arcs in links:
+                reach[((masks & arcs) != 0) & ((reach & nodes) != 0)] |= nodes
+        keep &= reach == (1 << p) - 1
+    return [tuple(e for e, b in zip(pairs, format(mask, f"0{q}b")) if b == "1")
+            for mask in np.sort(masks[keep]).tolist()]
 
-    # Canonicalize: the maximal mask over all relabellings encodes the
-    # lexicographically minimal edge set (equal popcount throughout), so a
-    # mask that some relabelling maps higher is not canonical.
-    for lo_k, hi_k in zip(lo, hi):
-        masks = masks[(lo_k[masks & ((1 << half) - 1)] | hi_k[masks >> half]) <= masks]
-    for mask in masks.tolist():
-        offdiag = sorted(_mask_to_edges(mask, pairs, q))
-        if _passes_connectivity(p, offdiag, policy.connectivity):
-            yield DiGraph(p, frozenset(offdiag))
+
+def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[DiGraph]:
+    """All non-simple graphs on [p] passing the policy, one per isomorphism class.
+
+    Graphs are yielded as canonical representatives in ascending order of
+    their canonical masks (the largest mask of each relabelling class; see
+    :func:`_permutation_mask_tables` and :func:`_candidate_edges`).  Every
+    graph contains at least one 2-cycle, satisfies
+    ``num_edges <= policy.max_edges`` (self-loops included) and the policy's
+    connectivity filter.
+
+    Raises:
+        ValueError: unless 2 <= p <= 5 (the intended sweep range).
+    """
+    for edges in _candidate_edges(p, policy):
+        yield DiGraph(p, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +379,10 @@ def graph_from_json(data) -> DiGraph:
         ValueError: on malformed input.
     """
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError as exc:  # nested past the interpreter's limit
+            raise ValueError(f"graph JSON nested too deeply: {exc}") from exc
     if not isinstance(data, dict) or "p" not in data:
         raise ValueError('graph JSON must be an object with keys "p" and "edges"')
     p = data["p"]

@@ -3,19 +3,20 @@
 Graphs are classified independently with per-graph RNG seeds derived by
 hashing the canonical edge set together with the global seed, so a parallel
 run, a serial run, and a rerun all produce the same report (timing fields
-aside).  ``--jobs`` splits the candidates into strided shards, one batch
-per worker; workers share nothing but the immutable configuration.
+aside).  ``--jobs`` splits the candidates, each a sorted edge tuple and
+seed, into strided shards, one batch per worker, which builds the graphs;
+workers share nothing but the immutable configuration.
 
 Each shard is classified by ``identifiability._classify_batch``, which
 screens the first sample of every sampled graph in one modular batch: the
 vech Lyapunov systems are solved over GF(2^31 - 1) together, and
-A(Sigma mod q) restricted to the edges is ranked together per edge count.
-If K is nonsingular mod q, the denominator of Sigma is a unit mod q and
-Sigma mod q is the reduction of Sigma; A is linear in Sigma, so a full
-column rank mod q proves the full rank over Q that the exact path would
-find at the same sample.  Only graphs the screen cannot prove -- a zero
-pivot or a deficit mod q -- take the exact path, so the verdicts and the
-canonical bytes are those of ``classify`` by construction.
+H(Sigma mod q) restricted to the non-edges is ranked together per edge
+count (A(Sigma)_E has full column rank iff H(Sigma)_nonE does).  If K is
+nonsingular mod q, Sigma mod q is the reduction of Sigma; H is linear in
+Sigma, so a full column rank mod q proves the full rank over Q that the
+exact path would find at the same sample.  Only graphs the screen cannot
+prove -- a zero pivot or a deficit mod q -- take the exact path, so the
+verdicts and the canonical bytes are those of ``classify`` by construction.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import gc
 import hashlib
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 
-from .graphs import DiGraph, EnumPolicy, enumerate_candidates
+from .graphs import DiGraph, EnumPolicy, _candidate_edges
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
@@ -46,7 +48,12 @@ CSV_HEADER = "p,policy,total_nonsimple,non_identifiable,non_identifiable_eq9,wal
 
 def derive_graph_seed(global_seed: int, g: DiGraph) -> int:
     """Stable 64-bit per-graph seed from the canonical edge set."""
-    payload = f"{global_seed}:{g.p}:{sorted(g.offdiag_edges)}".encode()
+    return _edges_seed(global_seed, g.p, sorted(g.offdiag_edges))
+
+
+def _edges_seed(global_seed: int, p: int, offdiag) -> int:
+    """:func:`derive_graph_seed` from the sorted off-diagonal edges."""
+    payload = f"{global_seed}:{p}:{list(offdiag)}".encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
@@ -193,9 +200,8 @@ def run_sweep(
     """
     policy = policy or EnumPolicy()
     started = time.perf_counter()
-    graphs = list(enumerate_candidates(p, policy))
-    items = [(tuple(sorted(g.offdiag_edges)), derive_graph_seed(seed, g)) for g in graphs]
-    workers = min(jobs, len(items))
+    items = [(edges, _edges_seed(seed, p, edges)) for edges in _candidate_edges(p, policy)]
+    workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         shards = [(p, trials, bound, items[k::workers]) for k in range(workers)]
         # Frozen objects are never walked by the collector, so the forked

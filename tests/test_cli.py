@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lyapid import cli
 from lyapid.cli import main
 from lyapid.graphs import graph_from_json, graph_to_json
 from lyapid.catalog import three_cycle, two_cycle, two_cycle_out_edge
@@ -95,6 +96,15 @@ class TestSolve:
         vol = _write(workdir / "c.csv", "2\n")
         assert main(["solve", "--drift", str(workdir / "nope.csv"), "--vol", vol]) == 1
 
+    @pytest.mark.parametrize("flag", ["--drift", "--vol"])
+    def test_non_utf8_file_exit_1(self, workdir, capsys, flag):
+        files = {"--drift": _write(workdir / "m.csv", "-1\n"),
+                 "--vol": _write(workdir / "c.csv", "2\n")}
+        (workdir / "latin1.csv").write_bytes(b"-1\xe9\n")
+        files[flag] = str(workdir / "latin1.csv")
+        assert main(["solve", "--drift", files["--drift"], "--vol", files["--vol"]]) == 1
+        _assert_one_line_error(capsys)
+
 
 class TestFiberCommand:
     def test_round_trip_with_solve(self, workdir, capsys):
@@ -166,6 +176,15 @@ class TestClassifyCommand:
         graph = _write(workdir / "g.json", "{not json")
         assert main(["classify", "--graph", graph]) == 1
 
+    @pytest.mark.parametrize("raw", [
+        b'{"p": 3, "edges": [[1, 2]]}\xff',  # not UTF-8
+        b'{"p": 3, "edges": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # nested too deeply
+    ], ids=["non-utf8", "deep-nesting"])
+    def test_unreadable_graph_exit_1(self, workdir, capsys, raw):
+        (workdir / "g.json").write_bytes(raw)
+        assert main(["classify", "--graph", str(workdir / "g.json")]) == 1
+        _assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("data", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS.keys())
     def test_invalid_graph_exit_1(self, workdir, capsys, data):
         with pytest.raises(ValueError):
@@ -198,6 +217,17 @@ class TestSweepCommand:
         summary = capsys.readouterr().out
         assert "p,policy,total_nonsimple" in summary
         assert "3,max_edges=6;weakly-connected,2,0,0" in summary
+
+    def test_out_into_missing_directory_exit_2_before_the_sweep(self, workdir, capsys,
+                                                                 monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = workdir / "missing" / "report.json"
+        assert main(["sweep", "--p", "3", "--out", str(out)]) == 2
+        _assert_one_line_error(capsys)
+        assert not out.parent.exists()
 
     def test_p_out_of_range_exit_2(self):
         assert main(["sweep", "--p", "6"]) == 2

@@ -310,6 +310,12 @@ def _mask(g):
 # sha256 of json.dumps([sorted(g.offdiag_edges) for g in enumerate_candidates(5)]):
 # the default p = 5 candidates in yield order.
 P5_ENUMERATION_SHA256 = "c438457fa0d93a5997cdaf502228e46c1a7e53679902590fd2b0b961bd0a79eb"
+# The same hash under the other two connectivity policies: (count, sha256).
+P5_ENUMERATION_BY_CONNECTIVITY = {
+    "none": (5057, "a821675f7a0077050e3a4cd647683e58b34c55dc421520ee010c6bd451b100a1"),
+    "no-isolated-nodes":
+        (4883, "f356981583f31822295f1213a23b32833b9460cb2ad2f67a2bb185390b1a1cf6"),
+}
 
 
 class TestEnumeration:
@@ -371,6 +377,13 @@ class TestEnumeration:
         edges = [sorted(g.offdiag_edges) for g in enumerate_candidates(5)]
         assert len(edges) == 4862
         assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == P5_ENUMERATION_SHA256
+
+    @pytest.mark.parametrize("connectivity", sorted(P5_ENUMERATION_BY_CONNECTIVITY))
+    def test_p5_yield_order_pinned_for_connectivity(self, connectivity):
+        policy = EnumPolicy(connectivity=connectivity)
+        edges = [sorted(g.offdiag_edges) for g in enumerate_candidates(5, policy)]
+        digest = hashlib.sha256(json.dumps(edges).encode()).hexdigest()
+        assert (len(edges), digest) == P5_ENUMERATION_BY_CONNECTIVITY[connectivity]
 
     @pytest.mark.parametrize("connectivity", ["none", "no-isolated-nodes", "weakly-connected"])
     @pytest.mark.parametrize("p", [2, 3, 4])

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from lyapid import sweep
-from lyapid.graphs import necessary_criterion
+from lyapid.graphs import DiGraph, enumerate_candidates, necessary_criterion
 from lyapid.identifiability import classify
 
 
@@ -22,7 +22,8 @@ def _exact_sweep(monkeypatch, p, **kwargs):
         return sweep.run_sweep(p, **kwargs)
 
 
-def test_uneven_shards_match_serial_bytes():
+def test_uneven_shards_match_serial_bytes(monkeypatch):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)  # so 3 workers are not capped
     serial = sweep.run_sweep(4)
     sharded = sweep.run_sweep(4, jobs=3)  # 80 candidates: shards of 27, 27, 26
     assert sharded.canonical_bytes() == serial.canonical_bytes()
@@ -57,8 +58,11 @@ class _SerialPool:
         return [func(shard) for shard in shards]
 
 
-@pytest.mark.parametrize("p, jobs, workers", [(3, 5, 2), (3, 64, 2), (4, 3, 3), (3, 1, None)])
+# With 6 CPUs: the last case is capped by the CPU count, not the candidates.
+@pytest.mark.parametrize("p, jobs, workers",
+                         [(3, 5, 2), (3, 64, 2), (4, 3, 3), (3, 1, None), (4, 100_000, 6)])
 def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 6)
     sizes, shards = [], []
     monkeypatch.setattr(
         sweep.multiprocessing, "Pool",
@@ -69,6 +73,36 @@ def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
     assert len(shards) == (workers or 0) and all(shard[3] for shard in shards)
     monkeypatch.undo()
     assert report.canonical_bytes() == sweep.run_sweep(p).canonical_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, None])  # None: the count cannot be determined
+def test_one_or_unknown_cpu_runs_serially(monkeypatch, cpus):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweep.multiprocessing, "Pool", None)  # calling it would fail
+    assert len(sweep.run_sweep(3, jobs=4).rows) == 2
+
+
+@pytest.mark.parametrize("p", [4, 5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_items_carry_each_candidates_graph_seed(monkeypatch, p, seed):
+    shards = []
+    monkeypatch.setattr(sweep, "_classify_shard", lambda shard: shards.append(shard) or [])
+    sweep.run_sweep(p, seed=seed)
+    assert shards[0][3] == [(tuple(sorted(g.offdiag_edges)), sweep.derive_graph_seed(seed, g))
+                            for g in enumerate_candidates(p)]
+
+
+def test_serial_sweep_builds_each_graph_once(monkeypatch):
+    built = []
+    post_init = DiGraph.__post_init__
+
+    def counted(g):
+        built.append(g)
+        post_init(g)
+
+    monkeypatch.setattr(DiGraph, "__post_init__", counted)
+    sweep.run_sweep(4)
+    assert len(built) == 80
 
 
 @pytest.mark.parametrize("caller_froze", [False, True])
