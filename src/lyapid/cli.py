@@ -2,7 +2,7 @@
 
 Matrices travel as exact rational CSV (cells "n" or "n/d"); graphs as JSON
 {"p": p, "edges": [[i, j], ...]}.  Exit codes: 0 ok, 1 parse error,
-2 precondition violation, 3 property failure.
+2 precondition violation or failed output write, 3 property failure.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def _volatility(matrix) -> VolatilityMatrix:
         raise _CliError(EXIT_PRECONDITION, f"volatility matrix: {exc}") from exc
 
 
-def _classify_config(args, **extra) -> ClassifyConfig:
+def _classify_config(args) -> ClassifyConfig:
     try:
-        return ClassifyConfig(trials=args.trials, bound=args.bound, seed=args.seed, **extra)
+        return ClassifyConfig(trials=args.trials, bound=args.bound, seed=args.seed)
     except ValueError as exc:
         raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
 
@@ -102,7 +102,7 @@ def _cmd_classify(args) -> int:
             raise _CliError(EXIT_PRECONDITION, "volatility size does not match the graph")
     else:
         vol = VolatilityMatrix.identity(g.p)
-    verdict = classify(g, vol, _classify_config(args, use_kernel_route=args.kernel_route))
+    verdict = classify(g, vol, _classify_config(args))
     print(json.dumps(verdict.to_json(), indent=2))
     return EXIT_OK
 
@@ -182,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--trials", type=int, default=5)
     p_classify.add_argument("--bound", type=int, default=2**20)
     p_classify.add_argument("--seed", type=int, default=0)
-    p_classify.add_argument(
-        "--kernel-route",
-        action="store_true",
-        help="rank-test the kernel-basis restriction instead of the coefficient matrix",
-    )
     p_classify.set_defaults(func=_cmd_classify)
 
     p_sweep = sub.add_parser("sweep", help="classify all candidate graphs on p nodes")
@@ -215,10 +210,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write to stdout surfaces here, not at exit
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:  # such as a full disk under --out or stdout
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

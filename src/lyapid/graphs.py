@@ -73,10 +73,6 @@ class DiGraph:
             if (i, j) not in self.edges
         )
 
-    def parents(self, j: int) -> set[int]:
-        """Nodes i with an off-diagonal edge i -> j."""
-        return {i for (i, jj) in self.edges if jj == j and i != j}
-
     def __repr__(self) -> str:
         off = ",".join(f"{i}->{j}" for (i, j) in sorted(self.offdiag_edges))
         return f"DiGraph(p={self.p}, [{off}])"

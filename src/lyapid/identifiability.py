@@ -151,18 +151,20 @@ class ClassifyConfig:
     """Sampling parameters for the generic-identifiability test.
 
     Five independent samples with entry bound 2^20 push the failure
-    probability of a (probabilistic) non-identifiability verdict below
-    2^-40 for every graph on at most five nodes.  :func:`classify` samples
-    only graphs with |E| <= p(p+1)/2 = 15 (larger ones stop at the
-    edge-count bound), so the degree in :func:`_failure_bound` is at most
-    15 * 25 = 375 and the bound is (375 / (2^20 + 1))^5, about 2^-57; even
-    |E| = 25, which :func:`check_generic` accepts, gives about 2^-53.
+    probability of a (probabilistic) non-identifiability verdict of
+    :func:`classify` below 2^-40 for every graph on at most nine nodes.
+    :func:`classify` samples only graphs with |E| <= p(p+1)/2 (larger ones
+    stop at the edge-count bound), so the degree in :func:`_failure_bound`
+    is at most p^3 (p+1) / 2 and the bound is (degree / (2^20 + 1))^5:
+    about 2^-57 at p = 5, 2^-52 at p = 6 and 2^-40.8 at p = 9, but 2^-37.9
+    at p = 10.  Nothing enforces 2^-40: a certificate states the bound
+    that holds for it, which can exceed 2^-40 from p = 10 on, or with
+    fewer trials or a smaller entry bound.
     """
 
     trials: int = 5
     bound: int = 2**20
     seed: int = 0
-    use_kernel_route: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -238,26 +240,24 @@ def _failure_bound(g: DiGraph, bound: int, trials: int) -> float:
     entries first (2 bound + 1 values each), then each diagonal entry, which
     given the off-diagonal ones is a fixed shift minus a uniform draw from
     [0, bound]: s = bound + 1.  Samples are drawn independently, so the
-    per-sample bounds multiply.  The kernel (H) route decides the same rank
-    condition at each sampled Sigma, so the bound covers it too.
+    per-sample bounds multiply.
     """
     degree = g.num_edges * g.p * g.p
     per_sample = min(1.0, degree / (bound + 1))
     return per_sample**trials
 
 
-def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility,
-                         use_kernel: bool) -> RankSample:
+def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility) -> RankSample:
     """Solve exactly at the drift ``m_rows`` and rank-test the restriction.
 
-    ``volatility`` is (integer C rows, scale); the rank is that of the
-    restricted H (kernel route) or A at Sigma.  A sample below the target
-    rank carries an edge-indexed nonzero vector in the kernel of the
-    restricted A at Sigma.  Both routes rank H(N) on the non-edges, Sigma
-    being N / den: rank A_E = |E| - p(p-1)/2 + rank H_nonE, and at a
-    one-dimensional kernel the kernel vector of A_E comes from that of
-    H_nonE (see ``_intkernel``).  A(N)_E itself is ranked only when H_nonE
-    has no rows or A_E's kernel has dimension two or more.
+    ``volatility`` is (integer C rows, scale); the rank is that of A_E, the
+    restricted A at Sigma.  A sample below rank |E| carries an edge-indexed
+    nonzero vector in the kernel of A_E.  The rank is decided on H(N) on
+    the non-edges, Sigma being N / den: rank A_E = |E| - p(p-1)/2 +
+    rank H_nonE, and at a one-dimensional kernel the kernel vector of A_E
+    comes from that of H_nonE (see ``_intkernel``).  A(N)_E itself is
+    ranked only when H_nonE has no rows or A_E's kernel has dimension two
+    or more.
     """
     p = g.p
     n_mat, den = _solve_sigma_scaled(m_rows, volatility[0], p)
@@ -269,9 +269,8 @@ def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility,
         kernel = None if c is None else _kernel_from_h(n_mat, g, c)
     else:
         rank, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
-    achieved = h_rank if use_kernel else rank
     kernel_vec = () if kernel is None else tuple(Fraction(v, kernel[1]) for v in kernel[0])
-    return RankSample(tuple(map(tuple, m_rows)), volatility, achieved, kernel_vec,
+    return RankSample(tuple(map(tuple, m_rows)), volatility, rank, kernel_vec,
                       solved=(n_mat, den))
 
 
@@ -289,23 +288,17 @@ def _kernel_from_h(n_mat: list[list[int]], g: DiGraph,
 
 
 def _sampling_volatility(p: int, vol: VolatilityMatrix):
-    """((integer C rows, scale gamma), substituted) for sampling on p nodes.
+    """((integer C rows, scale gamma), certificate notes) for sampling on p nodes.
 
     With diagonal volatility the identifiability class matches the
     identity-volatility model, so sampling may use C = I_p.
     """
+    notes = ["coefficient (A) route"]
     substituted = vol.diagonal and vol.matrix != RatMatrix.identity(p)
-    c_rows, gamma = _matrix_to_int_rows(RatMatrix.identity(p) if substituted else vol.matrix)
-    return (tuple(map(tuple, c_rows)), gamma), substituted
-
-
-def _route_notes(cfg: ClassifyConfig, substituted: bool) -> list[str]:
-    notes = [
-        "kernel-restriction (H) route" if cfg.use_kernel_route else "coefficient (A) route"
-    ]
     if substituted:
         notes.append("sampled with identity volatility (diagonal C equivalence)")
-    return notes
+    c_rows, gamma = _matrix_to_int_rows(RatMatrix.identity(p) if substituted else vol.matrix)
+    return (tuple(map(tuple, c_rows)), gamma), notes
 
 
 def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
@@ -327,18 +320,14 @@ def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
 
 
 def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig,
-                      volatility, substituted: bool) -> IdentVerdict:
+                      volatility, notes: list[str]) -> IdentVerdict:
     """The exact sampling stage for a non-simple ``g``; ``volatility`` and
-    ``substituted`` are :func:`_sampling_volatility` at g.p."""
-    notes = _route_notes(cfg, substituted)
-    target = g.p * (g.p - 1) // 2 if cfg.use_kernel_route else g.num_edges
+    ``notes`` are :func:`_sampling_volatility` at g.p."""
     rng = _derive_rng(cfg.seed, salt=g.p)
     deficits: list[RankSample] = []
     for _ in range(cfg.trials):
-        sample = _rank_test_at_sample(
-            g, _draw_drift_rows(g, rng, cfg.bound), volatility, cfg.use_kernel_route
-        )
-        if sample.rank == target:
+        sample = _rank_test_at_sample(g, _draw_drift_rows(g, rng, cfg.bound), volatility)
+        if sample.rank == g.num_edges:
             return _witness_verdict(g, vol, notes, sample)
         deficits.append(sample)
     return IdentVerdict(
@@ -380,24 +369,6 @@ def check_generic(
     per-sample kernel vector and a stated failure bound.
     """
     return _generic_by_sampling(g, vol, ClassifyConfig(trials, bound, seed))
-
-
-def check_generic_via_kernel(
-    g: DiGraph,
-    vol: VolatilityMatrix,
-    trials: int = 5,
-    bound: int = 2**20,
-    seed: int = 0,
-) -> IdentVerdict:
-    """Same verdict as :func:`check_generic`, computed from the kernel basis.
-
-    Tests whether the non-edge row restriction of H(Sigma) has full column
-    rank p(p-1)/2; at any fixed positive definite Sigma this is equivalent
-    to the coefficient-matrix rank condition, so the two routes agree.
-    """
-    return _generic_by_sampling(
-        g, vol, ClassifyConfig(trials, bound, seed, use_kernel_route=True)
-    )
 
 
 def classify(
@@ -446,7 +417,7 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
                     elapsed_ms: list[float] | None = None) -> list[IdentVerdict]:
     """:func:`classify` for many graphs at once: the same verdicts, byte for byte.
 
-    The first A-route sample of every graph that reaches sampling is drawn
+    The first sample of every graph that reaches sampling is drawn
     as :func:`_rank_by_sampling` would draw it and screened for all graphs
     together by :func:`_screen_full_rank`.  A graph the screen proves full
     rank gets its full-rank-witness verdict at once, its sigma solved
@@ -460,15 +431,15 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
     for k, (g, cfg) in enumerate(zip(graphs, cfgs)):
         started = time.perf_counter()
         verdict = _bound_verdict(g, vol)
-        if verdict is None and (cfg.use_kernel_route or is_simple(g)):
-            verdict = _generic_by_sampling(g, vol, cfg)
+        if verdict is None and is_simple(g):
+            verdict = check_global(g, vol)
         if verdict is None:
             pending[g.p].append(k)
         verdicts[k] = verdict
         times[k] = (time.perf_counter() - started) * 1e3
     for p, members in pending.items():
         started = time.perf_counter()
-        volatility, substituted = _sampling_volatility(p, vol)
+        volatility, notes = _sampling_volatility(p, vol)
         drifts = [
             _draw_drift_rows(graphs[k], _derive_rng(cfgs[k].seed, salt=p), cfgs[k].bound)
             for k in members
@@ -480,9 +451,9 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
             g, cfg = graphs[k], cfgs[k]
             if full:
                 witness = RankSample(tuple(map(tuple, m_rows)), volatility, g.num_edges)
-                verdicts[k] = _witness_verdict(g, vol, _route_notes(cfg, substituted), witness)
+                verdicts[k] = _witness_verdict(g, vol, notes, witness)
             else:
-                verdicts[k] = _rank_by_sampling(g, vol, cfg, volatility, substituted)
+                verdicts[k] = _rank_by_sampling(g, vol, cfg, volatility, notes)
             times[k] += share + (time.perf_counter() - started) * 1e3
     if elapsed_ms is not None:
         elapsed_ms.extend(times)

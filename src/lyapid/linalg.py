@@ -108,9 +108,6 @@ class RatMatrix:
     def to_lists(self) -> list[list[Rational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def flat(self) -> tuple[Rational, ...]:
-        return self.entries
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -20,7 +20,7 @@ from .graphs import DiGraph, no_trek_pairs, ancestor_sets
 from .identifiability import (
     FULL_RANK_WITNESS,
     IdentClass,
-    check_generic_via_kernel,
+    check_generic,
     cycle3_determinant_identity,
     dag_determinant_identity,
 )
@@ -398,7 +398,7 @@ def suite_appendix_a(trials: int = 100, seed: int = 0) -> SuiteResult:
     For the graph 1 <-> 2 with isolated node 3 and a general positive
     definite C, Sigma_13 has numerator c23 m12 - c13 (m22 + m33) over a
     denominator positive on the stable region; with c13 or c23 nonzero the
-    graph is generically identifiable via a full-rank kernel witness.
+    graph is generically identifiable via a full-rank witness.
     """
     result = SuiteResult("appendixA")
     rng = random.Random(seed)
@@ -423,7 +423,7 @@ def suite_appendix_a(trials: int = 100, seed: int = 0) -> SuiteResult:
     vol = VolatilityMatrix(
         RatMatrix.from_rows([[2, 0, 1], [0, 2, 0], [1, 0, 2]])
     )
-    verdict = check_generic_via_kernel(g, vol, trials=3, bound=2**10, seed=seed)
+    verdict = check_generic(g, vol, trials=3, bound=2**10, seed=seed)
     result.record(
         "off-diagonal volatility upgrades the 2-cycle-plus-node to generic",
         verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL

@@ -32,7 +32,6 @@ from lyapid.identifiability import (
     ClassifyConfig,
     IdentClass,
     check_generic,
-    check_generic_via_kernel,
     classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
@@ -444,12 +443,12 @@ class TestCriterion09AppendixRegression:
     def test_offdiagonal_volatility_upgrades_to_generic(self):
         g = two_cycle(3)
         vol = VolatilityMatrix(RatMatrix.from_rows([[2, 0, 1], [0, 2, 0], [1, 0, 2]]))
-        verdict = check_generic_via_kernel(g, vol, trials=3, seed=99)
+        verdict = check_generic(g, vol, trials=3, seed=99)
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
         )
         assert verdict.certificate.kind == FULL_RANK_WITNESS
-        _report("9b", "c13 != 0 yields a full-rank kernel witness (generic)")
+        _report("9b", "c13 != 0 yields a full-rank witness (generic)")
 
 
 class TestCriterion10Invariances:

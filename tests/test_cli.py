@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,11 @@ from lyapid.cli import main
 from lyapid.graphs import graph_from_json, graph_to_json
 from lyapid.catalog import three_cycle, two_cycle, two_cycle_out_edge
 from lyapid.linalg import parse_matrix_csv
+
+
+ROOT = Path(__file__).resolve().parent.parent
+needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(),
+                                    reason="needs /dev/full, a device every write to fails")
 
 
 @pytest.fixture
@@ -193,15 +202,18 @@ class TestClassifyCommand:
         assert main(["classify", "--graph", graph]) == 1
         _assert_one_line_error(capsys)
 
-    def test_kernel_route_agrees(self, workdir, capsys):
-        graph = _write(
-            workdir / "g.json", json.dumps(graph_to_json(two_cycle_out_edge()))
-        )
-        main(["classify", "--graph", graph, "--seed", "3"])
-        coefficient_route = json.loads(capsys.readouterr().out)
-        main(["classify", "--graph", graph, "--seed", "3", "--kernel-route"])
-        kernel_route = json.loads(capsys.readouterr().out)
-        assert coefficient_route["class"] == kernel_route["class"]
+    @needs_dev_full
+    def test_failed_stdout_write_exit_2(self, workdir):
+        graph = _write(workdir / "g.json", json.dumps(graph_to_json(two_cycle_out_edge())))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lyapid.cli", "classify", "--graph", graph],
+                stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestSweepCommand:
@@ -228,6 +240,11 @@ class TestSweepCommand:
         assert main(["sweep", "--p", "3", "--out", str(out)]) == 2
         _assert_one_line_error(capsys)
         assert not out.parent.exists()
+
+    @needs_dev_full
+    def test_failed_report_write_exit_2(self, capsys):
+        assert main(["sweep", "--p", "3", "--out", "/dev/full"]) == 2
+        _assert_one_line_error(capsys)
 
     def test_p_out_of_range_exit_2(self):
         assert main(["sweep", "--p", "6"]) == 2

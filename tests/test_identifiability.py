@@ -32,7 +32,6 @@ from lyapid.identifiability import (
     ClassifyConfig,
     IdentClass,
     check_generic,
-    check_generic_via_kernel,
     check_global,
     classify,
     cycle3_determinant_identity,
@@ -57,6 +56,19 @@ from lyapid.sweep import derive_graph_seed
 
 IDENTITY3 = VolatilityMatrix.identity(3)
 IDENTITY4 = VolatilityMatrix.identity(4)
+
+# the non-simple catalog graphs: check_generic samples each of them
+SAMPLED_CATALOG_GRAPHS = {
+    "two_cycle": two_cycle(),
+    "two_cycle_p3": two_cycle(3),
+    "two_cycle_out_edge": two_cycle_out_edge(),
+    "fan_in_two_cycle": fan_in_two_cycle(),
+    "fan_in_two_cycle_with_return": fan_in_two_cycle_with_return(),
+    "two_cycle_two_sinks": two_cycle_two_sinks(),
+    "two_cycle_two_sources": two_cycle_two_sources(),
+    "many_parents_two_cycle_4": many_parents_two_cycle(4),
+    "many_parents_two_cycle_5": many_parents_two_cycle(5),
+}
 
 
 class TestCheckGlobal:
@@ -188,13 +200,17 @@ class TestKernelRoute:
         res0 = restrict_H(build_H(sigma0), g)
         assert rank(res0) < 3
 
-    def test_agreement_with_coefficient_route_on_p4_candidates(self):
-        for g in enumerate_candidates(4):
-            a_verdict = check_generic(g, IDENTITY4, trials=3, bound=2**10, seed=23)
-            h_verdict = check_generic_via_kernel(
-                g, IDENTITY4, trials=3, bound=2**10, seed=23
-            )
-            assert a_verdict.classification == h_verdict.classification
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(SAMPLED_CATALOG_GRAPHS))
+    def test_sample_ranks_match_the_fraction_rank(self, name, seed):
+        # the rank decided on H_nonE is the Fraction rank of A(Sigma)_E
+        g = SAMPLED_CATALOG_GRAPHS[name]
+        cert = check_generic(g, VolatilityMatrix.identity(g.p), seed=seed).certificate
+        assert cert.kind in (FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS)
+        if cert.witness is not None:
+            assert cert.witness.rank == g.num_edges
+        for sample in cert.samples:
+            assert sample.rank == rank(restrict_A(build_A(sample.sigma), g)) < g.num_edges
 
 
 class TestClassify:
@@ -376,16 +392,14 @@ def _scaled_rows(m: RatMatrix, d: int) -> list[list]:
 class TestIntegerHotPath:
     """The sampling path's integer rows against the public Fraction builders."""
 
-    @pytest.mark.parametrize("kernel_route", [False, True])
     @pytest.mark.parametrize(
         "graph_fn", [two_cycle_out_edge, fan_in_two_cycle, two_cycle_two_sinks,
                      two_cycle_two_sources]
     )
-    def test_rank_tested_rows_are_scaled_restrictions(self, monkeypatch, graph_fn,
-                                                      kernel_route):
+    def test_rank_tested_rows_are_scaled_restrictions(self, monkeypatch, graph_fn):
         g = graph_fn()
         tested = []
-        # both routes rank the non-edge rows of H through rank_and_kernel
+        # every sample ranks the non-edge rows of H through rank_and_kernel
         ranker = _intkernel.rank_and_kernel
 
         def capture(rows):
@@ -393,8 +407,7 @@ class TestIntegerHotPath:
             return ranker(rows)
 
         monkeypatch.setattr(_intkernel, "rank_and_kernel", capture)
-        check = check_generic_via_kernel if kernel_route else check_generic
-        cert = check(g, VolatilityMatrix.identity(g.p), trials=3, seed=11).certificate
+        cert = check_generic(g, VolatilityMatrix.identity(g.p), trials=3, seed=11).certificate
         samples = [cert.witness] if cert.witness is not None else list(cert.samples)
         assert len(tested) == len(samples) >= 1
         for rows, sample in zip(tested, samples):
@@ -446,44 +459,33 @@ P5_DEFICIT = DiGraph(5, frozenset({(1, 2), (2, 1), (1, 3), (2, 3), (4, 3), (4, 5
 class TestKernelVectorOracle:
     """Kernel vectors from the Bareiss echelon equal the Fraction RREF ones."""
 
-    @pytest.mark.parametrize("kernel_route", [False, True])
     @pytest.mark.parametrize("g", [two_cycle_two_sinks(), P5_DEFICIT],
                              ids=["two_cycle_two_sinks", "p5_deficit"])
-    def test_every_deficit_sample_matches_rref(self, g, kernel_route):
+    def test_every_deficit_sample_matches_rref(self, g):
         vol = VolatilityMatrix.identity(g.p)
-        check = check_generic_via_kernel if kernel_route else check_generic
         for seed in range(5):
-            cert = check(g, vol, seed=seed).certificate
+            cert = check_generic(g, vol, seed=seed).certificate
             assert cert.kind == RANK_DEFICIT_WITNESS
             for sample in cert.samples:
                 assert sample.kernel_vector
                 assert sample.kernel_vector == _rref_kernel_vector(g, sample.sigma)
 
 
-# check_generic's deficit graphs from the catalog (no bound stage runs there),
-# the full-rank two_cycle_out_edge, and a p = 3 graph with 8 edges, whose
-# 6 x 8 restricted A has a kernel of dimension 2 or more at every sample
+# the sampled catalog graphs, the p = 5 deficit graph, and a p = 3 graph with
+# 8 edges, whose 6 x 8 restricted A has a kernel of dimension 2 or more at
+# every sample
 P3_EIGHT_EDGES = DiGraph(3, frozenset({(1, 2), (2, 1), (1, 3), (3, 1), (2, 3)}))
 H_ROUTE_GRAPHS = {
-    "two_cycle": two_cycle(),
-    "two_cycle_p3": two_cycle(3),
-    "two_cycle_out_edge": two_cycle_out_edge(),
-    "fan_in_two_cycle": fan_in_two_cycle(),
-    "two_cycle_two_sinks": two_cycle_two_sinks(),
-    "two_cycle_two_sources": two_cycle_two_sources(),
-    "many_parents_two_cycle_4": many_parents_two_cycle(4),
-    "many_parents_two_cycle_5": many_parents_two_cycle(5),
+    **SAMPLED_CATALOG_GRAPHS,
     "p5_deficit": P5_DEFICIT,
     "p3_eight_edges": P3_EIGHT_EDGES,
 }
 
-# sha256 of the verdict JSON (sort_keys) at seed 0 for the complete graphs,
-# which have no non-edge rows of H, under check_generic and its kernel route
+# sha256 of the verdict JSON (sort_keys) of check_generic at seed 0 for the
+# complete graphs, which have no non-edge rows of H
 COMPLETE_GRAPH_VERDICT_SHA256 = {
-    (2, False): "ae52fe5d2fcfb8a0a2bc0774d77bf8b21b578e40abb4cf5e93b4f8030dc9cb73",
-    (2, True): "0c672beb5155bd1241887a2fc8bf9f05a9a73cda1810b263cb3ba9330a2a1bd4",
-    (3, False): "6829bc84efb5b009b099c83d7590025b7419f54398ca5f2255641d587c91c5ac",
-    (3, True): "cfe452c15aff211730371c888780f14d32fe2dd42f5abcd16f7e232629bde03e",
+    2: "ae52fe5d2fcfb8a0a2bc0774d77bf8b21b578e40abb4cf5e93b4f8030dc9cb73",
+    3: "6829bc84efb5b009b099c83d7590025b7419f54398ca5f2255641d587c91c5ac",
 }
 
 
@@ -508,46 +510,40 @@ def _count_h_route(monkeypatch) -> dict:
 class TestKernelRestrictionRanks:
     """Every rank is decided on H(N) restricted to the non-edges."""
 
-    @pytest.mark.parametrize("kernel_route", [False, True])
     @pytest.mark.parametrize("name", sorted(H_ROUTE_GRAPHS))
-    def test_matches_the_a_route_rank_and_kernel(self, name, kernel_route):
+    def test_matches_the_a_route_rank_and_kernel(self, name):
         g = H_ROUTE_GRAPHS[name]
         volatility, _ = identifiability._sampling_volatility(g.p, VolatilityMatrix.identity(g.p))
-        skew = g.p * (g.p - 1) // 2
         for seed in range(3):
             rng = identifiability._derive_rng(seed, salt=g.p)
             for _ in range(3):
                 m_rows = lyapunov._draw_drift_rows(g, rng, 2**20)
-                sample = identifiability._rank_test_at_sample(g, m_rows, volatility,
-                                                              kernel_route)
+                sample = identifiability._rank_test_at_sample(g, m_rows, volatility)
                 n_mat, _ = lyapunov._solve_sigma_scaled(m_rows, [list(r) for r in volatility[0]],
                                                         g.p)
                 rank, kernel = _intkernel.rank_and_kernel(
                     lyapunov._a_rows(n_mat, g.edge_index()))
-                assert sample.rank == (rank - g.num_edges + skew if kernel_route else rank)
+                assert sample.rank == rank
                 expected = () if kernel is None else tuple(
                     Fraction(v, kernel[1]) for v in kernel[0])
                 assert sample.kernel_vector == expected
 
-    @pytest.mark.parametrize("check", [check_generic, check_generic_via_kernel])
-    def test_kernel_of_dimension_two_takes_the_a_fallback(self, monkeypatch, check):
+    def test_kernel_of_dimension_two_takes_the_a_fallback(self, monkeypatch):
         counts = _count_h_route(monkeypatch)
-        cert = check(P3_EIGHT_EDGES, IDENTITY3, seed=1).certificate
+        cert = check_generic(P3_EIGHT_EDGES, IDENTITY3, seed=1).certificate
         assert cert.kind == RANK_DEFICIT_WITNESS
         assert counts == {"from_h": 0, "a_fallback": len(cert.samples)}
         for sample in cert.samples:
-            assert sample.rank <= (6 if check is check_generic else 1)
+            assert sample.rank <= 6
             assert sample.kernel_vector == _rref_kernel_vector(P3_EIGHT_EDGES, sample.sigma)
 
-    @pytest.mark.parametrize("kernel_route", [False, True])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_complete_graph_classifies_as_pinned(self, monkeypatch, p, kernel_route):
+    def test_complete_graph_classifies_as_pinned(self, monkeypatch, p):
         # H_nonE has no rows: the A fallback ranks every sample
         counts = _count_h_route(monkeypatch)
-        check = check_generic_via_kernel if kernel_route else check_generic
-        verdict = check(complete_graph(p), VolatilityMatrix.identity(p))
+        verdict = check_generic(complete_graph(p), VolatilityMatrix.identity(p))
         body = json.dumps(verdict.to_json(), sort_keys=True).encode()
-        assert hashlib.sha256(body).hexdigest() == COMPLETE_GRAPH_VERDICT_SHA256[p, kernel_route]
+        assert hashlib.sha256(body).hexdigest() == COMPLETE_GRAPH_VERDICT_SHA256[p]
         assert counts == {"from_h": 0, "a_fallback": 5}
 
     def test_one_dimensional_kernels_come_from_h(self, monkeypatch):
@@ -642,7 +638,6 @@ class TestClassifyBatch:
         full = VolatilityMatrix(random_pd_matrix(3, rng))
         cases = [
             (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=1)),
-            (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=1, use_kernel_route=True)),
             (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=2, bound=2**80)),
             (two_cycle_out_edge(), diagonal, ClassifyConfig(seed=3)),
             (two_cycle_out_edge(), full, ClassifyConfig(seed=4, trials=2)),
@@ -650,7 +645,6 @@ class TestClassifyBatch:
             (two_cycle(), VolatilityMatrix.identity(2), ClassifyConfig()),
             (fan_in_two_cycle(), IDENTITY4, ClassifyConfig()),
             (two_cycle_two_sinks(), IDENTITY4, ClassifyConfig(seed=5)),
-            (two_cycle_two_sinks(), IDENTITY4, ClassifyConfig(seed=5, use_kernel_route=True)),
         ]
         expected = [_verdict_bytes(classify(g, vol, cfg)) for g, vol, cfg in cases]
         for (g, vol, cfg), want in zip(cases, expected):
