@@ -97,9 +97,13 @@ kernel vectors.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from operator import mul
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # The Mersenne prime 2^61 - 1.  Read at call time, so a test can swap in a
 # tiny prime to force the exact fallback.
@@ -108,6 +112,27 @@ MOD_PRIME = 2**61 - 1
 # The Mersenne prime 2^31 - 1 of :func:`mod_gauss`: the product of
 # two residues fits in an int64.  Read at call time, like MOD_PRIME.
 SCREEN_PRIME = 2**31 - 1
+
+
+def numpy():
+    """The numpy module, imported on first use with one BLAS thread.
+
+    Only the sweep's enumeration and batched screen (int64 arrays) and the
+    ``spectral`` property suite use numpy, so ``import lyapid``,
+    ``classify``, ``solve`` and ``fiber`` never load it.  Importing numpy
+    starts OpenBLAS's thread pool, whose threads busy-wait for work at
+    start-up, yet no int64 array ever reaches BLAS.  The only LAPACK calls
+    are ``suite_spectral``'s ``eigvals`` (at most 25 x 25) and ``eigvalsh``
+    (at most 5 x 5), which OpenBLAS runs on one thread at these sizes.  So
+    a first import asks for one thread; an ``OPENBLAS_NUM_THREADS`` the
+    caller set wins, and a numpy some other code imported first is left
+    as it is.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy as np
+
+    return np
 
 
 def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
@@ -236,7 +261,7 @@ def leading_minors_positive(rows: list[list[int]]) -> bool:
 
 def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
     """x^(q-2) mod q elementwise: the inverse of every nonzero residue."""
-    result = np.ones_like(x)
+    result = numpy().ones_like(x)
     base = x
     e = q - 2
     while e:
@@ -264,6 +289,7 @@ def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
     are K^-1 b mod q.  Where ``full[k]`` is False only the flag is
     meaningful.
     """
+    np = numpy()
     q = SCREEN_PRIME
     work = np.array(stack, dtype=np.int64)
     nr, nc, batch = work.shape

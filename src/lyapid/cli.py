@@ -51,6 +51,18 @@ def _read_file(path: str, parse):
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
+def _cannot_write(target: str, exc: OSError) -> _CliError:
+    return _CliError(EXIT_PRECONDITION, f"cannot write {target}: {exc}")
+
+
+def _print(text: str) -> None:
+    """Print ``text`` on stdout and flush it; a failed write exits 2 and says so."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # such as a full disk
+        raise _cannot_write("standard output", exc) from exc
+
+
 def _volatility(matrix) -> VolatilityMatrix:
     try:
         return VolatilityMatrix(matrix)
@@ -75,7 +87,7 @@ def _cmd_solve(args) -> int:
         sigma = solve_for_sigma(drift, vol)
     except NotStableError as exc:
         raise _CliError(EXIT_PRECONDITION, f"drift matrix: {exc}") from exc
-    print(format_matrix_csv(sigma.matrix))
+    _print(format_matrix_csv(sigma.matrix))
     return EXIT_OK
 
 
@@ -90,7 +102,7 @@ def _cmd_fiber(args) -> int:
     if sigma.p != g.p or vol.matrix.rows != g.p:
         raise _CliError(EXIT_PRECONDITION, "matrix sizes do not match the graph")
     result = fiber(sigma, g, vol)
-    print(json.dumps(result.to_json(), indent=2))
+    _print(json.dumps(result.to_json(), indent=2))
     return EXIT_OK
 
 
@@ -103,7 +115,7 @@ def _cmd_classify(args) -> int:
     else:
         vol = VolatilityMatrix.identity(g.p)
     verdict = classify(g, vol, _classify_config(args))
-    print(json.dumps(verdict.to_json(), indent=2))
+    _print(json.dumps(verdict.to_json(), indent=2))
     return EXIT_OK
 
 
@@ -132,14 +144,23 @@ def _cmd_sweep(args) -> int:
     _classify_config(args)  # rejects bad --trials / --bound before any work
     policy = EnumPolicy(max_edges=args.max_edges, connectivity=args.connectivity)
     try:  # opened before the sweep, so an unwritable path costs no sweep
-        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext()
     except OSError as exc:
-        raise _CliError(EXIT_PRECONDITION, f"cannot write {args.out}: {exc}") from exc
-    with out as stream:
+        raise _cannot_write(args.out, exc) from exc
+    with out:
         report = run_sweep(args.p, policy=policy, trials=args.trials, bound=args.bound,
                            seed=args.seed, jobs=args.jobs)
-        stream.write(_report_json(report.to_json()) + "\n")
-    print(report.summary_csv(), file=sys.stderr if args.out is None else sys.stdout)
+        text = _report_json(report.to_json())
+        if not args.out:
+            _print(text)
+            print(report.summary_csv(), file=sys.stderr)
+            return EXIT_OK
+        try:
+            with out:  # closes here, so a failed flush at the close is caught too
+                out.write(text + "\n")
+        except OSError as exc:
+            raise _cannot_write(args.out, exc) from exc
+    _print(report.summary_csv())
     return EXIT_OK
 
 
@@ -148,7 +169,7 @@ def _cmd_props(args) -> int:
         raise _CliError(EXIT_PRECONDITION, f"trials must be >= 1, got {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [run_suite(name, trials=args.trials, seed=args.seed) for name in names]
-    print(json.dumps([r.to_json() for r in results], indent=2))
+    _print(json.dumps([r.to_json() for r in results], indent=2))
     if not all(r.passed for r in results):
         return EXIT_PROPERTY
     return EXIT_OK
@@ -210,13 +231,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a failed write to stdout surfaces here, not at exit
-        return code
+        return args.func(args)  # every write to stdout is flushed by _print
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except OSError as exc:  # such as a full disk under --out or stdout
+    except OSError as exc:  # not an output failure: those name their target
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

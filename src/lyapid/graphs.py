@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
+from . import _intkernel
 
 Edge = tuple[int, int]
 
@@ -260,6 +260,7 @@ def _permutation_mask_tables(p: int):
     ``half`` bits (the high ``q - half`` bits) of a mask to their image
     under the k-th node relabelling, so an image is ``lo[k][low] | hi[k][high]``.
     """
+    np = _intkernel.numpy()
     pairs = _offdiag_pairs(p)
     q = len(pairs)
     index = {e: k for k, e in enumerate(pairs)}
@@ -307,6 +308,7 @@ def _candidate_edges(p: int, policy: EnumPolicy | None = None) -> list[tuple[Edg
     """
     if not (2 <= p <= 5):
         raise ValueError("enumeration supports 2 <= p <= 5")
+    np = _intkernel.numpy()
     policy = policy or EnumPolicy()
     pairs, q, half, lo, hi = _permutation_mask_tables(p)
     levels = [np.array([1 << (q - 1)], dtype=np.int64)]  # the canonical 1-arc mask

@@ -19,8 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _intkernel
 from .graphs import DiGraph, Edge, is_dag, is_simple, necessary_criterion, no_trek_pairs
@@ -38,6 +37,9 @@ from .lyapunov import (
     build_A,
     restrict_A,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class IdentClass(str, enum.Enum):
@@ -472,6 +474,7 @@ def _screen_plans(p: int) -> tuple[np.ndarray, np.ndarray]:
     entry of Sigma: H[e, c] is ``s[h_plan[e, c]]`` for s the vech of Sigma,
     then the vech of -Sigma, then a zero.
     """
+    np = _intkernel.numpy()
     n = p * (p + 1) // 2
     zero = p * p
     zeros = [[0] * p for _ in range(p)]
@@ -512,6 +515,7 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
     """
     if not graphs:
         return []
+    np = _intkernel.numpy()
     q = _intkernel.SCREEN_PRIME
     p = len(c_rows)
     n = p * (p + 1) // 2

@@ -35,6 +35,18 @@ def _assert_one_line_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def _assert_stdout_write_fails(argv):
+    """``lyapid argv`` with stdout on /dev/full exits 2 with one line naming stdout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lyapid.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write standard output: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 # Graph JSON that must be rejected, not coerced: only JSON integers are nodes.
 MALFORMED_GRAPHS = {
     "edges-not-a-list": {"p": 3, "edges": 5},
@@ -204,16 +216,9 @@ class TestClassifyCommand:
 
     @needs_dev_full
     def test_failed_stdout_write_exit_2(self, workdir):
+        # about 1 KB of verdict, so the write fails at the flush
         graph = _write(workdir / "g.json", json.dumps(graph_to_json(two_cycle_out_edge())))
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "lyapid.cli", "classify", "--graph", graph],
-                stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
-            )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        _assert_stdout_write_fails(["classify", "--graph", graph])
 
 
 class TestSweepCommand:
@@ -242,9 +247,15 @@ class TestSweepCommand:
         assert not out.parent.exists()
 
     @needs_dev_full
+    def test_failed_report_to_stdout_exit_2(self):
+        # the p = 4 report outgrows the stdout buffer, so the write itself fails
+        _assert_stdout_write_fails(["sweep", "--p", "4"])
+
+    @needs_dev_full
     def test_failed_report_write_exit_2(self, capsys):
         assert main(["sweep", "--p", "3", "--out", "/dev/full"]) == 2
-        _assert_one_line_error(capsys)
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1, err
 
     def test_p_out_of_range_exit_2(self):
         assert main(["sweep", "--p", "6"]) == 2

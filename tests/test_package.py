@@ -1,6 +1,19 @@
-"""The package's public surface."""
+"""The package's public surface, and how it loads numpy."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
 
 import lyapid
+from lyapid.catalog import two_cycle_out_edge
+from lyapid.graphs import graph_to_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +23,73 @@ def test_every_exported_name_resolves():
 
 def test_no_name_is_exported_twice():
     assert len(set(lyapid.__all__)) == len(lyapid.__all__)
+
+
+# How lyapid loads numpy (``_intkernel.numpy``): each case runs in a fresh
+# interpreter, since this one has numpy loaded already.
+
+
+def _run_fresh(code: str, env_extra: dict | None = None) -> str:
+    """The last line ``code`` prints in a new interpreter.
+
+    OPENBLAS_NUM_THREADS is unset there unless ``env_extra`` gives it.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_extra or {})
+    path = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_leaves_numpy_unloaded():
+    assert _run_fresh("""
+        import sys
+        import lyapid
+        print("numpy" in sys.modules)
+    """) == "False"
+
+
+def test_classify_command_leaves_numpy_unloaded(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(graph_to_json(two_cycle_out_edge())))
+    assert _run_fresh(f"""
+        import sys
+        import lyapid.cli
+        assert lyapid.cli.main(["classify", "--graph", {str(graph)!r}]) == 0
+        print("numpy" in sys.modules)
+    """) == "False"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_sweep_asks_for_one_blas_thread_unless_told(preset, expected):
+    env = None if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert _run_fresh("""
+        import os
+        from lyapid import run_sweep
+        run_sweep(3)
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+    """, env) == expected
+
+
+def test_numpy_loaded_by_the_host_is_left_alone():
+    assert _run_fresh("""
+        import os
+        import numpy
+        from lyapid import run_sweep
+        run_sweep(3)
+        print(os.environ.get("OPENBLAS_NUM_THREADS"))
+    """) == "None"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc/self/task to count threads")
+def test_sweep_parent_runs_one_thread_after_enumeration():
+    assert _run_fresh("""
+        import os
+        from lyapid import run_sweep
+        run_sweep(4)
+        print(len(os.listdir("/proc/self/task")))
+    """) == "1"
