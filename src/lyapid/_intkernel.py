@@ -13,24 +13,26 @@ of plain Python ints.  Rational matrices reach it through
 denominator; rank and solutions are invariant under such row scalings, and
 a determinant only needs the scales divided back out.
 
-:func:`int_rank` first eliminates over GF(q).  Reducing mod q maps every
-minor to its residue, so the rank over GF(q) never exceeds the rank over Q;
-a full rank found mod q is therefore the exact rank.  Only a matrix that is
-deficient mod q -- rank-deficient over Q, or unluckily divisible by q --
-pays for Bareiss.  :func:`solve_square_int` back-substitutes in integers,
-using Cramer's rule to keep every intermediate integral.  Without a row
-exchange the k-th Bareiss pivot is the k-th leading principal minor
-(Sylvester), which is all :func:`leading_minors_positive` needs.
+:func:`rank_and_kernel` decides every exact rank.  It first eliminates
+over GF(q).  Reducing mod q maps every minor to its residue, so the rank
+over GF(q) never exceeds the rank over Q; a full column rank found mod q
+is therefore the exact rank, and ``linalg.rank`` ranks a wide matrix as
+its transpose to get one.  Only a matrix that is deficient mod q --
+rank-deficient over Q, or unluckily divisible by q -- pays for more.
+:func:`solve_square_int` back-substitutes in integers, using Cramer's rule
+to keep every intermediate integral.  Without a row exchange the k-th
+Bareiss pivot is the k-th leading principal minor (Sylvester), which is
+all :func:`leading_minors_positive` needs.
 
-:func:`rank_and_kernel` ranks the same way and, below full column rank,
-returns the first reduced-row-echelon kernel vector x: with f the first
-non-pivot column, x[f] = 1, x[f+1:] = 0 and x[:f] solves the first f
-columns.  When the rank mod q is exactly n - 1 (n columns), f and the rows
-S of the first f pivots come from the mod-q echelon, and x[:f] = y is
-lifted q-adically from B y = -a, B being rows S of columns :f and a rows S
-of column f (Dixon; :func:`_lift_kernel`, which takes B's LU factors from
-the echelon), then rationally reconstructed and checked exactly against
-every row.  The result is the one Bareiss would give:
+Below full column rank, :func:`rank_and_kernel` also returns the first
+reduced-row-echelon kernel vector x: with f the first non-pivot column,
+x[f] = 1, x[f+1:] = 0 and x[:f] solves the first f columns.  When the
+rank mod q is exactly n - 1 (n columns), f and the rows S of the first f
+pivots come from the mod-q echelon, and x[:f] = y is lifted q-adically
+from B y = -a, B being rows S of columns :f and a rows S of column f
+(Dixon; :func:`_lift_kernel`, which takes B's LU factors from the
+echelon), then rationally reconstructed and checked exactly against every
+row.  The result is the one Bareiss would give:
 
 - B = L U mod q with a unit L and no zero on U's diagonal, so det B is
   nonzero mod q and hence over Q: columns :f are independent over Q.
@@ -217,21 +219,6 @@ def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int], list[list[
         if r == nr:
             break
     return pivot_cols, order[:r], work
-
-
-def int_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix (consumes ``rows``).
-
-    A full rank over GF(MOD_PRIME) is returned at once; any other matrix is
-    ranked exactly by :func:`bareiss_forward`.
-    """
-    if not rows or not rows[0]:
-        return 0
-    modular = len(mod_echelon(rows)[0])
-    if modular == min(len(rows), len(rows[0])):
-        return modular
-    pivot_cols, _ = bareiss_forward(rows)
-    return len(pivot_cols)
 
 
 def int_det(rows: list[list[int]]) -> int:

@@ -116,22 +116,11 @@ def is_simple(g: DiGraph) -> bool:
 
 
 def is_dag(g: DiGraph) -> bool:
-    """True iff the off-diagonal edge relation is acyclic (self-loops ignored)."""
-    children: dict[int, list[int]] = {v: [] for v in range(1, g.p + 1)}
-    indeg = {v: 0 for v in range(1, g.p + 1)}
-    for (i, j) in g.offdiag_edges:
-        children[i].append(j)
-        indeg[j] += 1
-    queue = [v for v in indeg if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in children[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == g.p
+    """True iff the off-diagonal edge relation is acyclic (self-loops ignored):
+    no two distinct nodes are each an ancestor of the other."""
+    masks = _ancestor_masks(g)
+    return not any(masks[w] >> v & 1 and masks[v] >> w & 1
+                   for w in range(g.p) for v in range(w))
 
 
 def _ancestor_masks(g: DiGraph) -> list[int]:

@@ -15,7 +15,6 @@ import enum
 import functools
 import random
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -23,14 +22,13 @@ from typing import TYPE_CHECKING
 
 from . import _intkernel
 from .graphs import DiGraph, Edge, is_dag, is_simple, necessary_criterion, no_trek_pairs
-from .linalg import RatMatrix, Rational, det, matrix_strings
+from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det, matrix_strings
 from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
     _a_rows,
     _draw_drift_rows,
     _h_rows,
-    _matrix_to_int_rows,
     _solve_sigma_scaled,
     _unvech,
     _vech_system,
@@ -175,6 +173,11 @@ class ClassifyConfig:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
 
 
+def _check_sizes(g: DiGraph, vol: VolatilityMatrix) -> None:
+    if vol.p != g.p:
+        raise ValueError(f"volatility matrix is {vol.p}x{vol.p}, but the graph has p = {g.p}")
+
+
 # ---------------------------------------------------------------------------
 # Theorem-backed global classification
 # ---------------------------------------------------------------------------
@@ -189,31 +192,21 @@ def check_global(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict:
     distinction is left to :func:`check_generic`.  For non-simple graphs
     with non-diagonal volatility no theorem applies and the verdict stays
     undetermined (an exact rank analysis may still settle it).
+
+    Raises:
+        ValueError: if ``vol`` is not p x p for the graph's p.
     """
+    _check_sizes(g, vol)
     if is_simple(g):
         kind = THEOREM_DAG if is_dag(g) else THEOREM_SIMPLE
         return IdentVerdict(IdentClass.GLOBALLY_IDENTIFIABLE, Certificate(kind=kind))
     if vol.diagonal:
-        return IdentVerdict(
-            IdentClass.UNDETERMINED,
-            Certificate(
-                kind=NO_THEOREM,
-                note=(
-                    "non-simple graph with diagonal volatility is not globally "
-                    "identifiable; run check_generic for the finer class"
-                ),
-            ),
-        )
-    return IdentVerdict(
-        IdentClass.UNDETERMINED,
-        Certificate(
-            kind=NO_THEOREM,
-            note=(
-                "non-simple graph with non-diagonal volatility: no theorem route; "
-                "an exact rank analysis may still settle the class"
-            ),
-        ),
-    )
+        note = ("non-simple graph with diagonal volatility is not globally "
+                "identifiable; run check_generic for the finer class")
+    else:
+        note = ("non-simple graph with non-diagonal volatility: no theorem route; "
+                "an exact rank analysis may still settle the class")
+    return IdentVerdict(IdentClass.UNDETERMINED, Certificate(kind=NO_THEOREM, note=note))
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +282,18 @@ def _kernel_from_h(n_mat: list[list[int]], g: DiGraph,
     return _intkernel._reduced(x, next(v for v in reversed(x) if v))
 
 
-def _sampling_volatility(p: int, vol: VolatilityMatrix):
-    """((integer C rows, scale gamma), certificate notes) for sampling on p nodes.
+def _sampling_volatility(vol: VolatilityMatrix):
+    """((integer C rows, scale gamma), certificate notes) for sampling under ``vol``.
 
     With diagonal volatility the identifiability class matches the
     identity-volatility model, so sampling may use C = I_p.
     """
     notes = ["coefficient (A) route"]
-    substituted = vol.diagonal and vol.matrix != RatMatrix.identity(p)
+    identity = RatMatrix.identity(vol.p)
+    substituted = vol.diagonal and vol.matrix != identity
     if substituted:
         notes.append("sampled with identity volatility (diagonal C equivalence)")
-    c_rows, gamma = _matrix_to_int_rows(RatMatrix.identity(p) if substituted else vol.matrix)
+    c_rows, gamma = _matrix_to_int_rows(identity if substituted else vol.matrix)
     return (tuple(map(tuple, c_rows)), gamma), notes
 
 
@@ -324,7 +318,7 @@ def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
 def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig,
                       volatility, notes: list[str]) -> IdentVerdict:
     """The exact sampling stage for a non-simple ``g``; ``volatility`` and
-    ``notes`` are :func:`_sampling_volatility` at g.p."""
+    ``notes`` are :func:`_sampling_volatility` of ``vol``."""
     rng = _derive_rng(cfg.seed, salt=g.p)
     deficits: list[RankSample] = []
     for _ in range(cfg.trials):
@@ -353,7 +347,7 @@ def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig,
 def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig) -> IdentVerdict:
     if is_simple(g):
         return check_global(g, vol)
-    return _rank_by_sampling(g, vol, cfg, *_sampling_volatility(g.p, vol))
+    return _rank_by_sampling(g, vol, cfg, *_sampling_volatility(vol))
 
 
 def check_generic(
@@ -369,7 +363,11 @@ def check_generic(
     rank |E| proves generic identifiability outright; if every sample is
     rank-deficient the model is declared non-identifiable with an explicit
     per-sample kernel vector and a stated failure bound.
+
+    Raises:
+        ValueError: if ``vol`` is not p x p for the graph's p.
     """
+    _check_sizes(g, vol)
     return _generic_by_sampling(g, vol, ClassifyConfig(trials, bound, seed))
 
 
@@ -381,7 +379,11 @@ def classify(
     Order: edge-count dimension bound, trek-based necessary criterion
     (diagonal volatility), the simple-graph theorem, then the sampling
     rank test.  Certificates record which stage decided.
+
+    Raises:
+        ValueError: if ``vol`` is not p x p for the graph's p.
     """
+    _check_sizes(g, vol)
     cfg = cfg or ClassifyConfig()
     return _bound_verdict(g, vol) or _generic_by_sampling(g, vol, cfg)
 
@@ -419,36 +421,42 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
                     elapsed_ms: list[float] | None = None) -> list[IdentVerdict]:
     """:func:`classify` for many graphs at once: the same verdicts, byte for byte.
 
-    The first sample of every graph that reaches sampling is drawn
-    as :func:`_rank_by_sampling` would draw it and screened for all graphs
-    together by :func:`_screen_full_rank`.  A graph the screen proves full
-    rank gets its full-rank-witness verdict at once, its sigma solved
-    exactly only when read; every other graph runs the exact path from its
-    first sample.  ``elapsed_ms``, when given, is extended with each
-    graph's time; a screened graph's includes its share of the screen.
+    Every graph has the p of ``vol``.  The first sample of every graph that
+    reaches sampling is drawn as :func:`_rank_by_sampling` would draw it and
+    screened for all graphs together by :func:`_screen_full_rank`.  A graph
+    the screen proves full rank gets its full-rank-witness verdict at once,
+    its sigma solved exactly only when read; every other graph runs the
+    exact path from its first sample.  ``elapsed_ms``, when given, is
+    extended with each graph's time; a screened graph's includes its share
+    of the screen.
+
+    Raises:
+        ValueError: if some graph's p is not the size of ``vol``.
     """
+    for g in graphs:
+        _check_sizes(g, vol)
     verdicts: list[IdentVerdict | None] = [None] * len(graphs)
     times = [0.0] * len(graphs)
-    pending: dict[int, list[int]] = defaultdict(list)  # p -> indices to screen
+    pending: list[int] = []  # indices to screen
     for k, (g, cfg) in enumerate(zip(graphs, cfgs)):
         started = time.perf_counter()
         verdict = _bound_verdict(g, vol)
         if verdict is None and is_simple(g):
             verdict = check_global(g, vol)
         if verdict is None:
-            pending[g.p].append(k)
+            pending.append(k)
         verdicts[k] = verdict
         times[k] = (time.perf_counter() - started) * 1e3
-    for p, members in pending.items():
+    if pending:
         started = time.perf_counter()
-        volatility, notes = _sampling_volatility(p, vol)
+        volatility, notes = _sampling_volatility(vol)
         drifts = [
-            _draw_drift_rows(graphs[k], _derive_rng(cfgs[k].seed, salt=p), cfgs[k].bound)
-            for k in members
+            _draw_drift_rows(graphs[k], _derive_rng(cfgs[k].seed, salt=vol.p), cfgs[k].bound)
+            for k in pending
         ]
-        proved = _screen_full_rank([graphs[k] for k in members], drifts, volatility[0])
-        share = (time.perf_counter() - started) * 1e3 / len(members)
-        for k, m_rows, full in zip(members, drifts, proved):
+        proved = _screen_full_rank([graphs[k] for k in pending], drifts, volatility[0])
+        share = (time.perf_counter() - started) * 1e3 / len(pending)
+        for k, m_rows, full in zip(pending, drifts, proved):
             started = time.perf_counter()
             g, cfg = graphs[k], cfgs[k]
             if full:
@@ -662,18 +670,11 @@ def positivity_sample(
         restricted = _h_rows(sig, non_edges)
         if square:
             value = _intkernel.int_det(restricted)
-            if value > 0:
-                pos += 1
-            elif value < 0:
-                neg += 1
-            else:
-                zero += 1
-        else:
-            full = _intkernel.int_rank(restricted) == cols
-            if full:
-                pos += 1
-            else:
-                zero += 1
+        else:  # never wide: a simple graph has at least p(p-1)/2 non-edges
+            value = int(_intkernel.rank_and_kernel(restricted)[0] == cols)
+        pos += value > 0
+        neg += value < 0
+        zero += value == 0
     return PositivityReport(
         graph=g, trials=trials, positive=pos, negative=neg, zero=zero, square=square
     )

@@ -288,11 +288,17 @@ def sym_pairs(p: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_to_int_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
+    """Clear denominators globally: returns (integer rows, positive scale)."""
+    nums, den = _intkernel.common_denominator(m.entries)
+    return [nums[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], den
+
+
 def rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals via fraction-free elimination."""
-    return _intkernel.int_rank(
-        [_intkernel.common_denominator(m.row(i))[0] for i in range(m.rows)]
-    )
+    """Exact rank over the rationals; a wide matrix is ranked as its transpose,
+    so that a full rank is proved mod q (see ``_intkernel``)."""
+    lines = map(m.row, range(m.rows)) if m.rows >= m.cols else map(m.col, range(m.cols))
+    return _intkernel.rank_and_kernel([_intkernel.common_denominator(v)[0] for v in lines])[0]
 
 
 def det(m: RatMatrix) -> Rational:
@@ -400,9 +406,7 @@ def is_positive_definite(s: RatMatrix) -> bool:
         raise ValueError("positive definiteness requires a symmetric matrix")
     # Scaling by the positive common denominator D multiplies the k-th
     # leading minor by D^k, keeping its sign.
-    nums, _ = _intkernel.common_denominator(s.entries)
-    n = s.rows
-    return _intkernel.leading_minors_positive([nums[i * n : (i + 1) * n] for i in range(n)])
+    return _intkernel.leading_minors_positive(_matrix_to_int_rows(s)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .linalg import (
     UNIQUE,
     RatMatrix,
     SolutionSet,
+    _matrix_to_int_rows,
     is_positive_definite,
     matrix_strings,
     solve_linear,
@@ -167,10 +168,6 @@ class FiberResult:
 # it (``properties.kronecker_sum``).
 
 
-def _flat(rows: list[list]) -> list:
-    return [x for row in rows for x in row]
-
-
 @functools.lru_cache(maxsize=None)
 def _vech_positions(p: int) -> tuple[tuple[int, ...], ...]:
     """positions[k][l]: the vech index of the pair (k, l) or (l, k), 0-based."""
@@ -221,12 +218,6 @@ def _solve_sigma_scaled(m_rows: list[list[int]], c_rows: list[list[int]], p: int
     """
     x, den = _intkernel.solve_square_int(*_vech_system(m_rows, c_rows))
     return _unvech(x, p), den
-
-
-def _matrix_to_int_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
-    """Clear denominators globally: returns (integer rows, positive scale)."""
-    nums, den = _intkernel.common_denominator(m.entries)
-    return [nums[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], den
 
 
 def is_stable(m: RatMatrix) -> bool:
@@ -321,8 +312,7 @@ def build_A(sigma) -> RatMatrix:
     s = _unwrap(sigma)
     if not s.is_symmetric():
         raise ValueError("A(Sigma) requires a symmetric Sigma")
-    p = s.rows
-    return RatMatrix(p * (p + 1) // 2, p * p, _flat(_a_rows(s.to_lists(), _all_edges(p))))
+    return RatMatrix.from_rows(_a_rows(s.to_lists(), _all_edges(s.rows)))
 
 
 def restrict_A(a: RatMatrix, g: DiGraph) -> RatMatrix:
@@ -367,8 +357,7 @@ def build_H(sigma) -> RatMatrix:
     s = _unwrap(sigma)
     if not s.is_symmetric():
         raise ValueError("H(Sigma) requires a symmetric Sigma")
-    p = s.rows
-    return RatMatrix(p * p, p * (p - 1) // 2, _flat(_h_rows(s.to_lists(), _all_edges(p))))
+    return RatMatrix.from_rows(_h_rows(s.to_lists(), _all_edges(s.rows)))
 
 
 def restrict_H(h: RatMatrix, g: DiGraph) -> RatMatrix:
@@ -466,5 +455,4 @@ def sample_stable_drift(g: DiGraph, rng_seed, bound: int = 2**20) -> DriftMatrix
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
-    rows = _draw_drift_rows(g, rng, bound)
-    return DriftMatrix(g, RatMatrix(g.p, g.p, [x for row in rows for x in row]))
+    return DriftMatrix(g, RatMatrix.from_rows(_draw_drift_rows(g, rng, bound)))

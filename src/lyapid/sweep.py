@@ -24,7 +24,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -203,6 +202,8 @@ def run_sweep(
     items = [(edges, _edges_seed(seed, p, edges)) for edges in _candidate_edges(p, policy)]
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing  # only a pooled sweep pays for the import
+
         shards = [(p, trials, bound, items[k::workers]) for k in range(workers)]
         # Frozen objects are never walked by the collector, so the forked
         # workers neither scan the heap they inherit nor copy its pages on

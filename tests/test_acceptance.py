@@ -101,11 +101,11 @@ def _canonical_sha256(report: dict) -> str:
 
 
 def _count_exact_rank_fallbacks(monkeypatch) -> dict:
-    """Count rank calls (int_rank and rank_and_kernel), the kernel vectors
+    """Count rank calls (rank_and_kernel), the kernel vectors
     lifted from the mod-q echelon, the calls that reach exact Bareiss
     elimination, the kernel vectors of A(N)_E taken from those of H(N)_nonE,
     and the samples that rank A(N)_E itself (the A fallback)."""
-    counts = {"int_rank": 0, "lifted": 0, "bareiss": 0, "from_h": 0, "a_fallback": 0}
+    counts = {"ranks": 0, "lifted": 0, "bareiss": 0, "from_h": 0, "a_fallback": 0}
     inside = []
 
     def tallied(key, fn):
@@ -117,7 +117,7 @@ def _count_exact_rank_fallbacks(monkeypatch) -> dict:
 
     def counted(ranker):
         def counted_rank(rows):
-            counts["int_rank"] += 1
+            counts["ranks"] += 1
             inside.append(True)
             try:
                 return ranker(rows)
@@ -139,8 +139,7 @@ def _count_exact_rank_fallbacks(monkeypatch) -> dict:
         counts["lifted"] += kernel is not None
         return kernel
 
-    for name in ("int_rank", "rank_and_kernel"):
-        monkeypatch.setattr(_intkernel, name, counted(getattr(_intkernel, name)))
+    monkeypatch.setattr(_intkernel, "rank_and_kernel", counted(_intkernel.rank_and_kernel))
     monkeypatch.setattr(_intkernel, "bareiss_forward", counted_forward)
     monkeypatch.setattr(_intkernel, "_lift_kernel", counted_lift)
     monkeypatch.setattr(identifiability, "_kernel_from_h",
@@ -238,14 +237,14 @@ class TestCriterion01Table:
         assert counts["bareiss"] == 0
         assert counts["from_h"] == 5
         assert counts["a_fallback"] == 0
-        _report("1e", f"{counts['int_rank']} ranks, {counts['lifted']} lifted kernel "
+        _report("1e", f"{counts['ranks']} ranks, {counts['lifted']} lifted kernel "
                       f"vectors, {counts['from_h']} taken from H, {counts['a_fallback']} "
                       f"A fallbacks, {counts['bareiss']} exact fallbacks")
 
     def test_p4_hash_unchanged_by_exact_fallback(self, monkeypatch):
         # mod 3 most first samples fail the sweep's batched screen, so they
         # take the exact path, where most full-rank samples look deficient
-        # to int_rank too and are re-ranked exactly; the report must not change.
+        # to the mod-q echelon too and are re-ranked exactly; the report must not change.
         monkeypatch.setattr(_intkernel, "SCREEN_PRIME", 3)
         monkeypatch.setattr(_intkernel, "MOD_PRIME", 3)
         counts = _count_exact_rank_fallbacks(monkeypatch)
@@ -261,9 +260,9 @@ class TestCriterion01Table:
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
         sampled = sum(1 for row in report.rows if row.certificate_kind != "trek-bound")
         assert len(fallbacks) > sampled // 2
-        assert counts["bareiss"] > counts["int_rank"] // 2
+        assert counts["bareiss"] > counts["ranks"] // 2
         _report("1f", f"q = 3: {len(fallbacks)} of {sampled} sampled graphs left the "
-                      f"screen; {counts['bareiss']} of {counts['int_rank']} ranks fell back")
+                      f"screen; {counts['bareiss']} of {counts['ranks']} ranks fell back")
 
     @pytest.mark.parametrize("name, seed", sorted(DEFICIT_VERDICT_SHA256))
     def test_deficit_certificate_bytes_pinned(self, name, seed):

@@ -74,6 +74,26 @@ class TestDiGraph:
         assert set(g.non_edges()) == {(1, 3), (3, 1), (3, 2)}
 
 
+def _kahn_is_dag(g: DiGraph) -> bool:
+    """The oracle for ``is_dag``: Kahn's walk removes every node iff the
+    off-diagonal relation is acyclic."""
+    children = {v: [] for v in range(1, g.p + 1)}
+    indeg = dict.fromkeys(children, 0)
+    for (i, j) in g.offdiag_edges:
+        children[i].append(j)
+        indeg[j] += 1
+    queue = [v for v in indeg if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in children[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == g.p
+
+
 class TestPredicates:
     def test_three_cycle_simple(self):
         assert is_simple(three_cycle())
@@ -92,6 +112,13 @@ class TestPredicates:
 
     def test_self_loops_only_dag(self):
         assert is_dag(DiGraph(3))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_is_dag_matches_kahns_walk_on_every_digraph(self, p):
+        pairs = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1) if i != j]
+        for mask in range(1 << len(pairs)):
+            g = DiGraph(p, frozenset(e for k, e in enumerate(pairs) if mask >> k & 1))
+            assert is_dag(g) == _kahn_is_dag(g)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5), st.data())

@@ -513,7 +513,7 @@ class TestKernelRestrictionRanks:
     @pytest.mark.parametrize("name", sorted(H_ROUTE_GRAPHS))
     def test_matches_the_a_route_rank_and_kernel(self, name):
         g = H_ROUTE_GRAPHS[name]
-        volatility, _ = identifiability._sampling_volatility(g.p, VolatilityMatrix.identity(g.p))
+        volatility, _ = identifiability._sampling_volatility(VolatilityMatrix.identity(g.p))
         for seed in range(3):
             rng = identifiability._derive_rng(seed, salt=g.p)
             for _ in range(3):
@@ -566,8 +566,8 @@ class TestKernelRestrictionRanks:
         for g, m_rows, full in zip(graphs, drifts, proved):
             if full:
                 n_mat, _ = lyapunov._solve_sigma_scaled(m_rows, eye, p)
-                assert _intkernel.int_rank(lyapunov._a_rows(n_mat, g.edge_index())) == \
-                    g.num_edges
+                assert _intkernel.rank_and_kernel(lyapunov._a_rows(n_mat, g.edge_index()))[0] \
+                    == g.num_edges
 
 
 class TestClassifyConfig:
@@ -607,6 +607,38 @@ class TestLazyStability:
         assert unstable.stable is False
         with pytest.raises(NotStableError):
             solve_for_sigma(unstable, VolatilityMatrix.identity(1))
+
+
+# Volatilities of the wrong size for p = 3: too small, non-diagonal, and diagonal.
+WRONG_SIZE_VOLATILITIES = {
+    "2x2": VolatilityMatrix(RatMatrix.from_rows([[2, 1], [1, 2]])),
+    "4x4": VolatilityMatrix(RatMatrix.from_rows(
+        [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])),
+    "identity4": IDENTITY4,
+}
+
+
+class TestVolatilitySize:
+    """A volatility that is not p x p is refused, never truncated or read past."""
+
+    @pytest.mark.parametrize("entry", [
+        classify,
+        check_generic,
+        check_global,
+        lambda g, vol: identifiability._classify_batch([g], vol, [ClassifyConfig()]),
+    ], ids=["classify", "check_generic", "check_global", "_classify_batch"])
+    @pytest.mark.parametrize("graph", [two_cycle(3), three_cycle()], ids=["non-simple", "simple"])
+    @pytest.mark.parametrize("name", sorted(WRONG_SIZE_VOLATILITIES))
+    def test_every_entry_point_raises(self, entry, graph, name):
+        vol = WRONG_SIZE_VOLATILITIES[name]
+        n = vol.p
+        with pytest.raises(ValueError, match=f"volatility matrix is {n}x{n}, .* p = 3"):
+            entry(graph, vol)
+
+    def test_a_batch_with_one_graph_of_another_p_raises(self):
+        graphs = [fan_in_two_cycle(), two_cycle_out_edge()]
+        with pytest.raises(ValueError, match="volatility matrix is 4x4, .* p = 3"):
+            identifiability._classify_batch(graphs, IDENTITY4, [ClassifyConfig()] * 2)
 
 
 def _verdict_bytes(verdict) -> bytes:
@@ -650,15 +682,16 @@ class TestClassifyBatch:
         for (g, vol, cfg), want in zip(cases, expected):
             [verdict] = identifiability._classify_batch([g], vol, [cfg])
             assert _verdict_bytes(verdict) == want
-        # one volatility per batch: mixed p and configurations under the identity
-        mixed = [(g, cfg) for g, vol, cfg in cases if vol.matrix == RatMatrix.identity(g.p)]
-        graphs = [g for g, _ in mixed]
-        batch = identifiability._classify_batch(
-            graphs, IDENTITY4, [cfg for _, cfg in mixed]
-        )
-        assert [_verdict_bytes(v) for v in batch] == [
-            _verdict_bytes(classify(g, IDENTITY4, cfg)) for g, cfg in mixed
-        ]
+        # one volatility and one p per batch: mixed configurations under the identity
+        for p in (2, 3, 4):
+            vol = VolatilityMatrix.identity(p)
+            mixed = [(g, cfg) for g, c, cfg in cases if g.p == p and c.matrix == vol.matrix]
+            batch = identifiability._classify_batch(
+                [g for g, _ in mixed], vol, [cfg for _, cfg in mixed]
+            )
+            assert [_verdict_bytes(v) for v in batch] == [
+                _verdict_bytes(classify(g, vol, cfg)) for g, cfg in mixed
+            ]
 
     def test_empty_batch(self):
         assert identifiability._classify_batch([], IDENTITY3, []) == []

@@ -14,7 +14,6 @@ from lyapid._intkernel import (
     bareiss_forward,
     common_denominator,
     int_det,
-    int_rank,
     leading_minors_positive,
     mod_echelon,
     mod_gauss,
@@ -99,9 +98,9 @@ def _check_rank_and_kernel(rows):
 class TestModularRank:
     @settings(max_examples=150, deadline=None)
     @given(_int_matrices())
-    def test_int_rank_is_the_exact_rank_and_bounds_mod_rank(self, rows):
+    def test_rank_is_the_exact_rank_and_bounds_mod_rank(self, rows):
         exact = len(bareiss_forward(_copy(rows))[0])
-        assert int_rank(_copy(rows)) == exact
+        assert rank_and_kernel(_copy(rows))[0] == exact
         assert mod_rank(rows) <= exact
 
     @pytest.mark.parametrize(
@@ -116,7 +115,7 @@ class TestModularRank:
     )
     def test_full_rank_over_q_but_deficient_mod_q(self, rows, rank):
         assert mod_rank(rows) < rank
-        assert int_rank(_copy(rows)) == rank
+        assert rank_and_kernel(_copy(rows))[0] == rank
 
     def test_mod_rank_leaves_rows_intact(self):
         rows = [[3, 5, 7], [2, 4, 8], [1, 1, Q + 4]]
@@ -339,7 +338,7 @@ class TestModGaussJordan:
             mats, stack = _stack(rng, 10, nr, nc, q)
             for rows, ok in zip(mats, mod_gauss(stack)[0].tolist()):
                 if ok:
-                    assert int_rank(_copy(rows)) == nc
+                    assert rank_and_kernel(_copy(rows))[0] == nc
 
     def test_wider_than_tall_is_never_full(self):
         full, _ = mod_gauss(np.ones((2, 4, 3), dtype=np.int64))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyapid import _intkernel
 from lyapid.linalg import (
     RatMatrix,
     det,
@@ -218,6 +219,20 @@ class TestRankDet:
                 rk += 1
             assert rank(prod) == rk
             assert rk <= r
+
+    @pytest.mark.parametrize("q", [2**61 - 1, 3, 5])
+    def test_rank_is_cols_less_the_kernel_dimension(self, monkeypatch, q):
+        # wide, tall and deficient matrices; mod 3 or 5 many full ranks look
+        # deficient to the mod-q echelon and are decided exactly
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
+        rng = random.Random(q)
+        for _ in range(300):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            inner = rng.randint(1, max(nr, nc))
+            a = (_random_matrix(rng, nr, inner, lo=-4, hi=4, max_den=3)
+                 @ _random_matrix(rng, inner, nc, lo=-4, hi=4))
+            kernel_dim = max(solve_linear(a, RatMatrix.zeros(nr, 1)).dim, 0)
+            assert rank(a) == a.cols - kernel_dim
 
 
 class TestSolveLinear:

@@ -63,6 +63,20 @@ def test_classify_command_leaves_numpy_unloaded(tmp_path):
     """) == "False"
 
 
+def test_import_and_classify_command_leave_multiprocessing_unloaded(tmp_path):
+    # only a pooled sweep imports it
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(graph_to_json(two_cycle_out_edge())))
+    assert _run_fresh(f"""
+        import sys
+        import lyapid
+        after_import = "multiprocessing" in sys.modules
+        import lyapid.cli
+        assert lyapid.cli.main(["classify", "--graph", {str(graph)!r}]) == 0
+        print(after_import, "multiprocessing" in sys.modules)
+    """) == "False False"
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
 def test_sweep_asks_for_one_blas_thread_unless_told(preset, expected):
     env = None if preset is None else {"OPENBLAS_NUM_THREADS": preset}

@@ -1,6 +1,7 @@
 """The sweep's sharded, screened batches against the per-graph exact path."""
 
 import gc
+import multiprocessing
 
 import pytest
 
@@ -65,7 +66,7 @@ def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 6)
     sizes, shards = [], []
     monkeypatch.setattr(
-        sweep.multiprocessing, "Pool",
+        multiprocessing, "Pool",
         lambda processes: _SerialPool(sizes, shards, processes),
     )
     report = sweep.run_sweep(p, jobs=jobs)
@@ -78,7 +79,7 @@ def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
 @pytest.mark.parametrize("cpus", [1, None])  # None: the count cannot be determined
 def test_one_or_unknown_cpu_runs_serially(monkeypatch, cpus):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(sweep.multiprocessing, "Pool", None)  # calling it would fail
+    monkeypatch.setattr(multiprocessing, "Pool", None)  # calling it would fail
     assert len(sweep.run_sweep(3, jobs=4).rows) == 2
 
 
