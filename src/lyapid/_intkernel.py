@@ -64,9 +64,10 @@ H(Sigma mod q) is the reduction of H(Sigma), and a full column rank of its
 non-edge rows mod q is a nonzero minor mod q, hence a nonzero minor over
 Q: A(Sigma)_E has full column rank.  A zero pivot or a deficit mod q proves
 nothing and goes to the exact path.  It stays apart from
-:func:`mod_echelon` because numpy pays only in bulk: a batch of one p = 5
-graph costs several times ``classify`` on it, a batch of thousands about
-0.1 ms a graph.  The caller decides which runs.
+:func:`mod_echelon` because numpy pays only in bulk: screening one p = 5
+graph costs several times its exact path, a batch of thousands about
+0.1 ms a graph.  So ``_classify_batch`` screens only when at least 16
+graphs of a batch reach sampling, and a lone ``classify`` never does.
 
 Every rank test of the identifiability question -- does A(Sigma)_E, the
 columns of A(Sigma) for the edge set E, have full column rank |E|? -- is

@@ -175,6 +175,12 @@ def _cmd_props(args) -> int:
     return EXIT_OK
 
 
+def _add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
+    """--trials, --bound and --seed, defaulting to those of ClassifyConfig."""
+    for name in ("trials", "bound", "seed"):
+        parser.add_argument(f"--{name}", type=int, default=getattr(ClassifyConfig, name))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lyapid",
@@ -200,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     vol_group.add_argument(
         "--identity", action="store_true", help="use the identity volatility (default)"
     )
-    p_classify.add_argument("--trials", type=int, default=5)
-    p_classify.add_argument("--bound", type=int, default=2**20)
-    p_classify.add_argument("--seed", type=int, default=0)
+    _add_sampling_arguments(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
     p_sweep = sub.add_parser("sweep", help="classify all candidate graphs on p nodes")
@@ -211,9 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="total edge bound incl. self-loops (default p(p+1)/2)")
     p_sweep.add_argument("--connectivity", choices=CONNECTIVITY_CHOICES,
                          default="weakly-connected")
-    p_sweep.add_argument("--trials", type=int, default=5)
-    p_sweep.add_argument("--bound", type=int, default=2**20)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    _add_sampling_arguments(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", help="write the full JSON report to this file")
     p_sweep.set_defaults(func=_cmd_sweep)

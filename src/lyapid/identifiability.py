@@ -37,6 +37,8 @@ from .lyapunov import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 
@@ -218,26 +220,25 @@ def _derive_rng(seed: int, salt: int) -> random.Random:
     return random.Random((seed << 16) ^ salt)
 
 
-def _failure_bound(g: DiGraph, bound: int, trials: int) -> float:
-    """Probability that a generically identifiable ``g`` has every sample deficient.
+def _failure_bound(degree: int, bound: int, trials: int) -> float:
+    """Probability that a generically identifiable g has every sample deficient.
 
     Cramer's rule on the Lyapunov system K vec(Sigma) = -vec(C), with
     K = I (x) M + M (x) I, gives det(K) Sigma = adj(K)(-vec C): entries that
     are polynomials of degree at most p^2 - 1 in the drift entries.  A(Sigma)
     is linear in Sigma, so an |E| x |E| minor f of A(det(K) Sigma) restricted
-    to the edges is a polynomial of degree at most |E| (p^2 - 1) <= |E| p^2,
-    and it vanishes at a stable M (det(K) != 0) exactly when the same minor
-    of A(Sigma) does.  If ``g`` is generically identifiable, some such f is
-    not the zero polynomial.  Schwartz-Zippel bounds Pr[f(M) = 0] by
-    degree / s when each variable, conditional on the variables drawn before
-    it, is uniform on a set of at least s values: the usual induction on the
-    last variable only uses that conditional law.  Take the off-diagonal
-    entries first (2 bound + 1 values each), then each diagonal entry, which
-    given the off-diagonal ones is a fixed shift minus a uniform draw from
-    [0, bound]: s = bound + 1.  Samples are drawn independently, so the
-    per-sample bounds multiply.
+    to the edges is a polynomial of degree at most |E| (p^2 - 1) <= |E| p^2
+    = ``degree``, and it vanishes at a stable M (det(K) != 0) exactly when
+    the same minor of A(Sigma) does.  If g is generically identifiable, some
+    such f is not the zero polynomial.  Schwartz-Zippel bounds Pr[f(M) = 0]
+    by degree / s when each variable, conditional on the variables drawn
+    before it, is uniform on a set of at least s values: the usual induction
+    on the last variable only uses that conditional law.  Take the
+    off-diagonal entries first (2 bound + 1 values each), then each diagonal
+    entry, which given the off-diagonal ones is a fixed shift minus a
+    uniform draw from [0, bound]: s = bound + 1.  Samples are drawn
+    independently, so the per-sample bounds multiply.
     """
-    degree = g.num_edges * g.p * g.p
     per_sample = min(1.0, degree / (bound + 1))
     return per_sample**trials
 
@@ -315,60 +316,55 @@ def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
     )
 
 
+def _drifts(g: DiGraph, cfg: ClassifyConfig) -> Iterator[list[list[int]]]:
+    """The ``cfg.trials`` drifts at which ``g`` is sampled, each drawn when
+    read: the one place a graph's drift stream is derived."""
+    rng = _derive_rng(cfg.seed, salt=g.p)
+    for _ in range(cfg.trials):
+        yield _draw_drift_rows(g, rng, cfg.bound)
+
+
 def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig,
                       volatility, notes: list[str]) -> IdentVerdict:
     """The exact sampling stage for a non-simple ``g``; ``volatility`` and
     ``notes`` are :func:`_sampling_volatility` of ``vol``."""
-    rng = _derive_rng(cfg.seed, salt=g.p)
     deficits: list[RankSample] = []
-    for _ in range(cfg.trials):
-        sample = _rank_test_at_sample(g, _draw_drift_rows(g, rng, cfg.bound), volatility)
+    for m_rows in _drifts(g, cfg):
+        sample = _rank_test_at_sample(g, m_rows, volatility)
         if sample.rank == g.num_edges:
             return _witness_verdict(g, vol, notes, sample)
         deficits.append(sample)
-    return IdentVerdict(
-        IdentClass.NON_IDENTIFIABLE,
-        Certificate(
-            kind=RANK_DEFICIT_WITNESS,
-            note="; ".join(
-                notes
-                + [
-                    f"all {cfg.trials} samples rank-deficient; failure bound "
-                    f"(degree {g.num_edges * g.p * g.p} over {cfg.bound + 1} values per entry)"
-                ]
-            ),
-            edges=tuple(g.edge_index()),
-            samples=tuple(deficits),
-            failure_bound=_failure_bound(g, cfg.bound, cfg.trials),
-        ),
-    )
-
-
-def _generic_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig) -> IdentVerdict:
-    if is_simple(g):
-        return check_global(g, vol)
-    return _rank_by_sampling(g, vol, cfg, *_sampling_volatility(vol))
+    degree = g.num_edges * g.p * g.p
+    notes = notes + [f"all {cfg.trials} samples rank-deficient; failure bound "
+                     f"(degree {degree} over {cfg.bound + 1} values per entry)"]
+    return IdentVerdict(IdentClass.NON_IDENTIFIABLE, Certificate(
+        kind=RANK_DEFICIT_WITNESS, note="; ".join(notes), edges=tuple(g.edge_index()),
+        samples=tuple(deficits), failure_bound=_failure_bound(degree, cfg.bound, cfg.trials)))
 
 
 def check_generic(
     g: DiGraph,
     vol: VolatilityMatrix,
-    trials: int = 5,
-    bound: int = 2**20,
-    seed: int = 0,
+    trials: int = ClassifyConfig.trials,
+    bound: int = ClassifyConfig.bound,
+    seed: int = ClassifyConfig.seed,
 ) -> IdentVerdict:
     """Sampling-plus-exact-rank classification via the coefficient matrix.
 
     Any sample whose edge-restricted coefficient matrix reaches full column
     rank |E| proves generic identifiability outright; if every sample is
     rank-deficient the model is declared non-identifiable with an explicit
-    per-sample kernel vector and a stated failure bound.
+    per-sample kernel vector and a stated failure bound.  A simple graph
+    gets the theorem verdict of :func:`check_global` instead.
 
     Raises:
         ValueError: if ``vol`` is not p x p for the graph's p.
     """
     _check_sizes(g, vol)
-    return _generic_by_sampling(g, vol, ClassifyConfig(trials, bound, seed))
+    cfg = ClassifyConfig(trials, bound, seed)
+    if is_simple(g):
+        return check_global(g, vol)
+    return _rank_by_sampling(g, vol, cfg, *_sampling_volatility(vol))
 
 
 def classify(
@@ -383,9 +379,7 @@ def classify(
     Raises:
         ValueError: if ``vol`` is not p x p for the graph's p.
     """
-    _check_sizes(g, vol)
-    cfg = cfg or ClassifyConfig()
-    return _bound_verdict(g, vol) or _generic_by_sampling(g, vol, cfg)
+    return _classify_batch([g], vol, [cfg or ClassifyConfig()])[0]
 
 
 def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:
@@ -416,30 +410,37 @@ def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:
     return None
 
 
+# Fewest graphs reaching the sampling stage for which the batched screen
+# pays: below it, numpy's fixed costs outweigh the exact ranks it saves.
+_SCREEN_MIN_GRAPHS = 16
+
+
 def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
                     cfgs: list[ClassifyConfig],
                     elapsed_ms: list[float] | None = None) -> list[IdentVerdict]:
-    """:func:`classify` for many graphs at once: the same verdicts, byte for byte.
+    """The decision cascade of :func:`classify`, for each graph of a batch.
 
-    Every graph has the p of ``vol``.  The first sample of every graph that
-    reaches sampling is drawn as :func:`_rank_by_sampling` would draw it and
-    screened for all graphs together by :func:`_screen_full_rank`.  A graph
-    the screen proves full rank gets its full-rank-witness verdict at once,
-    its sigma solved exactly only when read; every other graph runs the
-    exact path from its first sample.  ``elapsed_ms``, when given, is
-    extended with each graph's time; a screened graph's includes its share
-    of the screen.
+    Every graph has the p of ``vol``.  The counting stages and the theorem
+    run graph by graph.  When at least ``_SCREEN_MIN_GRAPHS`` graphs reach
+    sampling, their first samples are screened together by
+    :func:`_screen_full_rank`: a graph the screen proves full rank gets its
+    full-rank-witness verdict at once, its sigma solved exactly only when
+    read.  Every other graph that reaches sampling runs the exact path
+    (:func:`_rank_by_sampling`), from the same first drift (:func:`_drifts`).
+    The screen proves only the full rank that the exact path finds at that
+    sample, so a verdict's bytes do not depend on the batch.  ``elapsed_ms``,
+    when given, is extended with each graph's time; a screened graph's
+    includes its share of the screen.
 
     Raises:
         ValueError: if some graph's p is not the size of ``vol``.
     """
-    for g in graphs:
-        _check_sizes(g, vol)
     verdicts: list[IdentVerdict | None] = [None] * len(graphs)
     times = [0.0] * len(graphs)
-    pending: list[int] = []  # indices to screen
-    for k, (g, cfg) in enumerate(zip(graphs, cfgs)):
+    pending: list[int] = []  # indices that reach sampling
+    for k, g in enumerate(graphs):
         started = time.perf_counter()
+        _check_sizes(g, vol)
         verdict = _bound_verdict(g, vol)
         if verdict is None and is_simple(g):
             verdict = check_global(g, vol)
@@ -450,17 +451,20 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
     if pending:
         started = time.perf_counter()
         volatility, notes = _sampling_volatility(vol)
-        drifts = [
-            _draw_drift_rows(graphs[k], _derive_rng(cfgs[k].seed, salt=vol.p), cfgs[k].bound)
-            for k in pending
-        ]
-        proved = _screen_full_rank([graphs[k] for k in pending], drifts, volatility[0])
+        first: list[list[list[int]]] = []
+        proved = [False] * len(pending)
+        if len(pending) >= _SCREEN_MIN_GRAPHS:
+            # Only the drifts are kept: a graph the screen leaves unproved
+            # draws its first drift again, which is cheaper than holding
+            # every graph's generator state through the screen.
+            first = [next(_drifts(graphs[k], cfgs[k])) for k in pending]
+            proved = _screen_full_rank([graphs[k] for k in pending], first, volatility[0])
         share = (time.perf_counter() - started) * 1e3 / len(pending)
-        for k, m_rows, full in zip(pending, drifts, proved):
+        for i, (k, full) in enumerate(zip(pending, proved)):
             started = time.perf_counter()
             g, cfg = graphs[k], cfgs[k]
             if full:
-                witness = RankSample(tuple(map(tuple, m_rows)), volatility, g.num_edges)
+                witness = RankSample(tuple(map(tuple, first[i])), volatility, g.num_edges)
                 verdicts[k] = _witness_verdict(g, vol, notes, witness)
             else:
                 verdicts[k] = _rank_by_sampling(g, vol, cfg, volatility, notes)
@@ -635,9 +639,11 @@ class PositivityReport:
         }
 
 
-def positivity_sample(
-    g: DiGraph, trials: int, seed: int = 0, entry_bound: int = 9
-) -> PositivityReport:
+# Entries of the sampled Cholesky factors lie in [-9, 9], the diagonal in [1, 9].
+_POSITIVITY_ENTRY_BOUND = 9
+
+
+def positivity_sample(g: DiGraph, trials: int, seed: int = 0) -> PositivityReport:
     """Evaluate the restricted kernel determinant at Cholesky-sampled PD points.
 
     Draws Sigma = L L^T for random rational lower-triangular L with positive
@@ -660,9 +666,9 @@ def positivity_sample(
     for _ in range(trials):
         low = [[0] * p for _ in range(p)]
         for i in range(p):
-            low[i][i] = rng.randint(1, entry_bound)
+            low[i][i] = rng.randint(1, _POSITIVITY_ENTRY_BOUND)
             for j in range(i):
-                low[i][j] = rng.randint(-entry_bound, entry_bound)
+                low[i][j] = rng.randint(-_POSITIVITY_ENTRY_BOUND, _POSITIVITY_ENTRY_BOUND)
         sig = [
             [sum(low[i][t] * low[j][t] for t in range(p)) for j in range(p)]
             for i in range(p)

@@ -7,21 +7,22 @@ aside).  ``--jobs`` splits the candidates, each a sorted edge tuple and
 seed, into strided shards, one batch per worker, which builds the graphs;
 workers share nothing but the immutable configuration.
 
-Each shard is classified by ``identifiability._classify_batch``, which
-screens the first sample of every sampled graph in one modular batch: the
-vech Lyapunov systems are solved over GF(2^31 - 1) together, and
-H(Sigma mod q) restricted to the non-edges is ranked together per edge
-count (A(Sigma)_E has full column rank iff H(Sigma)_nonE does).  If K is
-nonsingular mod q, Sigma mod q is the reduction of Sigma; H is linear in
-Sigma, so a full column rank mod q proves the full rank over Q that the
-exact path would find at the same sample.  Only graphs the screen cannot
-prove -- a zero pivot or a deficit mod q -- take the exact path, so the
-verdicts and the canonical bytes are those of ``classify`` by construction.
+Each shard is classified by ``identifiability._classify_batch``, the one
+place the cascade of ``classify`` runs.  When at least 16 of a shard's graphs
+reach sampling, as in every shard of the p = 4 and 5 sweeps at --jobs 2,
+their first samples are screened in one modular batch: the vech Lyapunov
+systems are solved over GF(2^31 - 1) together, and H(Sigma mod q)
+restricted to the non-edges is ranked together per edge count (A(Sigma)_E
+has full column rank iff H(Sigma)_nonE does).  If K is nonsingular mod q,
+Sigma mod q is the reduction of Sigma; H is linear in Sigma, so a full
+column rank mod q proves the full rank over Q that the exact path would
+find at the same sample.  Only graphs the screen cannot prove -- a zero
+pivot or a deficit mod q -- take the exact path, so the verdicts and the
+canonical bytes are those of ``classify`` by construction.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -187,9 +188,9 @@ def _classify_shard(shard) -> list[SweepRow]:
 def run_sweep(
     p: int,
     policy: EnumPolicy | None = None,
-    trials: int = 5,
-    bound: int = 2**20,
-    seed: int = 0,
+    trials: int = ClassifyConfig.trials,
+    bound: int = ClassifyConfig.bound,
+    seed: int = ClassifyConfig.seed,
     jobs: int = 1,
 ) -> SweepReport:
     """Enumerate candidates and classify them all, optionally in parallel.
@@ -205,18 +206,7 @@ def run_sweep(
         import multiprocessing  # only a pooled sweep pays for the import
 
         shards = [(p, trials, bound, items[k::workers]) for k in range(workers)]
-        # Frozen objects are never walked by the collector, so the forked
-        # workers neither scan the heap they inherit nor copy its pages on
-        # write.  A caller that froze its own heap keeps that freeze as it is.
-        thaw = not gc.get_freeze_count()
-        if thaw:
-            gc.freeze()
-        try:
-            pool = multiprocessing.Pool(processes=workers)
-        finally:
-            if thaw:
-                gc.unfreeze()
-        with pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             rows = [row for part in pool.map(_classify_shard, shards, chunksize=1)
                     for row in part]
     else:

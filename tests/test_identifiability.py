@@ -645,6 +645,19 @@ def _verdict_bytes(verdict) -> bytes:
     return json.dumps(verdict.to_json(), sort_keys=True).encode()
 
 
+def _count_screens(monkeypatch) -> list[int]:
+    """The number of graphs of each call of the screen, as it runs."""
+    sizes = []
+    screen = identifiability._screen_full_rank
+
+    def counted(graphs, *args):
+        sizes.append(len(graphs))
+        return screen(graphs, *args)
+
+    monkeypatch.setattr(identifiability, "_screen_full_rank", counted)
+    return sizes
+
+
 class TestClassifyBatch:
     """The batched entry point with its modular screen against classify, byte for byte."""
 
@@ -664,7 +677,7 @@ class TestClassifyBatch:
         # every full-rank first sample but a handful is proved by the screen
         assert screened > 0.9 * len(graphs)
 
-    def test_every_cascade_branch_alone_and_mixed(self):
+    def test_every_cascade_branch_alone_and_mixed(self, monkeypatch):
         rng = random.Random(3)
         diagonal = VolatilityMatrix(RatMatrix.diagonal([2, 3, Fraction(1, 5)]))
         full = VolatilityMatrix(random_pd_matrix(3, rng))
@@ -679,9 +692,14 @@ class TestClassifyBatch:
             (two_cycle_two_sinks(), IDENTITY4, ClassifyConfig(seed=5)),
         ]
         expected = [_verdict_bytes(classify(g, vol, cfg)) for g, vol, cfg in cases]
+        screened = _count_screens(monkeypatch)
+        # each case 16 times over, so every case that samples is screened
         for (g, vol, cfg), want in zip(cases, expected):
-            [verdict] = identifiability._classify_batch([g], vol, [cfg])
-            assert _verdict_bytes(verdict) == want
+            batch = identifiability._classify_batch([g] * 16, vol, [cfg] * 16)
+            assert [_verdict_bytes(v) for v in batch] == [want] * 16
+        sampling = sum(1 for g, vol, cfg in cases if classify(g, vol, cfg).certificate.kind
+                       in (FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS))
+        assert sampling >= 5 and screened == [16] * sampling
         # one volatility and one p per batch: mixed configurations under the identity
         for p in (2, 3, 4):
             vol = VolatilityMatrix.identity(p)
@@ -693,12 +711,38 @@ class TestClassifyBatch:
                 _verdict_bytes(classify(g, vol, cfg)) for g, cfg in mixed
             ]
 
+    def test_the_screen_runs_from_16_sampled_graphs(self, monkeypatch):
+        vol = IDENTITY4
+        sampled = [g for g in enumerate_candidates(4)
+                   if identifiability._bound_verdict(g, vol) is None][:16]
+        cfgs = [ClassifyConfig(seed=derive_graph_seed(0, g)) for g in sampled]
+        expected = [_verdict_bytes(classify(g, vol, cfg)) for g, cfg in zip(sampled, cfgs)]
+        simple = completed_four_cycle()
+        simple_bytes = _verdict_bytes(classify(simple, vol))
+
+        def refuse(*args):
+            raise AssertionError("the screen ran on fewer than 16 sampled graphs")
+
+        # 16 graphs, of which 15 reach sampling: no screen
+        monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
+        batch = identifiability._classify_batch(
+            sampled[:15] + [simple], vol, cfgs[:15] + [ClassifyConfig()])
+        assert [_verdict_bytes(v) for v in batch] == expected[:15] + [simple_bytes]
+        monkeypatch.undo()
+        # 16 sampled graphs: one screen over all of them
+        screened = _count_screens(monkeypatch)
+        batch = identifiability._classify_batch(sampled, vol, cfgs)
+        assert screened == [16]
+        assert [_verdict_bytes(v) for v in batch] == expected
+        assert any(v.certificate.witness is not None and v.certificate.witness.solved is None
+                   for v in batch)
+
     def test_empty_batch(self):
         assert identifiability._classify_batch([], IDENTITY3, []) == []
 
     def test_screened_witness_solves_sigma_once_on_read(self, monkeypatch):
         g, cfg = two_cycle_out_edge(), ClassifyConfig(seed=2)
-        [verdict] = identifiability._classify_batch([g], IDENTITY3, [cfg])
+        verdict = identifiability._classify_batch([g] * 16, IDENTITY3, [cfg] * 16)[0]
         witness = verdict.certificate.witness
         assert witness.solved is None
         solve = identifiability._solve_sigma_scaled
