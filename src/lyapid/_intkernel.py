@@ -1,7 +1,7 @@
 """The package's single exact elimination kernel, with one loop per arithmetic.
 
 - :func:`bareiss_forward`, fraction-free elimination over the integers:
-  ranks, determinants, square solves and positive definiteness.
+  ranks, determinants, affine solves, inverses and positive definiteness.
 - :func:`mod_echelon`, LU factorization over GF(MOD_PRIME) on int lists:
   full-rank proofs and the factors of the kernel lift.
 - :func:`mod_gauss`, forward Gaussian elimination over GF(SCREEN_PRIME) on
@@ -19,10 +19,10 @@ over GF(q) never exceeds the rank over Q; a full column rank found mod q
 is therefore the exact rank, and ``linalg.rank`` ranks a wide matrix as
 its transpose to get one.  Only a matrix that is deficient mod q --
 rank-deficient over Q, or unluckily divisible by q -- pays for more.
-:func:`solve_square_int` back-substitutes in integers, using Cramer's rule
-to keep every intermediate integral.  Without a row exchange the k-th
-Bareiss pivot is the k-th leading principal minor (Sylvester), which is
-all :func:`leading_minors_positive` needs.
+Every solve back-substitutes in integers (:func:`_back_substitute`), using
+Cramer's rule to keep every intermediate integral.  Without a row exchange
+the k-th Bareiss pivot is the k-th leading principal minor (Sylvester),
+which is all :func:`leading_minors_positive` needs.
 
 Below full column rank, :func:`rank_and_kernel` also returns the first
 reduced-row-echelon kernel vector x: with f the first non-pivot column,
@@ -91,10 +91,6 @@ one product.  At a kernel of dimension two or more the span of the H_E c
 does not single out A_E's first RREF vector without an echelon of A_E, so
 the caller ranks A_E itself; it does so too when H_nonE has no rows (the
 complete graph).
-
-The Fraction RREF of ``linalg.solve_linear`` stays outside this kernel: it
-solves the affine systems of ``fiber`` and is the tests' reference for
-kernel vectors.
 """
 
 from __future__ import annotations
@@ -314,20 +310,22 @@ def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
     return full, work
 
 
-def _back_substitute(rows: list[list[int]], n: int, col: int, d: int) -> list[int]:
-    """d x for the upper-triangular system rows[:n][:n] x = rows[:n][col].
+def _back_substitute(rows: list[list[int]], pivot_cols, col: int, d: int) -> list[int]:
+    """d x for the echelon system sum_k rows[r][pivot_cols[k]] x[k] = rows[r][col].
 
-    Exact when d x is an integer vector: every step then divides
-    ``rows[r][r] * y[r]`` by ``rows[r][r]``.
+    Exact when d x is an integer vector, as it is for d = the last pivot,
+    +-the minor of the pivot rows and columns (Cramer's rule).
     """
+    n = len(pivot_cols)
     y = [0] * n
     for r in range(n - 1, -1, -1):
         row = rows[r]
         acc = d * row[col]
-        for j in range(r + 1, n):
-            if row[j]:
-                acc -= row[j] * y[j]
-        y[r] = acc // row[r]
+        for k in range(r + 1, n):
+            v = row[pivot_cols[k]]
+            if v:
+                acc -= v * y[k]
+        y[r] = acc // row[pivot_cols[r]]
     return y
 
 
@@ -356,7 +354,7 @@ def solve_square_int(a_rows: list[list[int]], b: list[int]) -> tuple[list[int], 
     if len(pivot_cols) < n:
         raise ValueError("singular system")
     d = aug[n - 1][n - 1] if n else 1
-    return _reduced(_back_substitute(aug, n, n, d), d)
+    return _reduced(_back_substitute(aug, pivot_cols, n, d), d)
 
 
 def _rational(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
@@ -480,7 +478,7 @@ def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] |
         return rank, None
     f = next((c for c, pc in enumerate(pivot_cols) if c != pc), rank)
     d = rows[f - 1][f - 1] if f else 1
-    nums = [-v for v in _back_substitute(rows, f, f, d)] + [d] + [0] * (cols - f - 1)
+    nums = [-v for v in _back_substitute(rows, range(f), f, d)] + [d] + [0] * (cols - f - 1)
     return rank, _reduced(nums, d)
 
 

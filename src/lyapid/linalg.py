@@ -322,73 +322,55 @@ def solve_linear(a: RatMatrix, b: RatMatrix) -> SolutionSet:
     """Exact solution set of ``a x = b`` for a column vector ``b``.
 
     Returns a unique solution, an affine set (particular solution plus a
-    kernel basis), or reports inconsistency.
+    kernel basis), or reports inconsistency.  The vectors are those of the
+    reduced row echelon form: 0 at every free column but, for the kernel
+    vector of free column f, x[f] = 1.  They are back-substituted in
+    integers against one Bareiss pass over [A | b], its rows scaled to
+    integers.
     """
     if b.cols != 1:
         raise ValueError("right-hand side must be a column vector")
     if a.rows != b.rows:
         raise ValueError("row count mismatch between matrix and right-hand side")
-    nr, nc = a.rows, a.cols
-    # Reduced row echelon form of the augmented system, exact.
-    aug = [list(a.row(i)) + [b[i, 0]] for i in range(nr)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc]:
-            return SolutionSet(INCONSISTENT)
-    particular = [Fraction(0)] * nc
-    for k, c in enumerate(pivots):
-        particular[c] = aug[k][nc]
-    x0 = RatMatrix.column(particular)
-    free = [c for c in range(nc) if c not in set(pivots)]
+    nc = a.cols
+    aug = [_intkernel.common_denominator(a.row(i) + b.row(i))[0] for i in range(a.rows)]
+    pivots, _ = _intkernel.bareiss_forward(aug, limit_cols=nc)
+    if any(row[nc] for row in aug[len(pivots):]):
+        return SolutionSet(INCONSISTENT)
+    d = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+    def solution(col: int, sign: int) -> list[Rational]:
+        x = [Fraction(0)] * nc
+        for c, y in zip(pivots, _intkernel._back_substitute(aug, pivots, col, d)):
+            x[c] = Fraction(sign * y, d)
+        return x
+
+    x0 = RatMatrix.column(solution(nc, 1))
+    free = [c for c in range(nc) if c not in pivots]
     if not free:
         return SolutionSet(UNIQUE, particular=x0)
     basis_cols = []
     for f in free:
-        v = [Fraction(0)] * nc
+        v = solution(f, -1)
         v[f] = Fraction(1)
-        for k, c in enumerate(pivots):
-            v[c] = -aug[k][f]
         basis_cols.append(v)
     kernel = RatMatrix(nc, len(free), [col[i] for i in range(nc) for col in basis_cols])
     return SolutionSet(AFFINE, particular=x0, kernel=kernel)
 
 
-def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Solve a square nonsingular system, raising on anything else."""
-    sol = solve_linear(a, b)
-    if sol.kind != UNIQUE:
-        raise ValueError(f"system is {sol.kind}, not uniquely solvable")
-    return sol.particular
-
-
 def inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular square matrix."""
+    """Exact inverse of a nonsingular square matrix.
+
+    Raises:
+        ValueError: if ``m`` is not square or is singular.
+    """
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    cols = [solve_unique(m, RatMatrix.column([Fraction(int(i == j)) for i in range(n)]))
-            for j in range(n)]
-    return RatMatrix(n, n, [cols[j][i, 0] for i in range(n) for j in range(n)])
+    sols = [solve_linear(m, RatMatrix.identity(n).select_columns([j])) for j in range(n)]
+    if any(sol.kind != UNIQUE for sol in sols):
+        raise ValueError("inverse of a singular matrix")
+    return RatMatrix(n, n, [sols[j].particular[i, 0] for i in range(n) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------

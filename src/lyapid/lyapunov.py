@@ -165,7 +165,7 @@ class FiberResult:
 # sampling path, ``Fraction`` entries behind the public ``RatMatrix``
 # adapters.  Sigma itself is solved from the vech system of
 # :func:`_solve_sigma_scaled`; the full Kronecker-sum system only cross-checks
-# it (``properties.kronecker_sum``).
+# it, in the tests.
 
 
 @functools.lru_cache(maxsize=None)

@@ -117,28 +117,6 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
-def _kron_sum_rows(m_rows: list[list]) -> list[list]:
-    """Rows of I (x) M + M (x) I in vec ordering."""
-    p = len(m_rows)
-    n = p * p
-    rows = [[0] * n for _ in range(n)]
-    for c in range(p):
-        base = c * p
-        for r in range(p):
-            row = rows[base + r]
-            for r2 in range(p):
-                row[base + r2] += m_rows[r][r2]
-            for c2 in range(p):
-                row[c2 * p + r] += m_rows[c][c2]
-    return rows
-
-
-def kronecker_sum(m: RatMatrix) -> RatMatrix:
-    """I_p (x) M + M (x) I_p, the coefficient matrix of vec(Sigma)."""
-    n = m.rows * m.rows
-    return RatMatrix(n, n, [x for row in _kron_sum_rows(m.to_lists()) for x in row])
-
-
 def commutation_matrix(p: int) -> RatMatrix:
     """The p^2 x p^2 permutation K_p with K_p vec(M) = vec(M^T)."""
     if p < 1:

@@ -1,11 +1,12 @@
 """The enumeration sweep: classify every candidate graph and tally totals.
 
 Graphs are classified independently with per-graph RNG seeds derived by
-hashing the canonical edge set together with the global seed, so a parallel
-run, a serial run, and a rerun all produce the same report (timing fields
-aside).  ``--jobs`` splits the candidates, each a sorted edge tuple and
-seed, into strided shards, one batch per worker, which builds the graphs;
-workers share nothing but the immutable configuration.
+hashing each candidate's sorted edges, as enumerated (in canonical form),
+together with the global seed, so a parallel run, a serial run, and a rerun
+all produce the same report (timing fields aside).  ``--jobs`` splits the
+candidates, each a sorted edge tuple and seed, into strided shards, one
+batch per worker, which builds the graphs; workers share nothing but the
+immutable configuration.
 
 Each shard is classified by ``identifiability._classify_batch``, the one
 place the cascade of ``classify`` runs.  When at least 16 of a shard's graphs
@@ -47,7 +48,12 @@ CSV_HEADER = "p,policy,total_nonsimple,non_identifiable,non_identifiable_eq9,wal
 
 
 def derive_graph_seed(global_seed: int, g: DiGraph) -> int:
-    """Stable 64-bit per-graph seed from the canonical edge set."""
+    """Stable 64-bit per-graph seed from ``g``'s sorted edges, as given.
+
+    The edges are not canonicalised, and the drift draws follow the
+    labelling too, so a relabelled copy h of a sweep graph replays that
+    graph's row only as ``canonical_form(h)`` under that form's seed.
+    """
     return _edges_seed(global_seed, g.p, sorted(g.offdiag_edges))
 
 

@@ -38,7 +38,7 @@ from lyapid.identifiability import (
     dag_determinant_identity,
     positivity_sample,
 )
-from lyapid.linalg import AFFINE, RatMatrix, det, rank, rat, solve_linear, vech
+from lyapid.linalg import AFFINE, RatMatrix, det, rank, rat, vech
 from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
@@ -53,6 +53,8 @@ from lyapid.lyapunov import (
 )
 from lyapid.properties import complete_graph, random_pd_matrix, random_volatility
 from lyapid.sweep import derive_graph_seed
+
+from _rref import rref_solve
 
 IDENTITY3 = VolatilityMatrix.identity(3)
 IDENTITY4 = VolatilityMatrix.identity(4)
@@ -448,7 +450,7 @@ class TestIntegerHotPath:
 def _rref_kernel_vector(g: DiGraph, sigma: RatMatrix) -> tuple:
     """The first kernel basis vector of the Fraction RREF of the restricted A."""
     a_res = restrict_A(build_A(sigma), g)
-    sol = solve_linear(a_res, RatMatrix.zeros(a_res.rows, 1))
+    sol = rref_solve(a_res, RatMatrix.zeros(a_res.rows, 1))
     return tuple(sol.kernel.col(0)) if sol.kind == AFFINE else ()
 
 

@@ -20,7 +20,9 @@ from lyapid._intkernel import (
     rank_and_kernel,
     solve_square_int,
 )
-from lyapid.linalg import AFFINE, UNIQUE, RatMatrix, solve_linear
+from lyapid.linalg import AFFINE, UNIQUE, RatMatrix
+
+from _rref import rref_solve
 
 Q = _intkernel.MOD_PRIME
 
@@ -77,7 +79,7 @@ def _bareiss_rank_and_kernel(rows):
 def _rref_kernel_vector(rows):
     """The first kernel basis vector of the Fraction RREF, or None."""
     nr, nc = len(rows), len(rows[0])
-    sol = solve_linear(
+    sol = rref_solve(
         RatMatrix(nr, nc, [Fraction(x) for row in rows for x in row]),
         RatMatrix.zeros(nr, 1),
     )
@@ -153,7 +155,7 @@ class TestSolveSquareInt:
             for _ in range(10):
                 a = [[rng.randint(-(2**30), 2**30) for _ in range(n)] for _ in range(n)]
                 b = [rng.choice([0, rng.randint(-50, 50)]) for _ in range(n)]
-                sol = solve_linear(
+                sol = rref_solve(
                     RatMatrix(n, n, [Fraction(x) for row in a for x in row]),
                     RatMatrix.column([Fraction(x) for x in b]),
                 )

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from lyapid import _intkernel
 from lyapid.linalg import (
+    AFFINE,
+    INCONSISTENT,
+    UNIQUE,
     RatMatrix,
+    SolutionSet,
     det,
     format_matrix_csv,
     inverse,
@@ -25,6 +29,8 @@ from lyapid.linalg import (
 )
 from lyapid.lyapunov import is_stable
 from lyapid.properties import commutation_matrix, kron
+
+from _rref import rref_inverse, rref_solve
 
 
 def _random_matrix(rng, rows, cols, lo=-100, hi=100, max_den=1):
@@ -231,7 +237,7 @@ class TestRankDet:
             inner = rng.randint(1, max(nr, nc))
             a = (_random_matrix(rng, nr, inner, lo=-4, hi=4, max_den=3)
                  @ _random_matrix(rng, inner, nc, lo=-4, hi=4))
-            kernel_dim = max(solve_linear(a, RatMatrix.zeros(nr, 1)).dim, 0)
+            kernel_dim = max(rref_solve(a, RatMatrix.zeros(nr, 1)).dim, 0)
             assert rank(a) == a.cols - kernel_dim
 
 
@@ -282,6 +288,72 @@ class TestSolveLinear:
             assert (sol.kind != "inconsistent") == consistent
             if consistent:
                 assert (sol.kind == "unique") == (rank(a) == nc)
+
+    def test_matches_rref_oracle_on_a_seeded_corpus(self):
+        # wide, tall and square; deficient ones are products through a
+        # thinner inner dimension; b is mostly off the column space
+        rng = random.Random(67)
+        seen = dict.fromkeys(["wide", "tall", "deficient", "inconsistent", "affine",
+                              "unique", "zero", "no rows", "no columns"], 0)
+        for _ in range(5000):
+            nr, nc = rng.randint(0, 6), rng.randint(0, 6)
+            shape = rng.random()
+            if shape < 0.08:
+                a = RatMatrix.zeros(nr, nc)
+            elif shape < 0.5 and nr and nc:
+                inner = rng.randint(1, min(nr, nc))
+                a = (_random_matrix(rng, nr, inner, lo=-4, hi=4, max_den=3)
+                     @ _random_matrix(rng, inner, nc, lo=-4, hi=4))
+            else:
+                a = _random_matrix(rng, nr, nc, lo=-4, hi=4, max_den=3)
+            x = _random_matrix(rng, nc, 1, lo=-4, hi=4, max_den=2)
+            b = a @ x if rng.random() < 0.4 else _random_matrix(rng, nr, 1, lo=-4, hi=4)
+            sol = solve_linear(a, b)
+            assert sol == rref_solve(a, b)
+            seen["wide"] += nc > nr
+            seen["tall"] += nr > nc
+            seen["deficient"] += rank(a) < min(nr, nc)
+            seen["zero"] += nr * nc > 0 and not any(a.entries)
+            seen["no rows"] += nr == 0
+            seen["no columns"] += nc == 0
+            seen[sol.kind] += 1
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("b, expected", [
+        ([0, 0], SolutionSet(AFFINE, RatMatrix.zeros(3, 1), RatMatrix.identity(3))),
+        ([0, 1], SolutionSet(INCONSISTENT)),
+    ])
+    def test_zero_matrix(self, b, expected):
+        assert solve_linear(RatMatrix.zeros(2, 3), RatMatrix.column(b)) == expected
+
+    def test_no_rows(self):
+        sol = solve_linear(RatMatrix(0, 3, []), RatMatrix(0, 1, []))
+        assert sol == SolutionSet(AFFINE, RatMatrix.zeros(3, 1), RatMatrix.identity(3))
+
+    @pytest.mark.parametrize("b, expected", [
+        ([0, 0], SolutionSet(UNIQUE, RatMatrix(0, 1, []))),
+        ([0, 2], SolutionSet(INCONSISTENT)),
+    ])
+    def test_no_columns(self, b, expected):
+        assert solve_linear(RatMatrix(2, 0, []), RatMatrix.column(b)) == expected
+
+
+class TestInverse:
+    def test_matches_rref_oracle(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            m = _random_matrix(rng, n, n, lo=-9, hi=9, max_den=4)
+            if det(m) != 0:
+                assert inverse(m) == rref_inverse(m)
+
+    def test_singular_raises(self):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(RatMatrix.from_rows([[1, 2], [2, 4]]))
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="non-square"):
+            inverse(RatMatrix.zeros(2, 3))
 
 
 class TestStability:

@@ -15,7 +15,7 @@ from lyapid.catalog import (
     two_cycle_out_edge,
 )
 from lyapid.graphs import DiGraph, ancestor_sets
-from lyapid.linalg import RatMatrix, det, rank, solve_linear, vec, vech
+from lyapid.linalg import RatMatrix, det, rank, vec, vech
 from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
@@ -34,12 +34,35 @@ from lyapid.lyapunov import (
 )
 from lyapid.properties import (
     atilde,
-    kronecker_sum,
     build_A_product,
     complete_graph,
     random_pd_matrix,
     random_volatility,
 )
+
+from _rref import rref_inverse, rref_solve
+
+
+def _kron_sum_rows(m_rows: list[list]) -> list[list]:
+    """Rows of I (x) M + M (x) I in vec ordering."""
+    p = len(m_rows)
+    n = p * p
+    rows = [[0] * n for _ in range(n)]
+    for c in range(p):
+        base = c * p
+        for r in range(p):
+            row = rows[base + r]
+            for r2 in range(p):
+                row[base + r2] += m_rows[r][r2]
+            for c2 in range(p):
+                row[c2 * p + r] += m_rows[c][c2]
+    return rows
+
+
+def kronecker_sum(m: RatMatrix) -> RatMatrix:
+    """I_p (x) M + M (x) I_p, the coefficient matrix of vec(Sigma)."""
+    n = m.rows * m.rows
+    return RatMatrix(n, n, [x for row in _kron_sum_rows(m.to_lists()) for x in row])
 
 # A symmetric 3x3 with distinct entries; the builders are entrywise linear
 # in Sigma, so checking them at one such point checks the formulas.
@@ -463,6 +486,48 @@ class TestSkewParametrization:
             skew_to_drift(RatMatrix.identity(2), sigma, vol)
 
 
+class TestOracleAgreement:
+    """fiber and skew_to_drift equal their values from the Fraction RREF oracle."""
+
+    def test_fiber_matches_oracle(self):
+        rng = random.Random(71)
+        kinds = set()
+        for _ in range(80):
+            p = rng.choice([2, 3, 4])
+            arcs = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1) if i != j]
+            g = DiGraph(p, frozenset(e for e in arcs if rng.random() < 0.5))
+            # a drift on the complete graph is usually off g's model
+            source = g if rng.random() < 0.5 else complete_graph(p)
+            vol = random_volatility(p, rng)
+            sigma = solve_for_sigma(sample_stable_drift(source, rng, bound=5), vol)
+            result = fiber(sigma, g, vol)
+            sol = rref_solve(restrict_A(build_A(sigma), g), -vech(vol.matrix))
+            kinds.add(sol.kind)
+            assert result.kind == sol.kind
+            if sol.kind == "unique":
+                drift = result.drift.matrix
+                assert [drift[j - 1, i - 1] for (i, j) in g.edge_index()] == list(
+                    sol.particular.col(0))
+            elif sol.kind == "affine":
+                assert (result.particular, result.kernel_basis) == (sol.particular, sol.kernel)
+        assert kinds == {"unique", "affine", "inconsistent"}
+
+    def test_skew_to_drift_matches_oracle_inverse(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            p = rng.choice([2, 3, 4])
+            upper = [(i, j, Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+                     for i in range(p) for j in range(i + 1, p)]
+            ent = [Fraction(0)] * (p * p)
+            for i, j, v in upper:
+                ent[i * p + j], ent[j * p + i] = v, -v
+            k = RatMatrix(p, p, ent)
+            sigma = CovMatrix(random_pd_matrix(p, rng))
+            vol = random_volatility(p, rng)
+            expected = (k - vol.matrix.scale(Fraction(1, 2))) @ rref_inverse(sigma.matrix)
+            assert skew_to_drift(k, sigma, vol) == expected
+
+
 class TestSampleStableDrift:
     def test_always_stable(self):
         rng = random.Random(34)
@@ -633,7 +698,7 @@ class TestSolveSigmaScaled:
                 c[0][1] = c[1][0] = rng.randint(1, 9)  # never diagonal
                 mat = RatMatrix(p, p, [Fraction(x) for row in m for x in row])
                 cmat = RatMatrix(p, p, [Fraction(x) for row in c for x in row])
-                sol = solve_linear(kronecker_sum(mat), -vec(cmat))
+                sol = rref_solve(kronecker_sum(mat), -vec(cmat))
                 nums, den = _intkernel.common_denominator(sol.particular.col(0))
                 expected = [[nums[col * p + r] for col in range(p)] for r in range(p)]
                 n_mat, d = _solve_sigma_scaled(m, c, p)

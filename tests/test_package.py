@@ -52,13 +52,27 @@ def test_import_leaves_numpy_unloaded():
     """) == "False"
 
 
-def test_classify_command_leaves_numpy_unloaded(tmp_path):
-    graph = tmp_path / "g.json"
-    graph.write_text(json.dumps(graph_to_json(two_cycle_out_edge())))
+@pytest.mark.parametrize("command, inputs", [
+    ("classify", ["graph"]),
+    ("solve", ["drift", "vol"]),
+    ("fiber", ["graph", "sigma", "vol"]),
+], ids=["classify", "solve", "fiber"])
+def test_command_leaves_numpy_unloaded(tmp_path, command, inputs):
+    files = {
+        "graph": json.dumps(graph_to_json(two_cycle_out_edge())),
+        "drift": "-1,0,0\n1,-1,0\n0,0,-1",
+        "sigma": "2,1,0\n1,2,0\n0,0,1",
+        "vol": "1,0,0\n0,1,0\n0,0,1",
+    }
+    argv = [command]
+    for name in inputs:
+        path = tmp_path / name
+        path.write_text(files[name])
+        argv += [f"--{name}", str(path)]
     assert _run_fresh(f"""
         import sys
         import lyapid.cli
-        assert lyapid.cli.main(["classify", "--graph", {str(graph)!r}]) == 0
+        assert lyapid.cli.main({argv!r}) == 0
         print("numpy" in sys.modules)
     """) == "False"
 

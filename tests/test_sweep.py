@@ -2,12 +2,20 @@
 
 import gc
 import multiprocessing
+import random
 
 import pytest
 
 from lyapid import sweep
-from lyapid.graphs import DiGraph, enumerate_candidates, necessary_criterion
-from lyapid.identifiability import classify
+from lyapid.graphs import (
+    DiGraph,
+    canonical_form,
+    enumerate_candidates,
+    necessary_criterion,
+    relabel,
+)
+from lyapid.identifiability import ClassifyConfig, classify
+from lyapid.lyapunov import VolatilityMatrix
 
 
 def _exact_batch(graphs, vol, cfgs, elapsed_ms=None):
@@ -125,3 +133,29 @@ def test_satisfies_eq9_is_the_trek_criterion():
     assert [row.satisfies_eq9 for row in report.rows] == [
         necessary_criterion(row.graph()) for row in report.rows
     ]
+
+
+def test_a_relabelled_graph_replays_its_row_through_its_canonical_form():
+    # The seed hashes the edges as given, and the drift draws follow the
+    # labelling, so a relabelled copy h replays its row through
+    # canonical_form(h), the candidate itself, and not under its own seed.
+    report = sweep.run_sweep(4)
+    rng = random.Random(4)
+    witnesses = 0
+    for row in report.rows:
+        h = row.graph()
+        while h == row.graph():
+            perm = rng.sample(range(1, 5), 4)
+            h = relabel(row.graph(), dict(zip(range(1, 5), perm)))
+        g = canonical_form(h)
+        assert g == row.graph()
+        seed = sweep.derive_graph_seed(report.seed, g)
+        assert sweep.derive_graph_seed(report.seed, h) != seed
+        cfg = ClassifyConfig(trials=report.trials, bound=report.bound, seed=seed)
+        verdict = classify(g, VolatilityMatrix.identity(4), cfg)
+        assert verdict.classification == row.classification
+        assert verdict.certificate.kind == row.certificate_kind
+        if row.witness_drift is not None:
+            witnesses += 1
+            assert sweep._row_witness(verdict) == (row.witness_drift, row.witness_sigma)
+    assert witnesses == 1
