@@ -57,7 +57,6 @@ EDGE_COUNT_BOUND = "edge-count-bound"
 TREK_BOUND = "trek-bound"
 FULL_RANK_WITNESS = "full-rank-witness"
 RANK_DEFICIT_WITNESS = "rank-deficit-witness"
-NO_THEOREM = "no-theorem-route"
 
 
 @dataclass(frozen=True)
@@ -173,42 +172,6 @@ class ClassifyConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.bound < 1:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
-
-
-def _check_sizes(g: DiGraph, vol: VolatilityMatrix) -> None:
-    if vol.p != g.p:
-        raise ValueError(f"volatility matrix is {vol.p}x{vol.p}, but the graph has p = {g.p}")
-
-
-# ---------------------------------------------------------------------------
-# Theorem-backed global classification
-# ---------------------------------------------------------------------------
-
-
-def check_global(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict:
-    """Theorem-route global identifiability.
-
-    Simple graphs (in particular DAGs) are globally identifiable for every
-    positive definite volatility matrix.  A non-simple graph with diagonal
-    volatility is never globally identifiable; the finer generic/non
-    distinction is left to :func:`check_generic`.  For non-simple graphs
-    with non-diagonal volatility no theorem applies and the verdict stays
-    undetermined (an exact rank analysis may still settle it).
-
-    Raises:
-        ValueError: if ``vol`` is not p x p for the graph's p.
-    """
-    _check_sizes(g, vol)
-    if is_simple(g):
-        kind = THEOREM_DAG if is_dag(g) else THEOREM_SIMPLE
-        return IdentVerdict(IdentClass.GLOBALLY_IDENTIFIABLE, Certificate(kind=kind))
-    if vol.diagonal:
-        note = ("non-simple graph with diagonal volatility is not globally "
-                "identifiable; run check_generic for the finer class")
-    else:
-        note = ("non-simple graph with non-diagonal volatility: no theorem route; "
-                "an exact rank analysis may still settle the class")
-    return IdentVerdict(IdentClass.UNDETERMINED, Certificate(kind=NO_THEOREM, note=note))
 
 
 # ---------------------------------------------------------------------------
@@ -342,31 +305,6 @@ def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig,
         samples=tuple(deficits), failure_bound=_failure_bound(degree, cfg.bound, cfg.trials)))
 
 
-def check_generic(
-    g: DiGraph,
-    vol: VolatilityMatrix,
-    trials: int = ClassifyConfig.trials,
-    bound: int = ClassifyConfig.bound,
-    seed: int = ClassifyConfig.seed,
-) -> IdentVerdict:
-    """Sampling-plus-exact-rank classification via the coefficient matrix.
-
-    Any sample whose edge-restricted coefficient matrix reaches full column
-    rank |E| proves generic identifiability outright; if every sample is
-    rank-deficient the model is declared non-identifiable with an explicit
-    per-sample kernel vector and a stated failure bound.  A simple graph
-    gets the theorem verdict of :func:`check_global` instead.
-
-    Raises:
-        ValueError: if ``vol`` is not p x p for the graph's p.
-    """
-    _check_sizes(g, vol)
-    cfg = ClassifyConfig(trials, bound, seed)
-    if is_simple(g):
-        return check_global(g, vol)
-    return _rank_by_sampling(g, vol, cfg, *_sampling_volatility(vol))
-
-
 def classify(
     g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig | None = None
 ) -> IdentVerdict:
@@ -440,10 +378,15 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
     pending: list[int] = []  # indices that reach sampling
     for k, g in enumerate(graphs):
         started = time.perf_counter()
-        _check_sizes(g, vol)
+        if g.p != vol.p:
+            raise ValueError(
+                f"volatility matrix is {vol.p}x{vol.p}, but the graph has p = {g.p}")
         verdict = _bound_verdict(g, vol)
         if verdict is None and is_simple(g):
-            verdict = check_global(g, vol)
+            # simple graphs (DAGs among them) are globally identifiable
+            # for every positive definite volatility
+            kind = THEOREM_DAG if is_dag(g) else THEOREM_SIMPLE
+            verdict = IdentVerdict(IdentClass.GLOBALLY_IDENTIFIABLE, Certificate(kind=kind))
         if verdict is None:
             pending.append(k)
         verdicts[k] = verdict

@@ -257,15 +257,6 @@ def vec(m: RatMatrix) -> RatMatrix:
     return RatMatrix.column([m[r, c] for c in range(m.cols) for r in range(m.rows)])
 
 
-def unvec(v: RatMatrix, rows: int, cols: int) -> RatMatrix:
-    """Inverse of :func:`vec` for a column vector of length rows*cols."""
-    if v.cols != 1 or v.rows != rows * cols:
-        raise ValueError("unvec expects a column vector of matching length")
-    return RatMatrix(
-        rows, cols, [v[c * rows + r, 0] for r in range(rows) for c in range(cols)]
-    )
-
-
 def vech(s: RatMatrix) -> RatMatrix:
     """Half-vectorization (upper triangle, rows (k,l) with k <= l, lexicographic).
 

@@ -324,14 +324,10 @@ def restrict_A(a: RatMatrix, g: DiGraph) -> RatMatrix:
     return a.select_columns(cols)
 
 
-def skew_basis_pairs(p: int) -> list[tuple[int, int]]:
-    """Column index pairs (k, l), k < l, of the kernel basis H(Sigma)."""
-    return [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
-
-
 def _h_rows(s_rows: list[list], edges: list[Edge]) -> list[list]:
     """Rows of H(Sigma), one row per edge of ``edges`` (see :func:`build_H`)."""
-    pairs = skew_basis_pairs(len(s_rows))
+    p = len(s_rows)
+    pairs = [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
     out = []
     for (i, j) in edges:
         row = []

@@ -18,8 +18,9 @@ from .catalog import complete_dag, fan_in_two_cycle, two_cycle
 from .graphs import DiGraph, no_trek_pairs, ancestor_sets
 from .identifiability import (
     FULL_RANK_WITNESS,
+    ClassifyConfig,
     IdentClass,
-    check_generic,
+    classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
 )
@@ -401,7 +402,7 @@ def suite_appendix_a(trials: int = 100, seed: int = 0) -> SuiteResult:
     vol = VolatilityMatrix(
         RatMatrix.from_rows([[2, 0, 1], [0, 2, 0], [1, 0, 2]])
     )
-    verdict = check_generic(g, vol, trials=3, bound=2**10, seed=seed)
+    verdict = classify(g, vol, ClassifyConfig(trials=3, bound=2**10, seed=seed))
     result.record(
         "off-diagonal volatility upgrades the 2-cycle-plus-node to generic",
         verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL

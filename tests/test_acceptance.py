@@ -31,7 +31,6 @@ from lyapid.identifiability import (
     FULL_RANK_WITNESS,
     ClassifyConfig,
     IdentClass,
-    check_generic,
     classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
@@ -392,7 +391,7 @@ class TestCriterion07Witnesses:
 
     def test_two_sinks_kernel_vector_matches_display(self):
         g = two_cycle_two_sinks()
-        verdict = check_generic(g, VolatilityMatrix.identity(4), trials=2, seed=77)
+        verdict = classify(g, VolatilityMatrix.identity(4), ClassifyConfig(trials=2, seed=77))
         assert verdict.classification is IdentClass.NON_IDENTIFIABLE
         sample = verdict.certificate.samples[0]
         s = sample.sigma
@@ -442,7 +441,7 @@ class TestCriterion09AppendixRegression:
     def test_offdiagonal_volatility_upgrades_to_generic(self):
         g = two_cycle(3)
         vol = VolatilityMatrix(RatMatrix.from_rows([[2, 0, 1], [0, 2, 0], [1, 0, 2]]))
-        verdict = check_generic(g, vol, trials=3, seed=99)
+        verdict = classify(g, vol, ClassifyConfig(trials=3, seed=99))
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
         )

@@ -345,6 +345,15 @@ class TestPropsCommand:
             "scaling", "conjugation", "kernel", "appendixA",
         }
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["props", "--suite", "bogus"])
+    @pytest.mark.parametrize("argv", [
+        ["props", "--suite", "bogus"],
+        ["props", "--suite", "nonsense", "--trials", "5"],
+    ], ids=" ".join)
+    def test_unknown_suite_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown suite {argv[2]!r}; choose from ")
+        assert err.count("\n") == 1, err
+        for name in ("appendixA", "conjugation", "cycle3", "dagdet", "kernel",
+                     "scaling", "spectral", "trek", "all"):
+            assert name in err

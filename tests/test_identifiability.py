@@ -21,7 +21,7 @@ from lyapid.catalog import (
     two_cycle_two_sinks,
     two_cycle_two_sources,
 )
-from lyapid.graphs import DiGraph, enumerate_candidates, relabel
+from lyapid.graphs import DiGraph, enumerate_candidates, is_dag, is_simple, relabel
 from lyapid.identifiability import (
     EDGE_COUNT_BOUND,
     FULL_RANK_WITNESS,
@@ -31,8 +31,6 @@ from lyapid.identifiability import (
     TREK_BOUND,
     ClassifyConfig,
     IdentClass,
-    check_generic,
-    check_global,
     classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
@@ -59,7 +57,8 @@ from _rref import rref_solve
 IDENTITY3 = VolatilityMatrix.identity(3)
 IDENTITY4 = VolatilityMatrix.identity(4)
 
-# the non-simple catalog graphs: check_generic samples each of them
+# the non-simple catalog graphs; a counting stage decides five of them
+# before sampling, so tests sample these through _sampled
 SAMPLED_CATALOG_GRAPHS = {
     "two_cycle": two_cycle(),
     "two_cycle_p3": two_cycle(3),
@@ -73,33 +72,72 @@ SAMPLED_CATALOG_GRAPHS = {
 }
 
 
-class TestCheckGlobal:
+def _sampled(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig = ClassifyConfig()):
+    """The verdict of the sampling stage alone, also for a graph that a
+    counting stage of :func:`classify` decides first."""
+    return identifiability._rank_by_sampling(
+        g, vol, cfg, *identifiability._sampling_volatility(vol))
+
+
+class TestTheoremVerdicts:
     def test_three_cycle_global_any_volatility(self):
         rng = random.Random(1)
         for _ in range(5):
             vol = random_volatility(3, rng)
-            verdict = check_global(three_cycle(), vol)
+            verdict = classify(three_cycle(), vol)
             assert verdict.classification is IdentClass.GLOBALLY_IDENTIFIABLE
             assert verdict.certificate.kind == THEOREM_SIMPLE
 
     def test_dag_gets_dag_certificate(self):
-        verdict = check_global(complete_dag(4), IDENTITY4)
+        verdict = classify(complete_dag(4), IDENTITY4)
         assert verdict.classification is IdentClass.GLOBALLY_IDENTIFIABLE
         assert verdict.certificate.kind == THEOREM_DAG
 
-    def test_non_simple_diagonal_undetermined_at_theorem_level(self):
-        verdict = check_global(two_cycle(), VolatilityMatrix.identity(2))
-        assert verdict.classification is IdentClass.UNDETERMINED
 
-    def test_non_simple_non_diagonal_undetermined(self):
-        vol = VolatilityMatrix(RatMatrix.from_rows([[2, 0, 1], [0, 2, 0], [1, 0, 2]]))
-        verdict = check_global(two_cycle(3), vol)
-        assert verdict.classification is IdentClass.UNDETERMINED
+def _simple_graphs(p: int):
+    """Every labelled simple graph on p nodes: each pair of distinct nodes
+    carries no edge, i -> j or j -> i."""
+    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+    for code in range(3 ** len(pairs)):
+        edges = set()
+        for (i, j) in pairs:
+            code, choice = divmod(code, 3)
+            if choice:
+                edges.add((i, j) if choice == 1 else (j, i))
+        yield DiGraph(p, frozenset(edges))
 
 
-class TestCheckGeneric:
+class TestOneVerdictEntryPoint:
+    """classify decides every graph; folding the theorem and the sampling
+    stage into it moves no byte."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_every_simple_graph_gets_the_theorem_verdict(self, p):
+        vol = VolatilityMatrix.identity(p)
+        graphs = list(_simple_graphs(p))
+        assert len(graphs) == 3 ** (p * (p - 1) // 2)
+        for g in graphs:
+            assert is_simple(g)
+            assert identifiability._bound_verdict(g, vol) is None
+            kind = THEOREM_DAG if is_dag(g) else THEOREM_SIMPLE
+            assert classify(g, vol).to_json() == {
+                "class": IdentClass.GLOBALLY_IDENTIFIABLE.value,
+                "certificate": {"kind": kind},
+            }
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sampled_candidates_get_the_sampling_stage_bytes(self, seed):
+        vol, cfg = IDENTITY4, ClassifyConfig(seed=seed)
+        sampled = [g for g in enumerate_candidates(4)
+                   if identifiability._bound_verdict(g, vol) is None]
+        assert len(sampled) > 50 and not any(is_simple(g) for g in sampled)
+        for g in sampled:
+            assert _verdict_bytes(classify(g, vol, cfg)) == _verdict_bytes(_sampled(g, vol, cfg))
+
+
+class TestSamplingStage:
     def test_two_cycle_out_edge_generic(self):
-        verdict = check_generic(two_cycle_out_edge(), IDENTITY3, trials=3, seed=5)
+        verdict = classify(two_cycle_out_edge(), IDENTITY3, ClassifyConfig(trials=3, seed=5))
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
         )
@@ -112,7 +150,7 @@ class TestCheckGeneric:
 
     def test_two_sinks_rank_deficit(self):
         g = two_cycle_two_sinks()
-        verdict = check_generic(g, IDENTITY4, trials=4, seed=7)
+        verdict = classify(g, IDENTITY4, ClassifyConfig(trials=4, seed=7))
         assert verdict.classification is IdentClass.NON_IDENTIFIABLE
         cert = verdict.certificate
         assert cert.kind == RANK_DEFICIT_WITNESS
@@ -130,7 +168,7 @@ class TestCheckGeneric:
         # (S13, S23, S33, S34) on the edges out of node 2 and
         # (-S12, -S22, -S23, -S24) on the edges out of node 3
         g = two_cycle_two_sinks()
-        verdict = check_generic(g, IDENTITY4, trials=1, seed=11)
+        verdict = classify(g, IDENTITY4, ClassifyConfig(trials=1, seed=11))
         sample = verdict.certificate.samples[0]
         s = sample.sigma
         edges = list(verdict.certificate.edges)
@@ -147,20 +185,20 @@ class TestCheckGeneric:
                 assert a * d == c * b
 
     def test_fan_in_with_return_generic_but_subgraph_not(self):
-        verdict = check_generic(
-            fan_in_two_cycle_with_return(), IDENTITY4, trials=3, seed=13
-        )
+        cfg = ClassifyConfig(trials=3, seed=13)
+        verdict = classify(fan_in_two_cycle_with_return(), IDENTITY4, cfg)
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
         )
-        subverdict = check_generic(fan_in_two_cycle(), IDENTITY4, trials=3, seed=13)
+        # the trek bound decides the subgraph; sampled anyway, it is deficient too
+        subverdict = _sampled(fan_in_two_cycle(), IDENTITY4, cfg)
         assert subverdict.classification is IdentClass.NON_IDENTIFIABLE
 
     def test_witness_fiber_is_infinite(self):
         # adding any multiple of the kernel vector to a particular solution
         # keeps solving the restricted system exactly
         g = two_cycle_two_sinks()
-        verdict = check_generic(g, IDENTITY4, trials=1, seed=17)
+        verdict = classify(g, IDENTITY4, ClassifyConfig(trials=1, seed=17))
         sample = verdict.certificate.samples[0]
         a_res = restrict_A(build_A(sample.sigma), g)
         rhs = -vech(RatMatrix.identity(4))
@@ -207,7 +245,7 @@ class TestKernelRoute:
     def test_sample_ranks_match_the_fraction_rank(self, name, seed):
         # the rank decided on H_nonE is the Fraction rank of A(Sigma)_E
         g = SAMPLED_CATALOG_GRAPHS[name]
-        cert = check_generic(g, VolatilityMatrix.identity(g.p), seed=seed).certificate
+        cert = _sampled(g, VolatilityMatrix.identity(g.p), ClassifyConfig(seed=seed)).certificate
         assert cert.kind in (FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS)
         if cert.witness is not None:
             assert cert.witness.rank == g.num_edges
@@ -409,7 +447,9 @@ class TestIntegerHotPath:
             return ranker(rows)
 
         monkeypatch.setattr(_intkernel, "rank_and_kernel", capture)
-        cert = check_generic(g, VolatilityMatrix.identity(g.p), trials=3, seed=11).certificate
+        # two of the graphs are decided by the trek bound: sample them anyway
+        cfg = ClassifyConfig(trials=3, seed=11)
+        cert = _sampled(g, VolatilityMatrix.identity(g.p), cfg).certificate
         samples = [cert.witness] if cert.witness is not None else list(cert.samples)
         assert len(tested) == len(samples) >= 1
         for rows, sample in zip(tested, samples):
@@ -466,7 +506,7 @@ class TestKernelVectorOracle:
     def test_every_deficit_sample_matches_rref(self, g):
         vol = VolatilityMatrix.identity(g.p)
         for seed in range(5):
-            cert = check_generic(g, vol, seed=seed).certificate
+            cert = classify(g, vol, ClassifyConfig(seed=seed)).certificate
             assert cert.kind == RANK_DEFICIT_WITNESS
             for sample in cert.samples:
                 assert sample.kernel_vector
@@ -483,8 +523,8 @@ H_ROUTE_GRAPHS = {
     "p3_eight_edges": P3_EIGHT_EDGES,
 }
 
-# sha256 of the verdict JSON (sort_keys) of check_generic at seed 0 for the
-# complete graphs, which have no non-edge rows of H
+# sha256 of the verdict JSON (sort_keys) of the sampling stage at seed 0 for
+# the complete graphs, which have no non-edge rows of H
 COMPLETE_GRAPH_VERDICT_SHA256 = {
     2: "ae52fe5d2fcfb8a0a2bc0774d77bf8b21b578e40abb4cf5e93b4f8030dc9cb73",
     3: "6829bc84efb5b009b099c83d7590025b7419f54398ca5f2255641d587c91c5ac",
@@ -532,7 +572,7 @@ class TestKernelRestrictionRanks:
 
     def test_kernel_of_dimension_two_takes_the_a_fallback(self, monkeypatch):
         counts = _count_h_route(monkeypatch)
-        cert = check_generic(P3_EIGHT_EDGES, IDENTITY3, seed=1).certificate
+        cert = _sampled(P3_EIGHT_EDGES, IDENTITY3, ClassifyConfig(seed=1)).certificate
         assert cert.kind == RANK_DEFICIT_WITNESS
         assert counts == {"from_h": 0, "a_fallback": len(cert.samples)}
         for sample in cert.samples:
@@ -543,14 +583,14 @@ class TestKernelRestrictionRanks:
     def test_complete_graph_classifies_as_pinned(self, monkeypatch, p):
         # H_nonE has no rows: the A fallback ranks every sample
         counts = _count_h_route(monkeypatch)
-        verdict = check_generic(complete_graph(p), VolatilityMatrix.identity(p))
+        verdict = _sampled(complete_graph(p), VolatilityMatrix.identity(p))
         body = json.dumps(verdict.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == COMPLETE_GRAPH_VERDICT_SHA256[p]
         assert counts == {"from_h": 0, "a_fallback": 5}
 
     def test_one_dimensional_kernels_come_from_h(self, monkeypatch):
         counts = _count_h_route(monkeypatch)
-        cert = check_generic(P5_DEFICIT, VolatilityMatrix.identity(5)).certificate
+        cert = classify(P5_DEFICIT, VolatilityMatrix.identity(5)).certificate
         assert counts == {"from_h": 5, "a_fallback": 0}
         for sample in cert.samples:
             assert sample.kernel_vector == _rref_kernel_vector(P5_DEFICIT, sample.sigma)
@@ -577,8 +617,6 @@ class TestClassifyConfig:
     def test_rejects_bad_sampling_parameters(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             ClassifyConfig(**{field: value})
-        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
-            check_generic(two_cycle(), VolatilityMatrix.identity(2), **{field: value})
 
 
 class TestLazyStability:
@@ -625,11 +663,13 @@ class TestVolatilitySize:
 
     @pytest.mark.parametrize("entry", [
         classify,
-        check_generic,
-        check_global,
         lambda g, vol: identifiability._classify_batch([g], vol, [ClassifyConfig()]),
-    ], ids=["classify", "check_generic", "check_global", "_classify_batch"])
-    @pytest.mark.parametrize("graph", [two_cycle(3), three_cycle()], ids=["non-simple", "simple"])
+    ], ids=["classify", "_classify_batch"])
+    # one graph for each stage that could decide first at p = 3: the
+    # edge-count bound, the trek bound or sampling, and both theorem kinds
+    @pytest.mark.parametrize("graph", [
+        two_cycle(3), three_cycle(), complete_dag(3), complete_graph(3),
+    ], ids=["non-simple", "simple", "dag", "over-bound"])
     @pytest.mark.parametrize("name", sorted(WRONG_SIZE_VOLATILITIES))
     def test_every_entry_point_raises(self, entry, graph, name):
         vol = WRONG_SIZE_VOLATILITIES[name]

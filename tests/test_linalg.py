@@ -23,7 +23,6 @@ from lyapid.linalg import (
     rank,
     rat,
     solve_linear,
-    unvec,
     vec,
     vech,
 )
@@ -119,11 +118,6 @@ class TestVecVech:
         s = RatMatrix.from_rows([[1, 7], [7, 4]])
         v = vec(s)
         assert v[1, 0] == v[2, 0] == 7
-
-    def test_unvec_roundtrip(self):
-        rng = random.Random(3)
-        m = _random_matrix(rng, 3, 3)
-        assert unvec(vec(m), 3, 3) == m
 
     def test_vech_identity(self):
         assert vech(RatMatrix.identity(2)).col(0) == (1, 0, 1)

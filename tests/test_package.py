@@ -25,6 +25,27 @@ def test_no_name_is_exported_twice():
     assert len(set(lyapid.__all__)) == len(lyapid.__all__)
 
 
+# The public surface: a name joins or leaves it only by editing this list.
+PUBLIC_NAMES = [
+    "Certificate", "ClassifyConfig", "CovMatrix", "DiGraph", "DriftMatrix",
+    "EnumPolicy", "FiberResult", "IdentClass", "IdentVerdict", "NotStableError",
+    "PositivityReport", "RankSample", "RatMatrix", "Rational", "SolutionSet",
+    "SweepReport", "SweepRow", "VolatilityMatrix", "build_A", "build_H",
+    "canonical_form", "classify", "cycle3_determinant_identity",
+    "dag_determinant_identity", "det", "enumerate_candidates", "fiber",
+    "format_matrix_csv", "graph_from_json", "graph_to_json", "has_trek", "inverse",
+    "is_dag", "is_positive_definite", "is_simple", "is_stable", "necessary_criterion",
+    "no_trek_pairs", "parse_matrix_csv", "positivity_sample", "rank", "rat",
+    "relabel", "restrict_A", "restrict_H", "run_sweep", "sample_stable_drift",
+    "skew_to_drift", "solve_for_sigma", "solve_linear", "subgraph", "vec", "vech",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC_NAMES) == 53
+    assert sorted(lyapid.__all__) == PUBLIC_NAMES
+
+
 # How lyapid loads numpy (``_intkernel.numpy``): each case runs in a fresh
 # interpreter, since this one has numpy loaded already.
 
@@ -88,6 +109,19 @@ def test_import_and_classify_command_leave_multiprocessing_unloaded(tmp_path):
         import lyapid.cli
         assert lyapid.cli.main(["classify", "--graph", {str(graph)!r}]) == 0
         print(after_import, "multiprocessing" in sys.modules)
+    """) == "False False"
+
+
+def test_classify_command_leaves_the_property_suites_unloaded(tmp_path):
+    # only the props command imports them
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(graph_to_json(two_cycle_out_edge())))
+    assert _run_fresh(f"""
+        import sys
+        import lyapid.cli
+        after_import = "lyapid.properties" in sys.modules
+        assert lyapid.cli.main(["classify", "--graph", {str(graph)!r}]) == 0
+        print(after_import, "lyapid.properties" in sys.modules)
     """) == "False False"
 
 
