@@ -220,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--connectivity", choices=CONNECTIVITY_CHOICES,
                          default="weakly-connected")
     _add_sampling_arguments(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="upper bound on the worker processes; a sweep of "
+                              "one chunk of candidates, as every p <= 4 sweep is, "
+                              "runs in process")
     p_sweep.add_argument("--out", help="write the full JSON report to this file")
     p_sweep.set_defaults(func=_cmd_sweep)
 

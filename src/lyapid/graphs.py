@@ -271,8 +271,8 @@ def _permutation_mask_tables(p: int):
     return pairs, q, half, table(0, half), table(half, q - half)
 
 
-def _candidate_edges(p: int, policy: EnumPolicy | None = None) -> list[tuple[Edge, ...]]:
-    """Sorted off-diagonal edges of every candidate, in ascending canonical mask.
+def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
+    """The canonical mask of every candidate, ascending; see :func:`_mask_edges`.
 
     The canonical masks are built by orderly generation (Read 1978; McKay
     1998), one edge count at a time: each canonical parent is extended only
@@ -328,8 +328,16 @@ def _candidate_edges(p: int, policy: EnumPolicy | None = None) -> list[tuple[Edg
             for nodes, arcs in links:
                 reach[((masks & arcs) != 0) & ((reach & nodes) != 0)] |= nodes
         keep &= reach == (1 << p) - 1
-    return [tuple(e for e, b in zip(pairs, format(mask, f"0{q}b")) if b == "1")
-            for mask in np.sort(masks[keep]).tolist()]
+    return np.sort(masks[keep]).tolist()
+
+
+def _mask_edges(mask: int, pairs: list[Edge]) -> tuple[Edge, ...]:
+    """Sorted off-diagonal edges of ``mask``, where ``pairs = _offdiag_pairs(p)``.
+
+    Bit ``q-1-r`` of the mask is the edge ``pairs[r]`` of lexicographic
+    rank r, as in :func:`_permutation_mask_tables`.
+    """
+    return tuple(e for e, b in zip(pairs, format(mask, f"0{len(pairs)}b")) if b == "1")
 
 
 def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[DiGraph]:
@@ -337,7 +345,7 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
 
     Graphs are yielded as canonical representatives in ascending order of
     their canonical masks (the largest mask of each relabelling class; see
-    :func:`_permutation_mask_tables` and :func:`_candidate_edges`).  Every
+    :func:`_permutation_mask_tables` and :func:`_candidate_masks`).  Every
     graph contains at least one 2-cycle, satisfies
     ``num_edges <= policy.max_edges`` (self-loops included) and the policy's
     connectivity filter.
@@ -345,8 +353,9 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
     Raises:
         ValueError: unless 2 <= p <= 5 (the intended sweep range).
     """
-    for edges in _candidate_edges(p, policy):
-        yield DiGraph(p, frozenset(edges))
+    pairs = _offdiag_pairs(p)
+    for mask in _candidate_masks(p, policy):
+        yield DiGraph(p, frozenset(_mask_edges(mask, pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,31 @@
 Graphs are classified independently with per-graph RNG seeds derived by
 hashing each candidate's sorted edges, as enumerated (in canonical form),
 together with the global seed, so a parallel run, a serial run, and a rerun
-all produce the same report (timing fields aside).  ``--jobs`` splits the
-candidates, each a sorted edge tuple and seed, into strided shards, one
-batch per worker, which builds the graphs; workers share nothing but the
-immutable configuration.
+all produce the same report (timing fields aside).
 
-Each shard is classified by ``identifiability._classify_batch``, the one
-place the cascade of ``classify`` runs.  When at least 16 of a shard's graphs
-reach sampling, as in every shard of the p = 4 and 5 sweeps at --jobs 2,
-their first samples are screened in one modular batch: the vech Lyapunov
-systems are solved over GF(2^31 - 1) together, and H(Sigma mod q)
-restricted to the non-edges is ranked together per edge count (A(Sigma)_E
-has full column rank iff H(Sigma)_nonE does).  If K is nonsingular mod q,
-Sigma mod q is the reduction of Sigma; H is linear in Sigma, so a full
-column rank mod q proves the full rank over Q that the exact path would
-find at the same sample.  Only graphs the screen cannot prove -- a zero
-pivot or a deficit mod q -- take the exact path, so the verdicts and the
-canonical bytes are those of ``classify`` by construction.
+The unit of work is a chunk of at most ``_CHUNK`` candidates, sent as their
+canonical masks.  Whoever classifies a chunk reads each mask's sorted edges,
+hashes them into the graph's seed and builds the graph, so the parent holds
+nothing per candidate but its mask.  The candidates are split into strided,
+near-equal chunks; when there is more than one, there are at least as many
+chunks as workers.  A pool of at most ``--jobs`` workers starts only when
+there is more than one chunk and more than one worker to run them; a sweep
+of one chunk, as at p = 4, runs in process and never imports
+``multiprocessing``.  Workers share nothing but the immutable configuration.
+
+Each chunk is classified by ``identifiability._classify_batch``, the one
+place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds the
+screen's stacks.  When at least 16 of a chunk's graphs reach sampling, as
+in every chunk of the p = 4 and 5 sweeps, their first samples are screened
+in one modular batch: the vech Lyapunov systems are solved over
+GF(2^31 - 1) together, and H(Sigma mod q) restricted to the non-edges is
+ranked together per edge count (A(Sigma)_E has full column rank iff
+H(Sigma)_nonE does).  If K is nonsingular mod q, Sigma mod q is the
+reduction of Sigma; H is linear in Sigma, so a full column rank mod q
+proves the full rank over Q that the exact path would find at the same
+sample.  Only graphs the screen cannot prove -- a zero pivot or a deficit
+mod q -- take the exact path, so the verdicts and the canonical bytes are
+those of ``classify`` by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .graphs import DiGraph, EnumPolicy, _candidate_edges
+from .graphs import DiGraph, EnumPolicy, _candidate_masks, _mask_edges, _offdiag_pairs
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
@@ -45,6 +53,11 @@ from .linalg import matrix_strings
 from .lyapunov import VolatilityMatrix
 
 CSV_HEADER = "p,policy,total_nonsimple,non_identifiable,non_identifiable_eq9,wall_seconds"
+
+# Most candidates in one chunk, the unit of work: one pool task and one
+# _classify_batch call.  It stays below the 4,862 candidates of p = 5, whose
+# two chunks keep that sweep's peak memory to half a batch per process.
+_CHUNK = 4096
 
 
 def derive_graph_seed(global_seed: int, g: DiGraph) -> int:
@@ -163,15 +176,18 @@ def _row_witness(verdict: IdentVerdict):
     )
 
 
-def _classify_shard(shard) -> list[SweepRow]:
-    """Classify one (p, trials, bound, [(edges, seed), ...]) shard in one batch; picklable."""
-    p, trials, bound, items = shard
-    graphs = [DiGraph(p, frozenset(edges)) for edges, _ in items]
-    cfgs = [ClassifyConfig(trials=trials, bound=bound, seed=seed) for _, seed in items]
+def _classify_chunk(chunk) -> list[SweepRow]:
+    """Classify one (p, trials, bound, seed, masks) chunk in one batch; picklable."""
+    p, trials, bound, seed, masks = chunk
+    pairs = _offdiag_pairs(p)
+    edge_lists = [_mask_edges(mask, pairs) for mask in masks]
+    graphs = [DiGraph(p, frozenset(edges)) for edges in edge_lists]
+    cfgs = [ClassifyConfig(trials=trials, bound=bound, seed=_edges_seed(seed, p, edges))
+            for edges in edge_lists]
     elapsed: list[float] = []
     verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), cfgs, elapsed)
     rows = []
-    for (edges, _), g, verdict, elapsed_ms in zip(items, graphs, verdicts, elapsed):
+    for edges, g, verdict, elapsed_ms in zip(edge_lists, graphs, verdicts, elapsed):
         drift, sigma = _row_witness(verdict)
         kind = verdict.certificate.kind
         rows.append(SweepRow(
@@ -202,21 +218,31 @@ def run_sweep(
     """Enumerate candidates and classify them all, optionally in parallel.
 
     The sweep always uses the identity volatility matrix, which decides the
-    class for every diagonal volatility matrix.
+    class for every diagonal volatility matrix.  ``jobs`` is an upper bound
+    on the workers: a sweep of one chunk runs in process.
+
+    Raises:
+        ValueError: if ``jobs`` is below 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = policy or EnumPolicy()
     started = time.perf_counter()
-    items = [(edges, _edges_seed(seed, p, edges)) for edges in _candidate_edges(p, policy)]
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    masks = _candidate_masks(p, policy)
+    workers = min(jobs, os.cpu_count() or 1)
+    n = -(-len(masks) // _CHUNK)
+    if n > 1:
+        n = min(max(n, workers), len(masks))
+    chunks = [(p, trials, bound, seed, masks[k::n]) for k in range(n)]
+    workers = min(workers, n)
     if workers > 1:
         import multiprocessing  # only a pooled sweep pays for the import
 
-        shards = [(p, trials, bound, items[k::workers]) for k in range(workers)]
         with multiprocessing.Pool(processes=workers) as pool:
-            rows = [row for part in pool.map(_classify_shard, shards, chunksize=1)
-                    for row in part]
+            parts = pool.map(_classify_chunk, chunks, chunksize=1)
     else:
-        rows = _classify_shard((p, trials, bound, items))
+        parts = map(_classify_chunk, chunks)
+    rows = [row for part in parts for row in part]
     rows.sort(key=lambda r: (r.num_edges, r.edges))
     report = SweepReport(
         p=p, policy=policy, trials=trials, bound=bound, seed=seed, rows=rows

@@ -112,6 +112,19 @@ def test_import_and_classify_command_leave_multiprocessing_unloaded(tmp_path):
     """) == "False False"
 
 
+def test_one_chunk_sweep_command_leaves_multiprocessing_unloaded(tmp_path):
+    # p = 4 is one chunk, so --jobs 2 runs it in process even with two CPUs
+    assert _run_fresh(f"""
+        import os
+        import sys
+        os.cpu_count = lambda: 2
+        import lyapid.cli
+        out = {str(tmp_path / "sweep4.json")!r}
+        assert lyapid.cli.main(["sweep", "--p", "4", "--jobs", "2", "--out", out]) == 0
+        print("multiprocessing" in sys.modules)
+    """) == "False"
+
+
 def test_classify_command_leaves_the_property_suites_unloaded(tmp_path):
     # only the props command imports them
     graph = tmp_path / "g.json"

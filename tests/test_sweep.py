@@ -1,12 +1,14 @@
-"""The sweep's sharded, screened batches against the per-graph exact path."""
+"""The sweep's chunked, screened batches against the per-graph exact path."""
 
 import gc
+import hashlib
 import multiprocessing
 import random
 
 import pytest
+from test_acceptance import CANONICAL_SHA256
 
-from lyapid import sweep
+from lyapid import identifiability, sweep
 from lyapid.graphs import (
     DiGraph,
     canonical_form,
@@ -32,9 +34,10 @@ def _exact_sweep(monkeypatch, p, **kwargs):
 
 
 def test_uneven_shards_match_serial_bytes(monkeypatch):
+    serial = sweep.run_sweep(4)  # one chunk, in process
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)  # so 3 workers are not capped
-    serial = sweep.run_sweep(4)
-    sharded = sweep.run_sweep(4, jobs=3)  # 80 candidates: shards of 27, 27, 26
+    monkeypatch.setattr(sweep, "_CHUNK", 40)  # two chunks, raised to the 3 workers
+    sharded = sweep.run_sweep(4, jobs=3)  # 80 candidates: chunks of 27, 27, 26
     assert sharded.canonical_bytes() == serial.canonical_bytes()
     assert all(row.elapsed_ms >= 0 for row in sharded.rows)
 
@@ -69,11 +72,17 @@ class _SerialPool:
         return [func(shard) for shard in shards]
 
 
-# With 6 CPUs: the last case is capped by the CPU count, not the candidates.
-@pytest.mark.parametrize("p, jobs, workers",
-                         [(3, 5, 2), (3, 64, 2), (4, 3, 3), (3, 1, None), (4, 100_000, 6)])
-def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
+# With 6 CPUs: p = 3 has 2 candidates, p = 4 has 80.  Chunks of 1 at p = 3
+# cap the workers at the candidates; chunks of 40 at p = 4 make 2 chunks,
+# raised to the workers, and the last case is capped by the CPU count; chunks
+# of 10 make 8, more than the workers.
+@pytest.mark.parametrize("p, chunk, jobs, workers, chunks", [
+    (3, 1, 5, 2, 2), (3, 1, 64, 2, 2), (4, 40, 3, 3, 3), (3, 1, 1, None, 0),
+    (4, 40, 100_000, 6, 6), (4, 10, 3, 3, 8), (4, 4096, 2, None, 0),
+])
+def test_workers_are_capped_by_the_candidates(monkeypatch, p, chunk, jobs, workers, chunks):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(sweep, "_CHUNK", chunk)
     sizes, shards = [], []
     monkeypatch.setattr(
         multiprocessing, "Pool",
@@ -81,7 +90,7 @@ def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
     )
     report = sweep.run_sweep(p, jobs=jobs)
     assert sizes == ([] if workers is None else [workers])
-    assert len(shards) == (workers or 0) and all(shard[3] for shard in shards)
+    assert len(shards) == chunks and all(0 < len(shard[4]) <= chunk for shard in shards)
     monkeypatch.undo()
     assert report.canonical_bytes() == sweep.run_sweep(p).canonical_bytes()
 
@@ -89,6 +98,7 @@ def test_workers_are_capped_by_the_candidates(monkeypatch, p, jobs, workers):
 @pytest.mark.parametrize("cpus", [1, None])  # None: the count cannot be determined
 def test_one_or_unknown_cpu_runs_serially(monkeypatch, cpus):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweep, "_CHUNK", 1)  # two chunks
     monkeypatch.setattr(multiprocessing, "Pool", None)  # calling it would fail
     assert len(sweep.run_sweep(3, jobs=4).rows) == 2
 
@@ -96,11 +106,25 @@ def test_one_or_unknown_cpu_runs_serially(monkeypatch, cpus):
 @pytest.mark.parametrize("p", [4, 5])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_items_carry_each_candidates_graph_seed(monkeypatch, p, seed):
-    shards = []
-    monkeypatch.setattr(sweep, "_classify_shard", lambda shard: shards.append(shard) or [])
-    sweep.run_sweep(p, seed=seed)
-    assert shards[0][3] == [(tuple(sorted(g.offdiag_edges)), sweep.derive_graph_seed(seed, g))
-                            for g in enumerate_candidates(p)]
+    # The pool is sent masks only; each chunk's edges and seeds are derived
+    # where it is classified, and chunk k holds candidates k, k + n, ...
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "_CHUNK", 30)
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda processes: _SerialPool([], [], processes))
+    batches = []
+
+    def recorded(graphs, vol, cfgs, elapsed_ms):
+        batches.append([(tuple(sorted(g.offdiag_edges)), cfg.seed)
+                        for g, cfg in zip(graphs, cfgs)])
+        return []
+
+    monkeypatch.setattr(sweep, "_classify_batch", recorded)
+    sweep.run_sweep(p, seed=seed, jobs=2)
+    expected = [(tuple(sorted(g.offdiag_edges)), sweep.derive_graph_seed(seed, g))
+                for g in enumerate_candidates(p)]
+    n = -(-len(expected) // 30)
+    assert batches == [expected[k::n] for k in range(n)]
 
 
 def test_serial_sweep_builds_each_graph_once(monkeypatch):
@@ -117,7 +141,9 @@ def test_serial_sweep_builds_each_graph_once(monkeypatch):
 
 
 @pytest.mark.parametrize("caller_froze", [False, True])
-def test_parallel_sweep_leaves_the_gc_freeze_count_unchanged(caller_froze):
+def test_parallel_sweep_leaves_the_gc_freeze_count_unchanged(monkeypatch, caller_froze):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "_CHUNK", 40)  # two chunks, so a pool starts
     if caller_froze:
         gc.freeze()
     try:
@@ -126,6 +152,35 @@ def test_parallel_sweep_leaves_the_gc_freeze_count_unchanged(caller_froze):
         assert gc.get_freeze_count() == before
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_jobs_do_not_change_the_bytes(monkeypatch, p):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)  # so 3 workers are not capped
+    for jobs in (1, 2, 3):
+        report = sweep.run_sweep(p, jobs=jobs)
+        assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[p]
+
+
+def test_the_screen_never_holds_more_than_one_chunk(monkeypatch):
+    sizes = []
+    screen = identifiability._screen_full_rank
+
+    def measured(graphs, *args):
+        sizes.append(len(graphs))
+        return screen(graphs, *args)
+
+    monkeypatch.setattr(identifiability, "_screen_full_rank", measured)
+    monkeypatch.setattr(sweep, "_CHUNK", 20)
+    report = sweep.run_sweep(4)
+    assert sizes and max(sizes) <= 20
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_fewer_than_one_job_is_refused(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        sweep.run_sweep(3, jobs=jobs)
 
 
 def test_satisfies_eq9_is_the_trek_criterion():
