@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .graphs import CONNECTIVITY_CHOICES, EnumPolicy, graph_from_json
+from .graphs import _MAX_P, EnumPolicy, graph_from_json
 from .identifiability import ClassifyConfig, classify
 from .linalg import format_matrix_csv, parse_matrix_csv
 from .lyapunov import (
@@ -130,8 +130,8 @@ def _report_json(report: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    if not 3 <= args.p <= 5:
-        raise _CliError(EXIT_PRECONDITION, "sweep supports 3 <= p <= 5")
+    if not 3 <= args.p <= _MAX_P:
+        raise _CliError(EXIT_PRECONDITION, f"sweep supports 3 <= p <= {_MAX_P}")
     if args.jobs < 1:
         raise _CliError(EXIT_PRECONDITION, f"jobs must be >= 1, got {args.jobs}")
     # p self-loops plus one 2-cycle is the smallest non-simple graph.
@@ -141,7 +141,7 @@ def _cmd_sweep(args) -> int:
             f"max-edges must be >= p + 2 = {args.p + 2}, got {args.max_edges}",
         )
     _classify_config(args)  # rejects bad --trials / --bound before any work
-    policy = EnumPolicy(max_edges=args.max_edges, connectivity=args.connectivity)
+    policy = EnumPolicy(max_edges=args.max_edges)
     try:  # opened before the sweep, so an unwritable path costs no sweep
         out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext()
     except OSError as exc:
@@ -205,11 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="identifiability verdict for one graph")
     p_classify.add_argument("--graph", required=True, help="graph JSON file")
-    vol_group = p_classify.add_mutually_exclusive_group()
-    vol_group.add_argument("--vol", help="volatility matrix CSV")
-    vol_group.add_argument(
-        "--identity", action="store_true", help="use the identity volatility (default)"
-    )
+    p_classify.add_argument("--vol", help="volatility matrix CSV (default: the identity)")
     _add_sampling_arguments(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -217,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p", type=int, required=True)
     p_sweep.add_argument("--max-edges", type=int, default=None,
                          help="total edge bound incl. self-loops (default p(p+1)/2)")
-    p_sweep.add_argument("--connectivity", choices=CONNECTIVITY_CHOICES,
-                         default="weakly-connected")
     _add_sampling_arguments(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="upper bound on the worker processes; a sweep of "

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator
 
 from . import _intkernel
 
 Edge = tuple[int, int]
 
-CONNECTIVITY_CHOICES = ("none", "no-isolated-nodes", "weakly-connected")
+# The enumeration's one connectivity filter, as reports name it: only it gives
+# the paper's totals of 2 / 80 / 4,862 at p = 3, 4, 5.
+CONNECTIVITY = "weakly-connected"
+_MAX_P = 5  # the largest p the enumeration, and so the sweep, supports
 
 
 @dataclass(frozen=True)
@@ -35,13 +38,12 @@ class DiGraph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("node count must be >= 1")
+        if not _is_int(self.p) or self.p < 1:
+            raise ValueError(f"node count must be an integer >= 1, got {self.p!r}")
         normalized = set()
-        for e in self.edges:
-            i, j = int(e[0]), int(e[1])
-            if not (1 <= i <= self.p and 1 <= j <= self.p):
-                raise ValueError(f"edge {(i, j)} out of range for p={self.p}")
+        for (i, j) in self.edges:
+            if not (_is_int(i) and _is_int(j) and 1 <= i <= self.p and 1 <= j <= self.p):
+                raise ValueError(f"edge {(i, j)!r} is not a pair of integer nodes in 1..{self.p}")
             normalized.add((i, j))
         normalized.update((i, i) for i in range(1, self.p + 1))
         object.__setattr__(self, "edges", frozenset(normalized))
@@ -80,28 +82,28 @@ class DiGraph:
 
 @dataclass(frozen=True)
 class EnumPolicy:
-    """Filter policy for the candidate enumeration.
+    """Edge bound of the candidate enumeration.
 
     max_edges bounds the total edge count including self-loops and defaults
     to p(p+1)/2 (the dimension bound beyond which every model is
-    non-identifiable).  connectivity is one of "none", "no-isolated-nodes"
-    or "weakly-connected".
+    non-identifiable).  Candidates are always weakly connected; the
+    ``connectivity`` argument exists only so that ``EnumPolicy(**to_json())``
+    reads a report's policy back, and any value but :data:`CONNECTIVITY`
+    raises ``ValueError``.
     """
 
     max_edges: int | None = None
-    connectivity: str = "weakly-connected"
+    connectivity: InitVar[str] = CONNECTIVITY
 
-    def __post_init__(self):
-        if self.connectivity not in CONNECTIVITY_CHOICES:
-            raise ValueError(
-                f"connectivity must be one of {CONNECTIVITY_CHOICES}, got {self.connectivity!r}"
-            )
+    def __post_init__(self, connectivity):
+        if connectivity != CONNECTIVITY:
+            raise ValueError(f"candidates are {CONNECTIVITY} only, got {connectivity!r}")
 
     def resolved_max_edges(self, p: int) -> int:
         return self.max_edges if self.max_edges is not None else p * (p + 1) // 2
 
     def to_json(self) -> dict:
-        return {"max_edges": self.max_edges, "connectivity": self.connectivity}
+        return {"max_edges": self.max_edges, "connectivity": CONNECTIVITY}
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def subgraph(g: DiGraph, keep_edges: Iterable[Edge]) -> DiGraph:
         ValueError: if keep_edges is not a subset of g.edges, or if it
             attempts to drop a self-loop.
     """
-    keep = {(int(i), int(j)) for (i, j) in keep_edges}
+    keep = {(i, j) for (i, j) in keep_edges}
     if not keep <= g.edges:
         raise ValueError("keep_edges must be a subset of the graph's edges")
     for i in range(1, g.p + 1):
@@ -277,7 +279,7 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     The canonical masks are built by orderly generation (Read 1978; McKay
     1998), one edge count at a time: each canonical parent is extended only
     by a bit below its lowest set bit, and a child is kept only if no
-    relabelling maps it to a larger mask.  The 2-cycle and connectivity
+    relabelling maps it to a larger mask.  The 2-cycle and weak connectivity
     filters run afterwards, so parents that are not candidates still extend.
 
     This reaches every canonical mask exactly once.  Lemma: removing the
@@ -293,10 +295,10 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     t): pi(m) > m, and m is not canonical.
 
     Raises:
-        ValueError: unless 2 <= p <= 5 (the intended sweep range).
+        ValueError: unless 2 <= p <= ``_MAX_P`` = 5 (the sweep range).
     """
-    if not (2 <= p <= 5):
-        raise ValueError("enumeration supports 2 <= p <= 5")
+    if not 2 <= p <= _MAX_P:
+        raise ValueError(f"enumeration supports 2 <= p <= {_MAX_P}")
     np = _intkernel.numpy()
     policy = policy or EnumPolicy()
     pairs, q, half, lo, hi = _permutation_mask_tables(p)
@@ -317,17 +319,11 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     keep = np.zeros(len(masks), dtype=bool)
     for _, arcs in links:
         keep |= (masks & arcs) == arcs
-    if policy.connectivity == "no-isolated-nodes":
-        reach = np.zeros_like(masks)
+    reach = np.ones_like(masks)  # node 1, then its undirected neighbours
+    for _ in range(p - 1):
         for nodes, arcs in links:
-            reach[(masks & arcs) != 0] |= nodes
-        keep &= reach == (1 << p) - 1
-    elif policy.connectivity == "weakly-connected":
-        reach = np.ones_like(masks)  # node 1, then its undirected neighbours
-        for _ in range(p - 1):
-            for nodes, arcs in links:
-                reach[((masks & arcs) != 0) & ((reach & nodes) != 0)] |= nodes
-        keep &= reach == (1 << p) - 1
+            reach[((masks & arcs) != 0) & ((reach & nodes) != 0)] |= nodes
+    keep &= reach == (1 << p) - 1
     return np.sort(masks[keep]).tolist()
 
 
@@ -341,17 +337,17 @@ def _mask_edges(mask: int, pairs: list[Edge]) -> tuple[Edge, ...]:
 
 
 def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[DiGraph]:
-    """All non-simple graphs on [p] passing the policy, one per isomorphism class.
+    """All weakly connected non-simple graphs on [p] within the edge bound, one
+    per isomorphism class.
 
     Graphs are yielded as canonical representatives in ascending order of
     their canonical masks (the largest mask of each relabelling class; see
     :func:`_permutation_mask_tables` and :func:`_candidate_masks`).  Every
-    graph contains at least one 2-cycle, satisfies
-    ``num_edges <= policy.max_edges`` (self-loops included) and the policy's
-    connectivity filter.
+    graph contains at least one 2-cycle, is weakly connected and satisfies
+    ``num_edges <= policy.max_edges`` (self-loops included).
 
     Raises:
-        ValueError: unless 2 <= p <= 5 (the intended sweep range).
+        ValueError: unless 2 <= p <= ``_MAX_P`` = 5 (the sweep range).
     """
     pairs = _offdiag_pairs(p)
     for mask in _candidate_masks(p, policy):
@@ -394,4 +390,5 @@ def graph_from_json(data) -> DiGraph:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """True for an exact int; a bool, a float or an int subclass is not a label."""
+    return type(x) is int

@@ -21,6 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from . import _intkernel
+from .catalog import complete_dag, three_cycle
 from .graphs import DiGraph, Edge, is_dag, is_simple, necessary_criterion, no_trek_pairs
 from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det, matrix_strings
 from .lyapunov import (
@@ -512,21 +513,16 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
 # ---------------------------------------------------------------------------
 
 
-def dag_determinant_identity(g: DiGraph, sigma: CovMatrix) -> tuple[Rational, Rational]:
+def dag_determinant_identity(sigma: CovMatrix) -> tuple[Rational, Rational]:
     """(|det| of the restriction, 2^p times the product of trailing principal minors).
 
-    Only defined for the complete acyclic graph with edges i -> j, i >= j;
-    the two components agree for every symmetric positive definite sigma.
-
-    Raises:
-        ValueError: if ``g`` is not that graph.
+    The restriction is to ``complete_dag(p)``, the complete acyclic graph
+    with edges i -> j, i >= j, where p is the size of ``sigma``; the two
+    components agree for every symmetric positive definite sigma.
     """
-    p = g.p
-    expected = frozenset((i, j) for i in range(1, p + 1) for j in range(1, i + 1))
-    if g.edges != expected:
-        raise ValueError("graph must be the complete DAG with edges i -> j for i >= j")
+    p = sigma.p
     s = sigma.matrix
-    lhs = abs(det(restrict_A(build_A(sigma), g)))
+    lhs = abs(det(restrict_A(build_A(sigma), complete_dag(p))))
     product = Fraction(2) ** p
     for i in range(p):
         idx = list(range(i, p))
@@ -547,8 +543,6 @@ def cycle3_determinant_identity(sigma: CovMatrix) -> tuple[Rational, Rational]:
     s = sigma.matrix
     if s.rows != 3:
         raise ValueError("the 3-cycle identity needs a 3 x 3 sigma")
-    from .catalog import three_cycle
-
     lhs = det(restrict_A(build_A(sigma), three_cycle()))
     factor = s[0, 0] * s[1, 1] * s[2, 2] - s[0, 1] * s[0, 2] * s[1, 2]
     return lhs, 8 * det(s) * factor

@@ -38,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .graphs import DiGraph, EnumPolicy, _candidate_masks, _mask_edges, _offdiag_pairs
+from .graphs import CONNECTIVITY, DiGraph, EnumPolicy, _candidate_masks, _mask_edges, _offdiag_pairs
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
@@ -159,7 +159,7 @@ class SweepReport:
 
     def summary_csv(self) -> str:
         total, ni, ni_eq9 = self.totals
-        policy = f"max_edges={self.policy.resolved_max_edges(self.p)};{self.policy.connectivity}"
+        policy = f"max_edges={self.policy.resolved_max_edges(self.p)};{CONNECTIVITY}"
         return (
             f"{CSV_HEADER}\n"
             f"{self.p},{policy},{total},{ni},{ni_eq9},{self.wall_seconds:.3f}"
@@ -177,12 +177,13 @@ def _row_witness(verdict: IdentVerdict):
 
 
 def _classify_chunk(chunk) -> list[SweepRow]:
-    """Classify one (p, trials, bound, seed, masks) chunk in one batch; picklable."""
-    p, trials, bound, seed, masks = chunk
+    """Classify one (p, cfg, masks) chunk in one batch, each graph under its own
+    seed hashed from ``cfg.seed``; picklable."""
+    p, cfg, masks = chunk
     pairs = _offdiag_pairs(p)
     edge_lists = [_mask_edges(mask, pairs) for mask in masks]
     graphs = [DiGraph(p, frozenset(edges)) for edges in edge_lists]
-    cfgs = [ClassifyConfig(trials=trials, bound=bound, seed=_edges_seed(seed, p, edges))
+    cfgs = [ClassifyConfig(cfg.trials, cfg.bound, _edges_seed(cfg.seed, p, edges))
             for edges in edge_lists]
     elapsed: list[float] = []
     verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), cfgs, elapsed)
@@ -222,8 +223,10 @@ def run_sweep(
     on the workers: a sweep of one chunk runs in process.
 
     Raises:
-        ValueError: if ``jobs`` is below 1.
+        ValueError: if ``jobs``, ``trials`` or ``bound`` is below 1, before
+            any candidate is enumerated.
     """
+    cfg = ClassifyConfig(trials, bound, seed)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = policy or EnumPolicy()
@@ -233,7 +236,7 @@ def run_sweep(
     n = -(-len(masks) // _CHUNK)
     if n > 1:
         n = min(max(n, workers), len(masks))
-    chunks = [(p, trials, bound, seed, masks[k::n]) for k in range(n)]
+    chunks = [(p, cfg, masks[k::n]) for k in range(n)]
     workers = min(workers, n)
     if workers > 1:
         import multiprocessing  # only a pooled sweep pays for the import

@@ -17,7 +17,6 @@ import pytest
 
 from lyapid import _intkernel, identifiability
 from lyapid.catalog import (
-    complete_dag,
     completed_four_cycle,
     fan_in_two_cycle,
     simple_cyclic_5a,
@@ -316,10 +315,9 @@ class TestCriterion03DagDeterminant:
     def test_exact_identity_all_sizes(self):
         rng = random.Random(303)
         for p in range(2, 6):
-            g = complete_dag(p)
             for _ in range(100):
                 sigma = CovMatrix(random_pd_matrix(p, rng))
-                lhs, rhs = dag_determinant_identity(g, sigma)
+                lhs, rhs = dag_determinant_identity(sigma)
                 assert lhs == rhs > 0
         _report("3", "complete-DAG factorization exact, 100 PD points per p in 2..5")
 

@@ -171,7 +171,7 @@ class TestClassifyCommand:
             workdir / "g.json", json.dumps(graph_to_json(two_cycle_out_edge()))
         )
         code = main(
-            ["classify", "--graph", graph, "--identity", "--trials", "3", "--seed", "9"]
+            ["classify", "--graph", graph, "--trials", "3", "--seed", "9"]
         )
         assert code == 0
         verdict = json.loads(capsys.readouterr().out)
@@ -325,6 +325,17 @@ class TestSamplingParameters:
             argv = argv + ["--graph", _write(workdir / "g.json", graph)]
         assert main(argv) == 2
         _assert_one_line_error(capsys)
+
+    # Options that do not exist: argparse refuses them before any file is read.
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--graph", "g.json", "--identity"],
+        ["sweep", "--p", "3", "--connectivity", "weakly-connected"],
+    ], ids=["classify --identity", "sweep --connectivity"])
+    def test_removed_options_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 class TestPropsCommand:

@@ -1,5 +1,6 @@
 """The package's public surface, and how it loads numpy."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lyapid
+from lyapid import cli
 from lyapid.catalog import two_cycle_out_edge
 from lyapid.graphs import graph_to_json
 
@@ -44,6 +46,27 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     assert len(PUBLIC_NAMES) == 53
     assert sorted(lyapid.__all__) == PUBLIC_NAMES
+
+
+# Each subcommand's option strings: an option joins or leaves only by editing
+# this table.
+CLI_OPTIONS = {
+    "solve": ["--drift", "--vol"],
+    "fiber": ["--graph", "--sigma", "--vol"],
+    "classify": ["--graph", "--vol", "--trials", "--bound", "--seed"],
+    "sweep": ["--p", "--max-edges", "--trials", "--bound", "--seed", "--jobs", "--out"],
+    "props": ["--suite", "--trials", "--seed"],
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 # How lyapid loads numpy (``_intkernel.numpy``): each case runs in a fresh

@@ -90,7 +90,7 @@ def test_workers_are_capped_by_the_candidates(monkeypatch, p, chunk, jobs, worke
     )
     report = sweep.run_sweep(p, jobs=jobs)
     assert sizes == ([] if workers is None else [workers])
-    assert len(shards) == chunks and all(0 < len(shard[4]) <= chunk for shard in shards)
+    assert len(shards) == chunks and all(0 < len(shard[-1]) <= chunk for shard in shards)
     monkeypatch.undo()
     assert report.canonical_bytes() == sweep.run_sweep(p).canonical_bytes()
 
@@ -181,6 +181,19 @@ def test_the_screen_never_holds_more_than_one_chunk(monkeypatch):
 def test_fewer_than_one_job_is_refused(jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         sweep.run_sweep(3, jobs=jobs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trials must be >= 1"),
+    ({"bound": 0}, "bound must be >= 1"),
+], ids=["trials", "bound"])
+def test_bad_sampling_parameters_are_refused_before_enumeration(monkeypatch, kwargs, message):
+    def enumerated(*args):
+        raise AssertionError("candidates were enumerated")
+
+    monkeypatch.setattr(sweep, "_candidate_masks", enumerated)
+    with pytest.raises(ValueError, match=message):
+        sweep.run_sweep(5, **kwargs)
 
 
 def test_satisfies_eq9_is_the_trek_criterion():
