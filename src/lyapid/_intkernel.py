@@ -116,16 +116,13 @@ SCREEN_PRIME = 2**31 - 1
 def numpy():
     """The numpy module, imported on first use with one BLAS thread.
 
-    Only the sweep's enumeration and batched screen (int64 arrays) and the
-    ``spectral`` property suite use numpy, so ``import lyapid``,
-    ``classify``, ``solve`` and ``fiber`` never load it.  Importing numpy
-    starts OpenBLAS's thread pool, whose threads busy-wait for work at
-    start-up, yet no int64 array ever reaches BLAS.  The only LAPACK calls
-    are ``suite_spectral``'s ``eigvals`` (at most 25 x 25) and ``eigvalsh``
-    (at most 5 x 5), which OpenBLAS runs on one thread at these sizes.  So
-    a first import asks for one thread; an ``OPENBLAS_NUM_THREADS`` the
-    caller set wins, and a numpy some other code imported first is left
-    as it is.
+    Only the sweep's enumeration and batched screen (int64 arrays) use
+    numpy, so ``import lyapid``, ``classify``, ``solve`` and ``fiber``
+    never load it.  Importing numpy starts OpenBLAS's thread pool, whose
+    threads busy-wait for work at start-up, yet no int64 array ever
+    reaches BLAS and lyapid makes no LAPACK call.  So a first import asks
+    for one thread; an ``OPENBLAS_NUM_THREADS`` the caller set wins, and a
+    numpy some other code imported first is left as it is.
     """
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -1,7 +1,7 @@
 """A small catalog of named graphs with interesting identifiability behaviour.
 
-These fixed graphs are shared by the property suites, the demos and the
-test-suite; names describe structure, not provenance.
+These fixed graphs are shared by the demos and the test-suite; names
+describe structure, not provenance.
 """
 
 from __future__ import annotations

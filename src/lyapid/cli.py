@@ -1,8 +1,8 @@
-"""Command-line surface: solve, fiber, classify, sweep, props.
+"""Command-line surface: solve, fiber, classify, sweep.
 
 Matrices travel as exact rational CSV (cells "n" or "n/d"); graphs as JSON
 {"p": p, "edges": [[i, j], ...]}.  Exit codes: 0 ok, 1 parse error,
-2 precondition violation or failed output write, 3 property failure.
+2 precondition violation or failed output write.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .sweep import run_sweep
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
-EXIT_PROPERTY = 3
 
 
 class _CliError(Exception):
@@ -163,22 +162,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_props(args) -> int:
-    from .properties import SUITES, run_suite  # no other command needs the suites
-
-    if args.suite != "all" and args.suite not in SUITES:
-        names = ", ".join(sorted(SUITES) + ["all"])
-        raise _CliError(EXIT_PRECONDITION, f"unknown suite {args.suite!r}; choose from {names}")
-    if args.trials < 1:
-        raise _CliError(EXIT_PRECONDITION, f"trials must be >= 1, got {args.trials}")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = [run_suite(name, trials=args.trials, seed=args.seed) for name in names]
-    _print(json.dumps([r.to_json() for r in results], indent=2))
-    if not all(r.passed for r in results):
-        return EXIT_PROPERTY
-    return EXIT_OK
-
-
 def _add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
     """--trials, --bound and --seed, defaulting to those of ClassifyConfig."""
     for name in ("trials", "bound", "seed"):
@@ -220,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "runs in process")
     p_sweep.add_argument("--out", help="write the full JSON report to this file")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_props = sub.add_parser("props", help="run a named property suite")
-    p_props.add_argument("--suite", required=True, help="a suite name, or all")
-    p_props.add_argument("--trials", type=int, default=100)
-    p_props.add_argument("--seed", type=int, default=0)
-    p_props.set_defaults(func=_cmd_props)
 
     return parser
 

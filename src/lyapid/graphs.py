@@ -127,7 +127,8 @@ def is_dag(g: DiGraph) -> bool:
 
 def _ancestor_masks(g: DiGraph) -> list[int]:
     """Reflexive ancestor bitmasks: bit v - 1 of ``masks[w - 1]`` is set iff
-    v is an ancestor of w (see :func:`ancestor_sets`).
+    there is a directed path (possibly trivial) from v to w that uses no
+    self-loops.
 
     The transitive closure of the parent masks, one pivot node at a time
     (Warshall).
@@ -143,18 +144,6 @@ def _ancestor_masks(g: DiGraph) -> list[int]:
             if masks[w] & bit:
                 masks[w] |= through
     return masks
-
-
-def ancestor_sets(g: DiGraph) -> dict[int, set[int]]:
-    """Reflexive ancestor sets over the off-diagonal edge relation.
-
-    ``v in ancestor_sets(g)[w]`` iff there is a directed path (possibly
-    trivial) from v to w that uses no self-loops.
-    """
-    return {
-        w: {v for v in range(1, g.p + 1) if mask >> (v - 1) & 1}
-        for w, mask in enumerate(_ancestor_masks(g), start=1)
-    }
 
 
 def has_trek(g: DiGraph, i: int, j: int) -> bool:
@@ -303,7 +292,8 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     policy = policy or EnumPolicy()
     pairs, q, half, lo, hi = _permutation_mask_tables(p)
     levels = [np.array([1 << (q - 1)], dtype=np.int64)]  # the canonical 1-arc mask
-    for _ in range(policy.resolved_max_edges(p) - p - 1):
+    # one level per arc count; no level lies past the complete graph's q arcs
+    for _ in range(min(policy.resolved_max_edges(p) - p, q) - 1):
         parents = levels[-1]
         low = parents & -parents
         masks = np.concatenate([parents[low > (1 << t)] | (1 << t) for t in range(q)])

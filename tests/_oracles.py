@@ -1,0 +1,83 @@
+"""The tests' random instances and cross-check constructions.
+
+Seeded generators of exact positive definite matrices, volatilities and the
+complete graph, and the textbook Kronecker form of the coefficient matrix:
+``kron``, the commutation matrix K_p, the square form ``atilde`` and the
+product form ``build_A_product`` of A(Sigma).  The package builds A(Sigma)
+entry by entry instead, so a test that compares the two compares two
+different constructions.
+"""
+
+import random
+from fractions import Fraction
+
+from lyapid.graphs import DiGraph
+from lyapid.linalg import RatMatrix, sym_pairs
+from lyapid.lyapunov import VolatilityMatrix
+
+
+def random_pd_matrix(p: int, rng: random.Random) -> RatMatrix:
+    """A random rational positive definite matrix L L^T, L lower-triangular
+    with entries n / d, |n| <= 6 (n >= 1 on the diagonal) and 1 <= d <= 3."""
+    low = [[Fraction(0)] * p for _ in range(p)]
+    for i in range(p):
+        low[i][i] = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        for j in range(i):
+            low[i][j] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    ent = [
+        sum(low[i][t] * low[j][t] for t in range(p)) for i in range(p) for j in range(p)
+    ]
+    return RatMatrix(p, p, ent)
+
+
+def random_volatility(p: int, rng: random.Random, diagonal: bool = False) -> VolatilityMatrix:
+    if diagonal:
+        return VolatilityMatrix(
+            RatMatrix.diagonal([Fraction(rng.randint(1, 9)) for _ in range(p)])
+        )
+    return VolatilityMatrix(random_pd_matrix(p, rng))
+
+
+def complete_graph(p: int) -> DiGraph:
+    return DiGraph(
+        p, frozenset((i, j) for i in range(1, p + 1) for j in range(1, p + 1))
+    )
+
+
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product, shape (a.rows*b.rows) x (a.cols*b.cols)."""
+    out = []
+    for i in range(a.rows):
+        for r in range(b.rows):
+            brow = b.row(r)
+            for j in range(a.cols):
+                aij = a[i, j]
+                out.extend(aij * x for x in brow)
+    return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def commutation_matrix(p: int) -> RatMatrix:
+    """The p^2 x p^2 permutation K_p with K_p vec(M) = vec(M^T)."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    n = p * p
+    ent = [Fraction(0)] * (n * n)
+    for r in range(p):
+        for c in range(p):
+            # vec(M^T) position of M[r, c] is r*p + c; vec(M) position is c*p + r.
+            ent[(r * p + c) * n + (c * p + r)] = Fraction(1)
+    return RatMatrix(n, n, ent)
+
+
+def atilde(sigma: RatMatrix) -> RatMatrix:
+    """The square p^2 x p^2 form Sigma (x) I + (I (x) Sigma) K_p."""
+    p = sigma.rows
+    eye = RatMatrix.identity(p)
+    return kron(sigma, eye) + kron(eye, sigma) @ commutation_matrix(p)
+
+
+def build_A_product(sigma: RatMatrix) -> RatMatrix:
+    """A(Sigma) from the product form: the k <= l rows of atilde(Sigma)."""
+    p = sigma.rows
+    rows = [(l - 1) * p + (k - 1) for (k, l) in sym_pairs(p)]
+    return atilde(sigma).select_rows(rows)

@@ -46,8 +46,9 @@ from lyapid.lyapunov import (
     sample_stable_drift,
     solve_for_sigma,
 )
-from lyapid.properties import atilde, complete_graph, random_pd_matrix
 from lyapid.sweep import run_sweep
+
+from _oracles import atilde, complete_graph, random_pd_matrix
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "table1_reproduction.md"
 

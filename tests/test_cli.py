@@ -64,8 +64,6 @@ BAD_SAMPLING_ARGS = [
     ["sweep", "--p", "3", "--trials", "0"],
     ["sweep", "--p", "3", "--bound", "0"],
     ["sweep", "--p", "3", "--jobs", "0"],
-    ["props", "--suite", "cycle3", "--trials", "0"],
-    ["props", "--suite", "cycle3", "--trials", "-3"],
 ]
 
 
@@ -326,45 +324,16 @@ class TestSamplingParameters:
         assert main(argv) == 2
         _assert_one_line_error(capsys)
 
-    # Options that do not exist: argparse refuses them before any file is read.
-    @pytest.mark.parametrize("argv", [
-        ["classify", "--graph", "g.json", "--identity"],
-        ["sweep", "--p", "3", "--connectivity", "weakly-connected"],
-    ], ids=["classify --identity", "sweep --connectivity"])
-    def test_removed_options_exit_2(self, capsys, argv):
+    # Options and commands that do not exist: argparse refuses them before
+    # any file is read.
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--graph", "g.json", "--identity"], "unrecognized arguments: --"),
+        (["sweep", "--p", "3", "--connectivity", "weakly-connected"],
+         "unrecognized arguments: --"),
+        (["props", "--suite", "all"], "argument command: invalid choice: 'props'"),
+    ], ids=["classify --identity", "sweep --connectivity", "props"])
+    def test_removed_options_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --" in capsys.readouterr().err
-
-
-class TestPropsCommand:
-    def test_cycle3_suite_passes(self, capsys):
-        assert main(["props", "--suite", "cycle3", "--trials", "10"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["suite"] == "cycle3"
-        assert payload[0]["passed"]
-
-    def test_trek_suite_passes(self, capsys):
-        assert main(["props", "--suite", "trek", "--trials", "20"]) == 0
-
-    def test_all_suites(self, capsys):
-        assert main(["props", "--suite", "all", "--trials", "5"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert {entry["suite"] for entry in payload} == {
-            "spectral", "dagdet", "cycle3", "trek",
-            "scaling", "conjugation", "kernel", "appendixA",
-        }
-
-    @pytest.mark.parametrize("argv", [
-        ["props", "--suite", "bogus"],
-        ["props", "--suite", "nonsense", "--trials", "5"],
-    ], ids=" ".join)
-    def test_unknown_suite_rejected(self, capsys, argv):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: unknown suite {argv[2]!r}; choose from ")
-        assert err.count("\n") == 1, err
-        for name in ("appendixA", "conjugation", "cycle3", "dagdet", "kernel",
-                     "scaling", "spectral", "trek", "all"):
-            assert name in err
+        assert message in capsys.readouterr().err

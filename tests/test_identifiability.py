@@ -49,9 +49,9 @@ from lyapid.lyapunov import (
     sample_stable_drift,
     solve_for_sigma,
 )
-from lyapid.properties import complete_graph, random_pd_matrix, random_volatility
 from lyapid.sweep import derive_graph_seed
 
+from _oracles import complete_graph, random_pd_matrix, random_volatility
 from _rref import rref_solve
 
 IDENTITY3 = VolatilityMatrix.identity(3)

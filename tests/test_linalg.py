@@ -27,8 +27,8 @@ from lyapid.linalg import (
     vech,
 )
 from lyapid.lyapunov import is_stable
-from lyapid.properties import commutation_matrix, kron
 
+from _oracles import commutation_matrix, kron
 from _rref import rref_inverse, rref_solve
 
 

@@ -14,7 +14,7 @@ from lyapid.catalog import (
     two_cycle,
     two_cycle_out_edge,
 )
-from lyapid.graphs import DiGraph, ancestor_sets
+from lyapid.graphs import DiGraph, has_trek
 from lyapid.linalg import RatMatrix, det, rank, vec, vech
 from lyapid.lyapunov import (
     CovMatrix,
@@ -32,14 +32,14 @@ from lyapid.lyapunov import (
     skew_to_drift,
     solve_for_sigma,
 )
-from lyapid.properties import (
+
+from _oracles import (
     atilde,
     build_A_product,
     complete_graph,
     random_pd_matrix,
     random_volatility,
 )
-
 from _rref import rref_inverse, rref_solve
 
 
@@ -627,12 +627,27 @@ class TestModelInvariants:
         rng = random.Random(42)
         g = fan_in_two_cycle()
         vol = VolatilityMatrix.identity(4)
-        anc = ancestor_sets(g)
-        assert not (anc[2] & anc[4]) and not (anc[3] & anc[4])
+        assert not has_trek(g, 2, 4) and not has_trek(g, 3, 4)
         for _ in range(30):
             d = sample_stable_drift(g, rng, bound=9)
             sigma = solve_for_sigma(d, vol).matrix
             assert sigma[1, 3] == 0 and sigma[2, 3] == 0
+        # random digraphs under a random diagonal C: every pair with no trek
+        # has zero covariance, which is what makes the trek bound sound
+        checked = 0
+        for _ in range(100):
+            p = rng.choice([3, 4, 5])
+            g = DiGraph(p, frozenset((i, j) for i in range(1, p + 1)
+                                     for j in range(1, p + 1) if i != j and rng.random() < 0.25))
+            no_trek = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)
+                       if not has_trek(g, i, j)]
+            if not no_trek:
+                continue
+            d = sample_stable_drift(g, rng, bound=9)
+            sigma = solve_for_sigma(d, random_volatility(p, rng, diagonal=True)).matrix
+            assert all(sigma[i - 1, j - 1] == 0 for (i, j) in no_trek), g
+            checked += 1
+        assert checked >= 50
 
     def test_transpose_kernel_vectors(self):
         rng = random.Random(44)

@@ -55,7 +55,6 @@ CLI_OPTIONS = {
     "fiber": ["--graph", "--sigma", "--vol"],
     "classify": ["--graph", "--vol", "--trials", "--bound", "--seed"],
     "sweep": ["--p", "--max-edges", "--trials", "--bound", "--seed", "--jobs", "--out"],
-    "props": ["--suite", "--trials", "--seed"],
 }
 
 
@@ -146,19 +145,6 @@ def test_one_chunk_sweep_command_leaves_multiprocessing_unloaded(tmp_path):
         assert lyapid.cli.main(["sweep", "--p", "4", "--jobs", "2", "--out", out]) == 0
         print("multiprocessing" in sys.modules)
     """) == "False"
-
-
-def test_classify_command_leaves_the_property_suites_unloaded(tmp_path):
-    # only the props command imports them
-    graph = tmp_path / "g.json"
-    graph.write_text(json.dumps(graph_to_json(two_cycle_out_edge())))
-    assert _run_fresh(f"""
-        import sys
-        import lyapid.cli
-        after_import = "lyapid.properties" in sys.modules
-        assert lyapid.cli.main(["classify", "--graph", {str(graph)!r}]) == 0
-        print(after_import, "lyapid.properties" in sys.modules)
-    """) == "False False"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
