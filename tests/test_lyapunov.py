@@ -316,7 +316,7 @@ class TestBuildH:
     def test_rank_sum(self):
         rng = random.Random(18)
         for _ in range(30):
-            p = rng.choice([2, 3, 4])
+            p = rng.choice([2, 3, 4, 5])
             sigma = random_pd_matrix(p, rng)
             assert rank(build_A(sigma)) + rank(build_H(sigma)) == p * p
 
@@ -652,7 +652,7 @@ class TestModelInvariants:
     def test_transpose_kernel_vectors(self):
         rng = random.Random(44)
         for _ in range(20):
-            p = rng.choice([2, 3, 4])
+            p = rng.choice([2, 3, 4, 5])
             sigma = random_pd_matrix(p, rng)
             at_t = atilde(sigma).transpose()
             for k in range(p):
