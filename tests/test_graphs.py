@@ -428,6 +428,12 @@ class TestEnumeration:
             oracle = sorted(_brute_force_classes(p, max_edges, "weakly-connected"), key=_mask)
             assert list(enumerate_candidates(p, policy)) == oracle
 
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_edge_bound_past_the_complete_graph_adds_nothing(self, p):
+        # growth stops at the complete graph, so this returns at once
+        far = enumerate_candidates(p, EnumPolicy(max_edges=10**9))
+        assert list(far) == list(enumerate_candidates(p, EnumPolicy(max_edges=p * p)))
+
     def test_policy_reads_its_json_back(self):
         policy = EnumPolicy(max_edges=7)
         assert policy.to_json() == {"max_edges": 7, "connectivity": "weakly-connected"}

@@ -108,6 +108,27 @@ class TestKron:
         b = RatMatrix.zeros(4, 5)
         assert kron(a, b).shape == (8, 15)
 
+    def test_mixed_product(self):
+        rng = random.Random(90)
+        a, c = _random_matrix(rng, 2, 3, -9, 9), _random_matrix(rng, 3, 2, -9, 9)
+        b, d = _random_matrix(rng, 3, 4, -9, 9), _random_matrix(rng, 4, 2, -9, 9)
+        assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+
+    def test_transpose_distributes(self):
+        rng = random.Random(91)
+        a, b = _random_matrix(rng, 2, 3, -9, 9), _random_matrix(rng, 4, 2, -9, 9)
+        assert kron(a, b).transpose() == kron(a.transpose(), b.transpose())
+
+    def test_vec_of_product(self):
+        # vec(A X B) = (B^T (x) A) vec(X), the identity behind vectorizing
+        # the Lyapunov equation
+        rng = random.Random(92)
+        for _ in range(20):
+            a = _random_matrix(rng, 2, 3, -9, 9, max_den=3)
+            x = _random_matrix(rng, 3, 4, -9, 9, max_den=3)
+            b = _random_matrix(rng, 4, 2, -9, 9, max_den=3)
+            assert vec(a @ x @ b) == kron(b.transpose(), a) @ vec(x)
+
 
 class TestVecVech:
     def test_vec_definition(self):
@@ -160,6 +181,20 @@ class TestCommutationMatrix:
         )
         m = RatMatrix(p, p, entries)
         assert commutation_matrix(p) @ vec(m) == vec(m.transpose())
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_swaps_kronecker_factors(self, p):
+        rng = random.Random(110 + p)
+        k = commutation_matrix(p)
+        for _ in range(5):
+            a = _random_matrix(rng, p, p, -9, 9)
+            b = _random_matrix(rng, p, p, -9, 9)
+            assert k @ kron(a, b) @ k == kron(b, a)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_rejects_p_below_one(self, p):
+        with pytest.raises(ValueError):
+            commutation_matrix(p)
 
 
 class TestRankDet:
