@@ -20,7 +20,11 @@ is therefore the exact rank, and ``linalg.rank`` ranks a wide matrix as
 its transpose to get one.  Only a matrix that is deficient mod q --
 rank-deficient over Q, or unluckily divisible by q -- pays for more.
 Every solve back-substitutes in integers (:func:`_back_substitute`), using
-Cramer's rule to keep every intermediate integral.  Without a row exchange
+Cramer's rule to keep every intermediate integral.  A square solve may be
+given diagonal blocks of a block lower triangular system, as the vech
+Lyapunov system is along the drift's strong components: it then eliminates
+block by block, for about the sum of the blocks' cubes, not n^3, and
+returns the dense solve's reduced solution.  Without a row exchange
 the k-th Bareiss pivot is the k-th leading principal minor (Sylvester),
 which is all :func:`leading_minors_positive` needs.
 
@@ -102,6 +106,8 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 # The Mersenne prime 2^61 - 1.  Read at call time, so a test can swap in a
@@ -334,24 +340,41 @@ def _reduced(nums: list[int], d: int) -> tuple[list[int], int]:
     return [v // g for v in nums], d // g
 
 
-def solve_square_int(a_rows: list[list[int]], b: list[int]) -> tuple[list[int], int]:
+def solve_square_int(a_rows: list[list[int]], b: list[int],
+                     blocks: Sequence[Sequence[int]] | None = None) -> tuple[list[int], int]:
     """Exact solution x = nums / den of a square nonsingular integer system.
 
-    ``den`` is positive and shares no factor with all of ``nums``, so the
-    pair equals :func:`common_denominator` of the rational solution.  The
-    last Bareiss pivot d is +-det(A), so by Cramer's rule y = d x is an
-    integer vector and every division in the back-substitution is exact.
+    ``blocks`` partitions the unknowns into diagonal blocks (one by
+    default), ordered so that no row has a nonzero in a later block's
+    columns.  Each block subtracts the solved x = nums / den from its right
+    side times den and runs Bareiss on its square.  Its last pivot d is
+    +-its determinant, so by Cramer's rule back-substituting against d
+    gives integral nums over den d; the earlier nums and den are multiplied
+    by d.  det A is the blocks' product, so a singular A fails at a block.
+    ``den`` is positive and shares no factor with all of ``nums``: the pair
+    is :func:`common_denominator` of x, whatever the partition.
 
     Raises:
         ValueError: if the system is singular.
     """
-    n = len(a_rows)
-    aug = [list(a_rows[i]) + [b[i]] for i in range(n)]
-    pivot_cols, _ = bareiss_forward(aug, limit_cols=n)
-    if len(pivot_cols) < n:
-        raise ValueError("singular system")
-    d = aug[n - 1][n - 1] if n else 1
-    return _reduced(_back_substitute(aug, pivot_cols, n, d), d)
+    nums = [0] * len(a_rows)
+    den = 1
+    solved: list[int] = []
+    for block in blocks or (range(len(a_rows)),):
+        n = len(block)
+        aug = [[a_rows[i][j] for j in block]
+               + [den * b[i] - sum([a_rows[i][j] * nums[j] for j in solved])] for i in block]
+        pivot_cols, _ = bareiss_forward(aug, limit_cols=n)
+        if len(pivot_cols) < n:
+            raise ValueError("singular system")
+        d = aug[n - 1][n - 1] if n else 1
+        for j in solved:
+            nums[j] *= d
+        for i, v in zip(block, _back_substitute(aug, pivot_cols, n, d)):
+            nums[i] = v
+        den *= d
+        solved.extend(block)
+    return _reduced(nums, den)
 
 
 def _rational(u: int, modulus: int, bound: int) -> tuple[int, int] | None:

@@ -129,14 +129,17 @@ def _ancestor_masks(g: DiGraph) -> list[int]:
     """Reflexive ancestor bitmasks: bit v - 1 of ``masks[w - 1]`` is set iff
     there is a directed path (possibly trivial) from v to w that uses no
     self-loops.
-
-    The transitive closure of the parent masks, one pivot node at a time
-    (Warshall).
     """
-    p = g.p
-    masks = [1 << v for v in range(p)]
+    masks = [1 << v for v in range(g.p)]
     for (i, j) in g.edges:
         masks[j - 1] |= 1 << (i - 1)
+    return _closure(masks)
+
+
+def _closure(masks: list[int]) -> list[int]:
+    """Parent bitmasks (bit v of ``masks[w]``: v -> w) closed in place into
+    ancestor masks, one pivot node at a time (Warshall)."""
+    p = len(masks)
     for k in range(p):
         bit = 1 << k
         through = masks[k]

@@ -212,9 +212,6 @@ class RatMatrix:
             out.extend(other.row(i))
         return RatMatrix(self.rows, self.cols + other.cols, out)
 
-    def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in self.row(i)] for i in range(self.rows)]
-
     def _same_shape(self, other: "RatMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
@@ -245,16 +242,6 @@ class SolutionSet:
 # ---------------------------------------------------------------------------
 # Structured constructions
 # ---------------------------------------------------------------------------
-
-
-def vec(m: RatMatrix) -> RatMatrix:
-    """Columnwise vectorization as a column vector.
-
-    Position ``c*rows + r`` (0-based) holds entry ``m[r, c]``; for a p x p
-    drift matrix this places entry ``m_ji`` (edge i -> j) at 0-based
-    position ``(i-1)*p + (j-1)``.
-    """
-    return RatMatrix.column([m[r, c] for c in range(m.cols) for r in range(m.rows)])
 
 
 def vech(s: RatMatrix) -> RatMatrix:

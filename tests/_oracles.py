@@ -2,10 +2,10 @@
 
 Seeded generators of exact positive definite matrices, volatilities and the
 complete graph, and the textbook Kronecker form of the coefficient matrix:
-``kron``, the commutation matrix K_p, the square form ``atilde`` and the
-product form ``build_A_product`` of A(Sigma).  The package builds A(Sigma)
-entry by entry instead, so a test that compares the two compares two
-different constructions.
+``vec``, ``kron``, the commutation matrix K_p, the square form ``atilde``
+and the product form ``build_A_product`` of A(Sigma).  The package builds
+A(Sigma) entry by entry instead, so a test that compares the two compares
+two different constructions.  ``to_floats`` hands an exact matrix to numpy.
 """
 
 import random
@@ -42,6 +42,20 @@ def complete_graph(p: int) -> DiGraph:
     return DiGraph(
         p, frozenset((i, j) for i in range(1, p + 1) for j in range(1, p + 1))
     )
+
+
+def vec(m: RatMatrix) -> RatMatrix:
+    """Columnwise vectorization as a column vector.
+
+    Position ``c*rows + r`` (0-based) holds entry ``m[r, c]``; for a p x p
+    drift matrix this places entry ``m_ji`` (edge i -> j) at 0-based
+    position ``(i-1)*p + (j-1)``.
+    """
+    return RatMatrix.column([m[r, c] for c in range(m.cols) for r in range(m.rows)])
+
+
+def to_floats(m: RatMatrix) -> list[list[float]]:
+    return [[float(x) for x in row] for row in m.to_lists()]
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -48,7 +48,7 @@ from lyapid.lyapunov import (
 )
 from lyapid.sweep import run_sweep
 
-from _oracles import atilde, complete_graph, random_pd_matrix
+from _oracles import commutation_matrix, complete_graph, random_pd_matrix, to_floats
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "table1_reproduction.md"
 
@@ -338,12 +338,16 @@ class TestCriterion04Kernel:
 
 class TestCriterion05Spectral:
     def test_pairwise_sum_spectrum(self):
+        # The square form Sigma (x) I + (I (x) Sigma) K_p of _oracles.atilde,
+        # built in floats: its exact construction is tested in test_lyapunov.
         rng = random.Random(505)
         for p in range(2, 6):
+            eye = np.eye(p)
+            k_p = np.array(to_floats(commutation_matrix(p)))
             for _ in range(50):
-                sigma = random_pd_matrix(p, rng)
-                eig = np.linalg.eigvals(np.array(atilde(sigma).to_floats()))
-                lam = np.linalg.eigvalsh(np.array(sigma.to_floats()))
+                s = np.array(to_floats(random_pd_matrix(p, rng)))
+                eig = np.linalg.eigvals(np.kron(s, eye) + np.kron(eye, s) @ k_p)
+                lam = np.linalg.eigvalsh(s)
                 expected = [lam[i] + lam[j] for i in range(p) for j in range(i, p)]
                 expected += [0.0] * (p * (p - 1) // 2)
                 scale = max(1.0, max(abs(x) for x in expected))

@@ -175,6 +175,47 @@ class TestSolveSquareInt:
         with pytest.raises(ValueError):
             solve_square_int([[1, 2], [2, 4]], [1, 1])
 
+    def test_block_lower_triangular_partition(self):
+        # Blocks {0, 2}, {1}, {3, 4}: each row is zero in the columns of
+        # every later block.  Blocks {0, 2} and {3, 4} have a zero leading
+        # entry (a row swap) and a negative determinant.
+        blocks = [[0, 2], [1], [3, 4]]
+        a = [[0, 0, 3, 0, 0],
+             [5, -2, 1, 0, 0],
+             [2, 0, 7, 0, 0],
+             [1, 4, 0, 0, 6],
+             [-3, 0, 2, 5, 1]]
+        b = [4, -1, 9, 2, 7]
+        sol = rref_solve(
+            RatMatrix(5, 5, [Fraction(x) for row in a for x in row]),
+            RatMatrix.column([Fraction(x) for x in b]),
+        )
+        expected = common_denominator(sol.particular.col(0))
+        assert solve_square_int(a, b, blocks) == expected == solve_square_int(a, b)
+
+    def test_random_block_partitions_match_the_dense_solve(self):
+        rng = random.Random(67)
+        for n in range(1, 8):
+            for _ in range(10):
+                order = rng.sample(range(n), n)
+                cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+                blocks = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+                level = {i: k for k, block in enumerate(blocks) for i in block}
+                a = [[rng.randint(-(2**20), 2**20) if level[j] <= level[i] else 0
+                      for j in range(n)] for i in range(n)]
+                b = [rng.randint(-50, 50) for _ in range(n)]
+                try:
+                    dense = solve_square_int(a, b)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        solve_square_int(a, b, blocks)
+                    continue
+                assert solve_square_int(a, b, blocks) == dense
+
+    def test_singular_diagonal_block_raises(self):
+        with pytest.raises(ValueError):
+            solve_square_int([[1, 0], [5, 0]], [1, 1], [[0], [1]])
+
 
 _big = st.integers(-(2**300), 2**300)
 

@@ -23,12 +23,11 @@ from lyapid.linalg import (
     rank,
     rat,
     solve_linear,
-    vec,
     vech,
 )
 from lyapid.lyapunov import is_stable
 
-from _oracles import commutation_matrix, kron
+from _oracles import commutation_matrix, kron, to_floats, vec
 from _rref import rref_inverse, rref_solve
 
 
@@ -98,9 +97,9 @@ class TestKron:
         s = RatMatrix.from_rows([[5, 2], [2, 3]])
         eye = RatMatrix.identity(2)
         ksum = kron(eye, s) + kron(s, eye)
-        lam = np.linalg.eigvalsh(np.array(s.to_floats()))
+        lam = np.linalg.eigvalsh(np.array(to_floats(s)))
         expected = sorted([2 * lam[0], lam[0] + lam[1], lam[0] + lam[1], 2 * lam[1]])
-        got = sorted(np.linalg.eigvalsh(np.array(ksum.to_floats())))
+        got = sorted(np.linalg.eigvalsh(np.array(to_floats(ksum))))
         assert np.allclose(got, expected)
 
     def test_shape(self):
@@ -406,7 +405,7 @@ class TestStability:
         for _ in range(500):
             n = rng.randint(1, 5)
             m = _random_matrix(rng, n, n, lo=-10, hi=10, max_den=2)
-            real_parts = np.linalg.eigvals(np.array(m.to_floats())).real
+            real_parts = np.linalg.eigvals(np.array(to_floats(m))).real
             margin = float(np.max(real_parts))
             if abs(margin) <= 1e-6:
                 continue  # oracle not confident

@@ -15,7 +15,7 @@ from lyapid.catalog import (
     two_cycle_out_edge,
 )
 from lyapid.graphs import DiGraph, has_trek
-from lyapid.linalg import RatMatrix, det, is_positive_definite, rank, vec, vech
+from lyapid.linalg import RatMatrix, det, is_positive_definite, rank, vech
 from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
@@ -39,6 +39,7 @@ from _oracles import (
     complete_graph,
     random_pd_matrix,
     random_volatility,
+    vec,
 )
 from _rref import rref_inverse, rref_solve
 
@@ -733,7 +734,26 @@ class TestModelInvariants:
 class TestSolveSigmaScaled:
     """The vech(Sigma) solve against the full Kronecker-sum system."""
 
-    def test_matches_kronecker_sum_solution(self):
+    # Stable drifts with several strong components, so that the vech system
+    # splits into several diagonal blocks, and with zero diagonal entries;
+    # each with its number of blocks.  Up to a node permutation each drift
+    # is block triangular with diagonally dominant or 2 x 2 diagonal blocks
+    # of negative trace and positive determinant, so it is stable.
+    SPARSE_DRIFTS = [
+        ([[-3, 0, 0, 0], [2, -5, 0, 0], [1, -1, -4, 0], [0, 3, 2, -2]], 10),  # a DAG
+        # the 2-cycle {4, 5} feeds the tail 4 -> 2 -> 1 -> 3
+        ([[-2, 3, 0, 0, 0], [0, -4, 0, 1, 0], [5, 0, -1, 0, 0],
+          [0, 0, 0, -3, 2], [0, 0, 0, -1, -5]], 10),
+        # a 2-cycle on {1, 3} and a 3-cycle on {2, 4, 5}, not connected
+        ([[-4, 0, 2, 0, 0], [0, -6, 0, 3, 0], [-1, 0, -3, 0, 0],
+          [0, 0, 0, -5, 4], [0, -2, 0, 0, -7]], 3),
+        ([[0, 1], [-1, -1]], 1),
+        # node 1 feeds the 2-cycle {2, 3}, whose node 2 has a zero diagonal
+        ([[-1, 0, 0], [1, 0, 1], [0, -1, -1]], 3),
+    ]
+
+    def test_matches_kronecker_sum_solution(self, monkeypatch):
+        cases = []
         rng = random.Random(53)
         for p in range(2, 6):
             for _ in range(6):
@@ -746,15 +766,42 @@ class TestSolveSigmaScaled:
                     for j in range(i):
                         c[i][j] = c[j][i] = rng.randint(-9, 9)
                 c[0][1] = c[1][0] = rng.randint(1, 9)  # never diagonal
-                mat = RatMatrix(p, p, [Fraction(x) for row in m for x in row])
-                cmat = RatMatrix(p, p, [Fraction(x) for row in c for x in row])
-                sol = rref_solve(kronecker_sum(mat), -vec(cmat))
-                nums, den = _intkernel.common_denominator(sol.particular.col(0))
-                expected = [[nums[col * p + r] for col in range(p)] for r in range(p)]
-                n_mat, d = _solve_sigma_scaled(m, c, p)
-                assert (n_mat, d) == (expected, den)
-                assert d > 0 and math.gcd(d, *(v for row in n_mat for v in row)) == 1
+                cases.append((m, c, None))
+        for m, num_blocks in self.SPARSE_DRIFTS:
+            assert is_stable(RatMatrix.from_rows(m))
+            p = len(m)
+            diagonal = [[(i + 2) * (i == j) for j in range(p)] for i in range(p)]
+            full = [row[:] for row in diagonal]
+            full[0][1] = full[1][0] = 1
+            full[p - 1][0] = full[0][p - 1] = -1
+            cases += [(m, diagonal, num_blocks), (m, full, num_blocks)]
+
+        seen = []
+        solve = _intkernel.solve_square_int
+
+        def recorded(a_rows, b, blocks=None):
+            seen.append(blocks)
+            return solve(a_rows, b, blocks)
+
+        monkeypatch.setattr(_intkernel, "solve_square_int", recorded)
+        for m, c, num_blocks in cases:
+            p = len(m)
+            mat = RatMatrix(p, p, [Fraction(x) for row in m for x in row])
+            cmat = RatMatrix(p, p, [Fraction(x) for row in c for x in row])
+            sol = rref_solve(kronecker_sum(mat), -vec(cmat))
+            nums, den = _intkernel.common_denominator(sol.particular.col(0))
+            expected = [[nums[col * p + r] for col in range(p)] for r in range(p)]
+            seen.clear()
+            n_mat, d = _solve_sigma_scaled(m, c, p)
+            assert (n_mat, d) == (expected, den)
+            assert d > 0 and math.gcd(d, *(v for row in n_mat for v in row)) == 1
+            if num_blocks is not None:
+                (blocks,) = seen
+                assert len(blocks) == num_blocks
+                assert sorted(i for block in blocks for i in block) == list(range(p * (p + 1) // 2))
 
     def test_singular_when_eigenvalues_sum_to_zero(self):
+        # A diagonal drift has two strong components, so the solve runs three
+        # 1 x 1 blocks; the one of Sigma_12 is m_11 + m_22 = 0.
         with pytest.raises(ValueError):
             _solve_sigma_scaled([[1, 0], [0, -1]], [[1, 0], [0, 1]], 2)

@@ -39,12 +39,12 @@ PUBLIC_NAMES = [
     "is_dag", "is_positive_definite", "is_simple", "is_stable", "necessary_criterion",
     "no_trek_pairs", "parse_matrix_csv", "positivity_sample", "rank", "rat",
     "relabel", "restrict_A", "restrict_H", "run_sweep", "sample_stable_drift",
-    "skew_to_drift", "solve_for_sigma", "solve_linear", "subgraph", "vec", "vech",
+    "skew_to_drift", "solve_for_sigma", "solve_linear", "subgraph", "vech",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 52
     assert sorted(lyapid.__all__) == PUBLIC_NAMES
 
 
