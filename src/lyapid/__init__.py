@@ -14,13 +14,10 @@ from .graphs import (
     enumerate_candidates,
     graph_from_json,
     graph_to_json,
-    has_trek,
     is_dag,
     is_simple,
     necessary_criterion,
     no_trek_pairs,
-    relabel,
-    subgraph,
 )
 from .identifiability import (
     Certificate,
@@ -99,7 +96,6 @@ __all__ = [
     "format_matrix_csv",
     "graph_from_json",
     "graph_to_json",
-    "has_trek",
     "inverse",
     "is_dag",
     "is_positive_definite",
@@ -111,7 +107,6 @@ __all__ = [
     "positivity_sample",
     "rank",
     "rat",
-    "relabel",
     "restrict_A",
     "restrict_H",
     "run_sweep",
@@ -119,6 +114,5 @@ __all__ = [
     "skew_to_drift",
     "solve_for_sigma",
     "solve_linear",
-    "subgraph",
     "vech",
 ]

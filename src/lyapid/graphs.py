@@ -2,17 +2,18 @@
 
 Nodes are labelled 1..p.  An edge ``i -> j`` addresses drift-matrix entry
 ``m_ji``; the self-loops ``i -> i`` are always present (they carry the
-diagonal of the drift matrix) and are inserted automatically on
-construction.  Treks, the structural predicates, canonical forms under node
-relabelling, and the enumeration of non-simple candidate graphs for the
+diagonal of the drift matrix), so a graph is p and a mask of its
+off-diagonal edges.  Treks, the structural predicates, canonical forms under
+node relabelling, and the enumeration of non-simple candidate graphs for the
 classification sweep all live here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator
 
 from . import _intkernel
@@ -25,59 +26,97 @@ CONNECTIVITY = "weakly-connected"
 _MAX_P = 5  # the largest p the enumeration, and so the sweep, supports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiGraph:
     """Directed graph on nodes 1..p whose edge set includes all self-loops.
 
-    ``edges`` always contains every ``(i, i)``; missing self-loops are
-    inserted on construction, so ``num_edges`` counts self-loops plus
-    off-diagonal edges.
+    The value (p, mask): bit :func:`_arc_bit` ``(p, i, j)`` of ``mask`` is
+    the off-diagonal edge ``i -> j``, and every self-loop is implied, so
+    ``edges`` holds each ``(i, i)`` and ``num_edges`` counts them.  Equality
+    and hash compare (p, mask); each edge view is read off the mask once.
     """
 
     p: int
-    edges: frozenset = field(default_factory=frozenset)
+    mask: int
 
-    def __post_init__(self):
-        if not _is_int(self.p) or self.p < 1:
-            raise ValueError(f"node count must be an integer >= 1, got {self.p!r}")
-        normalized = set()
-        for (i, j) in self.edges:
-            if not (_is_int(i) and _is_int(j) and 1 <= i <= self.p and 1 <= j <= self.p):
-                raise ValueError(f"edge {(i, j)!r} is not a pair of integer nodes in 1..{self.p}")
-            normalized.add((i, j))
-        normalized.update((i, i) for i in range(1, self.p + 1))
-        object.__setattr__(self, "edges", frozenset(normalized))
+    def __init__(self, p: int, edges: Iterable[Edge] = frozenset()):
+        if not _is_int(p) or p < 1:
+            raise ValueError(f"node count must be an integer >= 1, got {p!r}")
+        mask = 0
+        for (i, j) in edges:
+            if not (_is_int(i) and _is_int(j) and 1 <= i <= p and 1 <= j <= p):
+                raise ValueError(f"edge {(i, j)!r} is not a pair of integer nodes in 1..{p}")
+            if i != j:
+                mask |= 1 << _arc_bit(p, i, j)
+        vars(self).update(p=p, mask=mask)
+
+    @classmethod
+    def _from_mask(cls, p: int, mask: int) -> DiGraph:
+        """The graph of an arc mask on p nodes, unchecked."""
+        g = cls.__new__(cls)
+        vars(g).update(p=p, mask=mask)
+        return g
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.p + self.mask.bit_count()
 
-    @property
+    @functools.cached_property
+    def arcs(self) -> tuple[Edge, ...]:
+        """The off-diagonal edges, sorted lexicographically."""
+        return _mask_arcs(self.p, self.mask)
+
+    @functools.cached_property
     def offdiag_edges(self) -> frozenset:
-        return frozenset((i, j) for (i, j) in self.edges if i != j)
+        return frozenset(self.arcs)
+
+    @functools.cached_property
+    def edges(self) -> frozenset:
+        return frozenset(self._edge_index)
+
+    @functools.cached_property
+    def _edge_index(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self.arcs + tuple((i, i) for i in range(1, self.p + 1))))
+
+    @functools.cached_property
+    def _non_edges(self) -> tuple[Edge, ...]:
+        return _mask_arcs(self.p, ~self.mask & (1 << self.p * (self.p - 1)) - 1)
 
     def edge_index(self) -> list[Edge]:
-        """Edges sorted lexicographically by (i, j).
-
-        This order is consistent with columnwise vectorization: the edge
-        ``i -> j`` (drift entry ``m_ji``) sits at 0-based position
-        ``(i-1)*p + (j-1)`` of vec(M), and lexicographic order on (i, j) is
-        increasing in that position.
-        """
-        return sorted(self.edges)
+        """Edges sorted lexicographically by (i, j): the vec order, in which
+        edge ``i -> j`` (drift entry ``m_ji``) sits at 0-based position
+        ``(i-1)*p + (j-1)`` of vec(M)."""
+        return list(self._edge_index)
 
     def non_edges(self) -> list[Edge]:
         """Absent ordered pairs, sorted lexicographically (never self-loops)."""
-        return sorted(
-            (i, j)
-            for i in range(1, self.p + 1)
-            for j in range(1, self.p + 1)
-            if (i, j) not in self.edges
-        )
+        return list(self._non_edges)
 
     def __repr__(self) -> str:
-        off = ",".join(f"{i}->{j}" for (i, j) in sorted(self.offdiag_edges))
+        off = ",".join(f"{i}->{j}" for (i, j) in self.arcs)
         return f"DiGraph(p={self.p}, [{off}])"
+
+
+def _arc_bit(p: int, i: int, j: int) -> int:
+    """The mask bit of edge ``i -> j``, i != j: bit q-1-r for the edge of
+    lexicographic rank r among the q = p(p-1) off-diagonal pairs.
+
+    Among masks of equal popcount, the larger has the lexicographically
+    smaller sorted edge list.  :func:`_mask_arcs` inverts this function.
+    """
+    rank = (i - 1) * (p - 1) + j - 1 - (j > i)
+    return p * (p - 1) - 1 - rank
+
+
+def _mask_arcs(p: int, mask: int) -> tuple[Edge, ...]:
+    """The sorted edges whose :func:`_arc_bit` is set in ``mask``, one set bit at a time."""
+    arcs = []
+    while mask:
+        bit = mask.bit_length() - 1
+        mask ^= 1 << bit
+        i, c = divmod(p * (p - 1) - 1 - bit, p - 1)  # row i + 1, off-diagonal column c
+        arcs.append((i + 1, c + 1 + (c >= i)))
+    return tuple(arcs)
 
 
 @dataclass(frozen=True)
@@ -113,8 +152,7 @@ class EnumPolicy:
 
 def is_simple(g: DiGraph) -> bool:
     """True iff no pair of distinct nodes carries edges both ways."""
-    off = g.offdiag_edges
-    return not any((j, i) in off for (i, j) in off if i < j)
+    return not any(g.mask >> _arc_bit(g.p, j, i) & 1 for (i, j) in g.arcs if i < j)
 
 
 def is_dag(g: DiGraph) -> bool:
@@ -131,7 +169,7 @@ def _ancestor_masks(g: DiGraph) -> list[int]:
     self-loops.
     """
     masks = [1 << v for v in range(g.p)]
-    for (i, j) in g.edges:
+    for (i, j) in g.arcs:
         masks[j - 1] |= 1 << (i - 1)
     return _closure(masks)
 
@@ -147,18 +185,6 @@ def _closure(masks: list[int]) -> list[int]:
             if masks[w] & bit:
                 masks[w] |= through
     return masks
-
-
-def has_trek(g: DiGraph, i: int, j: int) -> bool:
-    """True iff some top node reaches both i and j by directed paths.
-
-    Trivial paths count, so single nodes and directed paths are treks;
-    self-loops are ignored for reachability.
-    """
-    if not (1 <= i <= g.p and 1 <= j <= g.p):
-        raise ValueError(f"nodes must lie in 1..{g.p}")
-    masks = _ancestor_masks(g)
-    return bool(masks[i - 1] & masks[j - 1])
 
 
 def no_trek_pairs(g: DiGraph) -> int:
@@ -178,50 +204,23 @@ def necessary_criterion(g: DiGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Relabelling and canonical forms
+# Canonical forms
 # ---------------------------------------------------------------------------
 
 
-def relabel(g: DiGraph, perm: dict[int, int]) -> DiGraph:
-    """Relabel nodes by a bijection {1..p} -> {1..p}."""
-    if sorted(perm) != list(range(1, g.p + 1)) or sorted(perm.values()) != list(
-        range(1, g.p + 1)
-    ):
-        raise ValueError("perm must be a bijection of 1..p")
-    return DiGraph(g.p, frozenset((perm[i], perm[j]) for (i, j) in g.edges))
-
-
 def canonical_form(g: DiGraph) -> DiGraph:
-    """Lexicographically minimal edge set over all p! node relabellings.
+    """The relabelling of ``g`` with the largest mask, over all p! of them.
 
+    This is the enumeration's canonical form, and so the relabelling with
+    the lexicographically smallest sorted edge list (see :func:`_arc_bit`).
     Two graphs are isomorphic iff their canonical forms are equal.  Brute
     force over permutations; intended for p <= 7.
     """
     if g.p > 7:
         raise ValueError("canonical_form is brute force; p <= 7 only")
-    off = g.offdiag_edges
-    best = None
-    for perm in itertools.permutations(range(1, g.p + 1)):
-        candidate = sorted((perm[i - 1], perm[j - 1]) for (i, j) in off)
-        if best is None or candidate < best:
-            best = candidate
-    return DiGraph(g.p, frozenset(best))
-
-
-def subgraph(g: DiGraph, keep_edges: Iterable[Edge]) -> DiGraph:
-    """Restrict to a subset of the edges; self-loops can never be removed.
-
-    Raises:
-        ValueError: if keep_edges is not a subset of g.edges, or if it
-            attempts to drop a self-loop.
-    """
-    keep = {(i, j) for (i, j) in keep_edges}
-    if not keep <= g.edges:
-        raise ValueError("keep_edges must be a subset of the graph's edges")
-    for i in range(1, g.p + 1):
-        if (i, i) in g.edges and (i, i) not in keep:
-            raise ValueError(f"cannot remove self-loop {i}->{i}")
-    return DiGraph(g.p, frozenset(keep))
+    best = max(sum(1 << _arc_bit(g.p, perm[i - 1], perm[j - 1]) for (i, j) in g.arcs)
+               for perm in itertools.permutations(range(1, g.p + 1)))
+    return DiGraph._from_mask(g.p, best)
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +228,21 @@ def subgraph(g: DiGraph, keep_edges: Iterable[Edge]) -> DiGraph:
 # ---------------------------------------------------------------------------
 
 
-def _offdiag_pairs(p: int) -> list[Edge]:
-    return [(i, j) for i in range(1, p + 1) for j in range(1, p + 1) if i != j]
-
-
 def _permutation_mask_tables(p: int):
-    """Per-permutation lookup tables mapping edge bitmasks to permuted masks.
+    """Per-permutation lookup tables mapping arc masks to permuted masks.
 
-    Masks use bit ``q-1-r`` for the edge of lexicographic rank r, so that a
-    numerically larger mask corresponds to a lexicographically smaller
-    sorted edge list (all masks compared have equal popcount).  Returns
-    (pairs, q, half, lo, hi): row k of ``lo`` (``hi``) maps the low
-    ``half`` bits (the high ``q - half`` bits) of a mask to their image
-    under the k-th node relabelling, so an image is ``lo[k][low] | hi[k][high]``.
+    Returns (q, half, lo, hi) for the q = p(p-1) bits of :func:`_arc_bit`:
+    row k of ``lo`` (``hi``) maps the low ``half`` bits (the high
+    ``q - half`` bits) of a mask to their image under the k-th node
+    relabelling, so an image is ``lo[k][low] | hi[k][high]``.
     """
     np = _intkernel.numpy()
-    pairs = _offdiag_pairs(p)
-    q = len(pairs)
-    index = {e: k for k, e in enumerate(pairs)}
+    q = p * (p - 1)
     half = q // 2
-    # dest[k, t]: the bit that bit t (the edge of rank q-1-t) moves to
+    by_bit = _mask_arcs(p, (1 << q) - 1)[::-1]  # by_bit[t]: the edge of bit t
+    # dest[k, t]: the bit that bit t moves to
     dest = np.array(
-        [[q - 1 - index[(perm[i - 1], perm[j - 1])] for (i, j) in reversed(pairs)]
+        [[_arc_bit(p, perm[i - 1], perm[j - 1]) for (i, j) in by_bit]
          for perm in itertools.permutations(range(1, p + 1))],
         dtype=np.int64,
     )
@@ -262,11 +254,11 @@ def _permutation_mask_tables(p: int):
             out |= ((v >> t) & 1) << dest[:, first + t, None]
         return out
 
-    return pairs, q, half, table(0, half), table(half, q - half)
+    return q, half, table(0, half), table(half, q - half)
 
 
 def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
-    """The canonical mask of every candidate, ascending; see :func:`_mask_edges`.
+    """The canonical mask of every candidate, ascending; see :func:`_arc_bit`.
 
     The canonical masks are built by orderly generation (Read 1978; McKay
     1998), one edge count at a time: each canonical parent is extended only
@@ -293,8 +285,8 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
         raise ValueError(f"enumeration supports 2 <= p <= {_MAX_P}")
     np = _intkernel.numpy()
     policy = policy or EnumPolicy()
-    pairs, q, half, lo, hi = _permutation_mask_tables(p)
-    levels = [np.array([1 << (q - 1)], dtype=np.int64)]  # the canonical 1-arc mask
+    q, half, lo, hi = _permutation_mask_tables(p)
+    levels = [np.array([1 << _arc_bit(p, 1, 2)], dtype=np.int64)]  # the canonical 1-arc mask
     # one level per arc count; no level lies past the complete graph's q arcs
     for _ in range(min(policy.resolved_max_edges(p) - p, q) - 1):
         parents = levels[-1]
@@ -306,9 +298,8 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     masks = np.concatenate(levels)
 
     # (node pair, arc pair) bitmasks of every unordered pair i < j
-    bit = {e: 1 << (q - 1 - r) for r, e in enumerate(pairs)}
-    links = [((1 << i - 1) | (1 << j - 1), bit[i, j] | bit[j, i])
-             for (i, j) in pairs if i < j]
+    links = [((1 << i - 1) | (1 << j - 1), (1 << _arc_bit(p, i, j)) | (1 << _arc_bit(p, j, i)))
+             for (i, j) in itertools.combinations(range(1, p + 1), 2)]
     keep = np.zeros(len(masks), dtype=bool)
     for _, arcs in links:
         keep |= (masks & arcs) == arcs
@@ -320,31 +311,20 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     return np.sort(masks[keep]).tolist()
 
 
-def _mask_edges(mask: int, pairs: list[Edge]) -> tuple[Edge, ...]:
-    """Sorted off-diagonal edges of ``mask``, where ``pairs = _offdiag_pairs(p)``.
-
-    Bit ``q-1-r`` of the mask is the edge ``pairs[r]`` of lexicographic
-    rank r, as in :func:`_permutation_mask_tables`.
-    """
-    return tuple(e for e, b in zip(pairs, format(mask, f"0{len(pairs)}b")) if b == "1")
-
-
 def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[DiGraph]:
     """All weakly connected non-simple graphs on [p] within the edge bound, one
     per isomorphism class.
 
-    Graphs are yielded as canonical representatives in ascending order of
-    their canonical masks (the largest mask of each relabelling class; see
-    :func:`_permutation_mask_tables` and :func:`_candidate_masks`).  Every
-    graph contains at least one 2-cycle, is weakly connected and satisfies
+    Each graph is its class's :func:`canonical_form`, yielded in ascending
+    order of ``mask`` (see :func:`_candidate_masks`).  Every graph contains
+    at least one 2-cycle, is weakly connected and satisfies
     ``num_edges <= policy.max_edges`` (self-loops included).
 
     Raises:
         ValueError: unless 2 <= p <= ``_MAX_P`` = 5 (the sweep range).
     """
-    pairs = _offdiag_pairs(p)
     for mask in _candidate_masks(p, policy):
-        yield DiGraph(p, frozenset(_mask_edges(mask, pairs)))
+        yield DiGraph._from_mask(p, mask)
 
 
 # ---------------------------------------------------------------------------

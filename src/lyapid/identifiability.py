@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from . import _intkernel
 from .catalog import complete_dag, three_cycle
-from .graphs import DiGraph, Edge, is_dag, is_simple, necessary_criterion, no_trek_pairs
+from .graphs import DiGraph, Edge, _arc_bit, is_dag, is_simple, necessary_criterion, no_trek_pairs
 from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det, matrix_strings
 from .lyapunov import (
     CovMatrix,
@@ -490,13 +491,10 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
     sigma = reduced[:, n, ok]
     # rows of vech(Sigma), vech(-Sigma) and a zero row, one column per graph
     s_ext = np.concatenate([sigma, -sigma % q, np.zeros((1, ok.size), dtype=np.int64)])
-    is_edge = np.zeros((ok.size, p * p), dtype=bool)
-    at, cols = [], []
-    for pos, k in enumerate(ok.tolist()):
-        for (i, j) in graphs[k].edges:
-            at.append(pos)
-            cols.append((i - 1) * p + (j - 1))
-    is_edge[at, cols] = True
+    masks = np.array([graphs[k].mask for k in ok.tolist()], dtype=object)
+    is_edge = np.ones((ok.size, p * p), dtype=bool)  # the self-loops stay set
+    for i, j in itertools.permutations(range(1, p + 1), 2):
+        is_edge[:, (i - 1) * p + j - 1] = masks >> _arc_bit(p, i, j) & 1
     sizes = is_edge.sum(axis=1)
     proved = np.zeros(len(graphs), dtype=bool)
     for size in set(sizes.tolist()):

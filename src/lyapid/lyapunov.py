@@ -57,12 +57,9 @@ class DriftMatrix:
         p = self.graph.p
         if self.matrix.shape != (p, p):
             raise ValueError(f"drift matrix must be {p}x{p}")
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                if (i, j) not in self.graph.edges and self.matrix[j - 1, i - 1] != 0:
-                    raise ValueError(
-                        f"entry m[{j},{i}] nonzero but edge {i}->{j} is absent"
-                    )
+        for (i, j) in self.graph.non_edges():
+            if self.matrix[j - 1, i - 1] != 0:
+                raise ValueError(f"entry m[{j},{i}] nonzero but edge {i}->{j} is absent")
 
     @functools.cached_property
     def stable(self) -> bool:
@@ -74,14 +71,8 @@ class DriftMatrix:
         """Wrap a square matrix, inferring the support graph from its zeros."""
         if not matrix.is_square:
             raise ValueError("drift matrix must be square")
-        p = matrix.rows
-        edges = {
-            (i, j)
-            for i in range(1, p + 1)
-            for j in range(1, p + 1)
-            if i == j or matrix[j - 1, i - 1] != 0
-        }
-        return cls(DiGraph(p, frozenset(edges)), matrix)
+        support = [(i, j) for (i, j) in _all_edges(matrix.rows) if matrix[j - 1, i - 1] != 0]
+        return cls(DiGraph(matrix.rows, support), matrix)
 
 
 @dataclass(frozen=True)
@@ -455,12 +446,11 @@ def _draw_drift_rows(g: DiGraph, rng: random.Random, bound: int) -> list[list[in
     rows = [[0] * p for _ in range(p)]
     width = 2 * bound + 1
     bits = width.bit_length()
-    for (i, j) in g.edge_index():
-        if i != j:
+    for (i, j) in g.arcs:
+        r = getrandbits(bits)
+        while r >= width:
             r = getrandbits(bits)
-            while r >= width:
-                r = getrandbits(bits)
-            rows[j - 1][i - 1] = r - bound
+        rows[j - 1][i - 1] = r - bound
     width = bound + 1
     bits = width.bit_length()
     for i in range(p):

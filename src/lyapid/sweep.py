@@ -6,14 +6,15 @@ together with the global seed, so a parallel run, a serial run, and a rerun
 all produce the same report (timing fields aside).
 
 The unit of work is a chunk of at most ``_CHUNK`` candidates, sent as their
-canonical masks.  Whoever classifies a chunk reads each mask's sorted edges,
-hashes them into the graph's seed and builds the graph, so the parent holds
-nothing per candidate but its mask.  The candidates are split into strided,
-near-equal chunks; when there is more than one, there are at least as many
-chunks as workers.  A pool of at most ``--jobs`` workers starts only when
-there is more than one chunk and more than one worker to run them; a sweep
-of one chunk, as at p = 4, runs in process and never imports
-``multiprocessing``.  Workers share nothing but the immutable configuration.
+canonical masks.  Whoever classifies a chunk builds each graph straight
+from its mask (a ``DiGraph`` is its arc mask) and hashes the sorted edges
+read off the mask into its seed, so the parent holds nothing per candidate
+but its mask.  The candidates are split into strided, near-equal chunks;
+when there is more than one, there are at least as many chunks as workers.
+A pool of at most ``--jobs`` workers starts only when there is more than
+one chunk and more than one worker to run them; a sweep of one chunk, as
+at p = 4, runs in process and never imports ``multiprocessing``.  Workers
+share nothing but the immutable configuration.
 
 Each chunk is classified by ``identifiability._classify_batch``, the one
 place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds the
@@ -38,7 +39,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .graphs import CONNECTIVITY, DiGraph, EnumPolicy, _candidate_masks, _mask_edges, _offdiag_pairs
+from .graphs import CONNECTIVITY, DiGraph, EnumPolicy, _candidate_masks
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
@@ -67,12 +68,7 @@ def derive_graph_seed(global_seed: int, g: DiGraph) -> int:
     labelling too, so a relabelled copy h of a sweep graph replays that
     graph's row only as ``canonical_form(h)`` under that form's seed.
     """
-    return _edges_seed(global_seed, g.p, sorted(g.offdiag_edges))
-
-
-def _edges_seed(global_seed: int, p: int, offdiag) -> int:
-    """:func:`derive_graph_seed` from the sorted off-diagonal edges."""
-    payload = f"{global_seed}:{p}:{list(offdiag)}".encode()
+    payload = f"{global_seed}:{g.p}:{list(g.arcs)}".encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
@@ -91,7 +87,7 @@ class SweepRow:
     witness_sigma: tuple[tuple[str, ...], ...] | None = None
 
     def graph(self) -> DiGraph:
-        return DiGraph(self.p, frozenset(self.edges))
+        return DiGraph(self.p, self.edges)
 
     def to_json(self, include_timing: bool = True) -> dict:
         out: dict = {
@@ -180,20 +176,18 @@ def _classify_chunk(chunk) -> list[SweepRow]:
     """Classify one (p, cfg, masks) chunk in one batch, each graph under its own
     seed hashed from ``cfg.seed``; picklable."""
     p, cfg, masks = chunk
-    pairs = _offdiag_pairs(p)
-    edge_lists = [_mask_edges(mask, pairs) for mask in masks]
-    graphs = [DiGraph(p, frozenset(edges)) for edges in edge_lists]
-    cfgs = [ClassifyConfig(cfg.trials, cfg.bound, _edges_seed(cfg.seed, p, edges))
-            for edges in edge_lists]
+    graphs = [DiGraph._from_mask(p, mask) for mask in masks]
+    cfgs = [ClassifyConfig(cfg.trials, cfg.bound, derive_graph_seed(cfg.seed, g))
+            for g in graphs]
     elapsed: list[float] = []
     verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), cfgs, elapsed)
-    rows = []
-    for edges, g, verdict, elapsed_ms in zip(edge_lists, graphs, verdicts, elapsed):
+    rows, arcs = [], {}  # one tuple per arc, so a chunk's rows pickle each arc once
+    for g, verdict, elapsed_ms in zip(graphs, verdicts, elapsed):
         drift, sigma = _row_witness(verdict)
         kind = verdict.certificate.kind
         rows.append(SweepRow(
             p=p,
-            edges=edges,
+            edges=tuple(arcs.setdefault(e, e) for e in g.arcs),
             num_edges=g.num_edges,
             classification=verdict.classification,
             certificate_kind=kind,

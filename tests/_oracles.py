@@ -1,17 +1,20 @@
 """The tests' random instances and cross-check constructions.
 
 Seeded generators of exact positive definite matrices, volatilities and the
-complete graph, and the textbook Kronecker form of the coefficient matrix:
-``vec``, ``kron``, the commutation matrix K_p, the square form ``atilde``
-and the product form ``build_A_product`` of A(Sigma).  The package builds
+complete graph; the graph operations that only tests use (``has_trek``,
+``relabel``, ``subgraph``); and the textbook Kronecker form of the
+coefficient matrix: ``vec``, ``kron``, the commutation matrix K_p, the
+square form ``atilde`` and the product form ``build_A_product`` of
+A(Sigma).  The package builds
 A(Sigma) entry by entry instead, so a test that compares the two compares
 two different constructions.  ``to_floats`` hands an exact matrix to numpy.
 """
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
-from lyapid.graphs import DiGraph
+from lyapid.graphs import DiGraph, Edge, _ancestor_masks
 from lyapid.linalg import RatMatrix, sym_pairs
 from lyapid.lyapunov import VolatilityMatrix
 
@@ -42,6 +45,43 @@ def complete_graph(p: int) -> DiGraph:
     return DiGraph(
         p, frozenset((i, j) for i in range(1, p + 1) for j in range(1, p + 1))
     )
+
+
+def has_trek(g: DiGraph, i: int, j: int) -> bool:
+    """True iff some top node reaches both i and j by directed paths.
+
+    Trivial paths count, so single nodes and directed paths are treks;
+    self-loops are ignored for reachability.
+    """
+    if not (1 <= i <= g.p and 1 <= j <= g.p):
+        raise ValueError(f"nodes must lie in 1..{g.p}")
+    masks = _ancestor_masks(g)
+    return bool(masks[i - 1] & masks[j - 1])
+
+
+def relabel(g: DiGraph, perm: dict[int, int]) -> DiGraph:
+    """Relabel nodes by a bijection {1..p} -> {1..p}."""
+    if sorted(perm) != list(range(1, g.p + 1)) or sorted(perm.values()) != list(
+        range(1, g.p + 1)
+    ):
+        raise ValueError("perm must be a bijection of 1..p")
+    return DiGraph(g.p, frozenset((perm[i], perm[j]) for (i, j) in g.edges))
+
+
+def subgraph(g: DiGraph, keep_edges: Iterable[Edge]) -> DiGraph:
+    """Restrict to a subset of the edges; self-loops can never be removed.
+
+    Raises:
+        ValueError: if keep_edges is not a subset of g.edges, or if it
+            attempts to drop a self-loop.
+    """
+    keep = {(i, j) for (i, j) in keep_edges}
+    if not keep <= g.edges:
+        raise ValueError("keep_edges must be a subset of the graph's edges")
+    for i in range(1, g.p + 1):
+        if (i, i) in g.edges and (i, i) not in keep:
+            raise ValueError(f"cannot remove self-loop {i}->{i}")
+    return DiGraph(g.p, frozenset(keep))
 
 
 def vec(m: RatMatrix) -> RatMatrix:

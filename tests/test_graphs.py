@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,18 +26,20 @@ from lyapid.catalog import (
 from lyapid.graphs import (
     DiGraph,
     EnumPolicy,
+    _arc_bit,
+    _candidate_masks,
+    _mask_arcs,
     canonical_form,
     enumerate_candidates,
     graph_from_json,
     graph_to_json,
-    has_trek,
     is_dag,
     is_simple,
     necessary_criterion,
     no_trek_pairs,
-    relabel,
-    subgraph,
 )
+
+from _oracles import has_trek, relabel, subgraph
 
 
 def _random_digraph(rng, p, density=0.3) -> DiGraph:
@@ -278,6 +282,16 @@ class TestCanonicalForm:
         g = DiGraph(4)
         assert canonical_form(g) == g
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_is_the_lexicographic_minimum_on_every_digraph(self, p):
+        # by brute force: the smallest sorted edge list over all relabellings
+        pairs = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1) if i != j]
+        perms = list(itertools.permutations(range(1, p + 1)))
+        for bits in range(1 << len(pairs)):
+            off = [e for k, e in enumerate(pairs) if bits >> k & 1]
+            least = min(sorted((perm[i - 1], perm[j - 1]) for (i, j) in off) for perm in perms)
+            assert canonical_form(DiGraph(p, off)) == DiGraph(p, least)
+
     def test_relabel_requires_bijection(self):
         with pytest.raises(ValueError):
             relabel(DiGraph(2), {1: 1, 2: 1})
@@ -451,6 +465,69 @@ class TestEnumeration:
             g = _random_digraph(rng, p)
             if is_simple(g):
                 assert g.num_edges <= p * (p + 1) // 2
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_the_bit_order_is_the_enumeration_sort_key(self, p):
+        for i, j in itertools.permutations(range(1, p + 1), 2):
+            g = DiGraph(p, {(i, j)})
+            assert g.mask == 1 << _arc_bit(p, i, j) == _mask(g)
+            assert _mask_arcs(p, g.mask) == ((i, j),)
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_every_candidate_is_its_mask(self, p):
+        masks = _candidate_masks(p)
+        graphs = list(enumerate_candidates(p))
+        assert [g.mask for g in graphs] == masks
+        for g in graphs:
+            rebuilt = DiGraph(p, g.edges)
+            assert rebuilt == g and hash(rebuilt) == hash(g)
+            assert rebuilt.edge_index() == g.edge_index()
+            assert _mask(g) == g.mask
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_equality_and_hash_follow_the_edge_sets(self, p, data):
+        pair = st.tuples(st.integers(1, p), st.integers(1, p))
+        first = data.draw(st.sets(pair, max_size=p * p))
+        # half the time the same edges up to self-loops, so equal graphs occur
+        second = data.draw(st.one_of(
+            st.sets(pair, max_size=p * p),
+            st.sets(st.integers(1, p)).map(lambda loops: first | {(v, v) for v in loops}),
+        ))
+        g, h = DiGraph(p, first), DiGraph(p, second)
+        loops = {(v, v) for v in range(1, p + 1)}
+        assert g.edges == frozenset(first) | loops
+        assert (g == h) == (g.edges == h.edges)
+        if g == h:
+            assert hash(g) == hash(h)
+
+    def test_pickles_equal_after_a_view_was_read(self):
+        g = two_cycle_two_sinks()
+        index = g.edge_index()
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert copy.edge_index() == index and copy.non_edges() == g.non_edges()
+
+    def test_views_are_copies(self):
+        g = two_cycle_out_edge()
+        g.edge_index().clear()
+        g.non_edges().clear()
+        assert len(g.edge_index()) == g.num_edges == 6
+        assert g.non_edges() == [(1, 3), (3, 1), (3, 2)]
+
+    def test_a_large_sparse_graph_costs_what_its_edges_do(self):
+        # the mask grows with p * p bits, but no view or predicate walks them
+        tracemalloc.start()
+        try:
+            g = graph_from_json({"p": 200, "edges": [[1, 2], [2, 1]]})
+            assert g.num_edges == 202 and len(g.edge_index()) == 202
+            assert not is_simple(g) and not is_dag(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestJsonFormat:

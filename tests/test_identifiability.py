@@ -21,7 +21,7 @@ from lyapid.catalog import (
     two_cycle_two_sinks,
     two_cycle_two_sources,
 )
-from lyapid.graphs import DiGraph, enumerate_candidates, is_dag, is_simple, relabel
+from lyapid.graphs import DiGraph, enumerate_candidates, is_dag, is_simple
 from lyapid.identifiability import (
     EDGE_COUNT_BOUND,
     FULL_RANK_WITNESS,
@@ -51,7 +51,7 @@ from lyapid.lyapunov import (
 )
 from lyapid.sweep import derive_graph_seed
 
-from _oracles import complete_graph, random_pd_matrix, random_volatility
+from _oracles import complete_graph, random_pd_matrix, random_volatility, relabel
 from _rref import rref_solve
 
 IDENTITY3 = VolatilityMatrix.identity(3)

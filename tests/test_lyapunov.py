@@ -14,7 +14,7 @@ from lyapid.catalog import (
     two_cycle,
     two_cycle_out_edge,
 )
-from lyapid.graphs import DiGraph, has_trek
+from lyapid.graphs import DiGraph
 from lyapid.linalg import RatMatrix, det, is_positive_definite, rank, vech
 from lyapid.lyapunov import (
     CovMatrix,
@@ -37,6 +37,7 @@ from _oracles import (
     atilde,
     build_A_product,
     complete_graph,
+    has_trek,
     random_pd_matrix,
     random_volatility,
     vec,

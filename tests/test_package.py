@@ -35,16 +35,16 @@ PUBLIC_NAMES = [
     "SweepReport", "SweepRow", "VolatilityMatrix", "build_A", "build_H",
     "canonical_form", "classify", "cycle3_determinant_identity",
     "dag_determinant_identity", "det", "enumerate_candidates", "fiber",
-    "format_matrix_csv", "graph_from_json", "graph_to_json", "has_trek", "inverse",
+    "format_matrix_csv", "graph_from_json", "graph_to_json", "inverse",
     "is_dag", "is_positive_definite", "is_simple", "is_stable", "necessary_criterion",
     "no_trek_pairs", "parse_matrix_csv", "positivity_sample", "rank", "rat",
-    "relabel", "restrict_A", "restrict_H", "run_sweep", "sample_stable_drift",
-    "skew_to_drift", "solve_for_sigma", "solve_linear", "subgraph", "vech",
+    "restrict_A", "restrict_H", "run_sweep", "sample_stable_drift",
+    "skew_to_drift", "solve_for_sigma", "solve_linear", "vech",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(lyapid.__all__) == PUBLIC_NAMES
 
 

@@ -14,10 +14,11 @@ from lyapid.graphs import (
     canonical_form,
     enumerate_candidates,
     necessary_criterion,
-    relabel,
 )
 from lyapid.identifiability import ClassifyConfig, classify
 from lyapid.lyapunov import VolatilityMatrix
+
+from _oracles import relabel
 
 
 def _exact_batch(graphs, vol, cfgs, elapsed_ms=None):
@@ -129,13 +130,17 @@ def test_items_carry_each_candidates_graph_seed(monkeypatch, p, seed):
 
 def test_serial_sweep_builds_each_graph_once(monkeypatch):
     built = []
-    post_init = DiGraph.__post_init__
+    from_mask = DiGraph._from_mask
 
-    def counted(g):
-        built.append(g)
-        post_init(g)
+    def counted(p, mask):
+        built.append(mask)
+        return from_mask(p, mask)
 
-    monkeypatch.setattr(DiGraph, "__post_init__", counted)
+    def checked(*args):
+        raise AssertionError("a sweep graph was built from its edges")
+
+    monkeypatch.setattr(DiGraph, "_from_mask", counted)
+    monkeypatch.setattr(DiGraph, "__init__", checked)
     sweep.run_sweep(4)
     assert len(built) == 80
 
