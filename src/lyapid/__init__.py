@@ -24,12 +24,10 @@ from .identifiability import (
     ClassifyConfig,
     IdentClass,
     IdentVerdict,
-    PositivityReport,
     RankSample,
     classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
-    positivity_sample,
 )
 from .linalg import (
     RatMatrix,
@@ -58,7 +56,6 @@ from .lyapunov import (
     restrict_A,
     restrict_H,
     sample_stable_drift,
-    skew_to_drift,
     solve_for_sigma,
 )
 from .sweep import SweepReport, SweepRow, run_sweep
@@ -76,7 +73,6 @@ __all__ = [
     "IdentClass",
     "IdentVerdict",
     "NotStableError",
-    "PositivityReport",
     "RankSample",
     "RatMatrix",
     "Rational",
@@ -104,14 +100,12 @@ __all__ = [
     "necessary_criterion",
     "no_trek_pairs",
     "parse_matrix_csv",
-    "positivity_sample",
     "rank",
     "rat",
     "restrict_A",
     "restrict_H",
     "run_sweep",
     "sample_stable_drift",
-    "skew_to_drift",
     "solve_for_sigma",
     "solve_linear",
     "vech",

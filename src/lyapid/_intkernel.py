@@ -2,8 +2,8 @@
 
 - :func:`bareiss_forward`, fraction-free elimination over the integers:
   ranks, determinants, affine solves, inverses and positive definiteness.
-- :func:`mod_echelon`, LU factorization over GF(MOD_PRIME) on int lists:
-  full-rank proofs and the factors of the kernel lift.
+- :func:`mod_echelon`, row echelon form over GF(MOD_PRIME) on int lists:
+  full-rank proofs and the pivot rows of the kernel solve.
 - :func:`mod_gauss`, forward Gaussian elimination over GF(SCREEN_PRIME) on
   numpy stacks: the sweep's batched screen.
 
@@ -32,27 +32,26 @@ Below full column rank, :func:`rank_and_kernel` also returns the first
 reduced-row-echelon kernel vector x: with f the first non-pivot column,
 x[f] = 1, x[f+1:] = 0 and x[:f] solves the first f columns.  When the
 rank mod q is exactly n - 1 (n columns), f and the rows S of the first f
-pivots come from the mod-q echelon, and x[:f] = y is lifted q-adically
-from B y = -a, B being rows S of columns :f and a rows S of column f
-(Dixon; :func:`_lift_kernel`, which takes B's LU factors from the
-echelon), then rationally reconstructed and checked exactly against every
-row.  The result is the one Bareiss would give:
+pivots come from the mod-q echelon, x[:f] = y solves B y = -a by
+:func:`solve_square_int`, B being rows S of columns :f and a rows S of
+column f, and x is checked exactly against every row.  A passing x is the
+one Bareiss would give:
 
-- B = L U mod q with a unit L and no zero on U's diagonal, so det B is
-  nonzero mod q and hence over Q: columns :f are independent over Q.
+- det B is nonzero mod q (:func:`mod_echelon`), so it is nonzero over Q:
+  columns :f are independent over Q, and the square solve cannot fail.
 - The exact check A x = 0 puts column f in their span over Q, so f is
   also the first non-pivot column over Q, and x, the only kernel vector
-  with x[f] = 1 and x[f+1:] = 0, is the first RREF kernel vector.
-- The rank is at least n - 1 (a nonzero (n-1)-minor mod q is a nonzero
-  minor over Q) and at most n - 1 (x is a nonzero kernel vector).
+  with x[f] = 1 and x[f+1:] = 0, is the first RREF kernel vector.  The
+  rank is at least n - 1 (a nonzero (n-1)-minor mod q is a nonzero minor
+  over Q) and at most n - 1 (x is a nonzero kernel vector).
+- y is the only solution of B y = -a, so a failed check means column f
+  is not in the span of columns :f over Q: f is not the first non-pivot
+  column over Q, and the matrix goes to Bareiss like any other deficit
+  mod q.
 
-Reconstruction cannot be trusted before q^k > 2 H^2, H the Hadamard bound
-of [B | a], which bounds det B and every Cramer numerator; the exact check
-makes an earlier success safe.  If no check passes by that bound, column f
-is not in the span over Q (A is deficient only mod q), and the matrix goes
-to Bareiss like any other deficit mod q.  Any other deficit mod q goes
-there at once: then one Bareiss pass gives both the rank and x, by
-back-substitution against its f-th pivot, +-the leading f x f minor.
+Any other deficit mod q goes there at once: then one Bareiss pass gives
+both the rank and x, by back-substitution against its f-th pivot, +-the
+leading f x f minor.
 
 :func:`mod_gauss` eliminates a whole stack of same-shape residue matrices
 at once, for callers that bring thousands of small systems
@@ -177,17 +176,14 @@ def bareiss_forward(rows: list[list[int]], limit_cols: int | None = None):
     return pivot_cols, swaps
 
 
-def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int], list[list[int]]]:
-    """LU factorization over GF(MOD_PRIME), with row exchanges; ``rows`` is left intact.
+def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Row echelon form over GF(MOD_PRIME), with row exchanges; ``rows`` is left intact.
 
-    Returns (pivot_cols, pivot_rows, work): the columns in which pivots were
-    found, in order, the original index of each pivot's row, and the work
-    rows.  The number of pivots, the rank mod q, never exceeds the rank over
-    Q.  Each elimination multiplier is stored in the entry it zeroes and
-    travels with its row.  So when the first f pivots sit in columns :f,
-    the top-left f x f block of ``work`` holds L and U with L U = B mod q,
-    B being rows ``pivot_rows[:f]`` of columns :f: U on and above the
-    diagonal, and below it the multipliers of L, whose diagonal is 1.
+    Returns (pivot_cols, pivot_rows): the columns in which pivots were
+    found, in order, and the original index of each pivot's row.  The
+    number of pivots, the rank mod q, never exceeds the rank over Q, and
+    for every k the first k pivot rows and pivot columns of ``rows`` form a
+    minor that is nonzero mod q.
     """
     q = MOD_PRIME
     work = [[x % q for x in row] for row in rows]
@@ -212,13 +208,12 @@ def mod_echelon(rows: list[list[int]]) -> tuple[list[int], list[int], list[list[
             row = work[i]
             m = row[c] * inv % q
             if m:
-                row[c] = m
                 row[c + 1:] = [(a - m * b) % q for a, b in zip(row[c + 1:], tail)]
         pivot_cols.append(c)
         r += 1
         if r == nr:
             break
-    return pivot_cols, order[:r], work
+    return pivot_cols, order[:r]
 
 
 def int_det(rows: list[list[int]]) -> int:
@@ -377,98 +372,6 @@ def solve_square_int(a_rows: list[list[int]], b: list[int],
     return _reduced(nums, den)
 
 
-def _rational(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
-    """(a, b) with a = b u mod modulus, |a| <= bound and 0 < b <= bound, or None.
-
-    Half of the extended Euclidean algorithm on (modulus, u); when
-    2 bound^2 < modulus at most one such a / b exists (Wang).
-    """
-    r0, r1 = modulus, u % modulus
-    t0, t1 = 0, 1
-    while r1 > bound:
-        k = r0 // r1
-        r0, r1 = r1, r0 - k * r1
-        t0, t1 = t1, t0 - k * t1
-    if not 0 < abs(t1) <= bound:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _reconstruct(y: list[int], modulus: int) -> tuple[list[int], int] | None:
-    """Rationals nums / den congruent to ``y`` mod ``modulus``, or None.
-
-    One running common denominator: each entry times the denominator so far
-    is reconstructed, so once the denominator is complete the later entries
-    come out as integers at once.
-    """
-    bound = math.isqrt(modulus // 2)
-    nums: list[int] = []
-    den = 1
-    for v in y:
-        ab = _rational(v * den, modulus, bound)
-        if ab is None:
-            return None
-        a, b = ab
-        if b != 1:
-            den *= b
-            if den > bound:
-                return None
-            nums = [n * b for n in nums]
-        nums.append(a)
-    return nums, den
-
-
-def _lift_kernel(rows: list[list[int]], f: int, basis_rows: list[int],
-                 lu: list[list[int]]) -> tuple[list[int], int] | None:
-    """The kernel vector x with x[f] = 1, x[f+1:] = 0, by q-adic lifting, or None.
-
-    ``basis_rows`` index f rows whose first f columns form a matrix B that
-    is nonsingular mod q = MOD_PRIME, and the top-left f x f block of ``lu``
-    holds its factors L U = B mod q (:func:`mod_echelon`); x[:f] = y solves
-    B y = -a, a being column f of those rows (Dixon, Numer. Math. 40, 1982).
-    Each step takes one q-adic digit of y from the residual, by forward
-    substitution with L and back substitution with U, and divides the
-    updated residual by q exactly.  Reconstructions are tried on a schedule
-    that thins out as the lift grows, and one is accepted only if rows x = 0
-    holds exactly on every row.  Returns None, for the caller to fall back
-    on, once q^k > 2 H^2 without an accepted vector, H^2 being the Hadamard
-    bound on the squared f x f minors of [B | a].
-    """
-    q = MOD_PRIME
-    b_mat = [rows[i][:f] for i in basis_rows]
-    residual = [-rows[i][f] for i in basis_rows]
-    lower = [row[:k] for k, row in enumerate(lu[:f])]
-    upper = [row[k + 1:f] for k, row in enumerate(lu[:f])]
-    pivot_inv = [pow(lu[k][k], -1, q) for k in range(f)]
-    hadamard_sq = math.prod(sum(v * v for v in rows[i][:f + 1]) for i in basis_rows)
-    y = [0] * f
-    modulus = 1
-    steps = 0
-    next_try = 1
-    while True:
-        z: list[int] = []
-        for low, v in zip(lower, residual):
-            z.append((v - sum(map(mul, low, z))) % q)
-        digit = [0] * f
-        for k in range(f - 1, -1, -1):
-            digit[k] = (z[k] - sum(map(mul, upper[k], digit[k + 1:]))) * pivot_inv[k] % q
-        y = [v + modulus * d for v, d in zip(y, digit)]
-        modulus *= q
-        residual = [(v - sum(map(mul, b_row, digit))) // q
-                    for v, b_row in zip(residual, b_mat)]
-        steps += 1
-        last = modulus > 2 * hadamard_sq
-        if steps >= next_try or last:
-            next_try = steps + 1 + steps // 4
-            found = _reconstruct(y, modulus)
-            if found is not None:
-                x = found[0] + [found[1]]
-                if not any(sum(map(mul, row, x)) for row in rows):
-                    return _reduced(x + [0] * (len(rows[0]) - f - 1), found[1])
-        if last:
-            return None
-
-
 def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] | None]:
     """Exact rank and, below full column rank, one kernel vector (consumes ``rows``).
 
@@ -476,22 +379,25 @@ def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] |
     terms, or None at full column rank.  It is the first basis vector of the
     reduced-row-echelon kernel: with f the first non-pivot column, x[f] = 1,
     x[f+1:] = 0, and x[:f] solves the leading f pivot columns.  At a rank
-    of exactly cols - 1 mod q it is lifted from the mod-q echelon
-    (:func:`_lift_kernel`).  Otherwise, or if the lift fails, Bareiss
-    leaves those columns upper triangular with last pivot d = +-their
-    leading f x f minor, so by Cramer's rule d x is an integer vector.
+    of exactly cols - 1 mod q it is solved on the f pivot rows of the mod-q
+    echelon and checked against every row.  Otherwise, or if the check
+    fails, Bareiss leaves those columns upper triangular with last pivot
+    d = +-their leading f x f minor, so by Cramer's rule d x is an integer
+    vector.
     """
     if not rows or not rows[0]:
         return 0, None
     cols = len(rows[0])
-    modular_cols, modular_rows, lu = mod_echelon(rows)
+    modular_cols, modular_rows = mod_echelon(rows)
     if len(modular_cols) == cols:
         return cols, None
     if len(modular_cols) == cols - 1:
         f = next((c for c, pc in enumerate(modular_cols) if c != pc), cols - 1)
-        kernel = _lift_kernel(rows, f, modular_rows[:f], lu)
-        if kernel is not None:
-            return cols - 1, kernel
+        basis = modular_rows[:f]
+        y, den = solve_square_int([rows[i][:f] for i in basis], [-rows[i][f] for i in basis])
+        x = y + [den] + [0] * (cols - f - 1)
+        if not any(sum(map(mul, row, x)) for row in rows):
+            return cols - 1, (x, den)
     pivot_cols, _ = bareiss_forward(rows)
     rank = len(pivot_cols)
     if rank == cols:

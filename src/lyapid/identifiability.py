@@ -217,8 +217,10 @@ def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility) -> Ran
     the non-edges, Sigma being N / den: rank A_E = |E| - p(p-1)/2 +
     rank H_nonE, and at a one-dimensional kernel the kernel vector of A_E
     comes from that of H_nonE (see ``_intkernel``).  A(N)_E itself is
-    ranked only when H_nonE has no rows or A_E's kernel has dimension two
-    or more.
+    ranked only when A_E's kernel has dimension two or more, or when
+    H_nonE has no rows, so that its rank cannot see its m columns: only a
+    graph the edge-count bound decides (the complete graph) has no
+    non-edges, and it is sampled only when this stage is called directly.
     """
     p = g.p
     n_mat, den = _solve_sigma_scaled(m_rows, volatility[0], p)
@@ -544,78 +546,3 @@ def cycle3_determinant_identity(sigma: CovMatrix) -> tuple[Rational, Rational]:
     lhs = det(restrict_A(build_A(sigma), three_cycle()))
     factor = s[0, 0] * s[1, 1] * s[2, 2] - s[0, 1] * s[0, 2] * s[1, 2]
     return lhs, 8 * det(s) * factor
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Sign statistics of the restricted-kernel determinant over PD samples."""
-
-    graph: DiGraph
-    trials: int
-    positive: int
-    negative: int
-    zero: int
-    square: bool  # determinant when square, full-column-rank check otherwise
-
-    @property
-    def all_nonzero(self) -> bool:
-        return self.zero == 0
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.graph.p,
-            "edges": [list(e) for e in self.graph.edge_index()],
-            "trials": self.trials,
-            "positive": self.positive,
-            "negative": self.negative,
-            "zero": self.zero,
-            "square": self.square,
-            "all_nonzero": self.all_nonzero,
-        }
-
-
-# Entries of the sampled Cholesky factors lie in [-9, 9], the diagonal in [1, 9].
-_POSITIVITY_ENTRY_BOUND = 9
-
-
-def positivity_sample(g: DiGraph, trials: int, seed: int = 0) -> PositivityReport:
-    """Evaluate the restricted kernel determinant at Cholesky-sampled PD points.
-
-    Draws Sigma = L L^T for random rational lower-triangular L with positive
-    diagonal and reports the sign statistics of det of the non-edge row
-    restriction of H(Sigma) (full-column-rank counts as nonzero when the
-    restriction is not square).  For a simple graph the value must never
-    vanish on the positive definite cone.
-
-    Raises:
-        ValueError: if ``g`` is not simple.
-    """
-    if not is_simple(g):
-        raise ValueError("positivity sampling applies to simple graphs")
-    rng = _derive_rng(seed, salt=0x9E3779B9 ^ g.p)
-    p = g.p
-    non_edges = g.non_edges()
-    cols = p * (p - 1) // 2
-    square = len(non_edges) == cols
-    pos = neg = zero = 0
-    for _ in range(trials):
-        low = [[0] * p for _ in range(p)]
-        for i in range(p):
-            low[i][i] = rng.randint(1, _POSITIVITY_ENTRY_BOUND)
-            for j in range(i):
-                low[i][j] = rng.randint(-_POSITIVITY_ENTRY_BOUND, _POSITIVITY_ENTRY_BOUND)
-        sig = [
-            [sum(low[i][t] * low[j][t] for t in range(p)) for j in range(p)]
-            for i in range(p)
-        ]
-        restricted = _h_rows(sig, non_edges)
-        if square:
-            value = _intkernel.int_det(restricted)
-        else:  # never wide: a simple graph has at least p(p-1)/2 non-edges
-            value = int(_intkernel.rank_and_kernel(restricted)[0] == cols)
-        pos += value > 0
-        neg += value < 0
-        zero += value == 0
-    return PositivityReport(
-        graph=g, trials=trials, positive=pos, negative=neg, zero=zero, square=square
-    )

@@ -79,14 +79,6 @@ class RatMatrix:
         return cls(rows, cols, [Fraction(0)] * (rows * cols))
 
     @classmethod
-    def diagonal(cls, values: Sequence) -> "RatMatrix":
-        n = len(values)
-        ent = [Fraction(0)] * (n * n)
-        for i, v in enumerate(values):
-            ent[i * n + i] = rat(v)
-        return cls(n, n, ent)
-
-    @classmethod
     def column(cls, values: Sequence) -> "RatMatrix":
         """Column vector from a flat sequence."""
         return cls(len(values), 1, list(values))
@@ -183,12 +175,6 @@ class RatMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def trace(self) -> Rational:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        n = self.rows
-        return sum((self.entries[i * n + i] for i in range(n)), Fraction(0))
-
     def select_columns(self, indices: Sequence[int]) -> "RatMatrix":
         return RatMatrix(
             self.rows,
@@ -202,15 +188,6 @@ class RatMatrix:
             self.cols,
             [self.entries[i * self.cols + j] for i in indices for j in range(self.cols)],
         )
-
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return RatMatrix(self.rows, self.cols + other.cols, out)
 
     def _same_shape(self, other: "RatMatrix") -> None:
         if self.shape != other.shape:

@@ -386,7 +386,7 @@ def restrict_H(h: RatMatrix, g: DiGraph) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Fibers and the skew-symmetric parametrization
+# Fibers
 # ---------------------------------------------------------------------------
 
 
@@ -416,19 +416,6 @@ def _edge_vector_to_matrix(x: RatMatrix, g: DiGraph) -> RatMatrix:
     for pos, (i, j) in enumerate(g.edge_index()):
         ent[(j - 1) * p + (i - 1)] = x[pos, 0]
     return RatMatrix(p, p, ent)
-
-
-def skew_to_drift(k: RatMatrix, sigma: CovMatrix, vol: VolatilityMatrix) -> RatMatrix:
-    """The Lyapunov solution M = (K - C/2) Sigma^{-1} for skew-symmetric K.
-
-    Raises:
-        ValueError: if ``k`` is not skew-symmetric.
-    """
-    if k.transpose() != -k:
-        raise ValueError("K must be skew-symmetric")
-    from .linalg import inverse
-
-    return (k - vol.matrix.scale(Fraction(1, 2))) @ inverse(sigma.matrix)
 
 
 def _draw_drift_rows(g: DiGraph, rng: random.Random, bound: int) -> list[list[int]]:

@@ -2,21 +2,28 @@
 
 Seeded generators of exact positive definite matrices, volatilities and the
 complete graph; the graph operations that only tests use (``has_trek``,
-``relabel``, ``subgraph``); and the textbook Kronecker form of the
-coefficient matrix: ``vec``, ``kron``, the commutation matrix K_p, the
-square form ``atilde`` and the product form ``build_A_product`` of
-A(Sigma).  The package builds
-A(Sigma) entry by entry instead, so a test that compares the two compares
-two different constructions.  ``to_floats`` hands an exact matrix to numpy.
+``relabel``, ``subgraph``); the matrix helpers that only tests use
+(``diagonal_matrix``, ``trace``, ``hstack``); and the textbook Kronecker
+form of the coefficient matrix: ``vec``, ``kron``, the commutation matrix
+K_p, the square form ``atilde`` and the product form ``build_A_product`` of
+A(Sigma).  The package builds A(Sigma) entry by entry instead, so a test
+that compares the two compares two different constructions.
+``to_floats`` hands an exact matrix to numpy.
+``skew_to_drift`` parametrizes the fiber of a Sigma by skew matrices, and
+``positivity_sample`` checks the simple-graph theorem's claim that the
+restricted kernel determinant never vanishes on the positive definite cone.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from lyapid.graphs import DiGraph, Edge, _ancestor_masks
-from lyapid.linalg import RatMatrix, sym_pairs
-from lyapid.lyapunov import VolatilityMatrix
+from lyapid import _intkernel
+from lyapid.graphs import DiGraph, Edge, _ancestor_masks, is_simple
+from lyapid.identifiability import _derive_rng
+from lyapid.linalg import RatMatrix, Rational, inverse, rat, sym_pairs
+from lyapid.lyapunov import CovMatrix, VolatilityMatrix, _h_rows
 
 
 def random_pd_matrix(p: int, rng: random.Random) -> RatMatrix:
@@ -33,10 +40,37 @@ def random_pd_matrix(p: int, rng: random.Random) -> RatMatrix:
     return RatMatrix(p, p, ent)
 
 
+def diagonal_matrix(values: Sequence) -> RatMatrix:
+    """The square matrix with ``values`` on its diagonal."""
+    n = len(values)
+    ent = [Fraction(0)] * (n * n)
+    for i, v in enumerate(values):
+        ent[i * n + i] = rat(v)
+    return RatMatrix(n, n, ent)
+
+
+def trace(m: RatMatrix) -> Rational:
+    if not m.is_square:
+        raise ValueError("trace of a non-square matrix")
+    n = m.rows
+    return sum((m.entries[i * n + i] for i in range(n)), Fraction(0))
+
+
+def hstack(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """[a | b]: the columns of ``a`` followed by those of ``b``."""
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch in hstack")
+    out = []
+    for i in range(a.rows):
+        out.extend(a.row(i))
+        out.extend(b.row(i))
+    return RatMatrix(a.rows, a.cols + b.cols, out)
+
+
 def random_volatility(p: int, rng: random.Random, diagonal: bool = False) -> VolatilityMatrix:
     if diagonal:
         return VolatilityMatrix(
-            RatMatrix.diagonal([Fraction(rng.randint(1, 9)) for _ in range(p)])
+            diagonal_matrix([Fraction(rng.randint(1, 9)) for _ in range(p)])
         )
     return VolatilityMatrix(random_pd_matrix(p, rng))
 
@@ -135,3 +169,89 @@ def build_A_product(sigma: RatMatrix) -> RatMatrix:
     p = sigma.rows
     rows = [(l - 1) * p + (k - 1) for (k, l) in sym_pairs(p)]
     return atilde(sigma).select_rows(rows)
+
+
+def skew_to_drift(k: RatMatrix, sigma: CovMatrix, vol: VolatilityMatrix) -> RatMatrix:
+    """The Lyapunov solution M = (K - C/2) Sigma^{-1} for skew-symmetric K.
+
+    Raises:
+        ValueError: if ``k`` is not skew-symmetric.
+    """
+    if k.transpose() != -k:
+        raise ValueError("K must be skew-symmetric")
+    return (k - vol.matrix.scale(Fraction(1, 2))) @ inverse(sigma.matrix)
+
+
+@dataclass(frozen=True)
+class PositivityReport:
+    """Sign statistics of the restricted-kernel determinant over PD samples."""
+
+    graph: DiGraph
+    trials: int
+    positive: int
+    negative: int
+    zero: int
+    square: bool  # determinant when square, full-column-rank check otherwise
+
+    @property
+    def all_nonzero(self) -> bool:
+        return self.zero == 0
+
+    def to_json(self) -> dict:
+        return {
+            "p": self.graph.p,
+            "edges": [list(e) for e in self.graph.edge_index()],
+            "trials": self.trials,
+            "positive": self.positive,
+            "negative": self.negative,
+            "zero": self.zero,
+            "square": self.square,
+            "all_nonzero": self.all_nonzero,
+        }
+
+
+# Entries of the sampled Cholesky factors lie in [-9, 9], the diagonal in [1, 9].
+_POSITIVITY_ENTRY_BOUND = 9
+
+
+def positivity_sample(g: DiGraph, trials: int, seed: int = 0) -> PositivityReport:
+    """Evaluate the restricted kernel determinant at Cholesky-sampled PD points.
+
+    Draws Sigma = L L^T for random rational lower-triangular L with positive
+    diagonal and reports the sign statistics of det of the non-edge row
+    restriction of H(Sigma) (full-column-rank counts as nonzero when the
+    restriction is not square).  For a simple graph the value must never
+    vanish on the positive definite cone.
+
+    Raises:
+        ValueError: if ``g`` is not simple.
+    """
+    if not is_simple(g):
+        raise ValueError("positivity sampling applies to simple graphs")
+    rng = _derive_rng(seed, salt=0x9E3779B9 ^ g.p)
+    p = g.p
+    non_edges = g.non_edges()
+    cols = p * (p - 1) // 2
+    square = len(non_edges) == cols
+    pos = neg = zero = 0
+    for _ in range(trials):
+        low = [[0] * p for _ in range(p)]
+        for i in range(p):
+            low[i][i] = rng.randint(1, _POSITIVITY_ENTRY_BOUND)
+            for j in range(i):
+                low[i][j] = rng.randint(-_POSITIVITY_ENTRY_BOUND, _POSITIVITY_ENTRY_BOUND)
+        sig = [
+            [sum(low[i][t] * low[j][t] for t in range(p)) for j in range(p)]
+            for i in range(p)
+        ]
+        restricted = _h_rows(sig, non_edges)
+        if square:
+            value = _intkernel.int_det(restricted)
+        else:  # never wide: a simple graph has at least p(p-1)/2 non-edges
+            value = int(_intkernel.rank_and_kernel(restricted)[0] == cols)
+        pos += value > 0
+        neg += value < 0
+        zero += value == 0
+    return PositivityReport(
+        graph=g, trials=trials, positive=pos, negative=neg, zero=zero, square=square
+    )

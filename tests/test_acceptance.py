@@ -33,7 +33,6 @@ from lyapid.identifiability import (
     classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
-    positivity_sample,
 )
 from lyapid.linalg import RatMatrix, rank
 from lyapid.lyapunov import (
@@ -48,7 +47,14 @@ from lyapid.lyapunov import (
 )
 from lyapid.sweep import run_sweep
 
-from _oracles import commutation_matrix, complete_graph, random_pd_matrix, to_floats
+from _oracles import (
+    commutation_matrix,
+    complete_graph,
+    diagonal_matrix,
+    positivity_sample,
+    random_pd_matrix,
+    to_floats,
+)
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "table1_reproduction.md"
 
@@ -101,11 +107,12 @@ def _canonical_sha256(report: dict) -> str:
 
 def _count_exact_rank_fallbacks(monkeypatch) -> dict:
     """Count rank calls (rank_and_kernel), the kernel vectors
-    lifted from the mod-q echelon, the calls that reach exact Bareiss
-    elimination, the kernel vectors of A(N)_E taken from those of H(N)_nonE,
+    solved on the mod-q pivot rows, the full Bareiss passes of the exact
+    fallback, the kernel vectors of A(N)_E taken from those of H(N)_nonE,
     and the samples that rank A(N)_E itself (the A fallback)."""
-    counts = {"ranks": 0, "lifted": 0, "bareiss": 0, "from_h": 0, "a_fallback": 0}
-    inside = []
+    counts = {"ranks": 0, "pivot_solved": 0, "bareiss": 0, "from_h": 0, "a_fallback": 0}
+    inside = []  # [pivot solves, full Bareiss passes] of the rank call in progress
+    solving = []
 
     def tallied(key, fn):
         def tallied_fn(*args):
@@ -117,30 +124,37 @@ def _count_exact_rank_fallbacks(monkeypatch) -> dict:
     def counted(ranker):
         def counted_rank(rows):
             counts["ranks"] += 1
-            inside.append(True)
+            inside.append([0, 0])
             try:
                 return ranker(rows)
             finally:
-                inside.pop()
+                solves, passes = inside.pop()
+                counts["pivot_solved"] += solves == 1 and not passes
+                counts["bareiss"] += passes
 
         return counted_rank
+
+    solve = _intkernel.solve_square_int
+
+    def counted_solve(*args):
+        if inside:
+            inside[-1][0] += 1
+        solving.append(True)
+        try:
+            return solve(*args)
+        finally:
+            solving.pop()
 
     forward = _intkernel.bareiss_forward
 
     def counted_forward(rows, limit_cols=None):
-        counts["bareiss"] += bool(inside)
+        if inside and not solving:
+            inside[-1][1] += 1
         return forward(rows, limit_cols)
 
-    lift = _intkernel._lift_kernel
-
-    def counted_lift(*args):
-        kernel = lift(*args)
-        counts["lifted"] += kernel is not None
-        return kernel
-
     monkeypatch.setattr(_intkernel, "rank_and_kernel", counted(_intkernel.rank_and_kernel))
+    monkeypatch.setattr(_intkernel, "solve_square_int", counted_solve)
     monkeypatch.setattr(_intkernel, "bareiss_forward", counted_forward)
-    monkeypatch.setattr(_intkernel, "_lift_kernel", counted_lift)
     monkeypatch.setattr(identifiability, "_kernel_from_h",
                         tallied("from_h", identifiability._kernel_from_h))
     monkeypatch.setattr(identifiability, "_a_rows", tallied("a_fallback", identifiability._a_rows))
@@ -230,15 +244,15 @@ class TestCriterion01Table:
         report = run_sweep(4)
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
         # the one rank-deficit row draws 5 samples, each with the kernel
-        # vector of H_nonE lifted from the mod-q echelon and mapped to A_E's;
+        # vector of H_nonE solved on the mod-q pivot rows and mapped to A_E's;
         # every full rank is proved mod q, and A(N)_E is never ranked itself
-        assert counts["lifted"] == 5
+        assert counts["pivot_solved"] == 5
         assert counts["bareiss"] == 0
         assert counts["from_h"] == 5
         assert counts["a_fallback"] == 0
-        _report("1e", f"{counts['ranks']} ranks, {counts['lifted']} lifted kernel "
-                      f"vectors, {counts['from_h']} taken from H, {counts['a_fallback']} "
-                      f"A fallbacks, {counts['bareiss']} exact fallbacks")
+        _report("1e", f"{counts['ranks']} ranks, {counts['pivot_solved']} kernel vectors "
+                      f"solved on the pivot rows, {counts['from_h']} taken from H, "
+                      f"{counts['a_fallback']} A fallbacks, {counts['bareiss']} exact fallbacks")
 
     def test_p4_hash_unchanged_by_exact_fallback(self, monkeypatch):
         # mod 3 most first samples fail the sweep's batched screen, so they
@@ -276,15 +290,15 @@ class TestCriterion01Table:
     def test_deficit_certificate_bytes_pinned_under_a_tiny_prime(self, monkeypatch, name,
                                                                   seed, q):
         # mod a tiny prime most samples are deficient by more than one mod q
-        # and go straight to Bareiss, and some lifts fail and fall back (mod 5:
-        # one lifted kernel vector per verdict); the bytes must not move
+        # and go straight to Bareiss, and some pivot-row solutions fail the
+        # exact check and fall back; the bytes must not move
         monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
         counts = _count_exact_rank_fallbacks(monkeypatch)
         g = two_cycle_two_sinks() if name == "two_cycle_two_sinks" else P5_DEFICIT
         verdict = classify(g, VolatilityMatrix.identity(g.p), ClassifyConfig(seed=seed))
         body = json.dumps(verdict.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == DEFICIT_VERDICT_SHA256[name, seed]
-        _report("1h", f"{name} seed {seed}, q = {q}: {counts['lifted']} lifted, "
+        _report("1h", f"{name} seed {seed}, q = {q}: {counts['pivot_solved']} solved on the pivot rows, "
                       f"{counts['bareiss']} exact fallbacks, bytes pinned")
 
     def test_non_identifiable_rows_carry_replayable_certificates(self, tmp_path):
@@ -475,9 +489,9 @@ class TestCriterion10Invariances:
             p = rng.choice([2, 3, 4])
             drift = sample_stable_drift(complete_graph(p), rng, bound=6)
             roots = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(p)]
-            c_half = RatMatrix.diagonal(roots)
-            c_half_inv = RatMatrix.diagonal([1 / r for r in roots])
-            vol = VolatilityMatrix(RatMatrix.diagonal([r * r for r in roots]))
+            c_half = diagonal_matrix(roots)
+            c_half_inv = diagonal_matrix([1 / r for r in roots])
+            vol = VolatilityMatrix(diagonal_matrix([r * r for r in roots]))
             sigma = solve_for_sigma(drift, vol).matrix
             conjugated = DriftMatrix.from_matrix(c_half_inv @ drift.matrix @ c_half)
             sigma_conj = solve_for_sigma(

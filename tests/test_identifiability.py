@@ -34,7 +34,6 @@ from lyapid.identifiability import (
     classify,
     cycle3_determinant_identity,
     dag_determinant_identity,
-    positivity_sample,
 )
 from lyapid.linalg import AFFINE, RatMatrix, det, rank, rat, vech
 from lyapid.lyapunov import (
@@ -51,7 +50,14 @@ from lyapid.lyapunov import (
 )
 from lyapid.sweep import derive_graph_seed
 
-from _oracles import complete_graph, random_pd_matrix, random_volatility, relabel
+from _oracles import (
+    complete_graph,
+    diagonal_matrix,
+    positivity_sample,
+    random_pd_matrix,
+    random_volatility,
+    relabel,
+)
 from _rref import rref_solve
 
 IDENTITY3 = VolatilityMatrix.identity(3)
@@ -263,7 +269,7 @@ class TestClassify:
     def test_family_graph_trek_bound_no_sampling(self):
         g = many_parents_two_cycle(6)
         vol = VolatilityMatrix(
-            RatMatrix.diagonal([rat(k + 1) for k in range(6)])
+            diagonal_matrix([rat(k + 1) for k in range(6)])
         )
         verdict = classify(g, vol)
         assert verdict.classification is IdentClass.NON_IDENTIFIABLE
@@ -301,7 +307,7 @@ class TestClassify:
                 assert relabelled == base
 
     def test_diagonal_volatility_matches_identity(self):
-        diag = VolatilityMatrix(RatMatrix.diagonal([1, 4, 9, 16]))
+        diag = VolatilityMatrix(diagonal_matrix([1, 4, 9, 16]))
         for g in (
             fan_in_two_cycle(),
             two_cycle_two_sinks(),
@@ -489,6 +495,8 @@ def _rref_kernel_vector(g: DiGraph, sigma: RatMatrix) -> tuple:
 
 # the p = 5 rank-deficit graph of TestLazyStability
 P5_DEFICIT = DiGraph(5, frozenset({(1, 2), (2, 1), (1, 3), (2, 3), (4, 3), (4, 5)}))
+# P5_DEFICIT with the arc 6 -> 5: rank-deficit at every sample too
+P6_DEFICIT = DiGraph(6, P5_DEFICIT.offdiag_edges | {(6, 5)})
 
 
 class TestKernelVectorOracle:
@@ -504,6 +512,19 @@ class TestKernelVectorOracle:
             for sample in cert.samples:
                 assert sample.kernel_vector
                 assert sample.kernel_vector == _rref_kernel_vector(g, sample.sigma)
+
+    @pytest.mark.parametrize("q", [_intkernel.MOD_PRIME, 3])
+    def test_p6_deficit_samples_match_rref(self, monkeypatch, q):
+        # mod 3 most kernel vectors come from the full Bareiss pass instead
+        # of the pivot-row solve; both must give the RREF vector
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
+        cert = classify(P6_DEFICIT, VolatilityMatrix.identity(6)).certificate
+        assert cert.kind == RANK_DEFICIT_WITNESS
+        assert len(cert.samples) == ClassifyConfig().trials
+        for sample in cert.samples:
+            assert sample.rank == P6_DEFICIT.num_edges - 1
+            assert sample.kernel_vector
+            assert sample.kernel_vector == _rref_kernel_vector(P6_DEFICIT, sample.sigma)
 
 
 # the sampled catalog graphs, the p = 5 deficit graph, and a p = 3 graph with
@@ -714,12 +735,12 @@ class TestClassifyBatch:
 
     def test_every_cascade_branch_alone_and_mixed(self, monkeypatch):
         rng = random.Random(3)
-        diagonal = VolatilityMatrix(RatMatrix.diagonal([2, 3, Fraction(1, 5)]))
+        diag = VolatilityMatrix(diagonal_matrix([2, 3, Fraction(1, 5)]))
         full = VolatilityMatrix(random_pd_matrix(3, rng))
         cases = [
             (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=1)),
             (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=2, bound=2**80)),
-            (two_cycle_out_edge(), diagonal, ClassifyConfig(seed=3)),
+            (two_cycle_out_edge(), diag, ClassifyConfig(seed=3)),
             (two_cycle_out_edge(), full, ClassifyConfig(seed=4, trials=2)),
             (three_cycle(), full, ClassifyConfig()),
             (two_cycle(), VolatilityMatrix.identity(2), ClassifyConfig()),

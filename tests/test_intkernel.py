@@ -128,24 +128,13 @@ class TestModularRank:
     @settings(max_examples=100, deadline=None)
     @given(_dependent_matrices())
     def test_echelon_pivot_rows_are_original_rows(self, rows):
-        pivot_cols, pivot_rows, _ = mod_echelon(rows)
+        pivot_cols, pivot_rows = mod_echelon(rows)
         assert len(pivot_rows) == len(set(pivot_rows)) == len(pivot_cols)
-        # the pivot rows and columns of the input form a unit minor mod q
-        minor = [[rows[i][c] for c in pivot_cols] for i in pivot_rows]
-        assert int_det(minor) % Q
-
-    @settings(max_examples=150, deadline=None)
-    @given(_dependent_matrices())
-    def test_echelon_factors_multiply_back_to_the_pivot_rows(self, rows):
-        pivot_cols, pivot_rows, work = mod_echelon(rows)
-        # f: the first non-pivot column, or the rank if the pivots fill :rank
-        f = next((c for c, pc in enumerate(pivot_cols) if c != pc), len(pivot_cols))
-        lower = [[work[i][k] if k < i else int(k == i) for k in range(f)] for i in range(f)]
-        upper = [[work[k][j] if j >= k else 0 for j in range(f)] for k in range(f)]
-        product = [[sum(lower[i][k] * upper[k][j] for k in range(f)) % Q for j in range(f)]
-                   for i in range(f)]
-        assert product == [[rows[i][j] % Q for j in range(f)] for i in pivot_rows[:f]]
-        assert all(upper[k][k] for k in range(f))
+        # for every k the first k pivot rows and columns of the input form a
+        # unit minor mod q: the kernel solve's system is one of them
+        for k in range(len(pivot_cols) + 1):
+            minor = [[rows[i][c] for c in pivot_cols[:k]] for i in pivot_rows[:k]]
+            assert int_det(minor) % Q
 
 
 class TestSolveSquareInt:
@@ -239,11 +228,17 @@ def _kernel_cases(draw):
     return rows
 
 
-def _forbid_bareiss(monkeypatch):
-    def refuse(rows, limit_cols=None):
-        raise AssertionError("fell back to Bareiss")
+def _only_the_pivot_system_reaches_bareiss(monkeypatch, f):
+    """Let bareiss_forward eliminate only the f x (f + 1) pivot system of
+    the kernel solve, and fail on any full Bareiss pass."""
+    forward = _intkernel.bareiss_forward
 
-    monkeypatch.setattr(_intkernel, "bareiss_forward", refuse)
+    def pivot_system_only(rows, limit_cols=None):
+        if limit_cols != f or len(rows) != f or any(len(row) != f + 1 for row in rows):
+            raise AssertionError("fell back to Bareiss")
+        return forward(rows, limit_cols)
+
+    monkeypatch.setattr(_intkernel, "bareiss_forward", pivot_system_only)
 
 
 def _dependent_last_column(rng, nr, nc, bits=300, q_offset=0):
@@ -282,12 +277,12 @@ class TestRankAndKernel:
         assert rank_and_kernel(_copy(rows)) == _bareiss_rank_and_kernel(rows)
 
     @pytest.mark.parametrize("nr, nc", [(15, 15), (15, 10), (6, 7), (1, 2), (4, 1)])
-    def test_deficiency_one_is_lifted_without_bareiss(self, monkeypatch, nr, nc):
+    def test_deficiency_one_is_solved_on_the_pivot_rows(self, monkeypatch, nr, nc):
         rng = random.Random(nr * 31 + nc)
         rows = _dependent_last_column(rng, nr, nc)
         expected = _bareiss_rank_and_kernel(rows)
         assert expected[0] == nc - 1
-        _forbid_bareiss(monkeypatch)
+        _only_the_pivot_system_reaches_bareiss(monkeypatch, nc - 1)
         assert rank_and_kernel(_copy(rows)) == expected
 
     def test_deficiency_two_takes_the_exact_path(self):
@@ -301,20 +296,23 @@ class TestRankAndKernel:
 
     def test_deficient_only_mod_q_falls_back_to_the_exact_rank(self, monkeypatch):
         # the last column is a combination of the others mod q only, so the
-        # lift runs to its Hadamard bound, finds no kernel vector and falls back
+        # pivot-row solution fails the exact check and Bareiss ranks the matrix
         rng = random.Random(5)
         rows = _dependent_last_column(rng, 6, 5, bits=100, q_offset=Q)
         assert mod_rank(rows) == 4
-        lifts = []
-        lift = _intkernel._lift_kernel
+        solves = []
+        solve = _intkernel.solve_square_int
 
-        def counted(*args):
-            lifts.append(lift(*args))
-            return lifts[-1]
+        def counted(a_rows, b):
+            solves.append(solve(a_rows, b))
+            return solves[-1]
 
-        monkeypatch.setattr(_intkernel, "_lift_kernel", counted)
+        monkeypatch.setattr(_intkernel, "solve_square_int", counted)
         assert rank_and_kernel(_copy(rows)) == (5, None) == _bareiss_rank_and_kernel(rows)
-        assert lifts == [None]
+        assert len(solves) == 1
+        nums, den = solves[0]
+        x = nums + [den]
+        assert any(sum(a * v for a, v in zip(row, x)) for row in rows)
 
     def test_holds_with_a_tiny_prime(self, monkeypatch):
         monkeypatch.setattr(_intkernel, "MOD_PRIME", 3)

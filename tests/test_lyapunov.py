@@ -29,7 +29,6 @@ from lyapid.lyapunov import (
     restrict_A,
     restrict_H,
     sample_stable_drift,
-    skew_to_drift,
     solve_for_sigma,
 )
 
@@ -38,8 +37,11 @@ from _oracles import (
     build_A_product,
     complete_graph,
     has_trek,
+    hstack,
     random_pd_matrix,
     random_volatility,
+    skew_to_drift,
+    trace,
     vec,
 )
 from _rref import rref_inverse, rref_solve
@@ -448,7 +450,7 @@ class TestFiber:
                 continue
             a_res = restrict_A(build_A(cov), g)
             rhs = -vech(vol.matrix)
-            consistent = rank(a_res.hstack(rhs)) == rank(a_res)
+            consistent = rank(hstack(a_res, rhs)) == rank(a_res)
             result = fiber(cov, g, vol)
             assert (result.kind == "inconsistent") == (not consistent)
             if result.kind == "inconsistent":
@@ -511,7 +513,7 @@ class TestSkewParametrization:
             m1 = skew_to_drift(ks[0], sigma, vol)
             m2 = skew_to_drift(ks[1], sigma, vol)
             diff = m1 - m2
-            assert (diff @ diff).trace() <= 0
+            assert trace(diff @ diff) <= 0
 
     def test_rejects_non_skew(self):
         sigma = CovMatrix(RatMatrix.identity(2))

@@ -31,20 +31,20 @@ def test_no_name_is_exported_twice():
 PUBLIC_NAMES = [
     "Certificate", "ClassifyConfig", "CovMatrix", "DiGraph", "DriftMatrix",
     "EnumPolicy", "FiberResult", "IdentClass", "IdentVerdict", "NotStableError",
-    "PositivityReport", "RankSample", "RatMatrix", "Rational", "SolutionSet",
+    "RankSample", "RatMatrix", "Rational", "SolutionSet",
     "SweepReport", "SweepRow", "VolatilityMatrix", "build_A", "build_H",
     "canonical_form", "classify", "cycle3_determinant_identity",
     "dag_determinant_identity", "det", "enumerate_candidates", "fiber",
     "format_matrix_csv", "graph_from_json", "graph_to_json", "inverse",
     "is_dag", "is_positive_definite", "is_simple", "is_stable", "necessary_criterion",
-    "no_trek_pairs", "parse_matrix_csv", "positivity_sample", "rank", "rat",
+    "no_trek_pairs", "parse_matrix_csv", "rank", "rat",
     "restrict_A", "restrict_H", "run_sweep", "sample_stable_drift",
-    "skew_to_drift", "solve_for_sigma", "solve_linear", "vech",
+    "solve_for_sigma", "solve_linear", "vech",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 46
     assert sorted(lyapid.__all__) == PUBLIC_NAMES
 
 
