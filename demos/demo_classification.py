@@ -30,7 +30,7 @@ GALLERY = [
     ("many parents + 2-cycle (p=6)", many_parents_two_cycle(6)),
 ]
 
-cfg = ClassifyConfig(trials=5, seed=7)
+cfg = ClassifyConfig(seed=7)
 for name, g in GALLERY:
     verdict = classify(g, VolatilityMatrix.identity(g.p), cfg)
     print(f"{name:35s} {verdict.classification.value:40s} [{verdict.certificate.kind}]")

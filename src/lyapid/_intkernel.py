@@ -4,7 +4,7 @@
   ranks, determinants, affine solves, inverses and positive definiteness.
 - :func:`mod_echelon`, row echelon form over GF(MOD_PRIME) on int lists:
   full-rank proofs and the pivot rows of the kernel solve.
-- :func:`mod_gauss`, forward Gaussian elimination over GF(SCREEN_PRIME) on
+- :func:`mod_gauss`, forward Gaussian elimination over GF(MOD_PRIME) on
   numpy stacks: the sweep's batched screen.
 
 Every rank, determinant and square solve that feeds a verdict runs on rows
@@ -92,8 +92,7 @@ smaller (at p = 5, (25 - |E|) x 10 against 15 x |E|):
 So a one-dimensional kernel costs one :func:`rank_and_kernel` on H_nonE and
 one product.  At a kernel of dimension two or more the span of the H_E c
 does not single out A_E's first RREF vector without an echelon of A_E, so
-the caller ranks A_E itself; it does so too when H_nonE has no rows (the
-complete graph).
+the caller ranks A_E itself.
 """
 
 from __future__ import annotations
@@ -109,13 +108,10 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-# The Mersenne prime 2^61 - 1.  Read at call time, so a test can swap in a
-# tiny prime to force the exact fallback.
-MOD_PRIME = 2**61 - 1
-
-# The Mersenne prime 2^31 - 1 of :func:`mod_gauss`: the product of
-# two residues fits in an int64.  Read at call time, like MOD_PRIME.
-SCREEN_PRIME = 2**31 - 1
+# The Mersenne prime 2^31 - 1 of both modular eliminations: the product of
+# two residues fits in an int64, as :func:`mod_gauss` needs.  Read at call
+# time, so a test can swap in a tiny prime to force the exact fallback.
+MOD_PRIME = 2**31 - 1
 
 
 def numpy():
@@ -255,24 +251,22 @@ def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
 
 
 def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
-    """Gaussian elimination over GF(SCREEN_PRIME) on a stack of same-shape matrices.
+    """Gaussian elimination over GF(MOD_PRIME) on a stack of same-shape matrices.
 
     ``stack`` is a (rows, cols, batch) int64 array of residues in [0, q):
     matrix k is ``stack[:, :, k]``, so each row operation runs over
-    contiguous memory.  The caller reduces the entries mod q, in Python for
-    entries that may not fit in 64 bits.  Column c of every matrix is
-    eliminated at row c, after a swap that brings up the first row at or
-    below c that is nonzero there; the pivot row is normalised and only the
-    rows below it are updated.  Returns (full, work): ``full[k]`` says that
-    each of the first ``limit_cols`` columns (all by default) of matrix k
-    got a pivot, i.e. they have full column rank mod q.  Then the columns
-    from ``limit_cols`` on are back-substituted, so for an augmented system
-    [K | b] rows :limit_cols of column ``limit_cols`` of ``work[:, :, k]``
-    are K^-1 b mod q.  Where ``full[k]`` is False only the flag is
-    meaningful.
+    contiguous memory.  Column c of every matrix is eliminated at row c,
+    after a swap that brings up the first row at or below c that is nonzero
+    there; the pivot row is normalised and only the rows below it are
+    updated.  Returns (full, work): ``full[k]`` says that each of the first
+    ``limit_cols`` columns (all by default) of matrix k got a pivot, i.e.
+    they have full column rank mod q.  Then the columns from ``limit_cols``
+    on are back-substituted, so for an augmented system [K | b] rows
+    :limit_cols of column ``limit_cols`` of ``work[:, :, k]`` are K^-1 b
+    mod q.  Where ``full[k]`` is False only the flag is meaningful.
     """
     np = numpy()
-    q = SCREEN_PRIME
+    q = MOD_PRIME
     work = np.array(stack, dtype=np.int64)
     nr, nc, batch = work.shape
     stop = nc if limit_cols is None else limit_cols
@@ -372,10 +366,13 @@ def solve_square_int(a_rows: list[list[int]], b: list[int],
     return _reduced(nums, den)
 
 
-def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] | None]:
+def rank_and_kernel(rows: list[list[int]],
+                    cols: int) -> tuple[int, tuple[list[int], int] | None]:
     """Exact rank and, below full column rank, one kernel vector (consumes ``rows``).
 
-    The kernel vector is returned as (numerators, positive den) in lowest
+    ``rows`` has ``cols`` columns, a count that a matrix with no rows cannot
+    tell: it has rank 0 and kernel vector e_0 unless ``cols`` is 0.  The
+    kernel vector is returned as (numerators, positive den) in lowest
     terms, or None at full column rank.  It is the first basis vector of the
     reduced-row-echelon kernel: with f the first non-pivot column, x[f] = 1,
     x[f+1:] = 0, and x[:f] solves the leading f pivot columns.  At a rank
@@ -385,9 +382,8 @@ def rank_and_kernel(rows: list[list[int]]) -> tuple[int, tuple[list[int], int] |
     d = +-their leading f x f minor, so by Cramer's rule d x is an integer
     vector.
     """
-    if not rows or not rows[0]:
+    if not cols:
         return 0, None
-    cols = len(rows[0])
     modular_cols, modular_rows = mod_echelon(rows)
     if len(modular_cols) == cols:
         return cols, None

@@ -68,13 +68,6 @@ def _volatility(matrix) -> VolatilityMatrix:
         raise _CliError(EXIT_PRECONDITION, f"volatility matrix: {exc}") from exc
 
 
-def _classify_config(args) -> ClassifyConfig:
-    try:
-        return ClassifyConfig(trials=args.trials, bound=args.bound, seed=args.seed)
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
-
-
 def _cmd_solve(args) -> int:
     drift_matrix = _read_file(args.drift, parse_matrix_csv)
     vol = _volatility(_read_file(args.vol, parse_matrix_csv))
@@ -112,7 +105,7 @@ def _cmd_classify(args) -> int:
             raise _CliError(EXIT_PRECONDITION, "volatility size does not match the graph")
     else:
         vol = VolatilityMatrix.identity(g.p)
-    verdict = classify(g, vol, _classify_config(args))
+    verdict = classify(g, vol, ClassifyConfig(args.seed))
     _print(json.dumps(verdict.to_json(), indent=2))
     return EXIT_OK
 
@@ -139,15 +132,13 @@ def _cmd_sweep(args) -> int:
             EXIT_PRECONDITION,
             f"max-edges must be >= p + 2 = {args.p + 2}, got {args.max_edges}",
         )
-    _classify_config(args)  # rejects bad --trials / --bound before any work
     policy = EnumPolicy(max_edges=args.max_edges)
     try:  # opened before the sweep, so an unwritable path costs no sweep
         out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext()
     except OSError as exc:
         raise _cannot_write(args.out, exc) from exc
     with out:
-        report = run_sweep(args.p, policy=policy, trials=args.trials, bound=args.bound,
-                           seed=args.seed, jobs=args.jobs)
+        report = run_sweep(args.p, policy=policy, seed=args.seed, jobs=args.jobs)
         text = _report_json(report.to_json())
         if not args.out:
             _print(text)
@@ -160,12 +151,6 @@ def _cmd_sweep(args) -> int:
             raise _cannot_write(args.out, exc) from exc
     _print(report.summary_csv())
     return EXIT_OK
-
-
-def _add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
-    """--trials, --bound and --seed, defaulting to those of ClassifyConfig."""
-    for name in ("trials", "bound", "seed"):
-        parser.add_argument(f"--{name}", type=int, default=getattr(ClassifyConfig, name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="identifiability verdict for one graph")
     p_classify.add_argument("--graph", required=True, help="graph JSON file")
     p_classify.add_argument("--vol", help="volatility matrix CSV (default: the identity)")
-    _add_sampling_arguments(p_classify)
+    p_classify.add_argument("--seed", type=int, default=ClassifyConfig.seed)
     p_classify.set_defaults(func=_cmd_classify)
 
     p_sweep = sub.add_parser("sweep", help="classify all candidate graphs on p nodes")
     p_sweep.add_argument("--p", type=int, required=True)
     p_sweep.add_argument("--max-edges", type=int, default=None,
                          help="total edge bound incl. self-loops (default p(p+1)/2)")
-    _add_sampling_arguments(p_sweep)
+    p_sweep.add_argument("--seed", type=int, default=ClassifyConfig.seed)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="upper bound on the worker processes; a sweep of "
                               "one chunk of candidates, as every p <= 4 sweep is, "

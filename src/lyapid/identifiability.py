@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from . import _intkernel
 from .catalog import complete_dag, three_cycle
@@ -151,29 +151,23 @@ class IdentVerdict:
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Sampling parameters for the generic-identifiability test.
+    """The seed of the generic-identifiability test; its sampling is fixed.
 
-    Five independent samples with entry bound 2^20 push the failure
-    probability of a (probabilistic) non-identifiability verdict of
-    :func:`classify` below 2^-40 for every graph on at most nine nodes.
-    :func:`classify` samples only graphs with |E| <= p(p+1)/2 (larger ones
-    stop at the edge-count bound), so the degree in :func:`_failure_bound`
-    is at most p^3 (p+1) / 2 and the bound is (degree / (2^20 + 1))^5:
-    about 2^-57 at p = 5, 2^-52 at p = 6 and 2^-40.8 at p = 9, but 2^-37.9
-    at p = 10.  Nothing enforces 2^-40: a certificate states the bound
-    that holds for it, which can exceed 2^-40 from p = 10 on, or with
-    fewer trials or a smaller entry bound.
+    Five independent samples (``trials``) with entry bound 2^20 (``bound``)
+    push the failure probability of a (probabilistic) non-identifiability
+    verdict of :func:`classify` below 2^-40 for every graph on at most nine
+    nodes.  :func:`classify` samples only graphs with |E| <= p(p+1)/2
+    (larger ones stop at the edge-count bound), so the degree in
+    :func:`_failure_bound` is at most p^3 (p+1) / 2 and the bound is
+    (degree / (2^20 + 1))^5: about 2^-57 at p = 5, 2^-52 at p = 6 and
+    2^-40.8 at p = 9, but 2^-37.9 at p = 10.  Nothing enforces 2^-40: a
+    certificate states the bound that holds for it, which exceeds 2^-40
+    from p = 10 on.
     """
 
-    trials: int = 5
-    bound: int = 2**20
+    trials: ClassVar[int] = 5
+    bound: ClassVar[int] = 2**20
     seed: int = 0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.bound < 1:
-            raise ValueError(f"bound must be >= 1, got {self.bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +211,18 @@ def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility) -> Ran
     the non-edges, Sigma being N / den: rank A_E = |E| - p(p-1)/2 +
     rank H_nonE, and at a one-dimensional kernel the kernel vector of A_E
     comes from that of H_nonE (see ``_intkernel``).  A(N)_E itself is
-    ranked only when A_E's kernel has dimension two or more, or when
-    H_nonE has no rows, so that its rank cannot see its m columns: only a
-    graph the edge-count bound decides (the complete graph) has no
-    non-edges, and it is sampled only when this stage is called directly.
+    ranked only when A_E's kernel has dimension two or more.
     """
     p = g.p
     n_mat, den = _solve_sigma_scaled(m_rows, volatility[0], p)
     skew = p * (p - 1) // 2
-    h_nonedge = _h_rows(n_mat, g.non_edges())
-    h_rank, c = _intkernel.rank_and_kernel(h_nonedge)
-    if h_nonedge and h_rank >= skew - 1:
+    h_rank, c = _intkernel.rank_and_kernel(_h_rows(n_mat, g.non_edges()), skew)
+    if h_rank >= skew - 1:
         rank = g.num_edges - skew + h_rank
         kernel = None if c is None else _kernel_from_h(n_mat, g, c)
     else:
-        rank, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()))
+        rank, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()),
+                                                  g.num_edges)
     kernel_vec = () if kernel is None else tuple(Fraction(v, kernel[1]) for v in kernel[0])
     return RankSample(tuple(map(tuple, m_rows)), volatility, rank, kernel_vec,
                       solved=(n_mat, den))
@@ -468,21 +459,19 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
     non-edges, grouped by |E| and ranked one batch per group.  A_E has full
     column rank exactly when H_nonE has full column rank p(p-1)/2, so True
     is a proof over Q (see ``_intkernel``); False only sends the graph to
-    the exact path.  Entries are reduced mod q in Python first, since the
-    drift bound is unbounded; both builds are gathers of residues
+    the exact path.  Both builds are gathers of residues
     (:func:`_screen_plans`), so no product is formed before elimination.
     """
     if not graphs:
         return []
     np = _intkernel.numpy()
-    q = _intkernel.SCREEN_PRIME
+    q = _intkernel.MOD_PRIME
     p = len(c_rows)
     n = p * (p + 1) // 2
     k_plan, h_plan = _screen_plans(p)
     batch = len(drifts)
     drift_mod = np.zeros((p * p + 1, batch), dtype=np.int64)
-    drift_mod[:p * p] = np.array([[x % q for row in m for x in row] for m in drifts],
-                                 dtype=np.int64).T
+    drift_mod[:p * p] = np.array(drifts, dtype=np.int64).reshape(batch, p * p).T % q
     rhs = _vech_system([[0] * p for _ in range(p)], c_rows)[1]
     systems = np.empty((n, n + 1, batch), dtype=np.int64)
     np.add(drift_mod[k_plan[0]], drift_mod[k_plan[1]], out=systems[:, :n])

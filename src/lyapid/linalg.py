@@ -253,7 +253,8 @@ def rank(m: RatMatrix) -> int:
     """Exact rank over the rationals; a wide matrix is ranked as its transpose,
     so that a full rank is proved mod q (see ``_intkernel``)."""
     lines = map(m.row, range(m.rows)) if m.rows >= m.cols else map(m.col, range(m.cols))
-    return _intkernel.rank_and_kernel([_intkernel.common_denominator(v)[0] for v in lines])[0]
+    return _intkernel.rank_and_kernel([_intkernel.common_denominator(v)[0] for v in lines],
+                                      min(m.rows, m.cols))[0]
 
 
 def det(m: RatMatrix) -> Rational:

@@ -14,7 +14,7 @@ when there is more than one, there are at least as many chunks as workers.
 A pool of at most ``--jobs`` workers starts only when there is more than
 one chunk and more than one worker to run them; a sweep of one chunk, as
 at p = 4, runs in process and never imports ``multiprocessing``.  Workers
-share nothing but the immutable configuration.
+share nothing but the global seed.
 
 Each chunk is classified by ``identifiability._classify_batch``, the one
 place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds the
@@ -173,12 +173,11 @@ def _row_witness(verdict: IdentVerdict):
 
 
 def _classify_chunk(chunk) -> list[SweepRow]:
-    """Classify one (p, cfg, masks) chunk in one batch, each graph under its own
-    seed hashed from ``cfg.seed``; picklable."""
-    p, cfg, masks = chunk
+    """Classify one (p, seed, masks) chunk in one batch, each graph under its
+    own seed hashed from ``seed``; picklable."""
+    p, seed, masks = chunk
     graphs = [DiGraph._from_mask(p, mask) for mask in masks]
-    cfgs = [ClassifyConfig(cfg.trials, cfg.bound, derive_graph_seed(cfg.seed, g))
-            for g in graphs]
+    cfgs = [ClassifyConfig(derive_graph_seed(seed, g)) for g in graphs]
     elapsed: list[float] = []
     verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), cfgs, elapsed)
     rows, arcs = [], {}  # one tuple per arc, so a chunk's rows pickle each arc once
@@ -205,8 +204,6 @@ def _classify_chunk(chunk) -> list[SweepRow]:
 def run_sweep(
     p: int,
     policy: EnumPolicy | None = None,
-    trials: int = ClassifyConfig.trials,
-    bound: int = ClassifyConfig.bound,
     seed: int = ClassifyConfig.seed,
     jobs: int = 1,
 ) -> SweepReport:
@@ -217,10 +214,9 @@ def run_sweep(
     on the workers: a sweep of one chunk runs in process.
 
     Raises:
-        ValueError: if ``jobs``, ``trials`` or ``bound`` is below 1, before
-            any candidate is enumerated.
+        ValueError: if ``jobs`` is below 1, before any candidate is
+            enumerated.
     """
-    cfg = ClassifyConfig(trials, bound, seed)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = policy or EnumPolicy()
@@ -230,7 +226,7 @@ def run_sweep(
     n = -(-len(masks) // _CHUNK)
     if n > 1:
         n = min(max(n, workers), len(masks))
-    chunks = [(p, cfg, masks[k::n]) for k in range(n)]
+    chunks = [(p, seed, masks[k::n]) for k in range(n)]
     workers = min(workers, n)
     if workers > 1:
         import multiprocessing  # only a pooled sweep pays for the import
@@ -241,8 +237,7 @@ def run_sweep(
         parts = map(_classify_chunk, chunks)
     rows = [row for part in parts for row in part]
     rows.sort(key=lambda r: (r.num_edges, r.edges))
-    report = SweepReport(
-        p=p, policy=policy, trials=trials, bound=bound, seed=seed, rows=rows
-    )
+    report = SweepReport(p=p, policy=policy, trials=ClassifyConfig.trials,
+                         bound=ClassifyConfig.bound, seed=seed, rows=rows)
     report.wall_seconds = time.perf_counter() - started
     return report

@@ -248,7 +248,7 @@ def positivity_sample(g: DiGraph, trials: int, seed: int = 0) -> PositivityRepor
         if square:
             value = _intkernel.int_det(restricted)
         else:  # never wide: a simple graph has at least p(p-1)/2 non-edges
-            value = int(_intkernel.rank_and_kernel(restricted)[0] == cols)
+            value = int(_intkernel.rank_and_kernel(restricted, cols)[0] == cols)
         pos += value > 0
         neg += value < 0
         zero += value == 0

@@ -122,11 +122,11 @@ def _count_exact_rank_fallbacks(monkeypatch) -> dict:
         return tallied_fn
 
     def counted(ranker):
-        def counted_rank(rows):
+        def counted_rank(*args):
             counts["ranks"] += 1
             inside.append([0, 0])
             try:
-                return ranker(rows)
+                return ranker(*args)
             finally:
                 solves, passes = inside.pop()
                 counts["pivot_solved"] += solves == 1 and not passes
@@ -258,7 +258,6 @@ class TestCriterion01Table:
         # mod 3 most first samples fail the sweep's batched screen, so they
         # take the exact path, where most full-rank samples look deficient
         # to the mod-q echelon too and are re-ranked exactly; the report must not change.
-        monkeypatch.setattr(_intkernel, "SCREEN_PRIME", 3)
         monkeypatch.setattr(_intkernel, "MOD_PRIME", 3)
         counts = _count_exact_rank_fallbacks(monkeypatch)
         exact_path = identifiability._rank_by_sampling
@@ -408,7 +407,7 @@ class TestCriterion07Witnesses:
 
     def test_two_sinks_kernel_vector_matches_display(self):
         g = two_cycle_two_sinks()
-        verdict = classify(g, VolatilityMatrix.identity(4), ClassifyConfig(trials=2, seed=77))
+        verdict = classify(g, VolatilityMatrix.identity(4), ClassifyConfig(seed=77))
         assert verdict.classification is IdentClass.NON_IDENTIFIABLE
         sample = verdict.certificate.samples[0]
         s = sample.sigma
@@ -458,7 +457,7 @@ class TestCriterion09AppendixRegression:
     def test_offdiagonal_volatility_upgrades_to_generic(self):
         g = two_cycle(3)
         vol = VolatilityMatrix(RatMatrix.from_rows([[2, 0, 1], [0, 2, 0], [1, 0, 2]]))
-        verdict = classify(g, vol, ClassifyConfig(trials=3, seed=99))
+        verdict = classify(g, vol, ClassifyConfig(seed=99))
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
         )

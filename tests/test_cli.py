@@ -58,11 +58,6 @@ MALFORMED_GRAPHS = {
 }
 
 BAD_SAMPLING_ARGS = [
-    ["classify", "--bound", "0"],
-    ["classify", "--bound", "-5"],
-    ["classify", "--trials", "0"],
-    ["sweep", "--p", "3", "--trials", "0"],
-    ["sweep", "--p", "3", "--bound", "0"],
     ["sweep", "--p", "3", "--jobs", "0"],
 ]
 
@@ -169,7 +164,7 @@ class TestClassifyCommand:
             workdir / "g.json", json.dumps(graph_to_json(two_cycle_out_edge()))
         )
         code = main(
-            ["classify", "--graph", graph, "--trials", "3", "--seed", "9"]
+            ["classify", "--graph", graph, "--seed", "9"]
         )
         assert code == 0
         verdict = json.loads(capsys.readouterr().out)
@@ -275,10 +270,10 @@ class TestSweepCommand:
             return report
 
         out = workdir / "report.json"
-        argv = ["sweep", "--p", "4", "--seed", "5", "--trials", "3", "--jobs", "2"]
+        argv = ["sweep", "--p", "4", "--seed", "5", "--jobs", "2"]
         assert main(argv + ["--out", str(out)] if to_file else argv) == 0
         text = out.read_text() if to_file else capsys.readouterr().out
-        expected = untimed(run_sweep(4, seed=5, trials=3).to_json())
+        expected = untimed(run_sweep(4, seed=5).to_json())
         assert untimed(json.loads(text)) == expected
         lines = text.splitlines()
         row_lines = [line for line in lines if line.startswith('{"p": 4, "edges"')]
@@ -297,15 +292,15 @@ class TestSweepCommand:
     def test_p4_parallel_matches_serial(self):
         from lyapid.sweep import run_sweep
 
-        serial = run_sweep(4, seed=11, jobs=1, trials=3, bound=2**10)
-        parallel = run_sweep(4, seed=11, jobs=2, trials=3, bound=2**10)
+        serial = run_sweep(4, seed=11, jobs=1)
+        parallel = run_sweep(4, seed=11, jobs=2)
         assert serial.canonical_bytes() == parallel.canonical_bytes()
 
     def test_totals_recomputable_from_rows(self, workdir):
         from lyapid.identifiability import IdentClass
         from lyapid.sweep import run_sweep
 
-        report = run_sweep(4, seed=3, jobs=2, trials=3, bound=2**10)
+        report = run_sweep(4, seed=3, jobs=2)
         total, ni, ni_eq9 = report.totals
         assert total == len(report.rows) == 80
         assert ni == sum(
@@ -325,13 +320,20 @@ class TestSamplingParameters:
         _assert_one_line_error(capsys)
 
     # Options and commands that do not exist: argparse refuses them before
-    # any file is read.
+    # any file is read.  The trial count and entry bound are constants, so
+    # no flag can weaken a deficit verdict's failure bound.
     @pytest.mark.parametrize("argv, message", [
         (["classify", "--graph", "g.json", "--identity"], "unrecognized arguments: --"),
         (["sweep", "--p", "3", "--connectivity", "weakly-connected"],
          "unrecognized arguments: --"),
         (["props", "--suite", "all"], "argument command: invalid choice: 'props'"),
-    ], ids=["classify --identity", "sweep --connectivity", "props"])
+        (["classify", "--graph", "g.json", "--trials", "1"], "unrecognized arguments: --"),
+        (["classify", "--graph", "g.json", "--bound", "0"], "unrecognized arguments: --"),
+        (["classify", "--graph", "g.json", "--bound", "-5"], "unrecognized arguments: --"),
+        (["sweep", "--p", "3", "--trials", "0"], "unrecognized arguments: --"),
+        (["sweep", "--p", "4", "--bound", "1"], "unrecognized arguments: --"),
+    ], ids=["classify --identity", "sweep --connectivity", "props", "classify --trials",
+            "classify --bound 0", "classify --bound -5", "sweep --trials", "sweep --bound"])
     def test_removed_options_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,5 +1,6 @@
 """Tests for the classifiers, certificates, and determinant identities."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -143,7 +144,7 @@ class TestOneVerdictEntryPoint:
 
 class TestSamplingStage:
     def test_two_cycle_out_edge_generic(self):
-        verdict = classify(two_cycle_out_edge(), IDENTITY3, ClassifyConfig(trials=3, seed=5))
+        verdict = classify(two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=5))
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
         )
@@ -156,11 +157,11 @@ class TestSamplingStage:
 
     def test_two_sinks_rank_deficit(self):
         g = two_cycle_two_sinks()
-        verdict = classify(g, IDENTITY4, ClassifyConfig(trials=4, seed=7))
+        verdict = classify(g, IDENTITY4, ClassifyConfig(seed=7))
         assert verdict.classification is IdentClass.NON_IDENTIFIABLE
         cert = verdict.certificate
         assert cert.kind == RANK_DEFICIT_WITNESS
-        assert len(cert.samples) == 4
+        assert len(cert.samples) == ClassifyConfig.trials
         assert cert.failure_bound < 2**-40
         for sample in cert.samples:
             assert sample.rank < g.num_edges
@@ -174,7 +175,7 @@ class TestSamplingStage:
         # (S13, S23, S33, S34) on the edges out of node 2 and
         # (-S12, -S22, -S23, -S24) on the edges out of node 3
         g = two_cycle_two_sinks()
-        verdict = classify(g, IDENTITY4, ClassifyConfig(trials=1, seed=11))
+        verdict = classify(g, IDENTITY4, ClassifyConfig(seed=11))
         sample = verdict.certificate.samples[0]
         s = sample.sigma
         edges = list(verdict.certificate.edges)
@@ -191,7 +192,7 @@ class TestSamplingStage:
                 assert a * d == c * b
 
     def test_fan_in_with_return_generic_but_subgraph_not(self):
-        cfg = ClassifyConfig(trials=3, seed=13)
+        cfg = ClassifyConfig(seed=13)
         verdict = classify(fan_in_two_cycle_with_return(), IDENTITY4, cfg)
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
@@ -204,7 +205,7 @@ class TestSamplingStage:
         # adding any multiple of the kernel vector to a particular solution
         # keeps solving the restricted system exactly
         g = two_cycle_two_sinks()
-        verdict = classify(g, IDENTITY4, ClassifyConfig(trials=1, seed=17))
+        verdict = classify(g, IDENTITY4, ClassifyConfig(seed=17))
         sample = verdict.certificate.samples[0]
         a_res = restrict_A(build_A(sample.sigma), g)
         rhs = -vech(RatMatrix.identity(4))
@@ -324,7 +325,7 @@ class TestClassify:
         # becomes (at least) generically identifiable
         g = two_cycle(3)
         vol = VolatilityMatrix(RatMatrix.from_rows([[2, 0, 1], [0, 2, 0], [1, 0, 2]]))
-        verdict = classify(g, vol, ClassifyConfig(trials=3, seed=31))
+        verdict = classify(g, vol, ClassifyConfig(seed=31))
         assert (
             verdict.classification is IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL
         )
@@ -335,7 +336,7 @@ class TestClassify:
         assert verdict_diag.certificate.kind == TREK_BOUND
 
     def test_verdict_json_shape(self):
-        verdict = classify(two_cycle_out_edge(), IDENTITY3, ClassifyConfig(trials=2))
+        verdict = classify(two_cycle_out_edge(), IDENTITY3, ClassifyConfig())
         data = verdict.to_json()
         assert data["class"] == "generically-identifiable-not-global"
         assert data["certificate"]["kind"] == FULL_RANK_WITNESS
@@ -441,13 +442,13 @@ class TestIntegerHotPath:
         # every sample ranks the non-edge rows of H through rank_and_kernel
         ranker = _intkernel.rank_and_kernel
 
-        def capture(rows):
+        def capture(rows, cols):
             tested.append([row[:] for row in rows])
-            return ranker(rows)
+            return ranker(rows, cols)
 
         monkeypatch.setattr(_intkernel, "rank_and_kernel", capture)
         # two of the graphs are decided by the trek bound: sample them anyway
-        cfg = ClassifyConfig(trials=3, seed=11)
+        cfg = ClassifyConfig(seed=11)
         cert = _sampled(g, VolatilityMatrix.identity(g.p), cfg).certificate
         samples = [cert.witness] if cert.witness is not None else list(cert.samples)
         assert len(tested) == len(samples) >= 1
@@ -578,7 +579,7 @@ class TestKernelRestrictionRanks:
                 n_mat, _ = lyapunov._solve_sigma_scaled(m_rows, [list(r) for r in volatility[0]],
                                                         g.p)
                 rank, kernel = _intkernel.rank_and_kernel(
-                    lyapunov._a_rows(n_mat, g.edge_index()))
+                    lyapunov._a_rows(n_mat, g.edge_index()), g.num_edges)
                 assert sample.rank == rank
                 expected = () if kernel is None else tuple(
                     Fraction(v, kernel[1]) for v in kernel[0])
@@ -593,14 +594,17 @@ class TestKernelRestrictionRanks:
             assert sample.rank <= 6
             assert sample.kernel_vector == _rref_kernel_vector(P3_EIGHT_EDGES, sample.sigma)
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_complete_graph_classifies_as_pinned(self, monkeypatch, p):
-        # H_nonE has no rows: the A fallback ranks every sample
+    @pytest.mark.parametrize("p, routes", [(2, {"from_h": 5, "a_fallback": 0}),
+                                           (3, {"from_h": 0, "a_fallback": 5})])
+    def test_complete_graph_classifies_as_pinned(self, monkeypatch, p, routes):
+        # H_nonE has no rows, so rank 0 of its p(p-1)/2 columns: at p = 2 the
+        # kernel of A_E is one-dimensional and comes from H, at p = 3 it is
+        # three-dimensional and the A fallback ranks every sample
         counts = _count_h_route(monkeypatch)
         verdict = _sampled(complete_graph(p), VolatilityMatrix.identity(p))
         body = json.dumps(verdict.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == COMPLETE_GRAPH_VERDICT_SHA256[p]
-        assert counts == {"from_h": 0, "a_fallback": 5}
+        assert counts == routes
 
     def test_one_dimensional_kernels_come_from_h(self, monkeypatch):
         counts = _count_h_route(monkeypatch)
@@ -622,15 +626,25 @@ class TestKernelRestrictionRanks:
         for g, m_rows, full in zip(graphs, drifts, proved):
             if full:
                 n_mat, _ = lyapunov._solve_sigma_scaled(m_rows, eye, p)
-                assert _intkernel.rank_and_kernel(lyapunov._a_rows(n_mat, g.edge_index()))[0] \
-                    == g.num_edges
+                a_rows = lyapunov._a_rows(n_mat, g.edge_index())
+                assert _intkernel.rank_and_kernel(a_rows, g.num_edges)[0] == g.num_edges
 
 
 class TestClassifyConfig:
-    @pytest.mark.parametrize("field, value", [("trials", 0), ("bound", 0), ("bound", -5)])
-    def test_rejects_bad_sampling_parameters(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
-            ClassifyConfig(**{field: value})
+    def test_the_seed_is_the_only_setting(self):
+        # a weak failure bound cannot be asked for: trials = 1 and bound = 1
+        # gave p = 4 deficit verdicts stating a bound of 1.0, almost all wrong
+        assert [f.name for f in dataclasses.fields(ClassifyConfig)] == ["seed"]
+        for field in ("trials", "bound"):
+            with pytest.raises(TypeError):
+                ClassifyConfig(**{field: 1})
+
+    @pytest.mark.parametrize("p", range(3, 11))
+    def test_the_stated_bound_is_below_2_to_the_minus_40_up_to_p_9(self, p):
+        degree = p**3 * (p + 1) // 2  # the largest sampled |E| times p^2
+        bound = identifiability._failure_bound(degree, ClassifyConfig.bound,
+                                               ClassifyConfig.trials)
+        assert (bound < 2**-40) == (p <= 9)
 
 
 class TestLazyStability:
@@ -739,9 +753,9 @@ class TestClassifyBatch:
         full = VolatilityMatrix(random_pd_matrix(3, rng))
         cases = [
             (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=1)),
-            (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=2, bound=2**80)),
+            (two_cycle_out_edge(), IDENTITY3, ClassifyConfig(seed=2)),
             (two_cycle_out_edge(), diag, ClassifyConfig(seed=3)),
-            (two_cycle_out_edge(), full, ClassifyConfig(seed=4, trials=2)),
+            (two_cycle_out_edge(), full, ClassifyConfig(seed=4)),
             (three_cycle(), full, ClassifyConfig()),
             (two_cycle(), VolatilityMatrix.identity(2), ClassifyConfig()),
             (fan_in_two_cycle(), IDENTITY4, ClassifyConfig()),
@@ -817,7 +831,7 @@ class TestClassifyBatch:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_screen_tables_are_the_builders(self, p):
         """The gather plans of the screen against the loop builders they come from."""
-        q = _intkernel.SCREEN_PRIME
+        q = _intkernel.MOD_PRIME
         n = p * (p + 1) // 2
         rng = random.Random(p)
         k_plan, h_plan = identifiability._screen_plans(p)

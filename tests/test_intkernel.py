@@ -88,7 +88,7 @@ def _rref_kernel_vector(rows):
 
 def _check_rank_and_kernel(rows):
     exact = len(bareiss_forward(_copy(rows))[0])
-    rank, kernel = rank_and_kernel(_copy(rows))
+    rank, kernel = rank_and_kernel(_copy(rows), len(rows[0]))
     assert rank == exact
     assert (kernel is None) == (exact == len(rows[0]))
     if kernel is not None:
@@ -102,7 +102,7 @@ class TestModularRank:
     @given(_int_matrices())
     def test_rank_is_the_exact_rank_and_bounds_mod_rank(self, rows):
         exact = len(bareiss_forward(_copy(rows))[0])
-        assert rank_and_kernel(_copy(rows))[0] == exact
+        assert rank_and_kernel(_copy(rows), len(rows[0]))[0] == exact
         assert mod_rank(rows) <= exact
 
     @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ class TestModularRank:
     )
     def test_full_rank_over_q_but_deficient_mod_q(self, rows, rank):
         assert mod_rank(rows) < rank
-        assert rank_and_kernel(_copy(rows))[0] == rank
+        assert rank_and_kernel(_copy(rows), len(rows[0]))[0] == rank
 
     def test_mod_rank_leaves_rows_intact(self):
         rows = [[3, 5, 7], [2, 4, 8], [1, 1, Q + 4]]
@@ -257,24 +257,28 @@ class TestRankAndKernel:
     def test_matches_bareiss_rank_and_rref_kernel(self, rows):
         _check_rank_and_kernel(rows)
 
+    def test_no_rows_give_rank_zero_and_the_first_unit_vector(self):
+        assert rank_and_kernel([], 3) == (0, ([1, 0, 0], 1))
+        assert rank_and_kernel([], 0) == (0, None)
+
     def test_zero_first_column_gives_first_unit_vector(self):
-        assert rank_and_kernel([[0, 1, 2], [0, 3, 4]]) == (2, ([1, 0, 0], 1))
+        assert rank_and_kernel([[0, 1, 2], [0, 3, 4]], 3) == (2, ([1, 0, 0], 1))
 
     def test_full_rank_over_q_but_deficient_mod_q(self):
         rows = [[Q, 0], [0, 1]]
         assert mod_rank(rows) < 2
-        assert rank_and_kernel(rows) == (2, None)
+        assert rank_and_kernel(rows, 2) == (2, None)
 
     def test_dependent_column_after_a_row_swap(self):
         # column 2 = 2 * column 0 - column 1; a zero leading entry forces a swap
-        rank, kernel = rank_and_kernel([[0, 1, -1], [3, 1, 5], [1, 2, 0]])
+        rank, kernel = rank_and_kernel([[0, 1, -1], [3, 1, 5], [1, 2, 0]], 3)
         assert rank == 2
         assert kernel == ([-2, 1, 1], 1)
 
     @settings(max_examples=150, deadline=None)
     @given(_kernel_cases())
     def test_matches_bareiss_on_300_bit_entries(self, rows):
-        assert rank_and_kernel(_copy(rows)) == _bareiss_rank_and_kernel(rows)
+        assert rank_and_kernel(_copy(rows), len(rows[0])) == _bareiss_rank_and_kernel(rows)
 
     @pytest.mark.parametrize("nr, nc", [(15, 15), (15, 10), (6, 7), (1, 2), (4, 1)])
     def test_deficiency_one_is_solved_on_the_pivot_rows(self, monkeypatch, nr, nc):
@@ -283,7 +287,7 @@ class TestRankAndKernel:
         expected = _bareiss_rank_and_kernel(rows)
         assert expected[0] == nc - 1
         _only_the_pivot_system_reaches_bareiss(monkeypatch, nc - 1)
-        assert rank_and_kernel(_copy(rows)) == expected
+        assert rank_and_kernel(_copy(rows), len(rows[0])) == expected
 
     def test_deficiency_two_takes_the_exact_path(self):
         rng = random.Random(2)
@@ -292,7 +296,7 @@ class TestRankAndKernel:
             row.append(3 * row[0] - row[1])
         expected = _bareiss_rank_and_kernel(rows)
         assert expected[0] == 3 and mod_rank(rows) == 3
-        assert rank_and_kernel(_copy(rows)) == expected
+        assert rank_and_kernel(_copy(rows), len(rows[0])) == expected
 
     def test_deficient_only_mod_q_falls_back_to_the_exact_rank(self, monkeypatch):
         # the last column is a combination of the others mod q only, so the
@@ -308,7 +312,7 @@ class TestRankAndKernel:
             return solves[-1]
 
         monkeypatch.setattr(_intkernel, "solve_square_int", counted)
-        assert rank_and_kernel(_copy(rows)) == (5, None) == _bareiss_rank_and_kernel(rows)
+        assert rank_and_kernel(_copy(rows), len(rows[0])) == (5, None) == _bareiss_rank_and_kernel(rows)
         assert len(solves) == 1
         nums, den = solves[0]
         x = nums + [den]
@@ -324,8 +328,8 @@ class TestRankAndKernel:
                 for row in rows:
                     row[-1] = row[0] - 2 * row[1]
             _check_rank_and_kernel(rows)
-        assert rank_and_kernel([[3, 0], [0, 1]]) == (2, None)
-        assert rank_and_kernel([[0, 1, 2], [0, 3, 4]]) == (2, ([1, 0, 0], 1))
+        assert rank_and_kernel([[3, 0], [0, 1]], 2) == (2, None)
+        assert rank_and_kernel([[0, 1, 2], [0, 3, 4]], 3) == (2, ([1, 0, 0], 1))
 
 
 def _stack(rng, batch, nr, nc, q):
@@ -345,9 +349,8 @@ def _stack(rng, batch, nr, nc, q):
 class TestModGaussJordan:
     """The batched GF(q) elimination against the per-matrix mod_rank loop."""
 
-    @pytest.mark.parametrize("q", [_intkernel.SCREEN_PRIME, 3, 7])
+    @pytest.mark.parametrize("q", [_intkernel.MOD_PRIME, 3, 7])
     def test_flags_match_mod_rank(self, monkeypatch, q):
-        monkeypatch.setattr(_intkernel, "SCREEN_PRIME", q)
         monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
         rng = random.Random(q)
         for _ in range(40):
@@ -356,9 +359,8 @@ class TestModGaussJordan:
             full, _ = mod_gauss(stack)
             assert full.tolist() == [mod_rank(m) == nc for m in mats]
 
-    @pytest.mark.parametrize("q", [_intkernel.SCREEN_PRIME, 5])
+    @pytest.mark.parametrize("q", [_intkernel.MOD_PRIME, 5])
     def test_solves_augmented_systems(self, monkeypatch, q):
-        monkeypatch.setattr(_intkernel, "SCREEN_PRIME", q)
         monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
         rng = random.Random(11 + q)
         for n in range(1, 8):
@@ -373,13 +375,13 @@ class TestModGaussJordan:
 
     def test_full_rank_mod_q_is_full_rank_over_q(self):
         rng = random.Random(8)
-        q = _intkernel.SCREEN_PRIME
+        q = _intkernel.MOD_PRIME
         for _ in range(30):
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
             mats, stack = _stack(rng, 10, nr, nc, q)
             for rows, ok in zip(mats, mod_gauss(stack)[0].tolist()):
                 if ok:
-                    assert rank_and_kernel(_copy(rows))[0] == nc
+                    assert rank_and_kernel(_copy(rows), len(rows[0]))[0] == nc
 
     def test_wider_than_tall_is_never_full(self):
         full, _ = mod_gauss(np.ones((2, 4, 3), dtype=np.int64))

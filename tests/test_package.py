@@ -53,8 +53,8 @@ def test_public_surface_is_pinned():
 CLI_OPTIONS = {
     "solve": ["--drift", "--vol"],
     "fiber": ["--graph", "--sigma", "--vol"],
-    "classify": ["--graph", "--vol", "--trials", "--bound", "--seed"],
-    "sweep": ["--p", "--max-edges", "--trials", "--bound", "--seed", "--jobs", "--out"],
+    "classify": ["--graph", "--vol", "--seed"],
+    "sweep": ["--p", "--max-edges", "--seed", "--jobs", "--out"],
 }
 
 
