@@ -76,7 +76,7 @@ class DiGraph:
 
     @functools.cached_property
     def _edge_index(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.arcs + tuple((i, i) for i in range(1, self.p + 1))))
+        return tuple(sorted(self.arcs + tuple(_edge(i, i) for i in range(1, self.p + 1))))
 
     @functools.cached_property
     def _non_edges(self) -> tuple[Edge, ...]:
@@ -115,8 +115,14 @@ def _mask_arcs(p: int, mask: int) -> tuple[Edge, ...]:
         bit = mask.bit_length() - 1
         mask ^= 1 << bit
         i, c = divmod(p * (p - 1) - 1 - bit, p - 1)  # row i + 1, off-diagonal column c
-        arcs.append((i + 1, c + 1 + (c >= i)))
+        arcs.append(_edge(i + 1, c + 1 + (c >= i)))
     return tuple(arcs)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge(i: int, j: int) -> Edge:
+    """The one tuple ``(i, j)`` that every graph's edge views share."""
+    return (i, j)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, ClassVar
 from . import _intkernel
 from .catalog import complete_dag, three_cycle
 from .graphs import DiGraph, Edge, _arc_bit, is_dag, is_simple, necessary_criterion, no_trek_pairs
-from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det, matrix_strings
+from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det
 from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
@@ -61,23 +62,40 @@ FULL_RANK_WITNESS = "full-rank-witness"
 RANK_DEFICIT_WITNESS = "rank-deficit-witness"
 
 
+def _fraction_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, written without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 @dataclass(frozen=True)
 class RankSample:
     """One sampled model point and the exact rank evidence found there.
 
-    The drift is kept as the integer rows it was drawn as, and the sampled
-    volatility as (integer rows, scale gamma), C = rows / gamma.  ``drift``
-    and ``sigma`` become exact ``RatMatrix`` values the first time they are
-    read.  Sigma = N / (D gamma) takes (N, D) from the exact solve of the
-    sampling path (``solved``); a witness proved by the modular screen of
-    :func:`_classify_batch` has none, and runs that same solve when read.
+    Only integers are stored: the drift as the integer rows it was drawn
+    as, the sampled volatility as (integer rows, scale gamma), C = rows /
+    gamma, and a kernel vector as the lowest-terms (numerators, positive
+    den) of the exact rank test (``kernel``; None at full rank).  Sigma =
+    N / (D gamma) takes (N, D) from the exact solve of the sampling path
+    (``solved``); a witness proved by the modular screen of
+    :func:`_classify_batch` has none, and runs that same solve the first
+    time Sigma is needed.  :meth:`to_json` writes its strings straight from
+    the integers; ``drift``, ``sigma`` and ``kernel_vector`` are exact
+    ``Fraction`` views, each built the first time it is read.
     """
 
     drift_rows: tuple[tuple[int, ...], ...]
     volatility: tuple[tuple[tuple[int, ...], ...], int]
     rank: int
-    kernel_vector: tuple[Rational, ...] = ()
+    kernel: tuple[tuple[int, ...], int] | None = None
     solved: tuple[list[list[int]], int] | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _scaled_sigma(self) -> tuple[list[list[int]], int]:
+        """(N, D gamma): Sigma = N / (D gamma), N symmetric."""
+        c_rows, gamma = self.volatility
+        n_mat, den = self.solved or _solve_sigma_scaled(self.drift_rows, c_rows, len(c_rows))
+        return n_mat, den * gamma
 
     @functools.cached_property
     def drift(self) -> RatMatrix:
@@ -86,20 +104,31 @@ class RankSample:
 
     @functools.cached_property
     def sigma(self) -> RatMatrix:
-        c_rows, gamma = self.volatility
-        p = len(c_rows)
-        n_mat, den = self.solved or _solve_sigma_scaled(self.drift_rows, c_rows, p)
-        den *= gamma
+        n_mat, den = self._scaled_sigma
+        p = len(n_mat)
         return RatMatrix(p, p, [Fraction(v, den) for row in n_mat for v in row])
 
+    @functools.cached_property
+    def kernel_vector(self) -> tuple[Rational, ...]:
+        if self.kernel is None:
+            return ()
+        nums, den = self.kernel
+        return tuple(Fraction(v, den) for v in nums)
+
     def to_json(self) -> dict:
-        out = {
-            "drift": matrix_strings(self.drift),
-            "sigma": matrix_strings(self.sigma),
-            "rank": self.rank,
-        }
-        if self.kernel_vector:
-            out["kernel_vector"] = [str(x) for x in self.kernel_vector]
+        """The sample as exact strings, written from the integers; each Sigma
+        entry is written once and mirrored."""
+        n_mat, den = self._scaled_sigma
+        p = len(n_mat)
+        sigma = [[""] * p for _ in range(p)]
+        for r in range(p):
+            for c in range(r, p):
+                sigma[r][c] = sigma[c][r] = _fraction_str(n_mat[r][c], den)
+        out = {"drift": [list(map(str, row)) for row in self.drift_rows], "sigma": sigma,
+               "rank": self.rank}
+        if self.kernel is not None:
+            nums, scale = self.kernel
+            out["kernel_vector"] = [_fraction_str(v, scale) for v in nums]
         return out
 
 
@@ -223,9 +252,9 @@ def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility) -> Ran
     else:
         rank, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()),
                                                   g.num_edges)
-    kernel_vec = () if kernel is None else tuple(Fraction(v, kernel[1]) for v in kernel[0])
-    return RankSample(tuple(map(tuple, m_rows)), volatility, rank, kernel_vec,
-                      solved=(n_mat, den))
+    if kernel is not None:
+        kernel = (tuple(kernel[0]), kernel[1])
+    return RankSample(tuple(map(tuple, m_rows)), volatility, rank, kernel, solved=(n_mat, den))
 
 
 def _kernel_from_h(n_mat: list[list[int]], g: DiGraph,
@@ -245,15 +274,17 @@ def _sampling_volatility(vol: VolatilityMatrix):
     """((integer C rows, scale gamma), certificate notes) for sampling under ``vol``.
 
     With diagonal volatility the identifiability class matches the
-    identity-volatility model, so sampling may use C = I_p.
+    identity-volatility model, so sampling uses C = I_p, given as its
+    integer rows; only a diagonal entry other than 1 is noted.
     """
     notes = ["coefficient (A) route"]
-    identity = RatMatrix.identity(vol.p)
-    substituted = vol.diagonal and vol.matrix != identity
-    if substituted:
+    p = vol.p
+    if not vol.diagonal:
+        c_rows, gamma = _matrix_to_int_rows(vol.matrix)
+        return (tuple(map(tuple, c_rows)), gamma), notes
+    if any(vol.matrix[i, i] != 1 for i in range(p)):
         notes.append("sampled with identity volatility (diagonal C equivalence)")
-    c_rows, gamma = _matrix_to_int_rows(identity if substituted else vol.matrix)
-    return (tuple(map(tuple, c_rows)), gamma), notes
+    return (tuple(tuple(int(r == c) for c in range(p)) for r in range(p)), 1), notes
 
 
 def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],

@@ -92,7 +92,9 @@ class VolatilityMatrix:
         object.__setattr__(self, "diagonal", diag)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def identity(cls, p: int) -> "VolatilityMatrix":
+        """C = I_p, built once per p: the value is immutable."""
         return cls(RatMatrix.identity(p))
 
     @property

@@ -50,7 +50,6 @@ from .identifiability import (
     IdentVerdict,
     _classify_batch,
 )
-from .linalg import matrix_strings
 from .lyapunov import VolatilityMatrix
 
 CSV_HEADER = "p,policy,total_nonsimple,non_identifiable,non_identifiable_eq9,wall_seconds"
@@ -166,10 +165,8 @@ def _row_witness(verdict: IdentVerdict):
     cert: Certificate = verdict.certificate
     if cert.kind != RANK_DEFICIT_WITNESS or not cert.samples:
         return None, None
-    sample = cert.samples[0]
-    return tuple(
-        tuple(map(tuple, matrix_strings(m))) for m in (sample.drift, sample.sigma)
-    )
+    sample = cert.samples[0].to_json()
+    return tuple(tuple(map(tuple, sample[k])) for k in ("drift", "sigma"))
 
 
 def _classify_chunk(chunk) -> list[SweepRow]:
@@ -180,13 +177,13 @@ def _classify_chunk(chunk) -> list[SweepRow]:
     cfgs = [ClassifyConfig(derive_graph_seed(seed, g)) for g in graphs]
     elapsed: list[float] = []
     verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), cfgs, elapsed)
-    rows, arcs = [], {}  # one tuple per arc, so a chunk's rows pickle each arc once
+    rows = []
     for g, verdict, elapsed_ms in zip(graphs, verdicts, elapsed):
         drift, sigma = _row_witness(verdict)
         kind = verdict.certificate.kind
         rows.append(SweepRow(
             p=p,
-            edges=tuple(arcs.setdefault(e, e) for e in g.arcs),
+            edges=g.arcs,
             num_edges=g.num_edges,
             classification=verdict.classification,
             certificate_kind=kind,

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lyapid import _intkernel, identifiability, lyapunov
+from lyapid import _intkernel, identifiability, lyapunov, sweep
 from lyapid.catalog import (
     complete_dag,
     completed_four_cycle,
@@ -22,7 +24,7 @@ from lyapid.catalog import (
     two_cycle_two_sinks,
     two_cycle_two_sources,
 )
-from lyapid.graphs import DiGraph, enumerate_candidates, is_dag, is_simple
+from lyapid.graphs import DiGraph, EnumPolicy, _candidate_masks, enumerate_candidates, is_dag, is_simple
 from lyapid.identifiability import (
     EDGE_COUNT_BOUND,
     FULL_RANK_WITNESS,
@@ -36,7 +38,7 @@ from lyapid.identifiability import (
     cycle3_determinant_identity,
     dag_determinant_identity,
 )
-from lyapid.linalg import AFFINE, RatMatrix, det, rank, rat, vech
+from lyapid.linalg import AFFINE, RatMatrix, det, matrix_strings, rank, rat, vech
 from lyapid.lyapunov import (
     CovMatrix,
     DriftMatrix,
@@ -847,3 +849,112 @@ class TestClassifyBatch:
             s_ext = np.array(s + [-x % q for x in s] + [0], dtype=np.int64)
             h_rows = identifiability._h_rows(lyapunov._unvech(s, p), edges)
             assert s_ext[h_plan].tolist() == [[x % q for x in row] for row in h_rows]
+
+
+# P5_DEFICIT with the arc 3 -> 4: a full-rank witness at its first sample
+P5_FULL_RANK = DiGraph(5, P5_DEFICIT.offdiag_edges | {(3, 4)})
+_BITS_300 = 2**300
+
+
+@st.composite
+def _fraction_parts(draw):
+    """(n, d), d > 0: zero, negative, multiples of d, d = 1 and 300-bit values."""
+    d = draw(st.one_of(st.just(1), st.integers(1, 2**20), st.integers(1, _BITS_300)))
+    n = draw(st.one_of(st.just(0), st.integers(-2**20, 2**20),
+                       st.integers(-_BITS_300, _BITS_300),
+                       st.integers(-2**20, 2**20).map(lambda k: k * d)))
+    return n, d
+
+
+def _sample_cases():
+    """(name, sample) for every sample of the two deficit graphs and a p = 5
+    full-rank witness, solved exactly and proved by the screen."""
+    vol5 = VolatilityMatrix.identity(5)
+    for name, g, vol in (("p5_deficit", P5_DEFICIT, vol5),
+                         ("p4_deficit", two_cycle_two_sinks(), IDENTITY4)):
+        for k, sample in enumerate(classify(g, vol).certificate.samples):
+            yield f"{name}[{k}]", sample
+    yield "exact_witness", classify(P5_FULL_RANK, vol5).certificate.witness
+    batch = identifiability._classify_batch([P5_FULL_RANK] * 16, vol5, [ClassifyConfig()] * 16)
+    yield "screened_witness", batch[0].certificate.witness
+
+
+def _count_fraction_and_ratmatrix(monkeypatch) -> dict:
+    """Count every Fraction and RatMatrix built while the patches hold."""
+    counts = {"Fraction": 0, "RatMatrix": 0}
+    new, init = Fraction.__new__, RatMatrix.__init__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_init(self, *args):
+        counts["RatMatrix"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(RatMatrix, "__init__", counted_init)
+    return counts
+
+
+class TestIntegerCertificates:
+    """Certificates are written from integers; the Fraction views are read on demand."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fraction_parts())
+    @example((0, 1))
+    @example((0, 7))
+    @example((-12, 1))
+    @example((-12, 4))
+    @example((-(2**300) + 1, 2**299 + 3))
+    @example((3 * (2**300 + 1), 2**300 + 1))
+    def test_fraction_str_is_str_of_the_fraction(self, parts):
+        n, d = parts
+        assert identifiability._fraction_str(n, d) == str(Fraction(n, d))
+
+    @pytest.mark.parametrize("name, sample", list(_sample_cases()),
+                             ids=[name for name, _ in _sample_cases()])
+    def test_to_json_writes_the_fraction_strings(self, name, sample):
+        got = sample.to_json()
+        if name == "screened_witness":
+            assert sample.solved is None
+        expected = {"drift": matrix_strings(sample.drift), "sigma": matrix_strings(sample.sigma),
+                    "rank": sample.rank}
+        if sample.kernel_vector:
+            expected["kernel_vector"] = [str(x) for x in sample.kernel_vector]
+        assert ("kernel_vector" in got) == name.endswith("]")
+        assert got == expected
+
+    @pytest.mark.parametrize("g", [P5_DEFICIT, P5_FULL_RANK], ids=["deficit", "full_rank"])
+    def test_classify_to_json_builds_no_fraction(self, monkeypatch, g):
+        vol, cfg = VolatilityMatrix.identity(5), ClassifyConfig(seed=3)
+        counts = _count_fraction_and_ratmatrix(monkeypatch)
+        verdict = classify(g, vol, cfg)
+        verdict.to_json()
+        assert counts == {"Fraction": 0, "RatMatrix": 0}
+        monkeypatch.undo()
+        cert = verdict.certificate
+        samples = cert.samples or (cert.witness,)
+        for sample in samples:
+            assert [list(r) for r in sample.drift_rows] == sample.drift.to_lists()
+            drift = DriftMatrix(g, sample.drift)
+            assert sample.sigma == solve_for_sigma(drift, vol).matrix
+            assert sample.kernel_vector == _rref_kernel_vector(g, sample.sigma)
+        # equality follows the value, whichever views were read
+        again = classify(g, vol, cfg).certificate
+        assert again == cert and hash(again) == hash(cert)
+        if cert.samples:
+            first = cert.samples[0]
+            nums, den = first.kernel
+            assert dataclasses.replace(first, solved=None) == first
+            assert dataclasses.replace(first, kernel=((-nums[0], *nums[1:]), den)) != first
+
+    def test_a_sweep_chunk_builds_no_fraction(self, monkeypatch):
+        # the sweep's identity volatility is built once per p and cached
+        VolatilityMatrix.identity(4)
+        chunk = (4, 0, _candidate_masks(4, EnumPolicy()))
+        counts = _count_fraction_and_ratmatrix(monkeypatch)
+        rows = sweep._classify_chunk(chunk)
+        assert counts == {"Fraction": 0, "RatMatrix": 0}
+        assert sum(row.witness_sigma is not None for row in rows) == 1
+
