@@ -35,7 +35,6 @@ from .linalg import (
     SolutionSet,
     det,
     format_matrix_csv,
-    inverse,
     is_positive_definite,
     parse_matrix_csv,
     rank,
@@ -92,7 +91,6 @@ __all__ = [
     "format_matrix_csv",
     "graph_from_json",
     "graph_to_json",
-    "inverse",
     "is_dag",
     "is_positive_definite",
     "is_simple",

@@ -1,7 +1,7 @@
 """The package's single exact elimination kernel, with one loop per arithmetic.
 
 - :func:`bareiss_forward`, fraction-free elimination over the integers:
-  ranks, determinants, affine solves, inverses and positive definiteness.
+  ranks, determinants, affine solves and positive definiteness.
 - :func:`mod_echelon`, row echelon form over GF(MOD_PRIME) on int lists:
   full-rank proofs and the pivot rows of the kernel solve.
 - :func:`mod_gauss`, forward Gaussian elimination over GF(MOD_PRIME) on

@@ -2,7 +2,8 @@
 
 Matrices travel as exact rational CSV (cells "n" or "n/d"); graphs as JSON
 {"p": p, "edges": [[i, j], ...]}.  Exit codes: 0 ok, 1 parse error,
-2 precondition violation or failed output write.
+2 precondition violation or failed output write.  The library owns every
+precondition: each ``ValueError`` it raises exits 2 with its message.
 """
 
 from __future__ import annotations
@@ -13,18 +14,11 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .graphs import _MAX_P, EnumPolicy, graph_from_json
+from .graphs import EnumPolicy, graph_from_json
 from .identifiability import ClassifyConfig, classify
 from .linalg import format_matrix_csv, parse_matrix_csv
-from .lyapunov import (
-    CovMatrix,
-    DriftMatrix,
-    NotStableError,
-    VolatilityMatrix,
-    fiber,
-    solve_for_sigma,
-)
-from .sweep import run_sweep
+from .lyapunov import CovMatrix, DriftMatrix, VolatilityMatrix, fiber, solve_for_sigma
+from .sweep import _check_sweep, run_sweep
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -61,23 +55,10 @@ def _print(text: str) -> None:
         raise _cannot_write("standard output", exc) from exc
 
 
-def _volatility(matrix) -> VolatilityMatrix:
-    try:
-        return VolatilityMatrix(matrix)
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, f"volatility matrix: {exc}") from exc
-
-
 def _cmd_solve(args) -> int:
     drift_matrix = _read_file(args.drift, parse_matrix_csv)
-    vol = _volatility(_read_file(args.vol, parse_matrix_csv))
-    if not drift_matrix.is_square or drift_matrix.rows != vol.matrix.rows:
-        raise _CliError(EXIT_PRECONDITION, "drift and volatility sizes do not match")
-    drift = DriftMatrix.from_matrix(drift_matrix)
-    try:
-        sigma = solve_for_sigma(drift, vol)
-    except NotStableError as exc:
-        raise _CliError(EXIT_PRECONDITION, f"drift matrix: {exc}") from exc
+    vol = VolatilityMatrix(_read_file(args.vol, parse_matrix_csv))
+    sigma = solve_for_sigma(DriftMatrix.from_matrix(drift_matrix), vol)
     _print(format_matrix_csv(sigma.matrix))
     return EXIT_OK
 
@@ -85,14 +66,8 @@ def _cmd_solve(args) -> int:
 def _cmd_fiber(args) -> int:
     g = _read_file(args.graph, graph_from_json)
     sigma_matrix = _read_file(args.sigma, parse_matrix_csv)
-    vol = _volatility(_read_file(args.vol, parse_matrix_csv))
-    try:
-        sigma = CovMatrix(sigma_matrix)
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, "sigma must be symmetric positive definite") from exc
-    if sigma.p != g.p or vol.matrix.rows != g.p:
-        raise _CliError(EXIT_PRECONDITION, "matrix sizes do not match the graph")
-    result = fiber(sigma, g, vol)
+    vol = VolatilityMatrix(_read_file(args.vol, parse_matrix_csv))
+    result = fiber(CovMatrix(sigma_matrix), g, vol)
     _print(json.dumps(result.to_json(), indent=2))
     return EXIT_OK
 
@@ -100,9 +75,7 @@ def _cmd_fiber(args) -> int:
 def _cmd_classify(args) -> int:
     g = _read_file(args.graph, graph_from_json)
     if args.vol is not None:
-        vol = _volatility(_read_file(args.vol, parse_matrix_csv))
-        if vol.matrix.rows != g.p:
-            raise _CliError(EXIT_PRECONDITION, "volatility size does not match the graph")
+        vol = VolatilityMatrix(_read_file(args.vol, parse_matrix_csv))
     else:
         vol = VolatilityMatrix.identity(g.p)
     verdict = classify(g, vol, ClassifyConfig(args.seed))
@@ -122,17 +95,8 @@ def _report_json(report: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    if not 3 <= args.p <= _MAX_P:
-        raise _CliError(EXIT_PRECONDITION, f"sweep supports 3 <= p <= {_MAX_P}")
-    if args.jobs < 1:
-        raise _CliError(EXIT_PRECONDITION, f"jobs must be >= 1, got {args.jobs}")
-    # p self-loops plus one 2-cycle is the smallest non-simple graph.
-    if args.max_edges is not None and args.max_edges < args.p + 2:
-        raise _CliError(
-            EXIT_PRECONDITION,
-            f"max-edges must be >= p + 2 = {args.p + 2}, got {args.max_edges}",
-        )
     policy = EnumPolicy(max_edges=args.max_edges)
+    _check_sweep(args.p, policy, args.seed, args.jobs)
     try:  # opened before the sweep, so an unwritable path costs no sweep
         out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext()
     except OSError as exc:
@@ -200,6 +164,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # the library refused an input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except OSError as exc:  # not an output failure: those name their target
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

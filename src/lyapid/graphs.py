@@ -133,14 +133,19 @@ class EnumPolicy:
     to p(p+1)/2 (the dimension bound beyond which every model is
     non-identifiable).  Candidates are always weakly connected; the
     ``connectivity`` argument exists only so that ``EnumPolicy(**to_json())``
-    reads a report's policy back, and any value but :data:`CONNECTIVITY`
-    raises ``ValueError``.
+    reads a report's policy back.
+
+    Raises:
+        ValueError: unless ``max_edges`` is None or an ``int`` (a ``bool``
+            is not), or if ``connectivity`` is not :data:`CONNECTIVITY`.
     """
 
     max_edges: int | None = None
     connectivity: InitVar[str] = CONNECTIVITY
 
     def __post_init__(self, connectivity):
+        if self.max_edges is not None and not _is_int(self.max_edges):
+            raise ValueError(f"max_edges must be None or an integer, got {self.max_edges!r}")
         if connectivity != CONNECTIVITY:
             raise ValueError(f"candidates are {CONNECTIVITY} only, got {connectivity!r}")
 
@@ -285,10 +290,11 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     t): pi(m) > m, and m is not canonical.
 
     Raises:
-        ValueError: unless 2 <= p <= ``_MAX_P`` = 5 (the sweep range).
+        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5 (the
+            enumeration's range).
     """
-    if not 2 <= p <= _MAX_P:
-        raise ValueError(f"enumeration supports 2 <= p <= {_MAX_P}")
+    if not (_is_int(p) and 2 <= p <= _MAX_P):
+        raise ValueError(f"enumeration supports integer 2 <= p <= {_MAX_P}, got {p!r}")
     np = _intkernel.numpy()
     policy = policy or EnumPolicy()
     q, half, lo, hi = _permutation_mask_tables(p)
@@ -327,7 +333,8 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
     ``num_edges <= policy.max_edges`` (self-loops included).
 
     Raises:
-        ValueError: unless 2 <= p <= ``_MAX_P`` = 5 (the sweep range).
+        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5 (the
+            enumeration's range).
     """
     for mask in _candidate_masks(p, policy):
         yield DiGraph._from_mask(p, mask)

@@ -24,7 +24,16 @@ from typing import TYPE_CHECKING, ClassVar
 
 from . import _intkernel
 from .catalog import complete_dag, three_cycle
-from .graphs import DiGraph, Edge, _arc_bit, is_dag, is_simple, necessary_criterion, no_trek_pairs
+from .graphs import (
+    DiGraph,
+    Edge,
+    _arc_bit,
+    _is_int,
+    is_dag,
+    is_simple,
+    necessary_criterion,
+    no_trek_pairs,
+)
 from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det
 from .lyapunov import (
     CovMatrix,
@@ -192,11 +201,18 @@ class ClassifyConfig:
     2^-40.8 at p = 9, but 2^-37.9 at p = 10.  Nothing enforces 2^-40: a
     certificate states the bound that holds for it, which exceeds 2^-40
     from p = 10 on.
+
+    Raises:
+        ValueError: unless ``seed`` is an ``int`` (a ``bool`` is not).
     """
 
     trials: ClassVar[int] = 5
     bound: ClassVar[int] = 2**20
     seed: int = 0
+
+    def __post_init__(self):
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,30 +321,32 @@ def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
     )
 
 
-def _drifts(g: DiGraph, cfg: ClassifyConfig) -> Iterator[list[list[int]]]:
-    """The ``cfg.trials`` drifts at which ``g`` is sampled, each drawn when
-    read: the one place a graph's drift stream is derived."""
-    rng = _derive_rng(cfg.seed, salt=g.p)
-    for _ in range(cfg.trials):
-        yield _draw_drift_rows(g, rng, cfg.bound)
+def _drifts(g: DiGraph, seed: int) -> Iterator[list[list[int]]]:
+    """The ``ClassifyConfig.trials`` drifts at which ``g`` is sampled under
+    ``seed``, each drawn when read: the one place a graph's drift stream is
+    derived."""
+    rng = _derive_rng(seed, salt=g.p)
+    for _ in range(ClassifyConfig.trials):
+        yield _draw_drift_rows(g, rng, ClassifyConfig.bound)
 
 
-def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig,
+def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, seed: int,
                       volatility, notes: list[str]) -> IdentVerdict:
     """The exact sampling stage for a non-simple ``g``; ``volatility`` and
     ``notes`` are :func:`_sampling_volatility` of ``vol``."""
+    trials, bound = ClassifyConfig.trials, ClassifyConfig.bound
     deficits: list[RankSample] = []
-    for m_rows in _drifts(g, cfg):
+    for m_rows in _drifts(g, seed):
         sample = _rank_test_at_sample(g, m_rows, volatility)
         if sample.rank == g.num_edges:
             return _witness_verdict(g, vol, notes, sample)
         deficits.append(sample)
     degree = g.num_edges * g.p * g.p
-    notes = notes + [f"all {cfg.trials} samples rank-deficient; failure bound "
-                     f"(degree {degree} over {cfg.bound + 1} values per entry)"]
+    notes = notes + [f"all {trials} samples rank-deficient; failure bound "
+                     f"(degree {degree} over {bound + 1} values per entry)"]
     return IdentVerdict(IdentClass.NON_IDENTIFIABLE, Certificate(
         kind=RANK_DEFICIT_WITNESS, note="; ".join(notes), edges=tuple(g.edge_index()),
-        samples=tuple(deficits), failure_bound=_failure_bound(degree, cfg.bound, cfg.trials)))
+        samples=tuple(deficits), failure_bound=_failure_bound(degree, bound, trials)))
 
 
 def classify(
@@ -343,7 +361,7 @@ def classify(
     Raises:
         ValueError: if ``vol`` is not p x p for the graph's p.
     """
-    return _classify_batch([g], vol, [cfg or ClassifyConfig()])[0]
+    return _classify_batch([g], vol, [(cfg or ClassifyConfig()).seed])[0]
 
 
 def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:
@@ -379,10 +397,10 @@ def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:
 _SCREEN_MIN_GRAPHS = 16
 
 
-def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
-                    cfgs: list[ClassifyConfig],
+def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[int],
                     elapsed_ms: list[float] | None = None) -> list[IdentVerdict]:
-    """The decision cascade of :func:`classify`, for each graph of a batch.
+    """The decision cascade of :func:`classify`, for each graph of a batch
+    under its own seed, a checked ``ClassifyConfig.seed``.
 
     Every graph has the p of ``vol``.  The counting stages and the theorem
     run graph by graph.  When at least ``_SCREEN_MIN_GRAPHS`` graphs reach
@@ -426,17 +444,17 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
             # Only the drifts are kept: a graph the screen leaves unproved
             # draws its first drift again, which is cheaper than holding
             # every graph's generator state through the screen.
-            first = [next(_drifts(graphs[k], cfgs[k])) for k in pending]
+            first = [next(_drifts(graphs[k], seeds[k])) for k in pending]
             proved = _screen_full_rank([graphs[k] for k in pending], first, volatility[0])
         share = (time.perf_counter() - started) * 1e3 / len(pending)
         for i, (k, full) in enumerate(zip(pending, proved)):
             started = time.perf_counter()
-            g, cfg = graphs[k], cfgs[k]
+            g = graphs[k]
             if full:
                 witness = RankSample(tuple(map(tuple, first[i])), volatility, g.num_edges)
                 verdicts[k] = _witness_verdict(g, vol, notes, witness)
             else:
-                verdicts[k] = _rank_by_sampling(g, vol, cfg, volatility, notes)
+                verdicts[k] = _rank_by_sampling(g, vol, seeds[k], volatility, notes)
             times[k] += share + (time.perf_counter() - started) * 1e3
     if elapsed_ms is not None:
         elapsed_ms.extend(times)

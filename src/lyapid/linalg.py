@@ -314,21 +314,6 @@ def solve_linear(a: RatMatrix, b: RatMatrix) -> SolutionSet:
     return SolutionSet(AFFINE, particular=x0, kernel=kernel)
 
 
-def inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular square matrix.
-
-    Raises:
-        ValueError: if ``m`` is not square or is singular.
-    """
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    sols = [solve_linear(m, RatMatrix.identity(n).select_columns([j])) for j in range(n)]
-    if any(sol.kind != UNIQUE for sol in sols):
-        raise ValueError("inverse of a singular matrix")
-    return RatMatrix(n, n, [sols[j].particular[i, 0] for i in range(n) for j in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # Positive definiteness
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _intkernel
-from .graphs import DiGraph, Edge, _closure
+from .graphs import DiGraph, Edge, _closure, _is_int
 from .linalg import (
     AFFINE,
     INCONSISTENT,
@@ -83,7 +83,7 @@ class VolatilityMatrix:
     diagonal: bool = field(init=False)
 
     def __post_init__(self):
-        if not is_positive_definite(self.matrix):
+        if not (self.matrix.is_symmetric() and is_positive_definite(self.matrix)):
             raise ValueError("volatility matrix must be symmetric positive definite")
         n = self.matrix.rows
         diag = all(
@@ -109,7 +109,7 @@ class CovMatrix:
     matrix: RatMatrix
 
     def __post_init__(self):
-        if not is_positive_definite(self.matrix):
+        if not (self.matrix.is_symmetric() and is_positive_definite(self.matrix)):
             raise ValueError("covariance matrix must be symmetric positive definite")
 
     @property
@@ -398,7 +398,13 @@ def fiber(sigma: CovMatrix, g: DiGraph, vol: VolatilityMatrix) -> FiberResult:
     Unique exactly when the restriction has full column rank; an affine
     result carries an explicit kernel basis, making non-uniqueness a
     checkable artifact.
+
+    Raises:
+        ValueError: unless ``sigma`` and ``vol`` are p x p for the graph's p.
     """
+    if sigma.p != g.p or vol.p != g.p:
+        raise ValueError(f"sigma is {sigma.p}x{sigma.p} and the volatility matrix "
+                         f"{vol.p}x{vol.p}, but the graph has p = {g.p}")
     edges = tuple(g.edge_index())
     a_res = restrict_A(build_A(sigma), g)
     rhs = -vech(vol.matrix)
@@ -455,8 +461,11 @@ def sample_stable_drift(g: DiGraph, rng_seed, bound: int = 2**20) -> DriftMatrix
     """A random integer drift matrix supported on ``g``, stable by construction.
 
     The entries are those of :func:`_draw_drift_rows`.
+
+    Raises:
+        ValueError: unless ``bound`` is an ``int`` >= 1 (a ``bool`` is not).
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    if not (_is_int(bound) and bound >= 1):
+        raise ValueError(f"bound must be an integer >= 1, got {bound!r}")
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
     return DriftMatrix(g, RatMatrix.from_rows(_draw_drift_rows(g, rng, bound)))

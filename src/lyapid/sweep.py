@@ -39,7 +39,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .graphs import CONNECTIVITY, DiGraph, EnumPolicy, _candidate_masks
+from .graphs import _MAX_P, CONNECTIVITY, DiGraph, EnumPolicy, _candidate_masks, _is_int
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
@@ -174,9 +174,9 @@ def _classify_chunk(chunk) -> list[SweepRow]:
     own seed hashed from ``seed``; picklable."""
     p, seed, masks = chunk
     graphs = [DiGraph._from_mask(p, mask) for mask in masks]
-    cfgs = [ClassifyConfig(derive_graph_seed(seed, g)) for g in graphs]
+    seeds = [derive_graph_seed(seed, g) for g in graphs]
     elapsed: list[float] = []
-    verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), cfgs, elapsed)
+    verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), seeds, elapsed)
     rows = []
     for g, verdict, elapsed_ms in zip(graphs, verdicts, elapsed):
         drift, sigma = _row_witness(verdict)
@@ -198,6 +198,19 @@ def _classify_chunk(chunk) -> list[SweepRow]:
     return rows
 
 
+def _check_sweep(p: int, policy: EnumPolicy, seed: int, jobs: int) -> None:
+    """Refuse a sweep that cannot be served; see :func:`run_sweep`."""
+    if not (_is_int(p) and 3 <= p <= _MAX_P):
+        raise ValueError(f"sweep supports integer 3 <= p <= {_MAX_P}, got {p!r}")
+    # The smallest candidate has p self-loops, a 2-cycle and p - 2 arcs that
+    # connect the other nodes to it: 2p edges.
+    if policy.resolved_max_edges(p) < 2 * p:
+        raise ValueError(f"max_edges must be >= 2p = {2 * p}, got {policy.max_edges}")
+    ClassifyConfig(seed)  # the seed's owner refuses it
+    if not (_is_int(jobs) and jobs >= 1):
+        raise ValueError(f"jobs must be >= 1 and an integer, got {jobs!r}")
+
+
 def run_sweep(
     p: int,
     policy: EnumPolicy | None = None,
@@ -211,12 +224,13 @@ def run_sweep(
     on the workers: a sweep of one chunk runs in process.
 
     Raises:
-        ValueError: if ``jobs`` is below 1, before any candidate is
-            enumerated.
+        ValueError: before any candidate is enumerated, unless p is an
+            ``int`` with 3 <= p <= 5, the policy admits a candidate
+            (``max_edges`` >= 2p), ``seed`` is an ``int`` and ``jobs`` an
+            ``int`` >= 1; a ``bool`` is not an ``int`` here.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = policy or EnumPolicy()
+    _check_sweep(p, policy, seed, jobs)
     started = time.perf_counter()
     masks = _candidate_masks(p, policy)
     workers = min(jobs, os.cpu_count() or 1)

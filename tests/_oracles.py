@@ -22,8 +22,10 @@ from typing import Iterable, Sequence
 from lyapid import _intkernel
 from lyapid.graphs import DiGraph, Edge, _ancestor_masks, is_simple
 from lyapid.identifiability import _derive_rng
-from lyapid.linalg import RatMatrix, Rational, inverse, rat, sym_pairs
+from lyapid.linalg import RatMatrix, Rational, rat, sym_pairs
 from lyapid.lyapunov import CovMatrix, VolatilityMatrix, _h_rows
+
+from _rref import rref_inverse
 
 
 def random_pd_matrix(p: int, rng: random.Random) -> RatMatrix:
@@ -179,7 +181,7 @@ def skew_to_drift(k: RatMatrix, sigma: CovMatrix, vol: VolatilityMatrix) -> RatM
     """
     if k.transpose() != -k:
         raise ValueError("K must be skew-symmetric")
-    return (k - vol.matrix.scale(Fraction(1, 2))) @ inverse(sigma.matrix)
+    return (k - vol.matrix.scale(Fraction(1, 2))) @ rref_inverse(sigma.matrix)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,34 @@ BAD_SAMPLING_ARGS = [
     ["sweep", "--p", "3", "--jobs", "0"],
 ]
 
+# (command, {file flag: CSV or graph JSON}, the library's refusal).  The CLI
+# checks none of these itself: the library refuses, and its message is the line.
+LIBRARY_REFUSALS = {
+    "solve non-symmetric vol": (
+        "solve", {"--drift": "-1,0\n0,-1\n", "--vol": "2,1\n0,2\n"},
+        "volatility matrix must be symmetric positive definite"),
+    "solve size mismatch": (
+        "solve", {"--drift": "-1\n", "--vol": "1,0\n0,1\n"},
+        "drift and volatility dimensions differ"),
+    "solve non-square drift": (
+        "solve", {"--drift": "-1,0\n", "--vol": "1\n"}, "drift matrix must be square"),
+    "solve unstable": (
+        "solve", {"--drift": "1\n", "--vol": "1\n"}, "drift matrix is not stable"),
+    "fiber sigma size": (
+        "fiber", {"--graph": two_cycle(), "--sigma": "1,0,0\n0,1,0\n0,0,1\n",
+                  "--vol": "1,0\n0,1\n"},
+        "sigma is 3x3 and the volatility matrix 2x2, but the graph has p = 2"),
+    "fiber vol size": (
+        "fiber", {"--graph": two_cycle(), "--sigma": "1,0\n0,1\n", "--vol": "1\n"},
+        "sigma is 2x2 and the volatility matrix 1x1, but the graph has p = 2"),
+    "fiber non-symmetric sigma": (
+        "fiber", {"--graph": two_cycle(), "--sigma": "2,1\n0,2\n", "--vol": "1,0\n0,1\n"},
+        "covariance matrix must be symmetric positive definite"),
+    "classify vol size": (
+        "classify", {"--graph": three_cycle(), "--vol": "1,0\n0,1\n"},
+        "volatility matrix is 2x2, but the graph has p = 3"),
+}
+
 
 class TestSolve:
     def test_scalar(self, workdir, capsys):
@@ -308,6 +336,36 @@ class TestSweepCommand:
             if r.classification is IdentClass.NON_IDENTIFIABLE
         )
         assert ni_eq9 <= ni <= total
+
+
+class TestLibraryRefusals:
+    @pytest.mark.parametrize("name", LIBRARY_REFUSALS)
+    def test_the_library_message_exits_2(self, workdir, capsys, name):
+        command, files, message = LIBRARY_REFUSALS[name]
+        argv = [command]
+        for flag, content in files.items():
+            if flag == "--graph":
+                content = json.dumps(graph_to_json(content))
+            argv += [flag, _write(workdir / flag.lstrip("-"), content)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "7"], ["--p", "2"], ["--p", "4", "--max-edges", "7"], ["--p", "3", "--jobs", "0"],
+    ], ids=" ".join)
+    def test_a_refused_sweep_never_opens_out(self, workdir, capsys, argv):
+        out = workdir / "report.json"
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        _assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_jobs_past_the_cpus_start_no_pool(self, monkeypatch, capsys):
+        # workers = min(jobs, CPUs) and the two p = 3 candidates are one chunk
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "Pool", None)  # calling it would fail
+        assert main(["sweep", "--p", "3", "--jobs", "1000000"]) == 0
+        assert capsys.readouterr().out.startswith('{"p": 3')
 
 
 class TestSamplingParameters:

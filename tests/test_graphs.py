@@ -425,6 +425,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_candidates(1))
 
+    @pytest.mark.parametrize("p", [2.0, 3.5, True])
+    def test_rejects_a_p_that_is_not_an_int(self, p):
+        with pytest.raises(ValueError, match="enumeration supports integer 2 <= p <= 5"):
+            list(enumerate_candidates(p))
+
     def test_p2_is_empty(self):
         # the only non-simple 2-node graph has 4 > 3 edges
         assert list(enumerate_candidates(2)) == []
@@ -452,6 +457,11 @@ class TestEnumeration:
         policy = EnumPolicy(max_edges=7)
         assert policy.to_json() == {"max_edges": 7, "connectivity": "weakly-connected"}
         assert EnumPolicy(**policy.to_json()) == policy
+
+    @pytest.mark.parametrize("max_edges", [1.5, True, "7", 7.0])
+    def test_policy_rejects_an_edge_bound_that_is_not_an_int(self, max_edges):
+        with pytest.raises(ValueError, match="max_edges must be None or an integer"):
+            EnumPolicy(max_edges=max_edges)
 
     @pytest.mark.parametrize("connectivity", ["none", "no-isolated-nodes"])
     def test_policy_rejects_other_connectivity(self, connectivity):

@@ -24,7 +24,15 @@ from lyapid.catalog import (
     two_cycle_two_sinks,
     two_cycle_two_sources,
 )
-from lyapid.graphs import DiGraph, EnumPolicy, _candidate_masks, enumerate_candidates, is_dag, is_simple
+from lyapid.graphs import (
+    DiGraph,
+    EnumPolicy,
+    _candidate_masks,
+    enumerate_candidates,
+    is_dag,
+    is_simple,
+    no_trek_pairs,
+)
 from lyapid.identifiability import (
     EDGE_COUNT_BOUND,
     FULL_RANK_WITNESS,
@@ -85,7 +93,7 @@ def _sampled(g: DiGraph, vol: VolatilityMatrix, cfg: ClassifyConfig = ClassifyCo
     """The verdict of the sampling stage alone, also for a graph that a
     counting stage of :func:`classify` decides first."""
     return identifiability._rank_by_sampling(
-        g, vol, cfg, *identifiability._sampling_volatility(vol))
+        g, vol, cfg.seed, *identifiability._sampling_volatility(vol))
 
 
 class TestTheoremVerdicts:
@@ -534,6 +542,11 @@ class TestKernelVectorOracle:
 # 8 edges, whose 6 x 8 restricted A has a kernel of dimension 2 or more at
 # every sample
 P3_EIGHT_EDGES = DiGraph(3, frozenset({(1, 2), (2, 1), (1, 3), (3, 1), (2, 3)}))
+# two disjoint copies of two_cycle_two_sinks, the second on nodes 5..8: 20
+# edges, within the edge-count bound 36 and the trek bound 36 - 16, and A_E
+# has rank 18 at every sample, a kernel of dimension two
+P8_TWO_DEFICITS = DiGraph(8, two_cycle_two_sinks().offdiag_edges
+                          | {(i + 4, j + 4) for (i, j) in two_cycle_two_sinks().offdiag_edges})
 H_ROUTE_GRAPHS = {
     **SAMPLED_CATALOG_GRAPHS,
     "p5_deficit": P5_DEFICIT,
@@ -586,6 +599,17 @@ class TestKernelRestrictionRanks:
                 expected = () if kernel is None else tuple(
                     Fraction(v, kernel[1]) for v in kernel[0])
                 assert sample.kernel_vector == expected
+
+    def test_classify_takes_the_a_fallback_past_both_bounds(self, monkeypatch):
+        g = P8_TWO_DEFICITS
+        assert (g.num_edges, no_trek_pairs(g)) == (20, 16)
+        counts = _count_h_route(monkeypatch)
+        cert = classify(g, VolatilityMatrix.identity(8)).certificate
+        assert cert.kind == RANK_DEFICIT_WITNESS
+        assert counts == {"from_h": 0, "a_fallback": 5}
+        assert [sample.rank for sample in cert.samples] == [18] * 5
+        for sample in cert.samples:
+            assert sample.kernel_vector == _rref_kernel_vector(g, sample.sigma)
 
     def test_kernel_of_dimension_two_takes_the_a_fallback(self, monkeypatch):
         counts = _count_h_route(monkeypatch)
@@ -641,6 +665,11 @@ class TestClassifyConfig:
             with pytest.raises(TypeError):
                 ClassifyConfig(**{field: 1})
 
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ClassifyConfig(seed=seed)
+
     @pytest.mark.parametrize("p", range(3, 11))
     def test_the_stated_bound_is_below_2_to_the_minus_40_up_to_p_9(self, p):
         degree = p**3 * (p + 1) // 2  # the largest sampled |E| times p^2
@@ -693,7 +722,7 @@ class TestVolatilitySize:
 
     @pytest.mark.parametrize("entry", [
         classify,
-        lambda g, vol: identifiability._classify_batch([g], vol, [ClassifyConfig()]),
+        lambda g, vol: identifiability._classify_batch([g], vol, [ClassifyConfig.seed]),
     ], ids=["classify", "_classify_batch"])
     # one graph for each stage that could decide first at p = 3: the
     # edge-count bound, the trek bound or sampling, and both theorem kinds
@@ -710,7 +739,7 @@ class TestVolatilitySize:
     def test_a_batch_with_one_graph_of_another_p_raises(self):
         graphs = [fan_in_two_cycle(), two_cycle_out_edge()]
         with pytest.raises(ValueError, match="volatility matrix is 4x4, .* p = 3"):
-            identifiability._classify_batch(graphs, IDENTITY4, [ClassifyConfig()] * 2)
+            identifiability._classify_batch(graphs, IDENTITY4, [ClassifyConfig.seed] * 2)
 
 
 def _verdict_bytes(verdict) -> bytes:
@@ -739,7 +768,7 @@ class TestClassifyBatch:
         vol = VolatilityMatrix.identity(p)
         cfgs = [ClassifyConfig(seed=derive_graph_seed(0, g)) for g in graphs]
         elapsed = []
-        batch = identifiability._classify_batch(graphs, vol, cfgs, elapsed)
+        batch = identifiability._classify_batch(graphs, vol, [c.seed for c in cfgs], elapsed)
         assert len(elapsed) == len(graphs) and min(elapsed) >= 0
         screened = 0
         for g, cfg, verdict in zip(graphs, cfgs, batch):
@@ -767,7 +796,7 @@ class TestClassifyBatch:
         screened = _count_screens(monkeypatch)
         # each case 16 times over, so every case that samples is screened
         for (g, vol, cfg), want in zip(cases, expected):
-            batch = identifiability._classify_batch([g] * 16, vol, [cfg] * 16)
+            batch = identifiability._classify_batch([g] * 16, vol, [cfg.seed] * 16)
             assert [_verdict_bytes(v) for v in batch] == [want] * 16
         sampling = sum(1 for g, vol, cfg in cases if classify(g, vol, cfg).certificate.kind
                        in (FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS))
@@ -777,7 +806,7 @@ class TestClassifyBatch:
             vol = VolatilityMatrix.identity(p)
             mixed = [(g, cfg) for g, c, cfg in cases if g.p == p and c.matrix == vol.matrix]
             batch = identifiability._classify_batch(
-                [g for g, _ in mixed], vol, [cfg for _, cfg in mixed]
+                [g for g, _ in mixed], vol, [cfg.seed for _, cfg in mixed]
             )
             assert [_verdict_bytes(v) for v in batch] == [
                 _verdict_bytes(classify(g, vol, cfg)) for g, cfg in mixed
@@ -787,8 +816,9 @@ class TestClassifyBatch:
         vol = IDENTITY4
         sampled = [g for g in enumerate_candidates(4)
                    if identifiability._bound_verdict(g, vol) is None][:16]
-        cfgs = [ClassifyConfig(seed=derive_graph_seed(0, g)) for g in sampled]
-        expected = [_verdict_bytes(classify(g, vol, cfg)) for g, cfg in zip(sampled, cfgs)]
+        seeds = [derive_graph_seed(0, g) for g in sampled]
+        expected = [_verdict_bytes(classify(g, vol, ClassifyConfig(seed)))
+                    for g, seed in zip(sampled, seeds)]
         simple = completed_four_cycle()
         simple_bytes = _verdict_bytes(classify(simple, vol))
 
@@ -798,12 +828,12 @@ class TestClassifyBatch:
         # 16 graphs, of which 15 reach sampling: no screen
         monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
         batch = identifiability._classify_batch(
-            sampled[:15] + [simple], vol, cfgs[:15] + [ClassifyConfig()])
+            sampled[:15] + [simple], vol, seeds[:15] + [ClassifyConfig.seed])
         assert [_verdict_bytes(v) for v in batch] == expected[:15] + [simple_bytes]
         monkeypatch.undo()
         # 16 sampled graphs: one screen over all of them
         screened = _count_screens(monkeypatch)
-        batch = identifiability._classify_batch(sampled, vol, cfgs)
+        batch = identifiability._classify_batch(sampled, vol, seeds)
         assert screened == [16]
         assert [_verdict_bytes(v) for v in batch] == expected
         assert any(v.certificate.witness is not None and v.certificate.witness.solved is None
@@ -814,7 +844,7 @@ class TestClassifyBatch:
 
     def test_screened_witness_solves_sigma_once_on_read(self, monkeypatch):
         g, cfg = two_cycle_out_edge(), ClassifyConfig(seed=2)
-        verdict = identifiability._classify_batch([g] * 16, IDENTITY3, [cfg] * 16)[0]
+        verdict = identifiability._classify_batch([g] * 16, IDENTITY3, [cfg.seed] * 16)[0]
         witness = verdict.certificate.witness
         assert witness.solved is None
         solve = identifiability._solve_sigma_scaled
@@ -875,7 +905,8 @@ def _sample_cases():
         for k, sample in enumerate(classify(g, vol).certificate.samples):
             yield f"{name}[{k}]", sample
     yield "exact_witness", classify(P5_FULL_RANK, vol5).certificate.witness
-    batch = identifiability._classify_batch([P5_FULL_RANK] * 16, vol5, [ClassifyConfig()] * 16)
+    batch = identifiability._classify_batch([P5_FULL_RANK] * 16, vol5,
+                                            [ClassifyConfig.seed] * 16)
     yield "screened_witness", batch[0].certificate.witness
 
 

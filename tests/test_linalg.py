@@ -17,7 +17,6 @@ from lyapid.linalg import (
     SolutionSet,
     det,
     format_matrix_csv,
-    inverse,
     is_positive_definite,
     parse_matrix_csv,
     rank,
@@ -366,24 +365,6 @@ class TestSolveLinear:
         assert solve_linear(RatMatrix(2, 0, []), RatMatrix.column(b)) == expected
 
 
-class TestInverse:
-    def test_matches_rref_oracle(self):
-        rng = random.Random(59)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            m = _random_matrix(rng, n, n, lo=-9, hi=9, max_den=4)
-            if det(m) != 0:
-                assert inverse(m) == rref_inverse(m)
-
-    def test_singular_raises(self):
-        with pytest.raises(ValueError, match="singular"):
-            inverse(RatMatrix.from_rows([[1, 2], [2, 4]]))
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError, match="non-square"):
-            inverse(RatMatrix.zeros(2, 3))
-
-
 class TestStability:
     def test_negated_identity_stable(self):
         for p in range(1, 6):
@@ -423,7 +404,7 @@ class TestStability:
             pm = RatMatrix(
                 n, n, [Fraction(int(perm[i] == j)) for i in range(n) for j in range(n)]
             )
-            conj = pm @ m @ inverse(pm)
+            conj = pm @ m @ rref_inverse(pm)
             assert is_stable(m) == is_stable(conj)
 
 

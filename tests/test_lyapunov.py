@@ -44,7 +44,7 @@ from _oracles import (
     trace,
     vec,
 )
-from _rref import rref_inverse, rref_solve
+from _rref import rref_solve
 
 
 def _kron_sum_rows(m_rows: list[list]) -> list[list]:
@@ -99,6 +99,20 @@ class TestModelTypes:
     def test_cov_requires_pd(self):
         with pytest.raises(ValueError):
             CovMatrix(RatMatrix.from_rows([[0, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("cls, name", [(VolatilityMatrix, "volatility"),
+                                           (CovMatrix, "covariance")])
+    @pytest.mark.parametrize("rows", [[[2, 1], [0, 2]], [[1, 0]]],
+                             ids=["non-symmetric", "non-square"])
+    def test_a_non_symmetric_matrix_is_refused_by_name(self, cls, name, rows):
+        with pytest.raises(ValueError, match=f"^{name} matrix must be symmetric positive"):
+            cls(RatMatrix.from_rows(rows))
+
+    @pytest.mark.parametrize("sigma_p, vol_p", [(3, 2), (2, 3), (3, 3)])
+    def test_fiber_refuses_matrices_of_another_size(self, sigma_p, vol_p):
+        with pytest.raises(ValueError, match=f"sigma is {sigma_p}x{sigma_p} .* p = 2"):
+            fiber(CovMatrix(RatMatrix.identity(sigma_p)), DiGraph(2),
+                  VolatilityMatrix.identity(vol_p))
 
 
 class TestSolveForSigma:
@@ -523,7 +537,7 @@ class TestSkewParametrization:
 
 
 class TestOracleAgreement:
-    """fiber and skew_to_drift equal their values from the Fraction RREF oracle."""
+    """fiber equals its value from the Fraction RREF oracle."""
 
     def test_fiber_matches_oracle(self):
         rng = random.Random(71)
@@ -547,21 +561,6 @@ class TestOracleAgreement:
             elif sol.kind == "affine":
                 assert (result.particular, result.kernel_basis) == (sol.particular, sol.kernel)
         assert kinds == {"unique", "affine", "inconsistent"}
-
-    def test_skew_to_drift_matches_oracle_inverse(self):
-        rng = random.Random(73)
-        for _ in range(40):
-            p = rng.choice([2, 3, 4])
-            upper = [(i, j, Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
-                     for i in range(p) for j in range(i + 1, p)]
-            ent = [Fraction(0)] * (p * p)
-            for i, j, v in upper:
-                ent[i * p + j], ent[j * p + i] = v, -v
-            k = RatMatrix(p, p, ent)
-            sigma = CovMatrix(random_pd_matrix(p, rng))
-            vol = random_volatility(p, rng)
-            expected = (k - vol.matrix.scale(Fraction(1, 2))) @ rref_inverse(sigma.matrix)
-            assert skew_to_drift(k, sigma, vol) == expected
 
 
 class TestSampleStableDrift:
@@ -595,6 +594,11 @@ class TestSampleStableDrift:
             if drifts[a] != drifts[b]
         )
         assert distinct_pairs >= 99 * 100 // 2  # all pairs in practice
+
+    @pytest.mark.parametrize("bound", [0, -3, 1.5, True, "3"])
+    def test_a_bound_that_is_not_a_positive_int_is_refused(self, bound):
+        with pytest.raises(ValueError, match="bound must be an integer >= 1"):
+            sample_stable_drift(two_cycle_out_edge(), 0, bound=bound)
 
     def test_rows_are_the_drawn_integers(self):
         # sample_stable_drift wraps _draw_drift_rows: same stream, same entries

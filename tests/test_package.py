@@ -35,7 +35,7 @@ PUBLIC_NAMES = [
     "SweepReport", "SweepRow", "VolatilityMatrix", "build_A", "build_H",
     "canonical_form", "classify", "cycle3_determinant_identity",
     "dag_determinant_identity", "det", "enumerate_candidates", "fiber",
-    "format_matrix_csv", "graph_from_json", "graph_to_json", "inverse",
+    "format_matrix_csv", "graph_from_json", "graph_to_json",
     "is_dag", "is_positive_definite", "is_simple", "is_stable", "necessary_criterion",
     "no_trek_pairs", "parse_matrix_csv", "rank", "rat",
     "restrict_A", "restrict_H", "run_sweep", "sample_stable_drift",
@@ -44,7 +44,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 45
     assert sorted(lyapid.__all__) == PUBLIC_NAMES
 
 

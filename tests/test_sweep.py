@@ -11,6 +11,7 @@ from test_acceptance import CANONICAL_SHA256
 from lyapid import identifiability, sweep
 from lyapid.graphs import (
     DiGraph,
+    EnumPolicy,
     canonical_form,
     enumerate_candidates,
     necessary_criterion,
@@ -21,11 +22,11 @@ from lyapid.lyapunov import VolatilityMatrix
 from _oracles import relabel
 
 
-def _exact_batch(graphs, vol, cfgs, elapsed_ms=None):
+def _exact_batch(graphs, vol, seeds, elapsed_ms=None):
     """classify on every graph: the path the screen must reproduce."""
     if elapsed_ms is not None:
         elapsed_ms.extend(0.0 for _ in graphs)
-    return [classify(g, vol, cfg) for g, cfg in zip(graphs, cfgs)]
+    return [classify(g, vol, ClassifyConfig(seed)) for g, seed in zip(graphs, seeds)]
 
 
 def _exact_sweep(monkeypatch, p, **kwargs):
@@ -45,11 +46,11 @@ def test_uneven_shards_match_serial_bytes(monkeypatch):
 
 @pytest.mark.parametrize(
     "p, kwargs",
-    [(2, {}), (3, {"jobs": 5}), (4, {"seed": 9})],
+    [(3, {"jobs": 5}), (4, {"seed": 9})],
 )
 def test_screened_sweep_matches_the_exact_path(monkeypatch, p, kwargs):
-    # p = 2 has no candidate, and p = 3 two, too few to screen; at p = 4, 78
-    # graphs reach sampling and are screened
+    # p = 3 has two candidates, too few to screen; at p = 4, 78 graphs reach
+    # sampling and are screened
     screened = sweep.run_sweep(p, **kwargs)
     assert screened.canonical_bytes() == _exact_sweep(monkeypatch, p, **kwargs).canonical_bytes()
 
@@ -114,9 +115,9 @@ def test_items_carry_each_candidates_graph_seed(monkeypatch, p, seed):
                         lambda processes: _SerialPool([], [], processes))
     batches = []
 
-    def recorded(graphs, vol, cfgs, elapsed_ms):
-        batches.append([(tuple(sorted(g.offdiag_edges)), cfg.seed)
-                        for g, cfg in zip(graphs, cfgs)])
+    def recorded(graphs, vol, seeds, elapsed_ms):
+        batches.append([(tuple(sorted(g.offdiag_edges)), seed)
+                        for g, seed in zip(graphs, seeds)])
         return []
 
     monkeypatch.setattr(sweep, "_classify_batch", recorded)
@@ -185,6 +186,44 @@ def test_the_screen_never_holds_more_than_one_chunk(monkeypatch):
 def test_fewer_than_one_job_is_refused(jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         sweep.run_sweep(3, jobs=jobs)
+
+
+# Sweeps the library cannot serve; each is refused before any candidate is
+# enumerated.  The smallest candidate has 2p edges: p self-loops, a 2-cycle
+# and p - 2 arcs joining the other nodes, so p + 2 <= max_edges < 2p is
+# an empty sweep too.
+UNSERVABLE_SWEEPS = {
+    "p=2": lambda: sweep.run_sweep(2),
+    "p=6": lambda: sweep.run_sweep(6),
+    "p=3.5": lambda: sweep.run_sweep(3.5),
+    "p=True": lambda: sweep.run_sweep(True),
+    "max_edges=4": lambda: sweep.run_sweep(3, EnumPolicy(max_edges=4)),
+    "p=4, max_edges=7": lambda: sweep.run_sweep(4, EnumPolicy(max_edges=7)),
+    "max_edges=1.5": lambda: sweep.run_sweep(3, EnumPolicy(max_edges=1.5)),
+    "max_edges=True": lambda: sweep.run_sweep(3, EnumPolicy(max_edges=True)),
+    "seed=1.5": lambda: sweep.run_sweep(3, seed=1.5),
+    "seed='7'": lambda: sweep.run_sweep(3, seed="7"),
+    "seed=True": lambda: sweep.run_sweep(3, seed=True),
+    "jobs=0": lambda: sweep.run_sweep(3, jobs=0),
+    "jobs=1.5": lambda: sweep.run_sweep(3, jobs=1.5),
+    "jobs=True": lambda: sweep.run_sweep(3, jobs=True),
+}
+
+
+@pytest.mark.parametrize("name", UNSERVABLE_SWEEPS)
+def test_an_unservable_sweep_is_refused_before_enumeration(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("candidates were enumerated")
+
+    monkeypatch.setattr(sweep, "_candidate_masks", refuse)
+    with pytest.raises(ValueError):
+        UNSERVABLE_SWEEPS[name]()
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_the_smallest_admitted_edge_bound_has_candidates(p):
+    assert min(g.num_edges for g in enumerate_candidates(p)) == 2 * p
+    assert sweep.run_sweep(p, EnumPolicy(max_edges=2 * p)).totals[0] > 0
 
 
 def test_sampling_parameters_are_not_settable():
