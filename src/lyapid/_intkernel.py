@@ -84,15 +84,15 @@ smaller (at p = 5, (25 - |E|) x 10 against 15 x |E|):
 - Take x supported on E.  Then A x = 0 exactly when x = H c with
   H_nonE c = 0.  Hence rank A_E = |E| - m + rank H_nonE, and A_E has full
   column rank exactly when H_nonE has full column rank m.
-- When rank H_nonE = m - 1, the kernel of A_E is one-dimensional and
-  spanned by x = H_E c, c the kernel vector of H_nonE.  x divided by its
+- So for c the kernel vector of H_nonE, x = H_E c is a nonzero kernel
+  vector of A_E (H has full column rank, so H c is nonzero).  When
+  rank H_nonE = m - 1, x spans the kernel of A_E, and x divided by its
   last nonzero entry is the first reduced-row-echelon kernel vector of
   A_E, the one :func:`rank_and_kernel` returns for A_E.
 
-So a one-dimensional kernel costs one :func:`rank_and_kernel` on H_nonE and
-one product.  At a kernel of dimension two or more the span of the H_E c
-does not single out A_E's first RREF vector without an echelon of A_E, so
-the caller ranks A_E itself.
+So every sample costs one :func:`rank_and_kernel` on H_nonE and one
+product.  At a kernel of dimension two or more x is still exactly in the
+kernel of A_E, but need not be A_E's first RREF vector.
 """
 
 from __future__ import annotations

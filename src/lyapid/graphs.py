@@ -156,6 +156,13 @@ class EnumPolicy:
         return {"max_edges": self.max_edges, "connectivity": CONNECTIVITY}
 
 
+def _as_policy(policy: EnumPolicy | None) -> EnumPolicy:
+    """``policy``, or ``EnumPolicy()`` for None; anything else is a ValueError."""
+    if not isinstance(policy, EnumPolicy | None):
+        raise ValueError(f"policy must be an EnumPolicy, got {policy!r}")
+    return EnumPolicy() if policy is None else policy
+
+
 # ---------------------------------------------------------------------------
 # Structural predicates
 # ---------------------------------------------------------------------------
@@ -290,13 +297,13 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     t): pi(m) > m, and m is not canonical.
 
     Raises:
-        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5 (the
-            enumeration's range).
+        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5, or
+            if ``policy`` is neither None nor an ``EnumPolicy``.
     """
     if not (_is_int(p) and 2 <= p <= _MAX_P):
         raise ValueError(f"enumeration supports integer 2 <= p <= {_MAX_P}, got {p!r}")
+    policy = _as_policy(policy)
     np = _intkernel.numpy()
-    policy = policy or EnumPolicy()
     q, half, lo, hi = _permutation_mask_tables(p)
     levels = [np.array([1 << _arc_bit(p, 1, 2)], dtype=np.int64)]  # the canonical 1-arc mask
     # one level per arc count; no level lies past the complete graph's q arcs
@@ -333,8 +340,8 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
     ``num_edges <= policy.max_edges`` (self-loops included).
 
     Raises:
-        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5 (the
-            enumeration's range).
+        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5, or
+            if ``policy`` is neither None nor an ``EnumPolicy``.
     """
     for mask in _candidate_masks(p, policy):
         yield DiGraph._from_mask(p, mask)

@@ -38,7 +38,6 @@ from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det
 from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
-    _a_rows,
     _draw_drift_rows,
     _h_rows,
     _solve_sigma_scaled,
@@ -252,38 +251,31 @@ def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility) -> Ran
 
     ``volatility`` is (integer C rows, scale); the rank is that of A_E, the
     restricted A at Sigma.  A sample below rank |E| carries an edge-indexed
-    nonzero vector in the kernel of A_E.  The rank is decided on H(N) on
-    the non-edges, Sigma being N / den: rank A_E = |E| - p(p-1)/2 +
-    rank H_nonE, and at a one-dimensional kernel the kernel vector of A_E
-    comes from that of H_nonE (see ``_intkernel``).  A(N)_E itself is
-    ranked only when A_E's kernel has dimension two or more.
+    nonzero vector in the kernel of A_E.  Both come from H(N) on the
+    non-edges, Sigma being N / den: rank A_E = |E| - p(p-1)/2 +
+    rank H_nonE, and the kernel vector is :func:`_kernel_from_h` of the
+    kernel vector of H_nonE (see ``_intkernel``).
     """
     p = g.p
     n_mat, den = _solve_sigma_scaled(m_rows, volatility[0], p)
     skew = p * (p - 1) // 2
     h_rank, c = _intkernel.rank_and_kernel(_h_rows(n_mat, g.non_edges()), skew)
-    if h_rank >= skew - 1:
-        rank = g.num_edges - skew + h_rank
-        kernel = None if c is None else _kernel_from_h(n_mat, g, c)
-    else:
-        rank, kernel = _intkernel.rank_and_kernel(_a_rows(n_mat, g.edge_index()),
-                                                  g.num_edges)
-    if kernel is not None:
-        kernel = (tuple(kernel[0]), kernel[1])
-    return RankSample(tuple(map(tuple, m_rows)), volatility, rank, kernel, solved=(n_mat, den))
+    kernel = None if c is None else _kernel_from_h(n_mat, g, c)
+    return RankSample(tuple(map(tuple, m_rows)), volatility, g.num_edges - skew + h_rank,
+                      kernel, solved=(n_mat, den))
 
 
 def _kernel_from_h(n_mat: list[list[int]], g: DiGraph,
-                   c: tuple[list[int], int]) -> tuple[list[int], int]:
-    """The first RREF kernel vector of A(N)_E, from the kernel vector c of H(N)_nonE.
+                   c: tuple[list[int], int]) -> tuple[tuple[int, ...], int]:
+    """A nonzero kernel vector of A(N)_E from the kernel vector c of H(N)_nonE.
 
-    Valid when the kernel of A(N)_E is one-dimensional: it is then spanned
-    by x = H(N)_E c, and x over its last nonzero entry is the RREF vector.
-    Returned as (numerators, positive den) in lowest terms, like
-    ``_intkernel.rank_and_kernel``.
+    x = H(N)_E c over its last nonzero entry, as (numerators, positive den)
+    in lowest terms: A(N)_E's first RREF kernel vector when that kernel is
+    one-dimensional, and not necessarily beyond (see ``_intkernel``).
     """
     x = [sum(map(mul, row, c[0])) for row in _h_rows(n_mat, g.edge_index())]
-    return _intkernel._reduced(x, next(v for v in reversed(x) if v))
+    nums, den = _intkernel._reduced(x, next(v for v in reversed(x) if v))
+    return tuple(nums), den
 
 
 def _sampling_volatility(vol: VolatilityMatrix):
@@ -359,9 +351,12 @@ def classify(
     rank test.  Certificates record which stage decided.
 
     Raises:
-        ValueError: if ``vol`` is not p x p for the graph's p.
+        ValueError: if ``vol`` is not p x p for the graph's p, or if ``cfg``
+            is neither None nor a ``ClassifyConfig``.
     """
-    return _classify_batch([g], vol, [(cfg or ClassifyConfig()).seed])[0]
+    if not isinstance(cfg, ClassifyConfig | None):
+        raise ValueError(f"cfg must be a ClassifyConfig, got {cfg!r}")
+    return _classify_batch([g], vol, [ClassifyConfig.seed if cfg is None else cfg.seed])[0]
 
 
 def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _intkernel
 
@@ -37,27 +37,26 @@ def rat(value) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+@dataclass(frozen=True, slots=True)
 class RatMatrix:
     """Dense matrix of exact rationals, immutable after construction.
 
     Attributes:
         rows: Number of rows.
         cols: Number of columns.
-        entries: Row-major tuple of ``Fraction`` values, length rows*cols.
+        entries: Row-major tuple of ``Fraction`` values, length rows*cols;
+            any iterable of values :func:`rat` accepts is coerced.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[Rational, ...]
 
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = tuple(rat(x) for x in entries)
-        if len(data) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    def __post_init__(self):
+        data = tuple(rat(x) for x in self.entries)
+        if len(data) != self.rows * self.cols:
+            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(data)}")
         object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
 
     # -- construction ------------------------------------------------------
 
@@ -115,17 +114,6 @@ class RatMatrix:
         )
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -155,11 +155,12 @@ class FiberResult:
 
 
 # Each matrix has one builder (``_a_rows``, ``_h_rows``) from nested rows to
-# nested rows, generic over the exact scalar: ``int`` numerators on the
-# sampling path, ``Fraction`` entries behind the public ``RatMatrix``
-# adapters.  Sigma itself is solved from the vech system of
-# :func:`_solve_sigma_scaled`; the full Kronecker-sum system only cross-checks
-# it, in the tests.
+# nested rows, generic over the exact scalar.  ``_h_rows`` takes ``int``
+# numerators on the sampling path and in the screen's gather plans, and
+# ``Fraction`` entries behind the public ``RatMatrix`` adapter; ``_a_rows``
+# backs only ``build_A``, since every sampled rank is decided on H.  Sigma
+# itself is solved from the vech system of :func:`_solve_sigma_scaled`; the
+# full Kronecker-sum system only cross-checks it, in the tests.
 
 
 @functools.lru_cache(maxsize=None)

@@ -39,7 +39,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .graphs import _MAX_P, CONNECTIVITY, DiGraph, EnumPolicy, _candidate_masks, _is_int
+from .graphs import (_MAX_P, CONNECTIVITY, DiGraph, EnumPolicy, _as_policy, _candidate_masks,
+                     _is_int)
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
@@ -198,10 +199,12 @@ def _classify_chunk(chunk) -> list[SweepRow]:
     return rows
 
 
-def _check_sweep(p: int, policy: EnumPolicy, seed: int, jobs: int) -> None:
-    """Refuse a sweep that cannot be served; see :func:`run_sweep`."""
+def _check_sweep(p: int, policy: EnumPolicy | None, seed: int, jobs: int) -> EnumPolicy:
+    """Refuse a sweep that cannot be served; see :func:`run_sweep`.  Returns
+    the policy, ``EnumPolicy()`` for None."""
     if not (_is_int(p) and 3 <= p <= _MAX_P):
         raise ValueError(f"sweep supports integer 3 <= p <= {_MAX_P}, got {p!r}")
+    policy = _as_policy(policy)
     # The smallest candidate has p self-loops, a 2-cycle and p - 2 arcs that
     # connect the other nodes to it: 2p edges.
     if policy.resolved_max_edges(p) < 2 * p:
@@ -209,6 +212,7 @@ def _check_sweep(p: int, policy: EnumPolicy, seed: int, jobs: int) -> None:
     ClassifyConfig(seed)  # the seed's owner refuses it
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be >= 1 and an integer, got {jobs!r}")
+    return policy
 
 
 def run_sweep(
@@ -225,12 +229,11 @@ def run_sweep(
 
     Raises:
         ValueError: before any candidate is enumerated, unless p is an
-            ``int`` with 3 <= p <= 5, the policy admits a candidate
-            (``max_edges`` >= 2p), ``seed`` is an ``int`` and ``jobs`` an
-            ``int`` >= 1; a ``bool`` is not an ``int`` here.
+            ``int`` with 3 <= p <= 5, ``policy`` is None or an ``EnumPolicy``
+            that admits a candidate (``max_edges`` >= 2p), ``seed`` is an
+            ``int`` and ``jobs`` an ``int`` >= 1; a ``bool`` is not one.
     """
-    policy = policy or EnumPolicy()
-    _check_sweep(p, policy, seed, jobs)
+    policy = _check_sweep(p, policy, seed, jobs)
     started = time.perf_counter()
     masks = _candidate_masks(p, policy)
     workers = min(jobs, os.cpu_count() or 1)

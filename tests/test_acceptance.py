@@ -108,9 +108,8 @@ def _canonical_sha256(report: dict) -> str:
 def _count_exact_rank_fallbacks(monkeypatch) -> dict:
     """Count rank calls (rank_and_kernel), the kernel vectors
     solved on the mod-q pivot rows, the full Bareiss passes of the exact
-    fallback, the kernel vectors of A(N)_E taken from those of H(N)_nonE,
-    and the samples that rank A(N)_E itself (the A fallback)."""
-    counts = {"ranks": 0, "pivot_solved": 0, "bareiss": 0, "from_h": 0, "a_fallback": 0}
+    fallback, and the kernel vectors of A(N)_E taken from those of H(N)_nonE."""
+    counts = {"ranks": 0, "pivot_solved": 0, "bareiss": 0, "from_h": 0}
     inside = []  # [pivot solves, full Bareiss passes] of the rank call in progress
     solving = []
 
@@ -157,7 +156,6 @@ def _count_exact_rank_fallbacks(monkeypatch) -> dict:
     monkeypatch.setattr(_intkernel, "bareiss_forward", counted_forward)
     monkeypatch.setattr(identifiability, "_kernel_from_h",
                         tallied("from_h", identifiability._kernel_from_h))
-    monkeypatch.setattr(identifiability, "_a_rows", tallied("a_fallback", identifiability._a_rows))
     return counts
 
 
@@ -245,14 +243,13 @@ class TestCriterion01Table:
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
         # the one rank-deficit row draws 5 samples, each with the kernel
         # vector of H_nonE solved on the mod-q pivot rows and mapped to A_E's;
-        # every full rank is proved mod q, and A(N)_E is never ranked itself
+        # every full rank is proved mod q
         assert counts["pivot_solved"] == 5
         assert counts["bareiss"] == 0
         assert counts["from_h"] == 5
-        assert counts["a_fallback"] == 0
         _report("1e", f"{counts['ranks']} ranks, {counts['pivot_solved']} kernel vectors "
                       f"solved on the pivot rows, {counts['from_h']} taken from H, "
-                      f"{counts['a_fallback']} A fallbacks, {counts['bareiss']} exact fallbacks")
+                      f"{counts['bareiss']} exact fallbacks")
 
     def test_p4_hash_unchanged_by_exact_fallback(self, monkeypatch):
         # mod 3 most first samples fail the sweep's batched screen, so they

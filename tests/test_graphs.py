@@ -430,6 +430,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="enumeration supports integer 2 <= p <= 5"):
             list(enumerate_candidates(p))
 
+    @pytest.mark.parametrize("policy", [0, 6, {"max_edges": 6}])
+    def test_rejects_a_policy_that_is_not_an_enum_policy(self, policy):
+        with pytest.raises(ValueError, match="policy must be an EnumPolicy"):
+            _candidate_masks(3, policy)
+        with pytest.raises(ValueError, match="policy must be an EnumPolicy"):
+            list(enumerate_candidates(3, policy))
+
     def test_p2_is_empty(self):
         # the only non-simple 2-node graph has 4 > 3 edges
         assert list(enumerate_candidates(2)) == []

@@ -479,7 +479,7 @@ class TestIntegerHotPath:
             sigma = random_pd_matrix(g.p, rng)
             nums, d = _intkernel.common_denominator(sigma.entries)
             n_rows = [nums[i * g.p : (i + 1) * g.p] for i in range(g.p)]
-            assert identifiability._a_rows(n_rows, g.edge_index()) == _scaled_rows(
+            assert lyapunov._a_rows(n_rows, g.edge_index()) == _scaled_rows(
                 restrict_A(build_A(sigma), g), d
             )
             assert identifiability._h_rows(n_rows, g.non_edges()) == _scaled_rows(
@@ -547,6 +547,10 @@ P3_EIGHT_EDGES = DiGraph(3, frozenset({(1, 2), (2, 1), (1, 3), (3, 1), (2, 3)}))
 # has rank 18 at every sample, a kernel of dimension two
 P8_TWO_DEFICITS = DiGraph(8, two_cycle_two_sinks().offdiag_edges
                           | {(i + 4, j + 4) for (i, j) in two_cycle_two_sinks().offdiag_edges})
+# P3_EIGHT_EDGES with 3 -> 2 in place of 2 -> 3: at every sample of seeds
+# 0-2, the stored vector of its two-dimensional kernel is not A_E's first
+# RREF kernel vector
+P3_EIGHT_EDGES_FLIPPED = DiGraph(3, frozenset({(1, 2), (1, 3), (2, 1), (3, 1), (3, 2)}))
 H_ROUTE_GRAPHS = {
     **SAMPLED_CATALOG_GRAPHS,
     "p5_deficit": P5_DEFICIT,
@@ -562,20 +566,15 @@ COMPLETE_GRAPH_VERDICT_SHA256 = {
 
 
 def _count_h_route(monkeypatch) -> dict:
-    """Count kernel vectors taken from H_nonE and rankings of A(N)_E itself."""
-    counts = {"from_h": 0, "a_fallback": 0}
-    from_h, a_rows = identifiability._kernel_from_h, identifiability._a_rows
+    """Count kernel vectors taken from H_nonE."""
+    counts = {"from_h": 0}
+    from_h = identifiability._kernel_from_h
 
     def counted_from_h(*args):
         counts["from_h"] += 1
         return from_h(*args)
 
-    def counted_a_rows(*args):
-        counts["a_fallback"] += 1
-        return a_rows(*args)
-
     monkeypatch.setattr(identifiability, "_kernel_from_h", counted_from_h)
-    monkeypatch.setattr(identifiability, "_a_rows", counted_a_rows)
     return counts
 
 
@@ -600,42 +599,66 @@ class TestKernelRestrictionRanks:
                     Fraction(v, kernel[1]) for v in kernel[0])
                 assert sample.kernel_vector == expected
 
-    def test_classify_takes_the_a_fallback_past_both_bounds(self, monkeypatch):
+    def test_classify_past_both_bounds_takes_kernel_vectors_from_h(self, monkeypatch):
         g = P8_TWO_DEFICITS
         assert (g.num_edges, no_trek_pairs(g)) == (20, 16)
         counts = _count_h_route(monkeypatch)
         cert = classify(g, VolatilityMatrix.identity(8)).certificate
         assert cert.kind == RANK_DEFICIT_WITNESS
-        assert counts == {"from_h": 0, "a_fallback": 5}
+        assert counts == {"from_h": 5}
         assert [sample.rank for sample in cert.samples] == [18] * 5
         for sample in cert.samples:
             assert sample.kernel_vector == _rref_kernel_vector(g, sample.sigma)
 
-    def test_kernel_of_dimension_two_takes_the_a_fallback(self, monkeypatch):
+    def test_kernel_of_dimension_two_comes_from_h(self, monkeypatch):
         counts = _count_h_route(monkeypatch)
         cert = _sampled(P3_EIGHT_EDGES, IDENTITY3, ClassifyConfig(seed=1)).certificate
         assert cert.kind == RANK_DEFICIT_WITNESS
-        assert counts == {"from_h": 0, "a_fallback": len(cert.samples)}
+        assert counts == {"from_h": len(cert.samples)}
         for sample in cert.samples:
             assert sample.rank <= 6
             assert sample.kernel_vector == _rref_kernel_vector(P3_EIGHT_EDGES, sample.sigma)
 
-    @pytest.mark.parametrize("p, routes", [(2, {"from_h": 5, "a_fallback": 0}),
-                                           (3, {"from_h": 0, "a_fallback": 5})])
-    def test_complete_graph_classifies_as_pinned(self, monkeypatch, p, routes):
-        # H_nonE has no rows, so rank 0 of its p(p-1)/2 columns: at p = 2 the
-        # kernel of A_E is one-dimensional and comes from H, at p = 3 it is
-        # three-dimensional and the A fallback ranks every sample
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernel_of_dimension_two_stores_the_image_of_h(self, seed):
+        # past one dimension the kernel vector is x = H_E c over its last
+        # nonzero entry, c the first RREF kernel vector of H_nonE: exactly in
+        # the kernel of A_E, but not always A_E's own first RREF vector
+        g = P3_EIGHT_EDGES_FLIPPED
+        cert = _sampled(g, IDENTITY3, ClassifyConfig(seed=seed)).certificate
+        assert cert.kind == RANK_DEFICIT_WITNESS
+        assert len(cert.samples) == ClassifyConfig.trials
+        edge_rows = [(i - 1) * g.p + j - 1 for (i, j) in g.edge_index()]
+        for sample in cert.samples:
+            a_e = restrict_A(build_A(sample.sigma), g)
+            assert (g.num_edges, sample.rank) == (8, 6)
+            assert sample.rank == rank(a_e)
+            x = RatMatrix.column(sample.kernel_vector)
+            assert any(x.entries)
+            assert a_e @ x == RatMatrix.zeros(a_e.rows, 1)
+            h = build_H(sample.sigma)
+            h_non_e = restrict_H(h, g)
+            c = rref_solve(h_non_e, RatMatrix.zeros(h_non_e.rows, 1)).kernel.col(0)
+            h_e_c = (h.select_rows(edge_rows) @ RatMatrix.column(c)).entries
+            last = next(v for v in reversed(h_e_c) if v)
+            assert sample.kernel_vector == tuple(v / last for v in h_e_c)
+            assert sample.kernel_vector != _rref_kernel_vector(g, sample.sigma)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_complete_graph_classifies_as_pinned(self, monkeypatch, p):
+        # H_nonE has no rows, so rank 0 of its p(p-1)/2 columns: the kernel
+        # of A_E is one-dimensional at p = 2 and three-dimensional at p = 3,
+        # and every sample's kernel vector comes from H
         counts = _count_h_route(monkeypatch)
         verdict = _sampled(complete_graph(p), VolatilityMatrix.identity(p))
         body = json.dumps(verdict.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == COMPLETE_GRAPH_VERDICT_SHA256[p]
-        assert counts == routes
+        assert counts == {"from_h": 5}
 
     def test_one_dimensional_kernels_come_from_h(self, monkeypatch):
         counts = _count_h_route(monkeypatch)
         cert = classify(P5_DEFICIT, VolatilityMatrix.identity(5)).certificate
-        assert counts == {"from_h": 5, "a_fallback": 0}
+        assert counts == {"from_h": 5}
         for sample in cert.samples:
             assert sample.kernel_vector == _rref_kernel_vector(P5_DEFICIT, sample.sigma)
 
@@ -669,6 +692,16 @@ class TestClassifyConfig:
     def test_a_seed_that_is_not_an_int_is_refused(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             ClassifyConfig(seed=seed)
+
+    @pytest.mark.parametrize("cfg", [0, 7, {"seed": 7}])
+    def test_a_cfg_that_is_not_a_classify_config_is_refused(self, monkeypatch, cfg):
+        # 0 is not read as "no cfg", nor 7 as a seed; refused before any work
+        def refuse(*args):
+            raise AssertionError("the cascade ran")
+
+        monkeypatch.setattr(identifiability, "_classify_batch", refuse)
+        with pytest.raises(ValueError, match="cfg must be a ClassifyConfig"):
+            classify(two_cycle_two_sinks(), IDENTITY4, cfg)
 
     @pytest.mark.parametrize("p", range(3, 11))
     def test_the_stated_bound_is_below_2_to_the_minus_40_up_to_p_9(self, p):

@@ -207,6 +207,9 @@ UNSERVABLE_SWEEPS = {
     "jobs=0": lambda: sweep.run_sweep(3, jobs=0),
     "jobs=1.5": lambda: sweep.run_sweep(3, jobs=1.5),
     "jobs=True": lambda: sweep.run_sweep(3, jobs=True),
+    "policy=0": lambda: sweep.run_sweep(3, policy=0),
+    "policy=6": lambda: sweep.run_sweep(3, policy=6),
+    "policy=dict": lambda: sweep.run_sweep(3, policy={"max_edges": 6}),
 }
 
 
@@ -218,6 +221,13 @@ def test_an_unservable_sweep_is_refused_before_enumeration(monkeypatch, name):
     monkeypatch.setattr(sweep, "_candidate_masks", refuse)
     with pytest.raises(ValueError):
         UNSERVABLE_SWEEPS[name]()
+
+
+@pytest.mark.parametrize("policy", [0, 6, {"max_edges": 6}])
+def test_a_policy_that_is_not_an_enum_policy_is_refused(policy):
+    # 0 is not read as "no policy", nor 6 as a bound
+    with pytest.raises(ValueError, match="policy must be an EnumPolicy"):
+        sweep.run_sweep(3, policy=policy)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
