@@ -18,7 +18,7 @@ from .graphs import EnumPolicy, graph_from_json
 from .identifiability import ClassifyConfig, classify
 from .linalg import format_matrix_csv, parse_matrix_csv
 from .lyapunov import CovMatrix, DriftMatrix, VolatilityMatrix, fiber, solve_for_sigma
-from .sweep import _check_sweep, run_sweep
+from .sweep import _check_sweep, _write_report
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -83,37 +83,23 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _report_json(report: dict) -> str:
-    """The sweep report as JSON: the header fields, then one row per line.
-
-    Every piece goes through the C encoder (``indent`` would force the
-    pure-Python one), and the text loads back to ``report``.
-    """
-    header = {k: v for k, v in report.items() if k != "rows"}
-    rows = ",\n".join(map(json.dumps, report["rows"]))
-    return f'{json.dumps(header)[:-1]}, "rows": [\n{rows}\n]}}'
-
-
 def _cmd_sweep(args) -> int:
-    policy = EnumPolicy(max_edges=args.max_edges)
-    _check_sweep(args.p, policy, args.seed, args.jobs)
+    policy = _check_sweep(args.p, EnumPolicy(max_edges=args.max_edges), args.seed, args.jobs)
+    target = args.out or "standard output"
     try:  # opened before the sweep, so an unwritable path costs no sweep
-        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext()
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except OSError as exc:
         raise _cannot_write(args.out, exc) from exc
-    with out:
-        report = run_sweep(args.p, policy=policy, seed=args.seed, jobs=args.jobs)
-        text = _report_json(report.to_json())
-        if not args.out:
-            _print(text)
-            print(report.summary_csv(), file=sys.stderr)
-            return EXIT_OK
-        try:
-            with out:  # closes here, so a failed flush at the close is caught too
-                out.write(text + "\n")
-        except OSError as exc:
-            raise _cannot_write(args.out, exc) from exc
-    _print(report.summary_csv())
+    try:
+        with out as stream:  # a file closes here, so a failed flush at the close is caught too
+            summary = _write_report(stream, args.p, policy, args.seed, args.jobs)
+            stream.flush()
+    except OSError as exc:
+        raise _cannot_write(target, exc) from exc
+    if args.out:
+        _print(summary)
+    else:
+        print(summary, file=sys.stderr)
     return EXIT_OK
 
 

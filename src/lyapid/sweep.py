@@ -9,12 +9,15 @@ The unit of work is a chunk of at most ``_CHUNK`` candidates, sent as their
 canonical masks.  Whoever classifies a chunk builds each graph straight
 from its mask (a ``DiGraph`` is its arc mask) and hashes the sorted edges
 read off the mask into its seed, so the parent holds nothing per candidate
-but its mask.  The candidates are split into strided, near-equal chunks;
-when there is more than one, there are at least as many chunks as workers.
-A pool of at most ``--jobs`` workers starts only when there is more than
-one chunk and more than one worker to run them; a sweep of one chunk, as
-at p = 4, runs in process and never imports ``multiprocessing``.  Workers
-share nothing but the global seed.
+but its mask.  The masks are sorted into report order and cut into
+contiguous chunks, whatever ``--jobs`` is, so chunk k holds rows
+[k * _CHUNK, (k + 1) * _CHUNK) of the report and the rows come out in
+order, one chunk at a time: ``lyapid sweep`` writes each row as it
+arrives and never holds the report.  A pool of at most ``--jobs`` workers
+starts only when there is more than one chunk and more than one worker to
+run them, and hands the chunks back in order through ``imap``; a sweep of
+one chunk, as at p = 4, runs in process and never imports
+``multiprocessing``.  Workers share nothing but the global seed.
 
 Each chunk is classified by ``identifiability._classify_batch``, the one
 place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds the
@@ -33,11 +36,15 @@ those of ``classify`` by construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import time
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
+from typing import IO
 
 from .graphs import (_MAX_P, CONNECTIVITY, DiGraph, EnumPolicy, _as_policy, _candidate_masks,
                      _is_int)
@@ -54,11 +61,14 @@ from .identifiability import (
 from .lyapunov import VolatilityMatrix
 
 CSV_HEADER = "p,policy,total_nonsimple,non_identifiable,non_identifiable_eq9,wall_seconds"
+_TOTALS = ("total_nonsimple", "non_identifiable", "non_identifiable_eq9")  # the report's keys
 
 # Most candidates in one chunk, the unit of work: one pool task and one
-# _classify_batch call.  It stays below the 4,862 candidates of p = 5, whose
-# two chunks keep that sweep's peak memory to half a batch per process.
-_CHUNK = 4096
+# _classify_batch call, so it bounds the screen's stacks in a worker and the
+# rows a pooled parent holds.  The p = 5 sweep makes five chunks; against two
+# halves of 2,431 graphs they cut a worker's peak RSS from 44.2 to 36.4 MB
+# (2-vCPU VM) at the same classification CPU.
+_CHUNK = 1024
 
 
 def derive_graph_seed(global_seed: int, g: DiGraph) -> int:
@@ -121,30 +131,16 @@ class SweepReport:
     @property
     def totals(self) -> tuple[int, int, int]:
         """(total graphs, non-identifiable, non-identifiable satisfying eq. bound)."""
-        total = len(self.rows)
-        ni = sum(1 for r in self.rows if r.classification is IdentClass.NON_IDENTIFIABLE)
-        ni_eq9 = sum(
-            1
-            for r in self.rows
-            if r.classification is IdentClass.NON_IDENTIFIABLE and r.satisfies_eq9
-        )
-        return total, ni, ni_eq9
+        return functools.reduce(_count, self.rows, (0, 0, 0))
+
+    def _header_json(self) -> dict:
+        return {"p": self.p, "policy": self.policy.to_json(), "trials": self.trials,
+                "bound": self.bound, "seed": self.seed}
 
     def to_json(self, include_timing: bool = True) -> dict:
-        total, ni, ni_eq9 = self.totals
-        out = {
-            "p": self.p,
-            "policy": self.policy.to_json(),
-            "trials": self.trials,
-            "bound": self.bound,
-            "seed": self.seed,
-            "totals": {
-                "total_nonsimple": total,
-                "non_identifiable": ni,
-                "non_identifiable_eq9": ni_eq9,
-            },
-            "rows": [r.to_json(include_timing) for r in self.rows],
-        }
+        out = self._header_json()
+        out["totals"] = dict(zip(_TOTALS, self.totals))
+        out["rows"] = [r.to_json(include_timing) for r in self.rows]
         if include_timing:
             out["wall_seconds"] = self.wall_seconds
         return out
@@ -154,12 +150,20 @@ class SweepReport:
         return json.dumps(self.to_json(include_timing=False), sort_keys=True).encode()
 
     def summary_csv(self) -> str:
-        total, ni, ni_eq9 = self.totals
-        policy = f"max_edges={self.policy.resolved_max_edges(self.p)};{CONNECTIVITY}"
-        return (
-            f"{CSV_HEADER}\n"
-            f"{self.p},{policy},{total},{ni},{ni_eq9},{self.wall_seconds:.3f}"
-        )
+        return _summary_csv(self, self.totals)
+
+
+def _summary_csv(report: SweepReport, totals: tuple[int, int, int]) -> str:
+    """The CSV summary of ``report`` with these totals."""
+    policy = f"max_edges={report.policy.resolved_max_edges(report.p)};{CONNECTIVITY}"
+    counts = ",".join(map(str, totals))
+    return f"{CSV_HEADER}\n{report.p},{policy},{counts},{report.wall_seconds:.3f}"
+
+
+def _count(totals: tuple[int, int, int], row: SweepRow) -> tuple[int, int, int]:
+    """``totals``, as in :attr:`SweepReport.totals`, with ``row`` counted."""
+    ni = row.classification is IdentClass.NON_IDENTIFIABLE
+    return totals[0] + 1, totals[1] + ni, totals[2] + (ni and row.satisfies_eq9)
 
 
 def _row_witness(verdict: IdentVerdict):
@@ -215,6 +219,27 @@ def _check_sweep(p: int, policy: EnumPolicy | None, seed: int, jobs: int) -> Enu
     return policy
 
 
+def _sweep_rows(p: int, policy: EnumPolicy, seed: int, jobs: int) -> Iterator[SweepRow]:
+    """Every row of a checked sweep in report order, one chunk at a time.
+
+    Report order is edge count ascending, then mask descending, which is
+    ``(num_edges, edges)`` under ``_arc_bit``.  A pool, when one starts,
+    lives until the generator is exhausted or closed.
+    """
+    masks = sorted(_candidate_masks(p, policy), key=lambda mask: (mask.bit_count(), -mask))
+    chunks = [(p, seed, masks[k:k + _CHUNK]) for k in range(0, len(masks), _CHUNK)]
+    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+    if workers > 1:
+        import multiprocessing  # only a pooled sweep pays for the import
+
+        with multiprocessing.Pool(processes=workers) as pool:
+            for rows in pool.imap(_classify_chunk, chunks):
+                yield from rows
+    else:
+        for chunk in chunks:
+            yield from _classify_chunk(chunk)
+
+
 def run_sweep(
     p: int,
     policy: EnumPolicy | None = None,
@@ -235,23 +260,31 @@ def run_sweep(
     """
     policy = _check_sweep(p, policy, seed, jobs)
     started = time.perf_counter()
-    masks = _candidate_masks(p, policy)
-    workers = min(jobs, os.cpu_count() or 1)
-    n = -(-len(masks) // _CHUNK)
-    if n > 1:
-        n = min(max(n, workers), len(masks))
-    chunks = [(p, seed, masks[k::n]) for k in range(n)]
-    workers = min(workers, n)
-    if workers > 1:
-        import multiprocessing  # only a pooled sweep pays for the import
-
-        with multiprocessing.Pool(processes=workers) as pool:
-            parts = pool.map(_classify_chunk, chunks, chunksize=1)
-    else:
-        parts = map(_classify_chunk, chunks)
-    rows = [row for part in parts for row in part]
-    rows.sort(key=lambda r: (r.num_edges, r.edges))
     report = SweepReport(p=p, policy=policy, trials=ClassifyConfig.trials,
-                         bound=ClassifyConfig.bound, seed=seed, rows=rows)
+                         bound=ClassifyConfig.bound, seed=seed,
+                         rows=list(_sweep_rows(p, policy, seed, jobs)))
     report.wall_seconds = time.perf_counter() - started
     return report
+
+
+def _write_report(out: IO[str], p: int, policy: EnumPolicy, seed: int, jobs: int) -> str:
+    """Run a checked sweep and write its report to ``out`` as the rows
+    arrive; returns the CSV summary.
+
+    Line 1 holds the header fields, each row has a line, and the last line
+    holds the totals and ``wall_seconds``, so the text loads to
+    ``run_sweep(p, policy, seed, jobs).to_json()``, timing aside.
+    """
+    started = time.perf_counter()
+    report = SweepReport(p=p, policy=policy, trials=ClassifyConfig.trials,
+                         bound=ClassifyConfig.bound, seed=seed)
+    out.write(json.dumps(report._header_json())[:-1] + ', "rows": [\n')
+    totals, sep = (0, 0, 0), ""
+    with closing(_sweep_rows(p, policy, seed, jobs)) as rows:  # a failed write ends the pool
+        for row in rows:
+            out.write(sep + json.dumps(row.to_json()))
+            totals, sep = _count(totals, row), ",\n"
+    report.wall_seconds = time.perf_counter() - started
+    tail = {"totals": dict(zip(_TOTALS, totals)), "wall_seconds": report.wall_seconds}
+    out.write(f"\n], {json.dumps(tail)[1:]}\n")
+    return _summary_csv(report, totals)

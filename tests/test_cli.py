@@ -261,7 +261,7 @@ class TestSweepCommand:
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(cli, "_write_report", no_sweep)
         out = workdir / "missing" / "report.json"
         assert main(["sweep", "--p", "3", "--out", str(out)]) == 2
         _assert_one_line_error(capsys)
@@ -307,6 +307,59 @@ class TestSweepCommand:
         row_lines = [line for line in lines if line.startswith('{"p": 4, "edges"')]
         assert len(row_lines) == len(expected["rows"]) == 80
         assert len(lines) == len(row_lines) + 2
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    def test_the_report_is_streamed(self, workdir, capsys, monkeypatch, pooled):
+        # Nothing builds the whole report: each row is written before the
+        # next chunk is classified, and the file still loads to the report.
+        import multiprocessing
+
+        from lyapid import sweep
+        from test_sweep import _serial_pool
+
+        expected = sweep.run_sweep(4, seed=5).to_json(include_timing=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI built the whole report")
+
+        monkeypatch.setattr(sweep.SweepReport, "to_json", refuse)
+        monkeypatch.setattr(sweep, "run_sweep", refuse)
+        monkeypatch.setattr(cli, "run_sweep", refuse, raising=False)
+        monkeypatch.setattr(sweep, "_CHUNK", 20)
+        if pooled:
+            monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+            _serial_pool(monkeypatch)
+        else:
+            monkeypatch.setattr(multiprocessing, "Pool", None)  # calling it would fail
+        written, classify_chunk = [], sweep._classify_chunk
+
+        def chunk_after_rows(chunk):
+            written.append(capsys.readouterr().out)
+            return classify_chunk(chunk)
+
+        monkeypatch.setattr(sweep, "_classify_chunk", chunk_after_rows)
+        argv = ["sweep", "--p", "4", "--seed", "5"]
+        assert main(argv + (["--jobs", "2"] if pooled else [])) == 0
+        text = "".join(written) + capsys.readouterr().out
+        assert [part.count('{"p": 4, "edges"') for part in written] == [0, 20, 20, 20]
+        report = json.loads(text)
+        assert report.pop("wall_seconds") >= 0
+        assert [row.pop("elapsed_ms") >= 0 for row in report["rows"]] == [True] * 80
+        assert report == expected
+        assert len(text.splitlines()) == 80 + 2
+
+    @needs_dev_full
+    def test_a_failed_write_mid_stream_leaves_no_worker(self, capsys, monkeypatch):
+        import multiprocessing
+
+        from lyapid import sweep
+
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep, "_CHUNK", 20)  # four chunks, so a pool of two starts
+        assert main(["sweep", "--p", "4", "--jobs", "2", "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1, err
+        assert multiprocessing.active_children() == []
 
     def test_report_byte_reproducible_modulo_timing(self, workdir):
         from lyapid.sweep import run_sweep

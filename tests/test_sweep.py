@@ -38,8 +38,8 @@ def _exact_sweep(monkeypatch, p, **kwargs):
 def test_uneven_shards_match_serial_bytes(monkeypatch):
     serial = sweep.run_sweep(4)  # one chunk, in process
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)  # so 3 workers are not capped
-    monkeypatch.setattr(sweep, "_CHUNK", 40)  # two chunks, raised to the 3 workers
-    sharded = sweep.run_sweep(4, jobs=3)  # 80 candidates: chunks of 27, 27, 26
+    monkeypatch.setattr(sweep, "_CHUNK", 30)  # 80 candidates: chunks of 30, 30 and 20
+    sharded = sweep.run_sweep(4, jobs=3)
     assert sharded.canonical_bytes() == serial.canonical_bytes()
     assert all(row.elapsed_ms >= 0 for row in sharded.rows)
 
@@ -56,11 +56,13 @@ def test_screened_sweep_matches_the_exact_path(monkeypatch, p, kwargs):
 
 
 class _SerialPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in process."""
+    """Stands in for multiprocessing.Pool: records its size and the chunks it
+    is sent, and hands back each chunk's rows in process, in order, as late
+    as imap may."""
 
-    def __init__(self, sizes, shards, processes):
+    def __init__(self, sizes, chunks, processes):
         sizes.append(processes)
-        self.shards = shards
+        self.chunks = chunks
 
     def __enter__(self):
         return self
@@ -68,30 +70,36 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, func, shards, chunksize=1):
-        self.shards.extend(shards)
-        return [func(shard) for shard in shards]
+    def imap(self, func, chunks):
+        for chunk in chunks:
+            self.chunks.append(chunk)
+            yield func(chunk)
 
 
-# With 6 CPUs: p = 3 has 2 candidates, p = 4 has 80.  Chunks of 1 at p = 3
-# cap the workers at the candidates; chunks of 40 at p = 4 make 2 chunks,
-# raised to the workers, and the last case is capped by the CPU count; chunks
-# of 10 make 8, more than the workers.
-@pytest.mark.parametrize("p, chunk, jobs, workers, chunks", [
-    (3, 1, 5, 2, 2), (3, 1, 64, 2, 2), (4, 40, 3, 3, 3), (3, 1, 1, None, 0),
-    (4, 40, 100_000, 6, 6), (4, 10, 3, 3, 8), (4, 4096, 2, None, 0),
-])
-def test_workers_are_capped_by_the_candidates(monkeypatch, p, chunk, jobs, workers, chunks):
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 6)
-    monkeypatch.setattr(sweep, "_CHUNK", chunk)
-    sizes, shards = [], []
+def _serial_pool(monkeypatch, sizes=None, chunks=None):
     monkeypatch.setattr(
         multiprocessing, "Pool",
-        lambda processes: _SerialPool(sizes, shards, processes),
+        lambda processes: _SerialPool([] if sizes is None else sizes,
+                                      [] if chunks is None else chunks, processes),
     )
+
+
+# With 6 CPUs: p = 3 has 2 candidates, p = 4 has 80.  A pool starts with
+# min(jobs, CPUs, chunks) workers when that is above 1; below, the sweep
+# runs in process.
+@pytest.mark.parametrize("p, chunk, jobs, workers, chunks", [
+    (3, 1, 5, 2, 2), (3, 1, 64, 2, 2), (4, 40, 3, 2, 2), (3, 1, 1, None, 0),
+    (4, 10, 100_000, 6, 8), (4, 10, 3, 3, 8), (4, 1024, 2, None, 0), (4, 79, 4, 2, 2),
+])
+def test_the_pool_is_the_least_of_jobs_cpus_and_chunks(monkeypatch, p, chunk, jobs, workers,
+                                                       chunks):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(sweep, "_CHUNK", chunk)
+    sizes, sent = [], []
+    _serial_pool(monkeypatch, sizes, sent)
     report = sweep.run_sweep(p, jobs=jobs)
     assert sizes == ([] if workers is None else [workers])
-    assert len(shards) == chunks and all(0 < len(shard[-1]) <= chunk for shard in shards)
+    assert len(sent) == chunks and all(0 < len(masks) <= chunk for _, _, masks in sent)
     monkeypatch.undo()
     assert report.canonical_bytes() == sweep.run_sweep(p).canonical_bytes()
 
@@ -106,26 +114,26 @@ def test_one_or_unknown_cpu_runs_serially(monkeypatch, cpus):
 
 @pytest.mark.parametrize("p", [4, 5])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_items_carry_each_candidates_graph_seed(monkeypatch, p, seed):
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_chunk_k_is_the_kth_slice_of_the_report(monkeypatch, p, seed, jobs):
     # The pool is sent masks only; each chunk's edges and seeds are derived
-    # where it is classified, and chunk k holds candidates k, k + n, ...
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    # where it is classified, and chunk k holds rows [k * _CHUNK,
+    # (k + 1) * _CHUNK) of the report order, (num_edges, edges), whatever
+    # the jobs
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(sweep, "_CHUNK", 30)
-    monkeypatch.setattr(multiprocessing, "Pool",
-                        lambda processes: _SerialPool([], [], processes))
+    _serial_pool(monkeypatch)
     batches = []
 
     def recorded(graphs, vol, seeds, elapsed_ms):
-        batches.append([(tuple(sorted(g.offdiag_edges)), seed)
-                        for g, seed in zip(graphs, seeds)])
+        batches.append([(g.arcs, seed) for g, seed in zip(graphs, seeds)])
         return []
 
     monkeypatch.setattr(sweep, "_classify_batch", recorded)
-    sweep.run_sweep(p, seed=seed, jobs=2)
-    expected = [(tuple(sorted(g.offdiag_edges)), sweep.derive_graph_seed(seed, g))
-                for g in enumerate_candidates(p)]
-    n = -(-len(expected) // 30)
-    assert batches == [expected[k::n] for k in range(n)]
+    sweep.run_sweep(p, seed=seed, jobs=jobs)
+    ordered = sorted(enumerate_candidates(p), key=lambda g: (g.num_edges, g.arcs))
+    expected = [(g.arcs, sweep.derive_graph_seed(seed, g)) for g in ordered]
+    assert batches == [expected[k:k + 30] for k in range(0, len(expected), 30)]
 
 
 def test_serial_sweep_builds_each_graph_once(monkeypatch):
