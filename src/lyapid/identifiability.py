@@ -38,6 +38,7 @@ from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det
 from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
+    _all_edges,
     _draw_drift_rows,
     _h_rows,
     _solve_sigma_scaled,
@@ -456,76 +457,47 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[in
     return verdicts
 
 
-@functools.lru_cache(maxsize=None)
-def _screen_plans(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather plans for the vech system and for H(Sigma), read off their builders.
-
-    An entry of the coefficient block K of :func:`_vech_system` is a sum of
-    at most two drift entries, the same one twice for a coefficient 2:
-    K[r, u] is ``d[k_plan[0, r, u]] + d[k_plan[1, r, u]]`` for the
-    row-major drift entries d with a zero appended.  An entry of
-    :func:`_h_rows` over every potential edge (vec order) is 0 or +-one
-    entry of Sigma: H[e, c] is ``s[h_plan[e, c]]`` for s the vech of Sigma,
-    then the vech of -Sigma, then a zero.
-    """
+def _residue_stack(rows: list[list], batch: int) -> np.ndarray:
+    """A builder's rows, each entry an int or a length-``batch`` vector, as
+    the (rows, cols, batch) int64 residues mod q that ``mod_gauss`` takes."""
     np = _intkernel.numpy()
-    n = p * (p + 1) // 2
-    zero = p * p
-    zeros = [[0] * p for _ in range(p)]
-    k_plan = np.full((2, n, n), zero, dtype=np.int64)
-    filled = np.zeros((n, n), dtype=np.int64)
-    for t in range(p * p):
-        unit = [[int(r * p + c == t) for c in range(p)] for r in range(p)]
-        for r, row in enumerate(_vech_system(unit, zeros)[0]):
-            for u, coef in enumerate(row):
-                for _ in range(coef):
-                    k_plan[filled[r, u], r, u] = t
-                    filled[r, u] += 1
-    edges = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
-    h_plan = np.full((p * p, p * (p - 1) // 2), 2 * n, dtype=np.int64)
-    for t in range(n):
-        for e, row in enumerate(_h_rows(_unvech([int(u == t) for u in range(n)], p), edges)):
-            for c, coef in enumerate(row):
-                if coef:
-                    h_plan[e, c] = t if coef > 0 else n + t
-    for plan in (k_plan, h_plan):
-        plan.setflags(write=False)
-    return k_plan, h_plan
+    q = _intkernel.MOD_PRIME
+    stack = np.empty((len(rows), len(rows[0]), batch), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            stack[r, c] = x % q
+    return stack
 
 
 def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
                       c_rows) -> list[bool]:
     """Which drifts the GF(q) screen proves to give A(Sigma)_E full column rank.
 
-    All graphs share p and the integer volatility rows ``c_rows``.  Every
-    vech system [K | -vech(C)] is reduced mod q and solved in one batch;
-    the graphs whose K is nonsingular mod q get H(Sigma mod q) on their
-    non-edges, grouped by |E| and ranked one batch per group.  A_E has full
-    column rank exactly when H_nonE has full column rank p(p-1)/2, so True
-    is a proof over Q (see ``_intkernel``); False only sends the graph to
-    the exact path.  Both builds are gathers of residues
-    (:func:`_screen_plans`), so no product is formed before elimination.
+    All graphs share p and the integer volatility rows ``c_rows``.  The
+    builders run on residue vectors, one entry per graph: every vech system
+    [K | -vech(C)] is :func:`_vech_system` of the drifts mod q, solved in
+    one batch; the graphs whose K is nonsingular mod q get
+    :func:`_h_rows` of Sigma mod q, gathered on their non-edges, grouped by
+    |E| and ranked one batch per group.  A_E has full column rank exactly
+    when H_nonE has full column rank p(p-1)/2, so True is a proof over Q
+    (see ``_intkernel``); False only sends the graph to the exact path.
     """
     if not graphs:
         return []
     np = _intkernel.numpy()
-    q = _intkernel.MOD_PRIME
     p = len(c_rows)
     n = p * (p + 1) // 2
-    k_plan, h_plan = _screen_plans(p)
-    batch = len(drifts)
-    drift_mod = np.zeros((p * p + 1, batch), dtype=np.int64)
-    drift_mod[:p * p] = np.array(drifts, dtype=np.int64).reshape(batch, p * p).T % q
-    rhs = _vech_system([[0] * p for _ in range(p)], c_rows)[1]
-    systems = np.empty((n, n + 1, batch), dtype=np.int64)
-    np.add(drift_mod[k_plan[0]], drift_mod[k_plan[1]], out=systems[:, :n])
-    systems[:, :n] %= q
-    systems[:, n] = np.array([b % q for b in rhs], dtype=np.int64)[:, None]
+    # drift_mod[i][t] holds entry (i, t) of every drift, mod q
+    drift_mod = np.array(drifts, dtype=np.int64).transpose(1, 2, 0) % _intkernel.MOD_PRIME
+    k_rows, rhs = _vech_system(drift_mod, c_rows)
+    systems = _residue_stack([row + [b] for row, b in zip(k_rows, rhs)], len(drifts))
+    # rows and stacks are dropped once read, so the screen peaks in K's elimination
+    del k_rows
     solved, reduced = _intkernel.mod_gauss(systems, limit_cols=n)
     ok = np.flatnonzero(solved)
-    sigma = reduced[:, n, ok]
-    # rows of vech(Sigma), vech(-Sigma) and a zero row, one column per graph
-    s_ext = np.concatenate([sigma, -sigma % q, np.zeros((1, ok.size), dtype=np.int64)])
+    sigma = _unvech(reduced[:, n, ok], p)
+    del systems, reduced
+    h_all = _residue_stack(_h_rows(sigma, _all_edges(p)), ok.size)
     masks = np.array([graphs[k].mask for k in ok.tolist()], dtype=object)
     is_edge = np.ones((ok.size, p * p), dtype=bool)  # the self-loops stay set
     for i, j in itertools.permutations(range(1, p + 1), 2):
@@ -536,7 +508,7 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
         members = np.flatnonzero(sizes == size)
         non_edges = np.nonzero(~is_edge[members])[1].reshape(members.size, p * p - size)
         # stack[r, c, g] = H(Sigma_g)[non-edge r of g, c], batch last
-        stack = s_ext[h_plan[non_edges.T].transpose(0, 2, 1), members]
+        stack = h_all[non_edges.T, :, members].transpose(0, 2, 1)
         proved[ok[members]] = _intkernel.mod_gauss(stack)[0]
     return proved.tolist()
 

@@ -154,13 +154,13 @@ class FiberResult:
 # ---------------------------------------------------------------------------
 
 
-# Each matrix has one builder (``_a_rows``, ``_h_rows``) from nested rows to
-# nested rows, generic over the exact scalar.  ``_h_rows`` takes ``int``
-# numerators on the sampling path and in the screen's gather plans, and
-# ``Fraction`` entries behind the public ``RatMatrix`` adapter; ``_a_rows``
-# backs only ``build_A``, since every sampled rank is decided on H.  Sigma
-# itself is solved from the vech system of :func:`_solve_sigma_scaled`; the
-# full Kronecker-sum system only cross-checks it, in the tests.
+# Each matrix has one builder (``_vech_system``, ``_a_rows``, ``_h_rows``)
+# from nested rows to nested rows, generic over the scalar: ``int``s on the
+# sampling path, ``Fraction``s behind the public ``RatMatrix`` adapter, and
+# numpy vectors of residues mod q, one entry per graph, in the sweep's
+# screen.  ``_a_rows`` backs only ``build_A``, since every sampled rank is
+# decided on H.  The full Kronecker-sum system only cross-checks the vech
+# system of :func:`_solve_sigma_scaled`, in the tests.
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +179,10 @@ def _vech_system(m_rows: list[list], c_rows: list[list]) -> tuple[list[list], li
     """Rows K and right side b of vech(M Sigma + Sigma M^T) = -vech(C).
 
     The unknowns are vech(Sigma), one per pair k <= l.  Linear in M and C,
-    so it is built alike from integers and from residues mod q.
+    so it is built alike from integers and from residue vectors mod q.  It
+    never writes into its inputs: a row starts from the int 0, so an entry's
+    first ``+=`` makes a new value.  An entry of K sums at most two entries
+    of M: from residues it is below 2q, within an int64 before its ``% q``.
     """
     p = len(m_rows)
     index = _vech_positions(p)
@@ -348,7 +351,8 @@ def restrict_A(a: RatMatrix, g: DiGraph) -> RatMatrix:
 
 
 def _h_rows(s_rows: list[list], edges: list[Edge]) -> list[list]:
-    """Rows of H(Sigma), one row per edge of ``edges`` (see :func:`build_H`)."""
+    """Rows of H(Sigma), one per edge of ``edges`` (see :func:`build_H`); never
+    writes into ``s_rows``: each entry is 0, an entry of Sigma or a negated one."""
     p = len(s_rows)
     pairs = [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
     out = []

@@ -149,9 +149,6 @@ class SweepReport:
         """Byte-reproducible body of the report: everything except timings."""
         return json.dumps(self.to_json(include_timing=False), sort_keys=True).encode()
 
-    def summary_csv(self) -> str:
-        return _summary_csv(self, self.totals)
-
 
 def _summary_csv(report: SweepReport, totals: tuple[int, int, int]) -> str:
     """The CSV summary of ``report`` with these totals."""

@@ -894,24 +894,37 @@ class TestClassifyBatch:
         assert witness == classify(g, IDENTITY3, cfg).certificate.witness
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_screen_tables_are_the_builders(self, p):
-        """The gather plans of the screen against the loop builders they come from."""
+    def test_the_builders_run_on_residue_vectors(self, p):
+        """The screen's stacks of K and H, built from residue vectors, graph by
+        graph against the scalar builders' integer rows reduced mod q."""
         q = _intkernel.MOD_PRIME
         n = p * (p + 1) // 2
         rng = random.Random(p)
-        k_plan, h_plan = identifiability._screen_plans(p)
-        zeros = [[0] * p for _ in range(p)]
-        edges = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
-        for _ in range(5):
-            m = [[rng.randint(-(2**80), 2**80) for _ in range(p)] for _ in range(p)]
-            m_mod = np.array([x % q for row in m for x in row] + [0], dtype=np.int64)
-            k_rows, _ = lyapunov._vech_system(m, zeros)
-            k_gathered = (m_mod[k_plan[0]] + m_mod[k_plan[1]]) % q
-            assert k_gathered.tolist() == [[x % q for x in row] for row in k_rows]
-            s = [rng.randrange(q) for _ in range(n)]
-            s_ext = np.array(s + [-x % q for x in s] + [0], dtype=np.int64)
-            h_rows = identifiability._h_rows(lyapunov._unvech(s, p), edges)
-            assert s_ext[h_plan].tolist() == [[x % q for x in row] for row in h_rows]
+        common = [0, 0, 1, -1, 2**20, -(2**20)]  # zero and repeated entries
+        drifts = [[[rng.choice(common) if rng.random() < 0.4 else rng.randint(-(2**20), 2**20)
+                    for _ in range(p)] for _ in range(p)] for _ in range(9)]
+        drifts += [drifts[0], [[0] * p for _ in range(p)]]
+        batch = len(drifts)
+        eye = [[int(i == j) for j in range(p)] for i in range(p)]
+        # non-diagonal, with entries past int64 that the stack reduces
+        wide = [[2**70 + i if i == j else (i + j) % 3 - 1 for j in range(p)] for i in range(p)]
+        s = np.array([[rng.randrange(q) for _ in range(batch)] for _ in range(n)])
+        h_stack = identifiability._residue_stack(
+            lyapunov._h_rows(lyapunov._unvech(s, p), lyapunov._all_edges(p)), batch)
+        for c_rows in (eye, wide):
+            drift_mod = np.array(drifts, dtype=np.int64).transpose(1, 2, 0) % q
+            before = drift_mod.copy()
+            k_rows, rhs = lyapunov._vech_system(drift_mod, c_rows)
+            k_stack = identifiability._residue_stack(
+                [row + [b] for row, b in zip(k_rows, rhs)], batch)
+            assert (drift_mod == before).all()  # the builder wrote into no input
+            for g, m in enumerate(drifts):
+                k, b = lyapunov._vech_system(m, c_rows)
+                assert k_stack[:, :, g].tolist() == [[x % q for x in row + [y]]
+                                                     for row, y in zip(k, b)]
+                h = lyapunov._h_rows(lyapunov._unvech(s[:, g].tolist(), p),
+                                     lyapunov._all_edges(p))
+                assert h_stack[:, :, g].tolist() == [[x % q for x in row] for row in h]
 
 
 # P5_DEFICIT with the arc 3 -> 4: a full-rank witness at its first sample

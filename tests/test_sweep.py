@@ -167,11 +167,23 @@ def test_parallel_sweep_leaves_the_gc_freeze_count_unchanged(monkeypatch, caller
         gc.unfreeze()
 
 
+# Graphs of the seed-0 sweep that the screen leaves to the exact path: its
+# rank-deficit rows.  The bytes cannot show a weaker screen, only this can.
+EXACT_PATH_GRAPHS = {4: 1, 5: 37}
+
+
 @pytest.mark.parametrize("p", [4, 5])
 def test_jobs_do_not_change_the_bytes(monkeypatch, p):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)  # so 3 workers are not capped
-    for jobs in (1, 2, 3):
-        report = sweep.run_sweep(p, jobs=jobs)
+    exact = []
+    sample = identifiability._rank_by_sampling
+    with monkeypatch.context() as patch:  # in process, so the calls can be counted
+        patch.setattr(identifiability, "_rank_by_sampling",
+                      lambda *args: exact.append(args[0]) or sample(*args))
+        reports = [sweep.run_sweep(p, jobs=1)]
+    assert len(exact) == EXACT_PATH_GRAPHS[p]
+    reports += [sweep.run_sweep(p, jobs=jobs) for jobs in (2, 3)]
+    for report in reports:
         assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[p]
 
 
