@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the classification sweep for 3 and 4 nodes and print the table rows.
 
-The full 5-node sweep (4862 graphs) takes about 0.8 s wall time on two cores:
+The full 5-node sweep (4862 graphs) takes about 0.7 s wall time on two cores:
     lyapid sweep --p 5 --jobs 2 --out sweep5.json
 """
 

@@ -55,10 +55,9 @@ leading f x f minor.
 
 :func:`mod_gauss` eliminates a whole stack of same-shape residue matrices
 at once, for callers that bring thousands of small systems
-(``identifiability._classify_batch``).  The stack is batch-last, so each
-row operation runs over contiguous memory.  The screen needs only a
-full-rank flag per matrix and, for the vech systems, one solved column, so
-the elimination runs forward only and back-substitutes just that column.
+(``identifiability._classify_batch``).  The screen needs only a full-rank
+flag per matrix and, for the vech systems, one solved column, so the
+elimination runs forward only and back-substitutes just that column.
 It proves, never refutes: if the vech Lyapunov system
 K vech(Sigma) = -vech(C) is nonsingular mod q, its determinant -- and so
 the denominator D of Sigma = N / D -- is a unit mod q, and the solution
@@ -68,8 +67,8 @@ non-edge rows mod q is a nonzero minor mod q, hence a nonzero minor over
 Q: A(Sigma)_E has full column rank.  A zero pivot or a deficit mod q proves
 nothing and goes to the exact path.  It stays apart from
 :func:`mod_echelon` because numpy pays only in bulk: screening one p = 5
-graph costs several times its exact path, a batch of thousands about
-0.1 ms a graph.  So ``_classify_batch`` screens only when at least 16
+graph costs about 2 ms, four times its exact path, and a batch of
+thousands about 0.02 ms a graph.  So ``_classify_batch`` screens only when at least 16
 graphs of a batch reach sampling, and a lone ``classify`` never does.
 
 Every rank test of the identifiability question -- does A(Sigma)_E, the
@@ -97,6 +96,8 @@ kernel of A_E, but need not be A_E's first RREF vector.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import sys
@@ -108,10 +109,11 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-# The Mersenne prime 2^31 - 1 of both modular eliminations: the product of
-# two residues fits in an int64, as :func:`mod_gauss` needs.  Read at call
-# time, so a test can swap in a tiny prime to force the exact fallback.
-MOD_PRIME = 2**31 - 1
+# The largest prime below 2^16, of both modular eliminations: small, for
+# table inverses and unreduced sums in :func:`mod_gauss` and small ints in
+# :func:`mod_echelon`.  Read at call time, so a test can swap in a tiny
+# prime to force the exact fallback.
+MOD_PRIME = 65521
 
 
 def numpy():
@@ -237,17 +239,25 @@ def leading_minors_positive(rows: list[list[int]]) -> bool:
     return not swaps and len(pivot_cols) == len(work) and all(work[k][k] > 0 for k in pivot_cols)
 
 
-def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x^(q-2) mod q elementwise: the inverse of every nonzero residue."""
-    result = numpy().ones_like(x)
-    base = x
-    e = q - 2
-    while e:
-        if e & 1:
-            result = result * base % q
-        base = base * base % q
-        e >>= 1
-    return result
+@functools.cache
+def _inverse_table(q: int) -> np.ndarray:
+    """inv[x] = x^-1 mod q for 0 < x < q, and inv[0] = 0, as uint16 (q < 2^16),
+    filled with the powers of a g of order q - 1 (g^e != 1 for each proper
+    divisor e of q - 1) in blocks of 1,024, each a small part of the table."""
+    np = numpy()
+    n = q - 1
+    divisors = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    g = next(g for g in range(1, q)
+             if all(pow(g, e, q) != 1 for d in divisors for e in (d, n // d) if e < n))
+    size = min(n, 1024)
+    up = np.fromiter(itertools.accumulate(range(1, size), lambda x, _: x * g % q, initial=1),
+                     np.uint32, size)  # g^j for j < size
+    down = up[::-1] * pow(g, n + 1 - size, q) % q  # g^-j = g^(n + 1 - size) g^(size - 1 - j)
+    table = np.zeros(q, dtype=np.uint16)
+    for start in range(0, n, size):
+        # g^(start + j) has inverse g^-start g^-j; a product of residues is below 2^32
+        table[up[:n - start] * pow(g, start, q) % q] = down[:n - start] * pow(g, -start, q) % q
+    return table
 
 
 def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
@@ -257,8 +267,11 @@ def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
     matrix k is ``stack[:, :, k]``, so each row operation runs over
     contiguous memory.  Column c of every matrix is eliminated at row c,
     after a swap that brings up the first row at or below c that is nonzero
-    there; the pivot row is normalised and only the rows below it are
-    updated.  Returns (full, work): ``full[k]`` says that each of the first
+    there.  Only that column and the pivot row, once normalised, are
+    reduced; the rows below take each update, a product below q^2,
+    unreduced.  After 22 steps (the p = 6 vech system is 21 x 22) every
+    entry lies within 22 (q-1)^2 + q < 2^37 of 0, and times an inverse within
+    2^53.  Returns (full, work): ``full[k]`` says that each of the first
     ``limit_cols`` columns (all by default) of matrix k got a pivot, i.e.
     they have full column rank mod q.  Then the columns from ``limit_cols``
     on are back-substituted, so for an augmented system [K | b] rows
@@ -267,6 +280,7 @@ def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
     """
     np = numpy()
     q = MOD_PRIME
+    inverse = _inverse_table(q)
     work = np.array(stack, dtype=np.int64)
     nr, nc, batch = work.shape
     stop = nc if limit_cols is None else limit_cols
@@ -274,11 +288,12 @@ def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
     if stop > nr:
         return full, work
     for c in range(stop):
+        work[c:, c] %= q
         nonzero = work[c:, c] != 0
         full &= nonzero.any(axis=0)
-        # Rows above c are final and every row at or below c is zero left of
-        # column c, so a swap need only move columns c: of the few matrices
-        # whose pivot is not already in place.
+        # Rows above c are final and every row at or below c is zero mod q
+        # left of column c, so a swap need only move columns c: of the few
+        # matrices whose pivot is not already in place.
         swap = np.flatnonzero(~nonzero[0])
         if swap.size:
             piv = c + nonzero[:, swap].argmax(axis=0)
@@ -286,18 +301,15 @@ def mod_gauss(stack: np.ndarray, limit_cols: int | None = None):
             work[piv, c:, swap] = work[c, c:, swap]
             work[c, c:, swap] = pivot_rows
         pivot_row = work[c, c:]
-        pivot_row *= _inverse_mod(work[c, c], q)
+        pivot_row *= inverse[pivot_row[0]]
         pivot_row %= q
-        # Each product is below q^2 < 2^62, so the difference fits in int64.
         below = work[c + 1:, c:]
         below -= below[:, :1] * pivot_row
-        below %= q
     if nc > stop:
-        # Unit upper-triangular back-substitution.  Each product is reduced
-        # before the sum: three unreduced ones, near q^2 = 2^62 each,
-        # overflow int64.
+        # Unit upper-triangular back-substitution on the reduced pivot rows:
+        # each product is below q^2 < 2^32, so their sum is reduced once.
         for r in range(stop - 2, -1, -1):
-            products = work[r, r + 1:stop, None] * work[r + 1:stop, stop:] % q
+            products = work[r, r + 1:stop, None] * work[r + 1:stop, stop:]
             work[r, stop:] = (work[r, stop:] - products.sum(axis=0)) % q
     return full, work
 

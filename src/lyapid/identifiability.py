@@ -498,7 +498,8 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
     sigma = _unvech(reduced[:, n, ok], p)
     del systems, reduced
     h_all = _residue_stack(_h_rows(sigma, _all_edges(p)), ok.size)
-    masks = np.array([graphs[k].mask for k in ok.tolist()], dtype=object)
+    # a mask has p(p-1) bits: below 2^30 up to p = 6, the sweep's graphs included
+    masks = np.array([graphs[k].mask for k in ok.tolist()], dtype=np.int64)
     is_edge = np.ones((ok.size, p * p), dtype=bool)  # the self-loops stay set
     for i, j in itertools.permutations(range(1, p + 1), 2):
         is_edge[:, (i - 1) * p + j - 1] = masks >> _arc_bit(p, i, j) & 1

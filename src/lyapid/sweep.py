@@ -23,15 +23,12 @@ Each chunk is classified by ``identifiability._classify_batch``, the one
 place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds the
 screen's stacks.  When at least 16 of a chunk's graphs reach sampling, as
 in every chunk of the p = 4 and 5 sweeps, their first samples are screened
-in one modular batch: the vech Lyapunov systems are solved over
-GF(2^31 - 1) together, and H(Sigma mod q) restricted to the non-edges is
-ranked together per edge count (A(Sigma)_E has full column rank iff
-H(Sigma)_nonE does).  If K is nonsingular mod q, Sigma mod q is the
-reduction of Sigma; H is linear in Sigma, so a full column rank mod q
-proves the full rank over Q that the exact path would find at the same
-sample.  Only graphs the screen cannot prove -- a zero pivot or a deficit
-mod q -- take the exact path, so the verdicts and the canonical bytes are
-those of ``classify`` by construction.
+in one batch over GF(65521): the vech Lyapunov systems are solved
+together, and H(Sigma mod q) restricted to the non-edges is ranked together
+per edge count.  A full column rank mod q proves the full rank over Q that
+the exact path would find at the same sample (see ``_intkernel``), and
+only the graphs the screen cannot prove take the exact path, so the
+verdicts and the canonical bytes are those of ``classify`` by construction.
 """
 
 from __future__ import annotations

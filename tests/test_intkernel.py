@@ -346,6 +346,43 @@ def _stack(rng, batch, nr, nc, q):
     return mats, np.ascontiguousarray(residues.transpose(1, 2, 0))
 
 
+def _extreme_stack(rng, batch, nr, nc, stop, q):
+    """Residue matrices, about half their entries q - 1, as one (rows, cols,
+    batch) stack.  In most, row r + 1 is a multiple of row r on columns
+    :r + 2, so column r + 1 of it vanishes mod q at step r + 1 and the pivot
+    swaps in a row that carries unreduced updates; in every third, column
+    stop - 1 is the sum of columns 0 and 1."""
+    mats = []
+    for k in range(batch):
+        rows = [[q - 1 if rng.random() < 0.5 else rng.randrange(q) for _ in range(nc)]
+                for _ in range(nr)]
+        if k % 4:
+            r = rng.randrange(stop - 2)
+            m = rng.randrange(1, q)
+            rows[r + 1][:r + 2] = [m * x % q for x in rows[r][:r + 2]]
+        if k % 3 == 0:
+            for row in rows:
+                row[stop - 1] = (row[0] + row[1]) % q
+        mats.append(rows)
+    return mats, np.ascontiguousarray(np.array(mats, dtype=np.int64).transpose(1, 2, 0))
+
+
+def _solve_mod(rows, n, q):
+    """x with K x = b mod q for the augmented rows [K | b], K n x n and
+    nonsingular mod q: Gauss-Jordan on Python ints."""
+    work = [[x % q for x in row[:n + 1]] for row in rows[:n]]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if work[i][c])
+        work[c], work[piv] = work[piv], work[c]
+        inv = pow(work[c][c], -1, q)
+        work[c] = [x * inv % q for x in work[c]]
+        for i in range(n):
+            if i != c:
+                m = work[i][c]
+                work[i] = [(a - m * b) % q for a, b in zip(work[i], work[c])]
+    return [row[n] for row in work]
+
+
 class TestModGaussJordan:
     """The batched GF(q) elimination against the per-matrix mod_rank loop."""
 
@@ -382,6 +419,40 @@ class TestModGaussJordan:
             for rows, ok in zip(mats, mod_gauss(stack)[0].tolist()):
                 if ok:
                     assert rank_and_kernel(_copy(rows), len(rows[0]))[0] == nc
+
+    @pytest.mark.parametrize("q", [3, 5, 7, _intkernel.MOD_PRIME])
+    def test_pivot_inverses_are_read_per_prime(self, monkeypatch, q):
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
+        x = np.arange(q, dtype=np.int64)
+        # the 1 x 1 systems [x | 1], one per residue, batch last
+        full, reduced = mod_gauss(np.stack([x, np.ones_like(x)])[None], limit_cols=1)
+        inverse = reduced[0, 1]
+        assert full.tolist() == [False] + [True] * (q - 1)
+        assert inverse[0] == 0 and (x[1:] * inverse[1:] % q == 1).all()
+        assert inverse.tolist() == _intkernel._inverse_table(q).tolist()
+
+    # the screen's largest stacks at p = 6: the 21 x 22 vech system [K | b]
+    # and H(Sigma) on 15 to 30 non-edges, 15 columns
+    @pytest.mark.parametrize("nr, nc, limit", [(21, 22, 21), (30, 15, None), (15, 15, None)])
+    def test_largest_screen_shapes_at_the_prime(self, nr, nc, limit):
+        q = _intkernel.MOD_PRIME
+        stop = limit or nc
+        mats, stack = _extreme_stack(random.Random(nr), 24, nr, nc, stop, q)
+        full, reduced = mod_gauss(stack, limit_cols=limit)
+        echelons = [mod_echelon([row[:stop] for row in m]) for m in mats]
+        assert full.tolist() == [len(cols) == stop for cols, _ in echelons]
+        assert full.any() and not full.all()
+        assert sum(rows != sorted(rows) for _, rows in echelons) >= 12
+        if limit:
+            for k in np.flatnonzero(full).tolist():
+                assert reduced[:stop, stop, k].tolist() == _solve_mod(mats[k], stop, q)
+
+    def test_unreduced_updates_fit_int64(self):
+        # the mod_gauss docstring's headroom: 22 updates below (q - 1)^2 on a
+        # residue, then the unreduced pivot row times its inverse
+        q = _intkernel.MOD_PRIME
+        assert 22 * (q - 1) ** 2 + q < 2**37 < 2**63
+        assert (22 * (q - 1) ** 2 + q) * (q - 1) < 2**53
 
     def test_wider_than_tall_is_never_full(self):
         full, _ = mod_gauss(np.ones((2, 4, 3), dtype=np.int64))
