@@ -34,8 +34,13 @@ x[f] = 1, x[f+1:] = 0 and x[:f] solves the first f columns.  When the
 rank mod q is exactly n - 1 (n columns), f and the rows S of the first f
 pivots come from the mod-q echelon, x[:f] = y solves B y = -a by
 :func:`solve_square_int`, B being rows S of columns :f and a rows S of
-column f, and x is checked exactly against every row.  A passing x is the
-one Bareiss would give:
+column f, and x is checked exactly against every row.  Each row of [B | a]
+is first divided by its content, the gcd of its f + 1 entries: a row
+scaling keeps the one solution y, returned in lowest terms with a positive
+denominator, so x and every byte built on it stay the same, while Bareiss
+pays for every bit.  On H(N)_nonE the contents are large: row (i, j) holds
+entries of column j of N = D Sigma, so it carries D divided by the
+denominator of column j of Sigma.  A passing x is the one Bareiss would give:
 
 - det B is nonzero mod q (:func:`mod_echelon`), so it is nonzero over Q:
   columns :f are independent over Q, and the square solve cannot fail.
@@ -389,7 +394,9 @@ def rank_and_kernel(rows: list[list[int]],
     reduced-row-echelon kernel: with f the first non-pivot column, x[f] = 1,
     x[f+1:] = 0, and x[:f] solves the leading f pivot columns.  At a rank
     of exactly cols - 1 mod q it is solved on the f pivot rows of the mod-q
-    echelon and checked against every row.  Otherwise, or if the check
+    echelon, each cut to columns :f+1 and made primitive (divided by the gcd
+    of its entries, which keeps the solution), and checked against every
+    original row.  Otherwise, or if the check
     fails, Bareiss leaves those columns upper triangular with last pivot
     d = +-their leading f x f minor, so by Cramer's rule d x is an integer
     vector.
@@ -401,8 +408,9 @@ def rank_and_kernel(rows: list[list[int]],
         return cols, None
     if len(modular_cols) == cols - 1:
         f = next((c for c, pc in enumerate(modular_cols) if c != pc), cols - 1)
-        basis = modular_rows[:f]
-        y, den = solve_square_int([rows[i][:f] for i in basis], [-rows[i][f] for i in basis])
+        basis = [rows[i][:f + 1] for i in modular_rows[:f]]
+        basis = [[v // g for v in row] for row in basis for g in (math.gcd(*row),)]
+        y, den = solve_square_int([row[:f] for row in basis], [-row[f] for row in basis])
         x = y + [den] + [0] * (cols - f - 1)
         if not any(sum(map(mul, row, x)) for row in rows):
             return cols - 1, (x, den)

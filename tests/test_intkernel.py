@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyapid import _intkernel
+from lyapid import ClassifyConfig, DiGraph, VolatilityMatrix, _intkernel, classify
 from lyapid._intkernel import (
     bareiss_forward,
     common_denominator,
@@ -20,6 +20,7 @@ from lyapid._intkernel import (
     rank_and_kernel,
     solve_square_int,
 )
+from lyapid.identifiability import RANK_DEFICIT_WITNESS
 from lyapid.linalg import AFFINE, UNIQUE, RatMatrix
 
 from _rref import rref_solve
@@ -330,6 +331,98 @@ class TestRankAndKernel:
             _check_rank_and_kernel(rows)
         assert rank_and_kernel([[3, 0], [0, 1]], 2) == (2, None)
         assert rank_and_kernel([[0, 1, 2], [0, 3, 4]], 3) == (2, ([1, 0, 0], 1))
+
+
+# nonzero row multipliers of either sign, up to 200 bits, multiples of the
+# primes among them so that a scaled row can vanish mod q
+_multipliers = st.tuples(
+    st.one_of(st.integers(1, 2**200), st.sampled_from([3, 9, Q, 2 * Q])),
+    st.sampled_from([1, -1]),
+).map(lambda t: t[0] * t[1])
+
+
+def _rank_and_full_passes(rows):
+    """rank_and_kernel of a copy of ``rows``, and how many whole-matrix
+    Bareiss passes (the fallback) it ran."""
+    forward, passes = _intkernel.bareiss_forward, []
+
+    def counted(work, limit_cols=None):
+        if limit_cols is None:
+            passes.append(work)
+        return forward(work, limit_cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_intkernel, "bareiss_forward", counted)
+        result = rank_and_kernel(_copy(rows), len(rows[0]))
+    return result, len(passes)
+
+
+# a p = 5 rank-deficit graph from the sweep: 9 edges, rank 8 at every sample
+P5_PIVOT_DEFICIT = DiGraph(5, frozenset({(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (4, 1),
+                                         (4, 3), (5, 1), (5, 3)}))
+
+
+class TestPrimitivePivotRows:
+    """The pivot-row solve divides each row by its content; the results do not move."""
+
+    @pytest.mark.parametrize("q", [Q, 3])
+    @pytest.mark.parametrize("shape, deficiency",
+                             [("tall", 0), ("tall", 1), ("tall", 2), ("wide", 1), ("wide", 2)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_row_scaling_keeps_rank_and_kernel(self, q, shape, deficiency, data):
+        # rows = U V with U nr x r and V r x nc of 30-bit entries: rank r
+        # = nc - deficiency, short of a vanishing minor
+        nc = data.draw(st.integers(deficiency + 1, 7), label="cols")
+        r = nc - deficiency
+        nr = nc + data.draw(st.integers(0, 2)) if shape == "tall" else data.draw(
+            st.integers(max(r, 1), nc - 1), label="rows")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        u = [[rng.randint(-(2**30), 2**30) for _ in range(r)] for _ in range(nr)]
+        v = [[rng.randint(-(2**30), 2**30) for _ in range(nc)] for _ in range(r)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
+        mults = data.draw(st.lists(_multipliers, min_size=nr, max_size=nr), label="multipliers")
+        scaled = [[m * x for x in row] for row, m in zip(rows, mults)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_intkernel, "MOD_PRIME", q)
+            expected, _ = _rank_and_full_passes(rows)
+            (rank, kernel), passes = _rank_and_full_passes(scaled)
+            modular_cols, _ = mod_echelon(scaled)
+        assert expected[0] == r
+        assert (rank, kernel) == expected
+        # A scaled matrix of deficiency one whose first non-pivot column mod q
+        # is the first over Q is solved on its pivot rows, without a fallback.
+        if deficiency == 1 and len(modular_cols) == nc - 1:
+            f_q = next((c for c, pc in enumerate(modular_cols) if c != pc), nc - 1)
+            if kernel[0][f_q + 1:] == [0] * (nc - f_q - 1):
+                assert passes == 0
+
+    def test_p5_deficit_pivot_systems_are_primitive(self, monkeypatch):
+        # Every sample takes the pivot-row route with f = 9, and the rows of
+        # H(N)_nonE it picks share about 200 of their 260 bits.  (The p = 5
+        # deficit graph of test_identifiability has f = 0 at every sample.)
+        solve = _intkernel.solve_square_int
+        systems, passes = [], []
+
+        def spied_solve(a_rows, b, blocks=None):
+            if blocks is None:  # the Sigma solves pass their blocks
+                systems.append([row + [v] for row, v in zip(a_rows, b)])
+            return solve(a_rows, b, blocks)
+
+        def spied_rank_and_kernel(rows, cols):
+            result, full_passes = _rank_and_full_passes(rows)
+            passes.append(full_passes)
+            return result
+
+        monkeypatch.setattr(_intkernel, "solve_square_int", spied_solve)
+        monkeypatch.setattr(_intkernel, "rank_and_kernel", spied_rank_and_kernel)
+        for seed in range(3):
+            verdict = classify(P5_PIVOT_DEFICIT, VolatilityMatrix.identity(5),
+                               ClassifyConfig(seed=seed))
+            assert verdict.certificate.kind == RANK_DEFICIT_WITNESS
+        assert passes == [0] * (3 * ClassifyConfig.trials)
+        assert len(systems) == len(passes) and all(len(system) == 9 for system in systems)
+        assert all(math.gcd(*row) == 1 for system in systems for row in system)
 
 
 def _stack(rng, batch, nr, nc, q):
