@@ -73,8 +73,9 @@ Q: A(Sigma)_E has full column rank.  A zero pivot or a deficit mod q proves
 nothing and goes to the exact path.  It stays apart from
 :func:`mod_echelon` because numpy pays only in bulk: screening one p = 5
 graph costs about 2 ms, four times its exact path, and a batch of
-thousands about 0.02 ms a graph.  So ``_classify_batch`` screens only when at least 16
-graphs of a batch reach sampling, and a lone ``classify`` never does.
+thousands about 0.02 ms a graph, after a 55 ms numpy import.  So
+``_classify_batch`` screens only when 192 graphs of a batch reach
+sampling, and a lone ``classify`` never does.
 
 Every rank test of the identifiability question -- does A(Sigma)_E, the
 columns of A(Sigma) for the edge set E, have full column rank |E|? -- is
@@ -124,13 +125,13 @@ MOD_PRIME = 65521
 def numpy():
     """The numpy module, imported on first use with one BLAS thread.
 
-    Only the sweep's enumeration and batched screen (int64 arrays) use
-    numpy, so ``import lyapid``, ``classify``, ``solve`` and ``fiber``
-    never load it.  Importing numpy starts OpenBLAS's thread pool, whose
-    threads busy-wait for work at start-up, yet no int64 array ever
-    reaches BLAS and lyapid makes no LAPACK call.  So a first import asks
-    for one thread; an ``OPENBLAS_NUM_THREADS`` the caller set wins, and a
-    numpy some other code imported first is left as it is.
+    Only the sweep's batched screen (int64 arrays) uses numpy, so
+    ``import lyapid``, ``classify``, ``solve``, ``fiber``, the enumeration
+    and the p = 4 sweep never load it.  Importing numpy starts OpenBLAS's
+    thread pool, whose threads busy-wait for work at start-up, yet no int64
+    array ever reaches BLAS and lyapid makes no LAPACK call.  So a first
+    import asks for one thread; an ``OPENBLAS_NUM_THREADS`` the caller set
+    wins, and a numpy some other code imported first is left as it is.
     """
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -16,8 +16,6 @@ import json
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator
 
-from . import _intkernel
-
 Edge = tuple[int, int]
 
 # The enumeration's one connectivity filter, as reports name it: only it gives
@@ -246,33 +244,33 @@ def canonical_form(g: DiGraph) -> DiGraph:
 # ---------------------------------------------------------------------------
 
 
-def _permutation_mask_tables(p: int):
-    """Per-permutation lookup tables mapping arc masks to permuted masks.
+def _field_tables(images: list[int]) -> list[tuple[int, int, list[int]]]:
+    """(shift, width mask, table) for each of the ⌈q/10⌉ fields of at most
+    10 bits of a q-bit mask: ``table[mask >> shift & width]`` is the OR of
+    ``images[t]`` over the field's set bits t."""
+    q, k = len(images), -(-len(images) // 10)
+    fields = []
+    for first, stop in ((f * q // k, (f + 1) * q // k) for f in range(k)):
+        table = [0]
+        for image in images[first:stop]:
+            table += [x | image for x in table]
+        fields.append((first, (1 << stop - first) - 1, table))
+    return fields
 
-    Returns (q, half, lo, hi) for the q = p(p-1) bits of :func:`_arc_bit`:
-    row k of ``lo`` (``hi``) maps the low ``half`` bits (the high
-    ``q - half`` bits) of a mask to their image under the k-th node
-    relabelling, so an image is ``lo[k][low] | hi[k][high]``.
-    """
-    np = _intkernel.numpy()
+
+def _permutation_mask_tables(p: int) -> tuple[int, list[tuple[int, int, list[int]]]]:
+    """(ones, fields): the :func:`_field_tables` of a mask's images under
+    every non-identity node relabelling, packed in one int (two fields at
+    p = 4 and 5, three at p = 6).  Slot k, bits [k w, k w + q) with w = q + 1
+    for the q = p(p-1) bits of :func:`_arc_bit`, holds the k-th image, and
+    ``ones`` has bit k w set for every slot; bit q of a slot, its guard bit,
+    stays clear."""
     q = p * (p - 1)
-    half = q // 2
-    by_bit = _mask_arcs(p, (1 << q) - 1)[::-1]  # by_bit[t]: the edge of bit t
-    # dest[k, t]: the bit that bit t moves to
-    dest = np.array(
-        [[_arc_bit(p, perm[i - 1], perm[j - 1]) for (i, j) in by_bit]
-         for perm in itertools.permutations(range(1, p + 1))],
-        dtype=np.int64,
-    )
-
-    def table(first: int, width: int) -> np.ndarray:
-        v = np.arange(1 << width, dtype=np.int64)
-        out = np.zeros((len(dest), 1 << width), dtype=np.int64)
-        for t in range(width):
-            out |= ((v >> t) & 1) << dest[:, first + t, None]
-        return out
-
-    return q, half, table(0, half), table(half, q - half)
+    perms = list(itertools.permutations(range(1, p + 1)))[1:]
+    images = [sum(1 << k * (q + 1) + _arc_bit(p, perm[i - 1], perm[j - 1])
+                  for k, perm in enumerate(perms))
+              for (i, j) in _mask_arcs(p, (1 << q) - 1)[::-1]]  # edges by bit, bit 0 first
+    return sum(1 << k * (q + 1) for k in range(len(perms))), _field_tables(images)
 
 
 def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
@@ -296,6 +294,11 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     the first difference between pi(m) and m is a bit of pi(m) (pi(b) or
     t): pi(m) > m, and m is not canonical.
 
+    A child c is canonical iff ``((img | guard) - (c + 1) * ones) & guard``
+    is 0, for img its packed images and guard bit q of every slot: a slot
+    holding s reads s + 2^q - (c + 1), in [0, 2^(q+1)) as s, c < 2^q, so no
+    borrow crosses a slot, and its guard bit survives exactly when s > c.
+
     Raises:
         ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5, or
             if ``policy`` is neither None nor an ``EnumPolicy``.
@@ -303,31 +306,45 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     if not (_is_int(p) and 2 <= p <= _MAX_P):
         raise ValueError(f"enumeration supports integer 2 <= p <= {_MAX_P}, got {p!r}")
     policy = _as_policy(policy)
-    np = _intkernel.numpy()
-    q, half, lo, hi = _permutation_mask_tables(p)
-    levels = [np.array([1 << _arc_bit(p, 1, 2)], dtype=np.int64)]  # the canonical 1-arc mask
+    q = p * (p - 1)
+    ones, fields = _permutation_mask_tables(p)
+    guard = ones << q
+    level = [1 << _arc_bit(p, 1, 2)]  # the canonical 1-arc mask
+    masks = list(level)
     # one level per arc count; no level lies past the complete graph's q arcs
     for _ in range(min(policy.resolved_max_edges(p) - p, q) - 1):
-        parents = levels[-1]
-        low = parents & -parents
-        masks = np.concatenate([parents[low > (1 << t)] | (1 << t) for t in range(q)])
-        for lo_k, hi_k in zip(lo, hi):
-            masks = masks[(lo_k[masks & ((1 << half) - 1)] | hi_k[masks >> half]) <= masks]
-        levels.append(masks)
-    masks = np.concatenate(levels)
+        children = []
+        for parent in level:
+            for t in range((parent & -parent).bit_length() - 1):
+                child = parent | 1 << t
+                img = guard
+                for shift, width, table in fields:
+                    img |= table[child >> shift & width]
+                if not (img - (child + 1) * ones) & guard:
+                    children.append(child)
+        level = children
+        masks += level
 
-    # (node pair, arc pair) bitmasks of every unordered pair i < j
-    links = [((1 << i - 1) | (1 << j - 1), (1 << _arc_bit(p, i, j)) | (1 << _arc_bit(p, j, i)))
-             for (i, j) in itertools.combinations(range(1, p + 1), 2)]
-    keep = np.zeros(len(masks), dtype=bool)
-    for _, arcs in links:
-        keep |= (masks & arcs) == arcs
-    reach = np.ones_like(masks)  # node 1, then its undirected neighbours
-    for _ in range(p - 1):
-        for nodes, arcs in links:
-            reach[((masks & arcs) != 0) & ((reach & nodes) != 0)] |= nodes
-    keep &= reach == (1 << p) - 1
-    return np.sort(masks[keep]).tolist()
+    # The filters.  Bit k (m + k) of x is the k-th node pair i < j if i -> j
+    # (j -> i) is an arc: a 2-cycle is a pair in both halves, and the pairs u
+    # in either connect the nodes iff u crosses every cut (by node 1's side).
+    pairs = list(itertools.combinations(range(1, p + 1), 2))
+    m = len(pairs)
+    pair_fields = _field_tables([1 << pairs.index((min(e), max(e))) + m * (e[0] > e[1])
+                                 for e in _mask_arcs(p, (1 << q) - 1)[::-1]])
+    sides = [{1, *rest} for r in range(p - 1)
+             for rest in itertools.combinations(range(2, p + 1), r)]
+    cuts = [sum(1 << k for k, (i, j) in enumerate(pairs) if (i in side) != (j in side))
+            for side in sides]
+    connected = [all(u & cut for cut in cuts) for u in range(1 << m)]
+    candidates = []
+    for mask in masks:
+        x = 0
+        for shift, width, table in pair_fields:
+            x |= table[mask >> shift & width]
+        if x & x >> m and connected[(x | x >> m) & (1 << m) - 1]:
+            candidates.append(mask)
+    return sorted(candidates)
 
 
 def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[DiGraph]:

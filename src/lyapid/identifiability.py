@@ -388,9 +388,12 @@ def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:
     return None
 
 
-# Fewest graphs reaching the sampling stage for which the batched screen
-# pays: below it, numpy's fixed costs outweigh the exact ranks it saves.
-_SCREEN_MIN_GRAPHS = 16
+# Fewest graphs reaching sampling for which the batched screen pays in a
+# fresh process, whose first screen imports numpy (53-56 ms of CPU).  Cold,
+# one process a run, on spread seed-0 p = 5 graphs: 160 cost 60 ms screened
+# against 62 ms exact, 192 cost 66 against 75.  A p = 4 graph saves half as
+# much, so the p = 4 sweep's 78 take the exact path; p = 5 chunks hold 756+.
+_SCREEN_MIN_GRAPHS = 192
 
 
 def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[int],

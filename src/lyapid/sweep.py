@@ -21,9 +21,10 @@ one chunk, as at p = 4, runs in process and never imports
 
 Each chunk is classified by ``identifiability._classify_batch``, the one
 place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds the
-screen's stacks.  When at least 16 of a chunk's graphs reach sampling, as
-in every chunk of the p = 4 and 5 sweeps, their first samples are screened
-in one batch over GF(65521): the vech Lyapunov systems are solved
+screen's stacks.  When at least 192 of a chunk's graphs reach sampling, as
+in every chunk of the p = 5 sweep (the p = 4 sweep has 78), their first
+samples are screened in one batch over GF(65521), the sweep's one use of
+numpy, imported before a pool forks: the vech Lyapunov systems are solved
 together, and H(Sigma mod q) restricted to the non-edges is ranked together
 per edge count.  A full column rank mod q proves the full rank over Q that
 the exact path would find at the same sample (see ``_intkernel``), and
@@ -43,6 +44,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from typing import IO
 
+from . import _intkernel
 from .graphs import (_MAX_P, CONNECTIVITY, DiGraph, EnumPolicy, _as_policy, _candidate_masks,
                      _is_int)
 from .identifiability import (
@@ -226,6 +228,7 @@ def _sweep_rows(p: int, policy: EnumPolicy, seed: int, jobs: int) -> Iterator[Sw
     if workers > 1:
         import multiprocessing  # only a pooled sweep pays for the import
 
+        _intkernel.numpy()  # once, before the fork: the workers inherit it
         with multiprocessing.Pool(processes=workers) as pool:
             for rows in pool.imap(_classify_chunk, chunks):
                 yield from rows

@@ -29,6 +29,7 @@ from lyapid.graphs import (
     _arc_bit,
     _candidate_masks,
     _mask_arcs,
+    _permutation_mask_tables,
     canonical_form,
     enumerate_candidates,
     graph_from_json,
@@ -372,6 +373,24 @@ def _mask(g):
 # sha256 of json.dumps([sorted(g.offdiag_edges) for g in enumerate_candidates(5)]):
 # the p = 5 candidates in yield order.
 P5_ENUMERATION_SHA256 = "c438457fa0d93a5997cdaf502228e46c1a7e53679902590fd2b0b961bd0a79eb"
+# sha256 of json.dumps(_candidate_masks(5)): the p = 5 masks, ascending.
+P5_MASKS_SHA256 = "0b0c3125645851b3ec846d418423da1162c53005b45faaaefb9efe33e06db7fb"
+# p = 5 candidates within each edge bound, from 10 (the smallest, 2p) to the default 15
+P5_COUNTS_BY_EDGE_BOUND = {10: 40, 11: 239, 12: 762, 13: 1782, 14: 3209, 15: 4862}
+
+
+_tables = functools.lru_cache(maxsize=None)(_permutation_mask_tables)
+
+
+def _packed_test_accepts(p, mask):
+    """The enumeration's canonicity test of ``mask``, on the packed images of
+    every non-identity relabelling, as ``_candidate_masks`` runs it."""
+    ones, fields = _tables(p)
+    guard = ones << p * (p - 1)
+    img = guard
+    for shift, width, table in fields:
+        img |= table[mask >> shift & width]
+    return not (img - (mask + 1) * ones) & guard
 
 
 class TestEnumeration:
@@ -445,6 +464,24 @@ class TestEnumeration:
         edges = [sorted(g.offdiag_edges) for g in enumerate_candidates(5)]
         assert len(edges) == 4862
         assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == P5_ENUMERATION_SHA256
+
+    def test_p5_masks_pinned(self):
+        masks = _candidate_masks(5)
+        assert hashlib.sha256(json.dumps(masks).encode()).hexdigest() == P5_MASKS_SHA256
+
+    @pytest.mark.parametrize("max_edges", sorted(P5_COUNTS_BY_EDGE_BOUND))
+    def test_p5_counts_by_edge_bound(self, max_edges):
+        masks = _candidate_masks(5, EnumPolicy(max_edges=max_edges))
+        assert len(masks) == P5_COUNTS_BY_EDGE_BOUND[max_edges]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 4, 5]), st.data())
+    def test_packed_test_accepts_exactly_the_canonical_masks(self, p, data):
+        drawn = data.draw(st.integers(0, (1 << p * (p - 1)) - 1))
+        # a drawn mask is rarely canonical, so its class's canonical mask is tested too
+        for mask in (drawn, canonical_form(DiGraph._from_mask(p, drawn)).mask):
+            canonical = canonical_form(DiGraph._from_mask(p, mask)).mask == mask
+            assert _packed_test_accepts(p, mask) == canonical
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_matches_brute_force_in_mask_order(self, p):

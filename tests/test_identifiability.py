@@ -779,6 +779,10 @@ def _verdict_bytes(verdict) -> bytes:
     return json.dumps(verdict.to_json(), sort_keys=True).encode()
 
 
+# Graphs per batch that reach sampling, the fewest for which the screen runs
+SCREENED = identifiability._SCREEN_MIN_GRAPHS
+
+
 def _count_screens(monkeypatch) -> list[int]:
     """The number of graphs of each call of the screen, as it runs."""
     sizes = []
@@ -798,6 +802,7 @@ class TestClassifyBatch:
     @pytest.mark.parametrize("p, stride", [(4, 1), (5, 16)])
     def test_matches_classify_on_sweep_candidates(self, p, stride):
         graphs = list(enumerate_candidates(p))[::stride]
+        graphs *= -(-SCREENED // len(graphs))  # the p = 4 candidates over, so they screen
         vol = VolatilityMatrix.identity(p)
         cfgs = [ClassifyConfig(seed=derive_graph_seed(0, g)) for g in graphs]
         elapsed = []
@@ -827,13 +832,13 @@ class TestClassifyBatch:
         ]
         expected = [_verdict_bytes(classify(g, vol, cfg)) for g, vol, cfg in cases]
         screened = _count_screens(monkeypatch)
-        # each case 16 times over, so every case that samples is screened
+        # each case SCREENED times over, so every case that samples is screened
         for (g, vol, cfg), want in zip(cases, expected):
-            batch = identifiability._classify_batch([g] * 16, vol, [cfg.seed] * 16)
-            assert [_verdict_bytes(v) for v in batch] == [want] * 16
+            batch = identifiability._classify_batch([g] * SCREENED, vol, [cfg.seed] * SCREENED)
+            assert [_verdict_bytes(v) for v in batch] == [want] * SCREENED
         sampling = sum(1 for g, vol, cfg in cases if classify(g, vol, cfg).certificate.kind
                        in (FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS))
-        assert sampling >= 5 and screened == [16] * sampling
+        assert sampling >= 5 and screened == [SCREENED] * sampling
         # one volatility and one p per batch: mixed configurations under the identity
         for p in (2, 3, 4):
             vol = VolatilityMatrix.identity(p)
@@ -845,29 +850,30 @@ class TestClassifyBatch:
                 _verdict_bytes(classify(g, vol, cfg)) for g, cfg in mixed
             ]
 
-    def test_the_screen_runs_from_16_sampled_graphs(self, monkeypatch):
-        vol = IDENTITY4
-        sampled = [g for g in enumerate_candidates(4)
-                   if identifiability._bound_verdict(g, vol) is None][:16]
+    def test_the_screen_runs_from_the_minimum_of_sampled_graphs(self, monkeypatch):
+        # p = 5, since the 78 sampled p = 4 candidates are fewer than SCREENED
+        vol = VolatilityMatrix.identity(5)
+        sampled = [g for g in enumerate_candidates(5)
+                   if identifiability._bound_verdict(g, vol) is None][:SCREENED]
         seeds = [derive_graph_seed(0, g) for g in sampled]
         expected = [_verdict_bytes(classify(g, vol, ClassifyConfig(seed)))
                     for g, seed in zip(sampled, seeds)]
-        simple = completed_four_cycle()
+        simple = complete_dag(5)
         simple_bytes = _verdict_bytes(classify(simple, vol))
 
         def refuse(*args):
-            raise AssertionError("the screen ran on fewer than 16 sampled graphs")
+            raise AssertionError(f"the screen ran on fewer than {SCREENED} sampled graphs")
 
-        # 16 graphs, of which 15 reach sampling: no screen
+        # SCREENED graphs, of which all but one reach sampling: no screen
         monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
         batch = identifiability._classify_batch(
-            sampled[:15] + [simple], vol, seeds[:15] + [ClassifyConfig.seed])
-        assert [_verdict_bytes(v) for v in batch] == expected[:15] + [simple_bytes]
+            sampled[:-1] + [simple], vol, seeds[:-1] + [ClassifyConfig.seed])
+        assert [_verdict_bytes(v) for v in batch] == expected[:-1] + [simple_bytes]
         monkeypatch.undo()
-        # 16 sampled graphs: one screen over all of them
+        # SCREENED sampled graphs: one screen over all of them
         screened = _count_screens(monkeypatch)
         batch = identifiability._classify_batch(sampled, vol, seeds)
-        assert screened == [16]
+        assert screened == [SCREENED]
         assert [_verdict_bytes(v) for v in batch] == expected
         assert any(v.certificate.witness is not None and v.certificate.witness.solved is None
                    for v in batch)
@@ -877,7 +883,8 @@ class TestClassifyBatch:
 
     def test_screened_witness_solves_sigma_once_on_read(self, monkeypatch):
         g, cfg = two_cycle_out_edge(), ClassifyConfig(seed=2)
-        verdict = identifiability._classify_batch([g] * 16, IDENTITY3, [cfg.seed] * 16)[0]
+        verdict = identifiability._classify_batch([g] * SCREENED, IDENTITY3,
+                                                  [cfg.seed] * SCREENED)[0]
         witness = verdict.certificate.witness
         assert witness.solved is None
         solve = identifiability._solve_sigma_scaled
@@ -951,8 +958,8 @@ def _sample_cases():
         for k, sample in enumerate(classify(g, vol).certificate.samples):
             yield f"{name}[{k}]", sample
     yield "exact_witness", classify(P5_FULL_RANK, vol5).certificate.witness
-    batch = identifiability._classify_batch([P5_FULL_RANK] * 16, vol5,
-                                            [ClassifyConfig.seed] * 16)
+    batch = identifiability._classify_batch([P5_FULL_RANK] * SCREENED, vol5,
+                                            [ClassifyConfig.seed] * SCREENED)
     yield "screened_witness", batch[0].certificate.witness
 
 

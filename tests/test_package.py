@@ -147,33 +147,77 @@ def test_one_chunk_sweep_command_leaves_multiprocessing_unloaded(tmp_path):
     """) == "False"
 
 
+def test_enumeration_leaves_numpy_unloaded():
+    assert _run_fresh("""
+        import sys
+        from lyapid import enumerate_candidates
+        assert sum(1 for _ in enumerate_candidates(5)) == 4862
+        print("numpy" in sys.modules)
+    """) == "False"
+
+
+def test_p4_sweep_command_leaves_numpy_unloaded(tmp_path):
+    # its 78 sampled graphs are too few to screen
+    assert _run_fresh(f"""
+        import os
+        import sys
+        os.cpu_count = lambda: 2
+        import lyapid.cli
+        out = {str(tmp_path / "sweep4.json")!r}
+        assert lyapid.cli.main(["sweep", "--p", "4", "--jobs", "2", "--out", out]) == 0
+        print("numpy" in sys.modules)
+    """) == "False"
+
+
+def test_pooled_sweep_loads_numpy_in_the_parent_before_the_fork():
+    # 1,782 graphs make two chunks, so two workers start; only they screen
+    assert _run_fresh("""
+        import os
+        import sys
+        os.cpu_count = lambda: 2
+        from lyapid import EnumPolicy, run_sweep
+        run_sweep(5, EnumPolicy(max_edges=13), jobs=2)
+        print("numpy" in sys.modules)
+    """) == "True"
+
+
+# The smallest p = 5 slice, 239 graphs in one chunk, 238 of which reach
+# sampling: enough for the screen, so the sweep loads numpy in process.
+SCREENED_SWEEP = "run_sweep(5, EnumPolicy(max_edges=11))"
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
 def test_sweep_asks_for_one_blas_thread_unless_told(preset, expected):
     env = None if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-    assert _run_fresh("""
+    assert _run_fresh(f"""
         import os
-        from lyapid import run_sweep
-        run_sweep(3)
-        print(os.environ["OPENBLAS_NUM_THREADS"])
-    """, env) == expected
+        import sys
+        from lyapid import EnumPolicy, run_sweep
+        {SCREENED_SWEEP}
+        print("numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"])
+    """, env) == f"True {expected}"
 
 
 def test_numpy_loaded_by_the_host_is_left_alone():
-    assert _run_fresh("""
+    assert _run_fresh(f"""
         import os
         import numpy
-        from lyapid import run_sweep
-        run_sweep(3)
-        print(os.environ.get("OPENBLAS_NUM_THREADS"))
-    """) == "None"
+        from lyapid import EnumPolicy, _intkernel, run_sweep
+        calls = []
+        load = _intkernel.numpy
+        _intkernel.numpy = lambda: calls.append(1) or load()
+        {SCREENED_SWEEP}
+        print(bool(calls), os.environ.get("OPENBLAS_NUM_THREADS"))
+    """) == "True None"
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="needs /proc/self/task to count threads")
 def test_sweep_parent_runs_one_thread_after_enumeration():
-    assert _run_fresh("""
+    assert _run_fresh(f"""
         import os
-        from lyapid import run_sweep
-        run_sweep(4)
-        print(len(os.listdir("/proc/self/task")))
-    """) == "1"
+        import sys
+        from lyapid import EnumPolicy, run_sweep
+        {SCREENED_SWEEP}
+        print("numpy" in sys.modules, len(os.listdir("/proc/self/task")))
+    """) == "True 1"

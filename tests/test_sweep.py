@@ -167,9 +167,10 @@ def test_parallel_sweep_leaves_the_gc_freeze_count_unchanged(monkeypatch, caller
         gc.unfreeze()
 
 
-# Graphs of the seed-0 sweep that the screen leaves to the exact path: its
-# rank-deficit rows.  The bytes cannot show a weaker screen, only this can.
-EXACT_PATH_GRAPHS = {4: 1, 5: 37}
+# Graphs of the seed-0 sweep that take the exact path: at p = 5 the screen's
+# leftovers, its rank-deficit rows; at p = 4 all 78 sampled graphs, fewer
+# than the screen needs.  The bytes cannot show a weaker screen, only this can.
+EXACT_PATH_GRAPHS = {4: 78, 5: 37}
 
 
 @pytest.mark.parametrize("p", [4, 5])
@@ -195,11 +196,14 @@ def test_the_screen_never_holds_more_than_one_chunk(monkeypatch):
         sizes.append(len(graphs))
         return screen(graphs, *args)
 
+    # 762 graphs: one chunk by default, two of at most 384 that both screen
+    policy = EnumPolicy(max_edges=12)
+    whole = sweep.run_sweep(5, policy).canonical_bytes()
     monkeypatch.setattr(identifiability, "_screen_full_rank", measured)
-    monkeypatch.setattr(sweep, "_CHUNK", 20)
-    report = sweep.run_sweep(4)
-    assert sizes and max(sizes) <= 20
-    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CANONICAL_SHA256[4]
+    monkeypatch.setattr(sweep, "_CHUNK", 2 * identifiability._SCREEN_MIN_GRAPHS)
+    report = sweep.run_sweep(5, policy)
+    assert len(sizes) == 2 and max(sizes) <= sweep._CHUNK
+    assert report.canonical_bytes() == whole
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
