@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import random
 import time
@@ -27,8 +26,8 @@ from .catalog import complete_dag, three_cycle
 from .graphs import (
     DiGraph,
     Edge,
-    _arc_bit,
     _is_int,
+    _mask_arcs,
     is_dag,
     is_simple,
     necessary_criterion,
@@ -38,7 +37,6 @@ from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det
 from .lyapunov import (
     CovMatrix,
     VolatilityMatrix,
-    _all_edges,
     _draw_drift_rows,
     _h_rows,
     _solve_sigma_scaled,
@@ -444,7 +442,7 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[in
             # draws its first drift again, which is cheaper than holding
             # every graph's generator state through the screen.
             first = [next(_drifts(graphs[k], seeds[k])) for k in pending]
-            proved = _screen_full_rank([graphs[k] for k in pending], first, volatility[0])
+            proved = _screen_full_rank([graphs[k].mask for k in pending], first, volatility[0])
         share = (time.perf_counter() - started) * 1e3 / len(pending)
         for i, (k, full) in enumerate(zip(pending, proved)):
             started = time.perf_counter()
@@ -472,20 +470,19 @@ def _residue_stack(rows: list[list], batch: int) -> np.ndarray:
     return stack
 
 
-def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
+def _screen_full_rank(masks: list[int], drifts: list[list[list[int]]],
                       c_rows) -> list[bool]:
     """Which drifts the GF(q) screen proves to give A(Sigma)_E full column rank.
 
-    All graphs share p and the integer volatility rows ``c_rows``.  The
-    builders run on residue vectors, one entry per graph: every vech system
-    [K | -vech(C)] is :func:`_vech_system` of the drifts mod q, solved in
-    one batch; the graphs whose K is nonsingular mod q get
-    :func:`_h_rows` of Sigma mod q, gathered on their non-edges, grouped by
-    |E| and ranked one batch per group.  A_E has full column rank exactly
-    when H_nonE has full column rank p(p-1)/2, so True is a proof over Q
-    (see ``_intkernel``); False only sends the graph to the exact path.
+    The graphs, given by their masks, share p and the integer volatility
+    rows ``c_rows``.  The builders run on residue vectors, one entry per
+    graph: the vech systems [K | -vech(C)] of the drifts mod q are solved in
+    one batch, then H(Sigma mod q) on every off-diagonal arc, each graph's
+    edge rows zeroed, is ranked in another.  A_E has full column rank
+    exactly when H_nonE has full column rank p(p-1)/2, so True is a proof
+    over Q (see ``_intkernel``); False only sends the graph to the exact path.
     """
-    if not graphs:
+    if not masks:
         return []
     np = _intkernel.numpy()
     p = len(c_rows)
@@ -497,24 +494,15 @@ def _screen_full_rank(graphs: list[DiGraph], drifts: list[list[list[int]]],
     # rows and stacks are dropped once read, so the screen peaks in K's elimination
     del k_rows
     solved, reduced = _intkernel.mod_gauss(systems, limit_cols=n)
-    ok = np.flatnonzero(solved)
-    sigma = _unvech(reduced[:, n, ok], p)
+    # a K singular mod q leaves residues in column n; ``solved`` rules its H out
+    sigma = _unvech(reduced[:, n].copy(), p)
     del systems, reduced
-    h_all = _residue_stack(_h_rows(sigma, _all_edges(p)), ok.size)
-    # a mask has p(p-1) bits: below 2^30 up to p = 6, the sweep's graphs included
-    masks = np.array([graphs[k].mask for k in ok.tolist()], dtype=np.int64)
-    is_edge = np.ones((ok.size, p * p), dtype=bool)  # the self-loops stay set
-    for i, j in itertools.permutations(range(1, p + 1), 2):
-        is_edge[:, (i - 1) * p + j - 1] = masks >> _arc_bit(p, i, j) & 1
-    sizes = is_edge.sum(axis=1)
-    proved = np.zeros(len(graphs), dtype=bool)
-    for size in set(sizes.tolist()):
-        members = np.flatnonzero(sizes == size)
-        non_edges = np.nonzero(~is_edge[members])[1].reshape(members.size, p * p - size)
-        # stack[r, c, g] = H(Sigma_g)[non-edge r of g, c], batch last
-        stack = h_all[non_edges.T, :, members].transpose(0, 2, 1)
-        proved[ok[members]] = _intkernel.mod_gauss(stack)[0]
-    return proved.tolist()
+    arcs = p * (p - 1)  # a mask's bits: below 2^30 up to p = 6
+    h = _residue_stack(_h_rows(sigma, _mask_arcs(p, (1 << arcs) - 1)), len(masks))
+    # row r of h is the arc of bit arcs-1-r, zeroed where the mask sets it
+    shifts = np.arange(arcs - 1, -1, -1)[:, None]
+    h *= (~(np.array(masks, dtype=np.int64) >> shifts) & 1)[:, None, :]
+    return (solved & _intkernel.mod_gauss(h)[0]).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,12 @@ screen's stacks.  When at least 192 of a chunk's graphs reach sampling, as
 in every chunk of the p = 5 sweep (the p = 4 sweep has 78), their first
 samples are screened in one batch over GF(65521), the sweep's one use of
 numpy, imported before a pool forks: the vech Lyapunov systems are solved
-together, and H(Sigma mod q) restricted to the non-edges is ranked together
-per edge count.  A full column rank mod q proves the full rank over Q that
-the exact path would find at the same sample (see ``_intkernel``), and
-only the graphs the screen cannot prove take the exact path, so the
-verdicts and the canonical bytes are those of ``classify`` by construction.
+together, then H(Sigma mod q) is ranked together, each graph's edge rows
+zeroed so that only its non-edges count.  A full column rank mod q proves
+the full rank over Q that the exact path would find at the same sample (see
+``_intkernel``), and only the graphs the screen cannot prove take the exact
+path, so the verdicts and the canonical bytes are those of ``classify`` by
+construction.
 """
 
 from __future__ import annotations

@@ -664,19 +664,62 @@ class TestKernelRestrictionRanks:
 
     @pytest.mark.parametrize("p, stride", [(4, 1), (5, 11)])
     def test_screen_proofs_are_exact_full_ranks(self, p, stride):
-        vol = VolatilityMatrix.identity(p)
-        graphs = [g for g in enumerate_candidates(p)
-                  if identifiability._bound_verdict(g, vol) is None][::stride]
-        drifts = [lyapunov._draw_drift_rows(g, identifiability._derive_rng(0, salt=p), 2**20)
-                  for g in graphs]
-        eye = [[int(i == j) for j in range(p)] for i in range(p)]
-        proved = identifiability._screen_full_rank(graphs, drifts, eye)
+        graphs, drifts, eye = _screen_batch(p, stride)
+        proved = identifiability._screen_full_rank([g.mask for g in graphs], drifts, eye)
         assert sum(proved) > len(graphs) // 2
         for g, m_rows, full in zip(graphs, drifts, proved):
             if full:
                 n_mat, _ = lyapunov._solve_sigma_scaled(m_rows, eye, p)
                 a_rows = lyapunov._a_rows(n_mat, g.edge_index())
                 assert _intkernel.rank_and_kernel(a_rows, g.num_edges)[0] == g.num_edges
+
+    @pytest.mark.parametrize("q", [_intkernel.MOD_PRIME, 5, 3])
+    @pytest.mark.parametrize("p, stride", [(4, 1), (5, 23)])
+    def test_screen_flags_are_the_ranks_mod_q_graph_by_graph(self, monkeypatch, p, stride, q):
+        # complete as well as sound: a flag is False only where K or H_nonE
+        # loses rank mod q, so no graph goes to the exact path for nothing
+        monkeypatch.setattr(_intkernel, "MOD_PRIME", q)
+        graphs, drifts, eye = _screen_batch(p, stride)
+        proved = identifiability._screen_full_rank([g.mask for g in graphs], drifts, eye)
+        n, m = p * (p + 1) // 2, p * (p - 1) // 2
+        expected, expected_k = [], []
+        for g, m_rows in zip(graphs, drifts):
+            k_rows, _ = lyapunov._vech_system(m_rows, eye)
+            full = len(_intkernel.mod_echelon(k_rows)[0]) == n
+            expected_k.append(full)
+            if full:
+                n_mat, d = lyapunov._solve_sigma_scaled(m_rows, eye, p)
+                inv = pow(d, -1, q)  # d divides det K, a unit mod q
+                sigma = [[x * inv % q for x in row] for row in n_mat]
+                h_rows = lyapunov._h_rows(sigma, g.non_edges())
+                full = len(_intkernel.mod_echelon(h_rows)[0]) == m
+            expected.append(full)
+        assert proved == expected
+        assert {g.num_edges for g in graphs} == {
+            g.num_edges for g in _screen_batch(p, 1)[0]}  # every sampled |E|
+        if q == 5:
+            # both flags, from both stages; mod 3 no p = 4 K here is nonsingular
+            assert 0 < sum(proved) < sum(expected_k) < len(proved)
+
+    def test_screen_of_zero_drifts_proves_nothing(self):
+        graphs, drifts, eye = _screen_batch(5, 23)
+        zeros = [[[0] * 5 for _ in range(5)] for _ in drifts]
+        proved = identifiability._screen_full_rank([g.mask for g in graphs], zeros, eye)
+        assert proved == [False] * len(graphs)
+
+    def test_screen_makes_one_elimination_for_k_and_one_for_h(self, monkeypatch):
+        calls = []
+        gauss = _intkernel.mod_gauss
+
+        def counted(stack, *args, **kwargs):
+            calls.append(stack.shape)
+            return gauss(stack, *args, **kwargs)
+
+        monkeypatch.setattr(_intkernel, "mod_gauss", counted)
+        graphs, drifts, eye = _screen_batch(5, 11)
+        identifiability._screen_full_rank([g.mask for g in graphs], drifts, eye)
+        # K is 15 x 16 with its right side, H has one row per off-diagonal arc
+        assert calls == [(15, 16, len(graphs)), (20, 10, len(graphs))]
 
 
 class TestClassifyConfig:
@@ -783,14 +826,26 @@ def _verdict_bytes(verdict) -> bytes:
 SCREENED = identifiability._SCREEN_MIN_GRAPHS
 
 
+def _screen_batch(p: int, stride: int):
+    """Every stride-th p-node candidate that the counting bounds leave to
+    sampling, with a drift for each and the identity volatility rows."""
+    vol = VolatilityMatrix.identity(p)
+    graphs = [g for g in enumerate_candidates(p)
+              if identifiability._bound_verdict(g, vol) is None][::stride]
+    drifts = [lyapunov._draw_drift_rows(g, identifiability._derive_rng(0, salt=p), 2**20)
+              for g in graphs]
+    eye = [[int(i == j) for j in range(p)] for i in range(p)]
+    return graphs, drifts, eye
+
+
 def _count_screens(monkeypatch) -> list[int]:
     """The number of graphs of each call of the screen, as it runs."""
     sizes = []
     screen = identifiability._screen_full_rank
 
-    def counted(graphs, *args):
-        sizes.append(len(graphs))
-        return screen(graphs, *args)
+    def counted(masks, *args):
+        sizes.append(len(masks))
+        return screen(masks, *args)
 
     monkeypatch.setattr(identifiability, "_screen_full_rank", counted)
     return sizes

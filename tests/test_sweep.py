@@ -192,9 +192,9 @@ def test_the_screen_never_holds_more_than_one_chunk(monkeypatch):
     sizes = []
     screen = identifiability._screen_full_rank
 
-    def measured(graphs, *args):
-        sizes.append(len(graphs))
-        return screen(graphs, *args)
+    def measured(masks, *args):
+        sizes.append(len(masks))
+        return screen(masks, *args)
 
     # 762 graphs: one chunk by default, two of at most 384 that both screen
     policy = EnumPolicy(max_edges=12)
