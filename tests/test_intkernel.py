@@ -363,7 +363,8 @@ P5_PIVOT_DEFICIT = DiGraph(5, frozenset({(1, 2), (1, 3), (2, 1), (2, 3), (3, 1),
 
 
 class TestPrimitivePivotRows:
-    """The pivot-row solve divides each row by its content; the results do not move."""
+    """The pivot-row solve divides each row by its content and puts the
+    smallest rows first; the results do not move."""
 
     @pytest.mark.parametrize("q", [Q, 3])
     @pytest.mark.parametrize("shape, deficiency",
@@ -382,7 +383,8 @@ class TestPrimitivePivotRows:
         v = [[rng.randint(-(2**30), 2**30) for _ in range(nc)] for _ in range(r)]
         rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
         mults = data.draw(st.lists(_multipliers, min_size=nr, max_size=nr), label="multipliers")
-        scaled = [[m * x for x in row] for row, m in zip(rows, mults)]
+        order = data.draw(st.permutations(range(nr)), label="row order")
+        scaled = [[mults[i] * x for x in rows[i]] for i in order]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_intkernel, "MOD_PRIME", q)
             expected, _ = _rank_and_full_passes(rows)
@@ -399,8 +401,10 @@ class TestPrimitivePivotRows:
 
     def test_p5_deficit_pivot_systems_are_primitive(self, monkeypatch):
         # Every sample takes the pivot-row route with f = 9, and the rows of
-        # H(N)_nonE it picks share about 200 of their 260 bits.  (The p = 5
-        # deficit graph of test_identifiability has f = 0 at every sample.)
+        # H(N)_nonE it picks share about 200 of their 260 bits.  Their
+        # primitive sizes differ about sixfold, and the smallest come first.
+        # (The p = 5 deficit graph of test_identifiability has f = 0 at every
+        # sample.)
         solve = _intkernel.solve_square_int
         systems, passes = [], []
 
@@ -423,6 +427,8 @@ class TestPrimitivePivotRows:
         assert passes == [0] * (3 * ClassifyConfig.trials)
         assert len(systems) == len(passes) and all(len(system) == 9 for system in systems)
         assert all(math.gcd(*row) == 1 for system in systems for row in system)
+        sizes = [[sum(v.bit_length() for v in row) for row in system] for system in systems]
+        assert all(size == sorted(size) for size in sizes)
 
 
 def _stack(rng, batch, nr, nc, q):
