@@ -26,8 +26,6 @@ from .identifiability import (
     IdentVerdict,
     RankSample,
     classify,
-    cycle3_determinant_identity,
-    dag_determinant_identity,
 )
 from .linalg import (
     RatMatrix,
@@ -83,8 +81,6 @@ __all__ = [
     "build_H",
     "canonical_form",
     "classify",
-    "cycle3_determinant_identity",
-    "dag_determinant_identity",
     "det",
     "enumerate_candidates",
     "fiber",

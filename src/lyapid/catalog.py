@@ -1,7 +1,8 @@
 """A small catalog of named graphs with interesting identifiability behaviour.
 
-These fixed graphs are shared by the demos and the test-suite; names
-describe structure, not provenance.
+These fixed graphs are the demos' examples, and the tests check them too;
+graphs that only the tests use live in the tests.  Names describe structure,
+not provenance.
 """
 
 from __future__ import annotations
@@ -12,15 +13,6 @@ from .graphs import DiGraph
 def three_cycle() -> DiGraph:
     """The directed 3-cycle 1 -> 2 -> 3 -> 1 (globally identifiable)."""
     return DiGraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
-
-
-def two_cycle(p: int = 2) -> DiGraph:
-    """The 2-cycle on nodes {1, 2}; further nodes, if any, stay isolated.
-
-    With p = 3 this is also the smallest graph whose identifiability flips
-    with the off-diagonal fill of the volatility matrix.
-    """
-    return DiGraph(p, frozenset({(1, 2), (2, 1)}))
 
 
 def two_cycle_out_edge() -> DiGraph:
@@ -64,11 +56,6 @@ def two_cycle_two_sinks() -> DiGraph:
     return DiGraph(4, frozenset({(2, 3), (3, 2), (2, 1), (3, 1), (2, 4), (3, 4)}))
 
 
-def two_cycle_two_sources() -> DiGraph:
-    """Two source nodes 1 and 4 feeding a 2-cycle on {2, 3} (non-identifiable)."""
-    return DiGraph(4, frozenset({(2, 3), (3, 2), (1, 2), (1, 3), (4, 2), (4, 3)}))
-
-
 def many_parents_two_cycle(p: int) -> DiGraph:
     """Nodes 2..p all point into node 1, with a 2-cycle on {2, 3}.
 
@@ -80,27 +67,3 @@ def many_parents_two_cycle(p: int) -> DiGraph:
         raise ValueError("needs p >= 4")
     edges = {(2, 3), (3, 2)} | {(i, 1) for i in range(2, p + 1)}
     return DiGraph(p, frozenset(edges))
-
-
-def simple_cyclic_5a() -> DiGraph:
-    """First of two simple cyclic 5-node graphs with a hard positivity analysis.
-
-    The restricted-kernel determinant of this graph resists closed-form
-    certification, which makes it a good stress case for sampling checks.
-    """
-    return DiGraph(
-        5,
-        frozenset(
-            {(1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 2), (5, 1), (5, 4)}
-        ),
-    )
-
-
-def simple_cyclic_5b() -> DiGraph:
-    """Second simple cyclic 5-node graph with a hard positivity analysis."""
-    return DiGraph(
-        5,
-        frozenset(
-            {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 1), (4, 5), (5, 1), (5, 2)}
-        ),
-    )

@@ -402,3 +402,9 @@ def graph_from_json(data) -> DiGraph:
 def _is_int(x) -> bool:
     """True for an exact int; a bool, a float or an int subclass is not a label."""
     return type(x) is int
+
+
+def _require(name: str, value, kind: type) -> None:
+    """Refuse ``value`` unless it is a ``kind``, with a ValueError naming ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")

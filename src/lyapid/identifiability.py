@@ -22,28 +22,25 @@ from operator import mul
 from typing import TYPE_CHECKING, ClassVar
 
 from . import _intkernel
-from .catalog import complete_dag, three_cycle
 from .graphs import (
     DiGraph,
     Edge,
     _is_int,
     _mask_arcs,
+    _require,
     is_dag,
     is_simple,
     necessary_criterion,
     no_trek_pairs,
 )
-from .linalg import RatMatrix, Rational, _matrix_to_int_rows, det
+from .linalg import RatMatrix, Rational, _matrix_to_int_rows
 from .lyapunov import (
-    CovMatrix,
     VolatilityMatrix,
     _draw_drift_rows,
     _h_rows,
     _solve_sigma_scaled,
     _unvech,
     _vech_system,
-    build_A,
-    restrict_A,
 )
 
 if TYPE_CHECKING:
@@ -350,9 +347,12 @@ def classify(
     rank test.  Certificates record which stage decided.
 
     Raises:
-        ValueError: if ``vol`` is not p x p for the graph's p, or if ``cfg``
-            is neither None nor a ``ClassifyConfig``.
+        ValueError: unless ``g`` is a ``DiGraph`` and ``vol`` a p x p
+            ``VolatilityMatrix`` for the graph's p, or if ``cfg`` is neither
+            None nor a ``ClassifyConfig``.
     """
+    _require("g", g, DiGraph)
+    _require("vol", vol, VolatilityMatrix)
     if not isinstance(cfg, ClassifyConfig | None):
         raise ValueError(f"cfg must be a ClassifyConfig, got {cfg!r}")
     return _classify_batch([g], vol, [ClassifyConfig.seed if cfg is None else cfg.seed])[0]
@@ -504,42 +504,3 @@ def _screen_full_rank(masks: list[int], drifts: list[list[list[int]]],
     h *= (~(np.array(masks, dtype=np.int64) >> shifts) & 1)[:, None, :]
     return (solved & _intkernel.mod_gauss(h)[0]).tolist()
 
-
-# ---------------------------------------------------------------------------
-# Determinant identities and positivity sampling
-# ---------------------------------------------------------------------------
-
-
-def dag_determinant_identity(sigma: CovMatrix) -> tuple[Rational, Rational]:
-    """(|det| of the restriction, 2^p times the product of trailing principal minors).
-
-    The restriction is to ``complete_dag(p)``, the complete acyclic graph
-    with edges i -> j, i >= j, where p is the size of ``sigma``; the two
-    components agree for every symmetric positive definite sigma.
-    """
-    p = sigma.p
-    s = sigma.matrix
-    lhs = abs(det(restrict_A(build_A(sigma), complete_dag(p))))
-    product = Fraction(2) ** p
-    for i in range(p):
-        idx = list(range(i, p))
-        product *= det(s.select_rows(idx).select_columns(idx))
-    return lhs, product
-
-
-def cycle3_determinant_identity(sigma: CovMatrix) -> tuple[Rational, Rational]:
-    """(det of the 3-cycle restriction, its closed-form factorization).
-
-    The restriction determinant equals
-    8 det(Sigma) (S11 S22 S33 - S12 S13 S23); the second factor is positive
-    whenever Sigma is positive definite.
-
-    Raises:
-        ValueError: unless sigma is 3 x 3.
-    """
-    s = sigma.matrix
-    if s.rows != 3:
-        raise ValueError("the 3-cycle identity needs a 3 x 3 sigma")
-    lhs = det(restrict_A(build_A(sigma), three_cycle()))
-    factor = s[0, 0] * s[1, 1] * s[2, 2] - s[0, 1] * s[0, 2] * s[1, 2]
-    return lhs, 8 * det(s) * factor

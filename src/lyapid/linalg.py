@@ -122,15 +122,10 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         return RatMatrix(
             self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
         )
 
     def __neg__(self) -> "RatMatrix":
@@ -147,10 +142,6 @@ class RatMatrix:
             for j in range(m):
                 out.append(sum(arow[t] * b[t * m + j] for t in range(k)))
         return RatMatrix(n, m, out)
-
-    def scale(self, factor) -> "RatMatrix":
-        f = rat(factor)
-        return RatMatrix(self.rows, self.cols, [f * a for a in self.entries])
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
@@ -176,10 +167,6 @@ class RatMatrix:
             self.cols,
             [self.entries[i * self.cols + j] for i in indices for j in range(self.cols)],
         )
-
-    def _same_shape(self, other: "RatMatrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _intkernel
-from .graphs import DiGraph, Edge, _closure, _is_int
+from .graphs import DiGraph, Edge, _closure, _is_int, _require
 from .linalg import (
     AFFINE,
     INCONSISTENT,
@@ -405,8 +405,13 @@ def fiber(sigma: CovMatrix, g: DiGraph, vol: VolatilityMatrix) -> FiberResult:
     checkable artifact.
 
     Raises:
-        ValueError: unless ``sigma`` and ``vol`` are p x p for the graph's p.
+        ValueError: unless ``sigma`` is a ``CovMatrix``, ``g`` a ``DiGraph``
+            and ``vol`` a ``VolatilityMatrix``, both matrices p x p for the
+            graph's p.
     """
+    _require("sigma", sigma, CovMatrix)
+    _require("g", g, DiGraph)
+    _require("vol", vol, VolatilityMatrix)
     if sigma.p != g.p or vol.p != g.p:
         raise ValueError(f"sigma is {sigma.p}x{sigma.p} and the volatility matrix "
                          f"{vol.p}x{vol.p}, but the graph has p = {g.p}")

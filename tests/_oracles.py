@@ -1,13 +1,18 @@
 """The tests' random instances and cross-check constructions.
 
 Seeded generators of exact positive definite matrices, volatilities and the
-complete graph; the graph operations that only tests use (``has_trek``,
-``relabel``, ``subgraph``); the matrix helpers that only tests use
-(``diagonal_matrix``, ``trace``, ``hstack``); and the textbook Kronecker
+complete graph; the named graphs that only tests use (``two_cycle``,
+``two_cycle_two_sources``, ``simple_cyclic_5a``, ``simple_cyclic_5b``); the
+graph operations that only tests use (``has_trek``, ``relabel``,
+``subgraph``); the matrix helpers that only tests use (``diagonal_matrix``,
+``scale``, ``sub``, ``trace``, ``hstack``); and the textbook Kronecker
 form of the coefficient matrix: ``vec``, ``kron``, the commutation matrix
 K_p, the square form ``atilde`` and the product form ``build_A_product`` of
 A(Sigma).  The package builds A(Sigma) entry by entry instead, so a test
 that compares the two compares two different constructions.
+``dag_determinant_identity`` and ``cycle3_determinant_identity`` are the
+paper's closed-form determinant factorizations for the complete DAGs and
+the 3-cycle, evaluated on the package's ``build_A``.
 ``to_floats`` hands an exact matrix to numpy.
 ``skew_to_drift`` parametrizes the fiber of a Sigma by skew matrices, and
 ``positivity_sample`` checks the simple-graph theorem's claim that the
@@ -20,10 +25,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from lyapid import _intkernel
+from lyapid.catalog import complete_dag, three_cycle
 from lyapid.graphs import DiGraph, Edge, _ancestor_masks, is_simple
 from lyapid.identifiability import _derive_rng
-from lyapid.linalg import RatMatrix, Rational, rat, sym_pairs
-from lyapid.lyapunov import CovMatrix, VolatilityMatrix, _h_rows
+from lyapid.linalg import RatMatrix, Rational, det, rat, sym_pairs
+from lyapid.lyapunov import CovMatrix, VolatilityMatrix, _h_rows, build_A, restrict_A
 
 from _rref import rref_inverse
 
@@ -49,6 +55,17 @@ def diagonal_matrix(values: Sequence) -> RatMatrix:
     for i, v in enumerate(values):
         ent[i * n + i] = rat(v)
     return RatMatrix(n, n, ent)
+
+
+def scale(m: RatMatrix, factor) -> RatMatrix:
+    """``factor`` times ``m``."""
+    f = rat(factor)
+    return RatMatrix(m.rows, m.cols, [f * x for x in m.entries])
+
+
+def sub(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """a - b; a ValueError unless the shapes agree."""
+    return a + scale(b, -1)
 
 
 def trace(m: RatMatrix) -> Rational:
@@ -80,6 +97,44 @@ def random_volatility(p: int, rng: random.Random, diagonal: bool = False) -> Vol
 def complete_graph(p: int) -> DiGraph:
     return DiGraph(
         p, frozenset((i, j) for i in range(1, p + 1) for j in range(1, p + 1))
+    )
+
+
+def two_cycle(p: int = 2) -> DiGraph:
+    """The 2-cycle on nodes {1, 2}; further nodes, if any, stay isolated.
+
+    With p = 3 this is also the smallest graph whose identifiability flips
+    with the off-diagonal fill of the volatility matrix.
+    """
+    return DiGraph(p, frozenset({(1, 2), (2, 1)}))
+
+
+def two_cycle_two_sources() -> DiGraph:
+    """Two source nodes 1 and 4 feeding a 2-cycle on {2, 3} (non-identifiable)."""
+    return DiGraph(4, frozenset({(2, 3), (3, 2), (1, 2), (1, 3), (4, 2), (4, 3)}))
+
+
+def simple_cyclic_5a() -> DiGraph:
+    """First of two simple cyclic 5-node graphs with a hard positivity analysis.
+
+    The restricted-kernel determinant of this graph resists closed-form
+    certification, which makes it a good stress case for sampling checks.
+    """
+    return DiGraph(
+        5,
+        frozenset(
+            {(1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 2), (5, 1), (5, 4)}
+        ),
+    )
+
+
+def simple_cyclic_5b() -> DiGraph:
+    """Second simple cyclic 5-node graph with a hard positivity analysis."""
+    return DiGraph(
+        5,
+        frozenset(
+            {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 1), (4, 5), (5, 1), (5, 2)}
+        ),
     )
 
 
@@ -173,6 +228,41 @@ def build_A_product(sigma: RatMatrix) -> RatMatrix:
     return atilde(sigma).select_rows(rows)
 
 
+def dag_determinant_identity(sigma: CovMatrix) -> tuple[Rational, Rational]:
+    """(|det| of the restriction, 2^p times the product of trailing principal minors).
+
+    The restriction is to ``complete_dag(p)``, the complete acyclic graph
+    with edges i -> j, i >= j, where p is the size of ``sigma``; the two
+    components agree for every symmetric positive definite sigma.
+    """
+    p = sigma.p
+    s = sigma.matrix
+    lhs = abs(det(restrict_A(build_A(sigma), complete_dag(p))))
+    product = Fraction(2) ** p
+    for i in range(p):
+        idx = list(range(i, p))
+        product *= det(s.select_rows(idx).select_columns(idx))
+    return lhs, product
+
+
+def cycle3_determinant_identity(sigma: CovMatrix) -> tuple[Rational, Rational]:
+    """(det of the 3-cycle restriction, its closed-form factorization).
+
+    The restriction determinant equals
+    8 det(Sigma) (S11 S22 S33 - S12 S13 S23); the second factor is positive
+    whenever Sigma is positive definite.
+
+    Raises:
+        ValueError: unless sigma is 3 x 3.
+    """
+    s = sigma.matrix
+    if s.rows != 3:
+        raise ValueError("the 3-cycle identity needs a 3 x 3 sigma")
+    lhs = det(restrict_A(build_A(sigma), three_cycle()))
+    factor = s[0, 0] * s[1, 1] * s[2, 2] - s[0, 1] * s[0, 2] * s[1, 2]
+    return lhs, 8 * det(s) * factor
+
+
 def skew_to_drift(k: RatMatrix, sigma: CovMatrix, vol: VolatilityMatrix) -> RatMatrix:
     """The Lyapunov solution M = (K - C/2) Sigma^{-1} for skew-symmetric K.
 
@@ -181,14 +271,13 @@ def skew_to_drift(k: RatMatrix, sigma: CovMatrix, vol: VolatilityMatrix) -> RatM
     """
     if k.transpose() != -k:
         raise ValueError("K must be skew-symmetric")
-    return (k - vol.matrix.scale(Fraction(1, 2))) @ rref_inverse(sigma.matrix)
+    return sub(k, scale(vol.matrix, Fraction(1, 2))) @ rref_inverse(sigma.matrix)
 
 
 @dataclass(frozen=True)
 class PositivityReport:
     """Sign statistics of the restricted-kernel determinant over PD samples."""
 
-    graph: DiGraph
     trials: int
     positive: int
     negative: int
@@ -198,18 +287,6 @@ class PositivityReport:
     @property
     def all_nonzero(self) -> bool:
         return self.zero == 0
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.graph.p,
-            "edges": [list(e) for e in self.graph.edge_index()],
-            "trials": self.trials,
-            "positive": self.positive,
-            "negative": self.negative,
-            "zero": self.zero,
-            "square": self.square,
-            "all_nonzero": self.all_nonzero,
-        }
 
 
 # Entries of the sampled Cholesky factors lie in [-9, 9], the diagonal in [1, 9].
@@ -254,6 +331,4 @@ def positivity_sample(g: DiGraph, trials: int, seed: int = 0) -> PositivityRepor
         pos += value > 0
         neg += value < 0
         zero += value == 0
-    return PositivityReport(
-        graph=g, trials=trials, positive=pos, negative=neg, zero=zero, square=square
-    )
+    return PositivityReport(trials=trials, positive=pos, negative=neg, zero=zero, square=square)

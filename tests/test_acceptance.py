@@ -19,9 +19,6 @@ from lyapid import _intkernel, identifiability
 from lyapid.catalog import (
     completed_four_cycle,
     fan_in_two_cycle,
-    simple_cyclic_5a,
-    simple_cyclic_5b,
-    two_cycle,
     two_cycle_two_sinks,
 )
 from lyapid.cli import main
@@ -31,8 +28,6 @@ from lyapid.identifiability import (
     ClassifyConfig,
     IdentClass,
     classify,
-    cycle3_determinant_identity,
-    dag_determinant_identity,
 )
 from lyapid.linalg import RatMatrix, rank
 from lyapid.lyapunov import (
@@ -50,10 +45,16 @@ from lyapid.sweep import run_sweep
 from _oracles import (
     commutation_matrix,
     complete_graph,
+    cycle3_determinant_identity,
+    dag_determinant_identity,
     diagonal_matrix,
     positivity_sample,
     random_pd_matrix,
+    scale,
+    simple_cyclic_5a,
+    simple_cyclic_5b,
     to_floats,
+    two_cycle,
 )
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "table1_reproduction.md"
@@ -473,8 +474,8 @@ class TestCriterion10Invariances:
             gamma = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             if rng.random() < 0.5:
                 gamma = -gamma
-            m2 = drift.matrix.scale(gamma)
-            c2 = vol.matrix.scale(gamma)
+            m2 = scale(drift.matrix, gamma)
+            c2 = scale(vol.matrix, gamma)
             residual = m2 @ sigma + sigma @ m2.transpose() + c2
             assert all(x == 0 for x in residual.entries)
         _report("10a", "(gamma M, gamma C) keeps Sigma, 100 exact instances")

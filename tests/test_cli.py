@@ -11,8 +11,10 @@ import pytest
 from lyapid import cli
 from lyapid.cli import main
 from lyapid.graphs import graph_from_json, graph_to_json
-from lyapid.catalog import three_cycle, two_cycle, two_cycle_out_edge
+from lyapid.catalog import three_cycle, two_cycle_out_edge
 from lyapid.linalg import parse_matrix_csv
+
+from _oracles import two_cycle
 
 
 ROOT = Path(__file__).resolve().parent.parent

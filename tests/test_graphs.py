@@ -18,10 +18,8 @@ from lyapid.catalog import (
     fan_in_two_cycle,
     many_parents_two_cycle,
     three_cycle,
-    two_cycle,
     two_cycle_out_edge,
     two_cycle_two_sinks,
-    two_cycle_two_sources,
 )
 from lyapid.graphs import (
     DiGraph,
@@ -40,7 +38,7 @@ from lyapid.graphs import (
     no_trek_pairs,
 )
 
-from _oracles import has_trek, relabel, subgraph
+from _oracles import has_trek, relabel, subgraph, two_cycle, two_cycle_two_sources
 
 
 def _random_digraph(rng, p, density=0.3) -> DiGraph:

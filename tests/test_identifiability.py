@@ -19,10 +19,8 @@ from lyapid.catalog import (
     fan_in_two_cycle_with_return,
     many_parents_two_cycle,
     three_cycle,
-    two_cycle,
     two_cycle_out_edge,
     two_cycle_two_sinks,
-    two_cycle_two_sources,
 )
 from lyapid.graphs import (
     DiGraph,
@@ -43,8 +41,6 @@ from lyapid.identifiability import (
     ClassifyConfig,
     IdentClass,
     classify,
-    cycle3_determinant_identity,
-    dag_determinant_identity,
 )
 from lyapid.linalg import AFFINE, RatMatrix, det, matrix_strings, rank, rat, vech
 from lyapid.lyapunov import (
@@ -63,11 +59,16 @@ from lyapid.sweep import derive_graph_seed
 
 from _oracles import (
     complete_graph,
+    cycle3_determinant_identity,
+    dag_determinant_identity,
     diagonal_matrix,
     positivity_sample,
     random_pd_matrix,
     random_volatility,
     relabel,
+    scale,
+    two_cycle,
+    two_cycle_two_sources,
 )
 from _rref import rref_solve
 
@@ -225,7 +226,7 @@ class TestSamplingStage:
         assert a_res @ x0 == rhs
         v = RatMatrix.column(list(sample.kernel_vector))
         for t in (Fraction(1), Fraction(-2), Fraction(5, 3)):
-            assert a_res @ (x0 + v.scale(t)) == rhs
+            assert a_res @ (x0 + scale(v, t)) == rhs
 
 
 class TestKernelRoute:
@@ -736,15 +737,21 @@ class TestClassifyConfig:
         with pytest.raises(ValueError, match="seed must be an integer"):
             ClassifyConfig(seed=seed)
 
-    @pytest.mark.parametrize("cfg", [0, 7, {"seed": 7}])
-    def test_a_cfg_that_is_not_a_classify_config_is_refused(self, monkeypatch, cfg):
+    @pytest.mark.parametrize("g, vol, cfg, refused", [
+        *[(two_cycle_two_sinks(), IDENTITY4, cfg, "cfg must be a ClassifyConfig")
+          for cfg in (0, 7, {"seed": 7})],
+        (two_cycle_two_sinks(), RatMatrix.identity(4), None, "vol must be a VolatilityMatrix"),
+        (two_cycle_two_sinks(), None, None, "vol must be a VolatilityMatrix"),
+        (RatMatrix.identity(4), IDENTITY4, None, "g must be a DiGraph"),
+    ], ids=["0", "7", "cfg2", "vol-RatMatrix", "vol-None", "g-RatMatrix"])
+    def test_an_argument_of_the_wrong_type_is_refused(self, monkeypatch, g, vol, cfg, refused):
         # 0 is not read as "no cfg", nor 7 as a seed; refused before any work
         def refuse(*args):
             raise AssertionError("the cascade ran")
 
         monkeypatch.setattr(identifiability, "_classify_batch", refuse)
-        with pytest.raises(ValueError, match="cfg must be a ClassifyConfig"):
-            classify(two_cycle_two_sinks(), IDENTITY4, cfg)
+        with pytest.raises(ValueError, match=refused):
+            classify(g, vol, cfg)
 
     @pytest.mark.parametrize("p", range(3, 11))
     def test_the_stated_bound_is_below_2_to_the_minus_40_up_to_p_9(self, p):

@@ -11,7 +11,6 @@ from lyapid.catalog import (
     complete_dag,
     fan_in_two_cycle,
     three_cycle,
-    two_cycle,
     two_cycle_out_edge,
 )
 from lyapid.graphs import DiGraph
@@ -40,8 +39,11 @@ from _oracles import (
     hstack,
     random_pd_matrix,
     random_volatility,
+    scale,
     skew_to_drift,
+    sub,
     trace,
+    two_cycle,
     vec,
 )
 from _rref import rref_solve
@@ -108,11 +110,22 @@ class TestModelTypes:
         with pytest.raises(ValueError, match=f"^{name} matrix must be symmetric positive"):
             cls(RatMatrix.from_rows(rows))
 
-    @pytest.mark.parametrize("sigma_p, vol_p", [(3, 2), (2, 3), (3, 3)])
-    def test_fiber_refuses_matrices_of_another_size(self, sigma_p, vol_p):
-        with pytest.raises(ValueError, match=f"sigma is {sigma_p}x{sigma_p} .* p = 2"):
-            fiber(CovMatrix(RatMatrix.identity(sigma_p)), DiGraph(2),
-                  VolatilityMatrix.identity(vol_p))
+    # a size is an identity matrix of that size
+    @pytest.mark.parametrize("sigma, g, vol, refused", [
+        (3, DiGraph(2), 2, "sigma is 3x3 .* p = 2"),
+        (2, DiGraph(2), 3, "sigma is 2x2 .* p = 2"),
+        (3, DiGraph(2), 3, "sigma is 3x3 .* p = 2"),
+        (RatMatrix.identity(3), three_cycle(), 3, "sigma must be a CovMatrix"),
+        (3, RatMatrix.identity(3), 3, "g must be a DiGraph"),
+        (3, three_cycle(), None, "vol must be a VolatilityMatrix"),
+    ], ids=["3-2", "2-3", "3-3", "sigma-RatMatrix", "g-RatMatrix", "vol-None"])
+    def test_fiber_refuses_arguments_of_another_size_or_type(self, sigma, g, vol, refused):
+        if isinstance(sigma, int):
+            sigma = CovMatrix(RatMatrix.identity(sigma))
+        if isinstance(vol, int):
+            vol = VolatilityMatrix.identity(vol)
+        with pytest.raises(ValueError, match=refused):
+            fiber(sigma, g, vol)
 
 
 class TestSolveForSigma:
@@ -126,7 +139,7 @@ class TestSolveForSigma:
         for p in (2, 3, 4):
             sigma0 = random_pd_matrix(p, rng)
             d = DriftMatrix.from_matrix(-RatMatrix.identity(p))
-            vol = VolatilityMatrix(sigma0.scale(2))
+            vol = VolatilityMatrix(scale(sigma0, 2))
             assert solve_for_sigma(d, vol).matrix == sigma0
 
     def test_isolated_node_row(self):
@@ -488,7 +501,7 @@ class TestSkewParametrization:
         for p in (2, 3, 4):
             c = random_pd_matrix(p, rng)
             vol = VolatilityMatrix(c)
-            sigma = CovMatrix(c.scale(Fraction(1, 2)))
+            sigma = CovMatrix(scale(c, Fraction(1, 2)))
             m = skew_to_drift(RatMatrix.zeros(p, p), sigma, vol)
             assert m == -RatMatrix.identity(p)
 
@@ -526,7 +539,7 @@ class TestSkewParametrization:
                 ks.append(RatMatrix(p, p, [x for row in skew for x in row]))
             m1 = skew_to_drift(ks[0], sigma, vol)
             m2 = skew_to_drift(ks[1], sigma, vol)
-            diff = m1 - m2
+            diff = sub(m1, m2)
             assert trace(diff @ diff) <= 0
 
     def test_rejects_non_skew(self):
@@ -658,8 +671,8 @@ class TestModelInvariants:
             vol = random_volatility(p, rng)
             sigma = solve_for_sigma(d, vol).matrix
             gamma = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-            m2 = d.matrix.scale(gamma)
-            c2 = vol.matrix.scale(gamma)
+            m2 = scale(d.matrix, gamma)
+            c2 = scale(vol.matrix, gamma)
             residual = m2 @ sigma + sigma @ m2.transpose() + c2
             assert all(x == 0 for x in residual.entries)
 
