@@ -74,7 +74,7 @@ class DiGraph:
 
     @functools.cached_property
     def _edge_index(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.arcs + tuple(_edge(i, i) for i in range(1, self.p + 1))))
+        return tuple(sorted(self.arcs + _loops(self.p)))
 
     @functools.cached_property
     def _non_edges(self) -> tuple[Edge, ...]:
@@ -107,8 +107,31 @@ def _arc_bit(p: int, i: int, j: int) -> int:
 
 
 def _mask_arcs(p: int, mask: int) -> tuple[Edge, ...]:
-    """The sorted edges whose :func:`_arc_bit` is set in ``mask``, one set bit at a time."""
-    arcs = []
+    """The sorted edges whose :func:`_arc_bit` is set in ``mask``."""
+    return tuple(itertools.chain.from_iterable(_mask_views(p, mask, 0)))
+
+
+def _mask_views(p: int, mask: int, part: int) -> list:
+    """The :func:`_byte_view` ``part`` of each nonzero byte of ``mask``, top
+    byte first (arcs order), at a cost in its nonzero bytes, not its bits."""
+    views = []
+    while mask:
+        shift = mask.bit_length() - 1 & -8
+        byte = mask >> shift
+        mask ^= byte << shift
+        views.append(_byte_view(p, shift, byte, part))
+    return views
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_view(p: int, shift: int, byte: int, part: int):
+    """A view of the mask ``byte << shift`` on p nodes, built on first use: its
+    sorted arcs (part 0), or their text in ``repr(list(arcs))`` (1) or
+    ``json.dumps(arcs)`` (2), brackets aside."""
+    if part:
+        arcs = list(_byte_view(p, shift, byte, 0))
+        return (repr(arcs) if part == 1 else json.dumps(arcs))[1:-1]
+    arcs, mask = [], byte << shift
     while mask:
         bit = mask.bit_length() - 1
         mask ^= 1 << bit
@@ -121,6 +144,12 @@ def _mask_arcs(p: int, mask: int) -> tuple[Edge, ...]:
 def _edge(i: int, j: int) -> Edge:
     """The one tuple ``(i, j)`` that every graph's edge views share."""
     return (i, j)
+
+
+@functools.lru_cache(maxsize=None)
+def _loops(p: int) -> tuple[Edge, ...]:
+    """The p self-loops, one tuple for every graph on p nodes."""
+    return tuple(_edge(i, i) for i in range(1, p + 1))
 
 
 @dataclass(frozen=True)
@@ -168,6 +197,7 @@ def _as_policy(policy: EnumPolicy | None) -> EnumPolicy:
 
 def is_simple(g: DiGraph) -> bool:
     """True iff no pair of distinct nodes carries edges both ways."""
+    _require("g", g, DiGraph)
     return not any(g.mask >> _arc_bit(g.p, j, i) & 1 for (i, j) in g.arcs if i < j)
 
 
@@ -184,6 +214,7 @@ def _ancestor_masks(g: DiGraph) -> list[int]:
     there is a directed path (possibly trivial) from v to w that uses no
     self-loops.
     """
+    _require("g", g, DiGraph)
     masks = [1 << v for v in range(g.p)]
     for (i, j) in g.arcs:
         masks[j - 1] |= 1 << (i - 1)
@@ -216,7 +247,8 @@ def necessary_criterion(g: DiGraph) -> bool:
     return certifies non-identifiability whenever the volatility matrix is
     diagonal.
     """
-    return g.num_edges <= g.p * (g.p + 1) // 2 - no_trek_pairs(g)
+    # trek count first: its _ancestor_masks refuses a g that is not a DiGraph
+    return no_trek_pairs(g) <= g.p * (g.p + 1) // 2 - g.num_edges
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +264,7 @@ def canonical_form(g: DiGraph) -> DiGraph:
     Two graphs are isomorphic iff their canonical forms are equal.  Brute
     force over permutations; intended for p <= 7.
     """
+    _require("g", g, DiGraph)
     if g.p > 7:
         raise ValueError("canonical_form is brute force; p <= 7 only")
     best = max(sum(1 << _arc_bit(g.p, perm[i - 1], perm[j - 1]) for (i, j) in g.arcs)
@@ -371,6 +404,7 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
 
 def graph_to_json(g: DiGraph) -> dict:
     """The wire format {"p": p, "edges": [[i, j], ...]} with self-loops included."""
+    _require("g", g, DiGraph)
     return {"p": g.p, "edges": [[i, j] for (i, j) in g.edge_index()]}
 
 

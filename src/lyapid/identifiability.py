@@ -303,7 +303,7 @@ def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
         Certificate(
             kind=FULL_RANK_WITNESS,
             note="; ".join(notes),
-            edges=tuple(g.edge_index()),
+            edges=g._edge_index,
             witness=witness,
         ),
     )
@@ -333,7 +333,7 @@ def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, seed: int,
     notes = notes + [f"all {trials} samples rank-deficient; failure bound "
                      f"(degree {degree} over {bound + 1} values per entry)"]
     return IdentVerdict(IdentClass.NON_IDENTIFIABLE, Certificate(
-        kind=RANK_DEFICIT_WITNESS, note="; ".join(notes), edges=tuple(g.edge_index()),
+        kind=RANK_DEFICIT_WITNESS, note="; ".join(notes), edges=g._edge_index,
         samples=tuple(deficits), failure_bound=_failure_bound(degree, bound, trials)))
 
 

@@ -256,6 +256,7 @@ def is_stable(m: RatMatrix) -> bool:
     C = I on integer-scaled M, by the leading principal minors of the
     numerator N of Sigma = N / D, D > 0.
     """
+    _require("m", m, RatMatrix)
     if not m.is_square:
         raise ValueError("stability of a non-square matrix")
     p = m.rows
@@ -277,7 +278,11 @@ def solve_for_sigma(drift: DriftMatrix, vol: VolatilityMatrix) -> CovMatrix:
     Raises:
         NotStableError: if the system is singular or its solution is not
             positive definite, i.e. the drift matrix is not stable.
+        ValueError: unless ``drift`` is a ``DriftMatrix`` and ``vol`` a
+            ``VolatilityMatrix`` of its size.
     """
+    _require("drift", drift, DriftMatrix)
+    _require("vol", vol, VolatilityMatrix)
     m, c = drift.matrix, vol.matrix
     p = m.rows
     if c.rows != p:
@@ -343,6 +348,7 @@ def build_A(sigma) -> RatMatrix:
 
 def restrict_A(a: RatMatrix, g: DiGraph) -> RatMatrix:
     """Columns of A(Sigma) for the edges of ``g``, in lexicographic edge order."""
+    _require("g", g, DiGraph)
     p = g.p
     if a.cols != p * p:
         raise ValueError(f"expected {p * p} columns, got {a.cols}")
@@ -385,6 +391,7 @@ def build_H(sigma) -> RatMatrix:
 
 def restrict_H(h: RatMatrix, g: DiGraph) -> RatMatrix:
     """Rows of H(Sigma) for the non-edges of ``g``, in lexicographic order."""
+    _require("g", g, DiGraph)
     p = g.p
     if h.rows != p * p:
         raise ValueError(f"expected {p * p} rows, got {h.rows}")
@@ -473,8 +480,10 @@ def sample_stable_drift(g: DiGraph, rng_seed, bound: int = 2**20) -> DriftMatrix
     The entries are those of :func:`_draw_drift_rows`.
 
     Raises:
-        ValueError: unless ``bound`` is an ``int`` >= 1 (a ``bool`` is not).
+        ValueError: unless ``g`` is a ``DiGraph`` and ``bound`` an ``int``
+            >= 1 (a ``bool`` is not).
     """
+    _require("g", g, DiGraph)
     if not (_is_int(bound) and bound >= 1):
         raise ValueError(f"bound must be an integer >= 1, got {bound!r}")
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)

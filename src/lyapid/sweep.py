@@ -47,7 +47,7 @@ from typing import IO
 
 from . import _intkernel
 from .graphs import (_MAX_P, CONNECTIVITY, DiGraph, EnumPolicy, _as_policy, _candidate_masks,
-                     _is_int)
+                     _is_int, _mask_views)
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
@@ -78,7 +78,8 @@ def derive_graph_seed(global_seed: int, g: DiGraph) -> int:
     labelling too, so a relabelled copy h of a sweep graph replays that
     graph's row only as ``canonical_form(h)`` under that form's seed.
     """
-    payload = f"{global_seed}:{g.p}:{list(g.arcs)}".encode()
+    arcs = ", ".join(_mask_views(g.p, g.mask, 1))  # the text of list(g.arcs), brackets aside
+    payload = f"{global_seed}:{g.p}:[{arcs}]".encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
@@ -216,8 +217,8 @@ def _check_sweep(p: int, policy: EnumPolicy | None, seed: int, jobs: int) -> Enu
     return policy
 
 
-def _sweep_rows(p: int, policy: EnumPolicy, seed: int, jobs: int) -> Iterator[SweepRow]:
-    """Every row of a checked sweep in report order, one chunk at a time.
+def _sweep_rows(p: int, policy: EnumPolicy, seed: int, jobs: int) -> Iterator[tuple]:
+    """(mask, row) of every graph of a checked sweep in report order, one chunk at a time.
 
     Report order is edge count ascending, then mask descending, which is
     ``(num_edges, edges)`` under ``_arc_bit``.  A pool, when one starts,
@@ -231,11 +232,11 @@ def _sweep_rows(p: int, policy: EnumPolicy, seed: int, jobs: int) -> Iterator[Sw
 
         _intkernel.numpy()  # once, before the fork: the workers inherit it
         with multiprocessing.Pool(processes=workers) as pool:
-            for rows in pool.imap(_classify_chunk, chunks):
-                yield from rows
+            for chunk, rows in zip(chunks, pool.imap(_classify_chunk, chunks)):
+                yield from zip(chunk[2], rows)
     else:
         for chunk in chunks:
-            yield from _classify_chunk(chunk)
+            yield from zip(chunk[2], _classify_chunk(chunk))
 
 
 def run_sweep(
@@ -260,7 +261,7 @@ def run_sweep(
     started = time.perf_counter()
     report = SweepReport(p=p, policy=policy, trials=ClassifyConfig.trials,
                          bound=ClassifyConfig.bound, seed=seed,
-                         rows=list(_sweep_rows(p, policy, seed, jobs)))
+                         rows=[row for _, row in _sweep_rows(p, policy, seed, jobs)])
     report.wall_seconds = time.perf_counter() - started
     return report
 
@@ -279,10 +280,19 @@ def _write_report(out: IO[str], p: int, policy: EnumPolicy, seed: int, jobs: int
     out.write(json.dumps(report._header_json())[:-1] + ', "rows": [\n')
     totals, sep = (0, 0, 0), ""
     with closing(_sweep_rows(p, policy, seed, jobs)) as rows:  # a failed write ends the pool
-        for row in rows:
-            out.write(sep + json.dumps(row.to_json()))
+        for mask, row in rows:
+            out.write(sep + (_row_line(row, mask) if row.witness_drift is None
+                             else json.dumps(row.to_json())))
             totals, sep = _count(totals, row), ",\n"
     report.wall_seconds = time.perf_counter() - started
     tail = {"totals": dict(zip(_TOTALS, totals)), "wall_seconds": report.wall_seconds}
     out.write(f"\n], {json.dumps(tail)[1:]}\n")
     return _summary_csv(report, totals)
+
+
+def _row_line(row: SweepRow, mask: int) -> str:
+    """``json.dumps(row.to_json())`` of a witness-free ``row`` of the graph with mask ``mask``."""
+    return (f'{{"p": {row.p}, "edges": [{", ".join(_mask_views(row.p, mask, 2))}], '
+            f'"num_edges": {row.num_edges}, "class": "{row.classification.value}", '
+            f'"certificate_kind": "{row.certificate_kind}", "satisfies_eq9": '
+            f'{"true" if row.satisfies_eq9 else "false"}, "elapsed_ms": {row.elapsed_ms!r}}}')

@@ -17,6 +17,9 @@ the 3-cycle, evaluated on the package's ``build_A``.
 ``skew_to_drift`` parametrizes the fiber of a Sigma by skew matrices, and
 ``positivity_sample`` checks the simple-graph theorem's claim that the
 restricted kernel determinant never vanishes on the positive definite cone.
+``mask_arcs`` reads a graph's arcs off its mask one set bit at a time, the
+reference for the package's per-byte views, and ``view_masks`` gives the
+masks they are compared on.
 """
 
 import random
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 
 from lyapid import _intkernel
 from lyapid.catalog import complete_dag, three_cycle
-from lyapid.graphs import DiGraph, Edge, _ancestor_masks, is_simple
+from lyapid.graphs import DiGraph, Edge, _ancestor_masks, _candidate_masks, is_simple
 from lyapid.identifiability import _derive_rng
 from lyapid.linalg import RatMatrix, Rational, det, rat, sym_pairs
 from lyapid.lyapunov import CovMatrix, VolatilityMatrix, _h_rows, build_A, restrict_A
@@ -173,6 +176,28 @@ def subgraph(g: DiGraph, keep_edges: Iterable[Edge]) -> DiGraph:
         if (i, i) in g.edges and (i, i) not in keep:
             raise ValueError(f"cannot remove self-loop {i}->{i}")
     return DiGraph(g.p, frozenset(keep))
+
+
+def mask_arcs(p: int, mask: int) -> tuple[Edge, ...]:
+    """The sorted edges whose ``_arc_bit`` is set in ``mask``, one set bit at a time."""
+    arcs = []
+    while mask:
+        bit = mask.bit_length() - 1
+        mask ^= 1 << bit
+        i, c = divmod(p * (p - 1) - 1 - bit, p - 1)  # row i + 1, off-diagonal column c
+        arcs.append((i + 1, c + 1 + (c >= i)))
+    return tuple(arcs)
+
+
+def view_masks(p: int) -> Iterable[int]:
+    """Every mask up to p = 4, every candidate's at p = 5 and, beyond, 100
+    masks seeded by p, of 0 up to all p(p-1) arcs."""
+    if p <= 4:
+        return range(1 << p * (p - 1))
+    if p == 5:
+        return _candidate_masks(5)
+    rng, q = random.Random(p), p * (p - 1)
+    return [sum(1 << b for b in rng.sample(range(q), rng.randint(0, q))) for _ in range(100)]
 
 
 def vec(m: RatMatrix) -> RatMatrix:

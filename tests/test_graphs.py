@@ -38,7 +38,15 @@ from lyapid.graphs import (
     no_trek_pairs,
 )
 
-from _oracles import has_trek, relabel, subgraph, two_cycle, two_cycle_two_sources
+from _oracles import (
+    has_trek,
+    mask_arcs,
+    relabel,
+    subgraph,
+    two_cycle,
+    two_cycle_two_sources,
+    view_masks,
+)
 
 
 def _random_digraph(rng, p, density=0.3) -> DiGraph:
@@ -568,6 +576,16 @@ class TestRepresentation:
         g.non_edges().clear()
         assert len(g.edge_index()) == g.num_edges == 6
         assert g.non_edges() == [(1, 3), (3, 1), (3, 2)]
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 9, 40])
+    def test_the_byte_views_match_the_bit_walk(self, p):
+        loops = tuple((v, v) for v in range(1, p + 1))
+        full = (1 << p * (p - 1)) - 1
+        for mask in view_masks(p):
+            g, arcs = DiGraph._from_mask(p, mask), mask_arcs(p, mask)
+            assert g.arcs == arcs
+            assert g.edge_index() == sorted(arcs + loops)
+            assert g.non_edges() == list(mask_arcs(p, full ^ mask))
 
     def test_a_large_sparse_graph_costs_what_its_edges_do(self):
         # the mask grows with p * p bits, but no view or predicate walks them

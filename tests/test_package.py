@@ -48,6 +48,35 @@ def test_public_surface_is_pinned():
     assert sorted(lyapid.__all__) == PUBLIC_NAMES
 
 
+def _wrong_type_calls():
+    """(call, refused argument) pairs that give a public function a RatMatrix
+    where it takes another type, or a DiGraph where it takes a RatMatrix."""
+    g, m = two_cycle_out_edge(), lyapid.RatMatrix.identity(3)
+    vol = lyapid.VolatilityMatrix.identity(3)
+    drift = lyapid.sample_stable_drift(g, 0)
+    sigma = lyapid.solve_for_sigma(drift, vol)
+    a, h = lyapid.build_A(sigma), lyapid.build_H(sigma)
+    calls = {
+        "solve_for_sigma-drift": (lambda: lyapid.solve_for_sigma(m, vol), "drift"),
+        "solve_for_sigma-vol": (lambda: lyapid.solve_for_sigma(drift, m), "vol"),
+        "restrict_A": (lambda: lyapid.restrict_A(a, m), "g"),
+        "restrict_H": (lambda: lyapid.restrict_H(h, m), "g"),
+        "sample_stable_drift": (lambda: lyapid.sample_stable_drift(m, 0), "g"),
+        "is_stable": (lambda: lyapid.is_stable(g), "m"),
+    }
+    for name in ("is_simple", "is_dag", "no_trek_pairs", "necessary_criterion",
+                 "canonical_form", "graph_to_json"):
+        calls[name] = (lambda f=getattr(lyapid, name): f(m), "g")
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_wrong_type_calls()))
+def test_an_argument_of_the_wrong_type_is_a_value_error(name):
+    call, argument = _wrong_type_calls()[name]
+    with pytest.raises(ValueError, match=f"^{argument} must be a "):
+        call()
+
+
 # RatMatrix's public attributes and operators: one joins or leaves only by
 # editing this list.  bench/gate.py replays every witness with ``+``, ``@``,
 # ``transpose``, ``identity`` and ``zeros``.

@@ -2,6 +2,8 @@
 
 import gc
 import hashlib
+import io
+import json
 import multiprocessing
 import random
 
@@ -19,7 +21,7 @@ from lyapid.graphs import (
 from lyapid.identifiability import ClassifyConfig, classify
 from lyapid.lyapunov import VolatilityMatrix
 
-from _oracles import relabel
+from _oracles import mask_arcs, relabel, view_masks
 
 
 def _exact_batch(graphs, vol, seeds, elapsed_ms=None):
@@ -302,3 +304,31 @@ def test_a_relabelled_graph_replays_its_row_through_its_canonical_form():
             witnesses += 1
             assert sweep._row_witness(verdict) == (row.witness_drift, row.witness_sigma)
     assert witnesses == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 9, 40])
+def test_the_graph_seed_hashes_the_text_of_the_sorted_arcs(p):
+    for k, mask in enumerate(view_masks(p)):
+        seed = (0, 7, -2**70)[k % 3]
+        payload = f"{seed}:{p}:{list(mask_arcs(p, mask))}".encode()
+        expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+        assert sweep.derive_graph_seed(seed, DiGraph._from_mask(p, mask)) == expected
+
+
+@pytest.mark.parametrize("p, max_edges, total, witness_rows", [(4, None, 80, 1), (5, 12, 762, 3)])
+def test_each_report_line_is_the_json_of_its_row(monkeypatch, p, max_edges, total, witness_rows):
+    # witness-free rows are written from the mask's byte views, the others by json.dumps
+    rows, classify_chunk = [], sweep._classify_chunk
+
+    def recorded(chunk):
+        chunk_rows = classify_chunk(chunk)
+        rows.extend(chunk_rows)
+        return chunk_rows
+
+    monkeypatch.setattr(sweep, "_classify_chunk", recorded)
+    out = io.StringIO()
+    sweep._write_report(out, p, EnumPolicy(max_edges), 0, 1)
+    lines = [line.removesuffix(",") for line in out.getvalue().splitlines()[1:-1]]
+    assert lines == [json.dumps(row.to_json()) for row in rows]
+    assert len(rows) == total
+    assert sum(row.witness_drift is not None for row in rows) == witness_rows
