@@ -21,7 +21,7 @@ Edge = tuple[int, int]
 # The enumeration's one connectivity filter, as reports name it: only it gives
 # the paper's totals of 2 / 80 / 4,862 at p = 3, 4, 5.
 CONNECTIVITY = "weakly-connected"
-_MAX_P = 5  # the largest p the enumeration, and so the sweep, supports
+_MAX_P = 6  # the largest p the enumeration, and so the sweep, supports
 
 
 @dataclass(frozen=True, init=False)
@@ -198,46 +198,20 @@ def _as_policy(policy: EnumPolicy | None) -> EnumPolicy:
 def is_simple(g: DiGraph) -> bool:
     """True iff no pair of distinct nodes carries edges both ways."""
     _require("g", g, DiGraph)
-    return not any(g.mask >> _arc_bit(g.p, j, i) & 1 for (i, j) in g.arcs if i < j)
+    return not _mutual(_mask_parents(g.p, g.mask))
 
 
 def is_dag(g: DiGraph) -> bool:
     """True iff the off-diagonal edge relation is acyclic (self-loops ignored):
     no two distinct nodes are each an ancestor of the other."""
-    masks = _ancestor_masks(g)
-    return not any(masks[w] >> v & 1 and masks[v] >> w & 1
-                   for w in range(g.p) for v in range(w))
-
-
-def _ancestor_masks(g: DiGraph) -> list[int]:
-    """Reflexive ancestor bitmasks: bit v - 1 of ``masks[w - 1]`` is set iff
-    there is a directed path (possibly trivial) from v to w that uses no
-    self-loops.
-    """
     _require("g", g, DiGraph)
-    masks = [1 << v for v in range(g.p)]
-    for (i, j) in g.arcs:
-        masks[j - 1] |= 1 << (i - 1)
-    return _closure(masks)
-
-
-def _closure(masks: list[int]) -> list[int]:
-    """Parent bitmasks (bit v of ``masks[w]``: v -> w) closed in place into
-    ancestor masks, one pivot node at a time (Warshall)."""
-    p = len(masks)
-    for k in range(p):
-        bit = 1 << k
-        through = masks[k]
-        for w in range(p):
-            if masks[w] & bit:
-                masks[w] |= through
-    return masks
+    return not _mutual(_closure(_mask_parents(g.p, g.mask)))
 
 
 def no_trek_pairs(g: DiGraph) -> int:
     """Number of unordered pairs {i, j}, i != j, with no trek between them."""
-    masks = _ancestor_masks(g)
-    return sum(not a & b for i, a in enumerate(masks) for b in masks[i + 1:])
+    _require("g", g, DiGraph)
+    return _mask_treks(g.p, g.mask)[0]
 
 
 def necessary_criterion(g: DiGraph) -> bool:
@@ -247,8 +221,52 @@ def necessary_criterion(g: DiGraph) -> bool:
     return certifies non-identifiability whenever the volatility matrix is
     diagonal.
     """
-    # trek count first: its _ancestor_masks refuses a g that is not a DiGraph
+    # trek count first: it refuses a g that is not a DiGraph
     return no_trek_pairs(g) <= g.p * (g.p + 1) // 2 - g.num_edges
+
+
+def _mask_treks(p: int, mask):
+    """(trek-free node pairs, 2-cycle flag) of the arc mask ``mask`` on p
+    nodes, the one trek code path: two nodes are joined by a trek iff their
+    reflexive ancestor sets meet.  Written in operators that ints and numpy
+    arrays share, as the ``lyapunov`` builders are, so ``mask`` is an int
+    (giving an int and a 0/1 int) or an int64 array of masks (an array each).
+    """
+    masks = _mask_parents(p, mask)
+    cycle = _mutual(masks)
+    ancestors = _closure(masks)
+    return sum((a & b) == 0 for k, a in enumerate(ancestors) for b in ancestors[k + 1:]), cycle
+
+
+def _mask_parents(p: int, mask) -> list:
+    """Reflexive parent masks of ``mask`` (bit v - 1 of ``masks[w - 1]``: v = w
+    or v -> w), as in :func:`_mask_treks`.  An int walks only its own arcs, so
+    a sparse graph on many nodes costs what its edges do; a stack, every arc."""
+    masks = [1 << v for v in range(p)]
+    for (i, j) in _mask_arcs(p, mask if _is_int(mask) else (1 << p * (p - 1)) - 1):
+        masks[j - 1] = masks[j - 1] | (mask >> _arc_bit(p, i, j) & 1) << i - 1
+    return masks
+
+
+def _mutual(masks: list):
+    """1 iff bit v of ``masks[w]`` and bit w of ``masks[v]`` are set for some v != w."""
+    flag = 0
+    for w, a in enumerate(masks):
+        for v in range(w):
+            flag = flag | a >> v & masks[v] >> w
+    return flag & 1
+
+
+def _closure(masks: list) -> list:
+    """Parent bitmasks (bit v of ``masks[w]``: v -> w) closed in place into
+    ancestor masks, one pivot node at a time (Warshall), branch-free, so
+    ints and int64 arrays alike."""
+    p = len(masks)
+    for k in range(p):
+        through = masks[k]
+        for w in range(p):
+            masks[w] = masks[w] | through & -(masks[w] >> k & 1)
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +351,7 @@ def _candidate_masks(p: int, policy: EnumPolicy | None = None) -> list[int]:
     borrow crosses a slot, and its guard bit survives exactly when s > c.
 
     Raises:
-        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5, or
+        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 6, or
             if ``policy`` is neither None nor an ``EnumPolicy``.
     """
     if not (_is_int(p) and 2 <= p <= _MAX_P):
@@ -390,7 +408,7 @@ def enumerate_candidates(p: int, policy: EnumPolicy | None = None) -> Iterator[D
     ``num_edges <= policy.max_edges`` (self-loops included).
 
     Raises:
-        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 5, or
+        ValueError: unless p is an ``int`` with 2 <= p <= ``_MAX_P`` = 6, or
             if ``policy`` is neither None nor an ``EnumPolicy``.
     """
     for mask in _candidate_masks(p, policy):

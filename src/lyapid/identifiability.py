@@ -27,11 +27,9 @@ from .graphs import (
     Edge,
     _is_int,
     _mask_arcs,
+    _mask_treks,
     _require,
     is_dag,
-    is_simple,
-    necessary_criterion,
-    no_trek_pairs,
 )
 from .linalg import RatMatrix, Rational, _matrix_to_int_rows
 from .lyapunov import (
@@ -82,8 +80,8 @@ class RankSample:
     den) of the exact rank test (``kernel``; None at full rank).  Sigma =
     N / (D gamma) takes (N, D) from the exact solve of the sampling path
     (``solved``); a witness proved by the modular screen of
-    :func:`_classify_batch` has none, and runs that same solve the first
-    time Sigma is needed.  :meth:`to_json` writes its strings straight from
+    :func:`_classify_batch` (built by :func:`_verdict`) has none, and runs
+    that same solve the first time Sigma is needed.  :meth:`to_json` writes its strings straight from
     the integers; ``drift``, ``sigma`` and ``kernel_vector`` are exact
     ``Fraction`` views, each built the first time it is read.
     """
@@ -294,19 +292,10 @@ def _sampling_volatility(vol: VolatilityMatrix):
 def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
                      witness: RankSample) -> IdentVerdict:
     if not vol.diagonal:
-        notes = notes + [
-            "volatility is non-diagonal: global identifiability undetermined, "
-            "verdict records generic identifiability only"
-        ]
-    return IdentVerdict(
-        IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL,
-        Certificate(
-            kind=FULL_RANK_WITNESS,
-            note="; ".join(notes),
-            edges=g._edge_index,
-            witness=witness,
-        ),
-    )
+        notes = notes + ["volatility is non-diagonal: global identifiability undetermined, "
+                         "verdict records generic identifiability only"]
+    return IdentVerdict(IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL, Certificate(
+        FULL_RANK_WITNESS, "; ".join(notes), edges=g._edge_index, witness=witness))
 
 
 def _drifts(g: DiGraph, seed: int) -> Iterator[list[list[int]]]:
@@ -355,83 +344,101 @@ def classify(
     _require("vol", vol, VolatilityMatrix)
     if not isinstance(cfg, ClassifyConfig | None):
         raise ValueError(f"cfg must be a ClassifyConfig, got {cfg!r}")
-    return _classify_batch([g], vol, [ClassifyConfig.seed if cfg is None else cfg.seed])[0]
+    seed = ClassifyConfig.seed if cfg is None else cfg.seed
+    return _verdict(g, vol, _classify_batch([g], vol, [seed])[0])
 
 
-def _bound_verdict(g: DiGraph, vol: VolatilityMatrix) -> IdentVerdict | None:
-    """The cascade's counting stages: the edge-count bound, then (diagonal
-    volatility) the trek bound; None when neither decides."""
-    p = g.p
-    bound_dim = p * (p + 1) // 2
+def _bound_verdict(g: DiGraph, vol: VolatilityMatrix, pairs: int) -> IdentVerdict | None:
+    """The cascade's counting stages for ``g``, whose trek-free node pairs
+    number ``pairs``: the edge-count bound, then (diagonal volatility) the
+    trek bound; None when neither decides."""
+    bound_dim = g.p * (g.p + 1) // 2
     if g.num_edges > bound_dim:
-        return IdentVerdict(
-            IdentClass.NON_IDENTIFIABLE,
-            Certificate(
-                kind=EDGE_COUNT_BOUND,
-                note=f"|E| = {g.num_edges} exceeds the model dimension bound {bound_dim}",
-            ),
-        )
-    if vol.diagonal and not necessary_criterion(g):
-        pairs = no_trek_pairs(g)
-        return IdentVerdict(
-            IdentClass.NON_IDENTIFIABLE,
-            Certificate(
-                kind=TREK_BOUND,
-                note=(
-                    f"|E| = {g.num_edges} > {bound_dim} - {pairs} "
-                    f"(trek-adjusted dimension bound)"
-                ),
-            ),
-        )
+        note = f"|E| = {g.num_edges} exceeds the model dimension bound {bound_dim}"
+        return IdentVerdict(IdentClass.NON_IDENTIFIABLE, Certificate(EDGE_COUNT_BOUND, note))
+    if vol.diagonal and g.num_edges > bound_dim - pairs:
+        note = f"|E| = {g.num_edges} > {bound_dim} - {pairs} (trek-adjusted dimension bound)"
+        return IdentVerdict(IdentClass.NON_IDENTIFIABLE, Certificate(TREK_BOUND, note))
     return None
 
 
-# Fewest graphs reaching sampling for which the batched screen pays in a
-# fresh process, whose first screen imports numpy (53-56 ms of CPU).  Cold,
-# one process a run, on spread seed-0 p = 5 graphs: 160 cost 60 ms screened
-# against 62 ms exact, 192 cost 66 against 75.  A p = 4 graph saves half as
-# much, so the p = 4 sweep's 78 take the exact path; p = 5 chunks hold 756+.
+# Fewest graphs of a batch whose counting stages run stacked, and fewest
+# reaching sampling for which the batched screen pays in a fresh process,
+# whose first stack imports numpy (53-56 ms of CPU).  Cold, one process a
+# run, on spread seed-0 p = 5 graphs: 160 cost 60 ms screened against 62 ms
+# exact, 192 cost 66 against 75.  A p = 4 graph saves half as much, so the
+# p = 4 sweep's 80 run graph by graph; p = 5 chunks hold 756+.
 _SCREEN_MIN_GRAPHS = 192
 
 
-def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[int],
-                    elapsed_ms: list[float] | None = None) -> list[IdentVerdict]:
-    """The decision cascade of :func:`classify`, for each graph of a batch
-    under its own seed, a checked ``ClassifyConfig.seed``.
+def _decided(verdict: IdentVerdict) -> tuple:
+    """The :func:`_classify_batch` decision of a graph whose verdict was built."""
+    return verdict.classification, verdict.certificate.kind, verdict, None
 
-    Every graph has the p of ``vol``.  The counting stages and the theorem
-    run graph by graph.  When at least ``_SCREEN_MIN_GRAPHS`` graphs reach
+
+def _verdict(g: DiGraph, vol: VolatilityMatrix, decision: tuple) -> IdentVerdict:
+    """``g``'s verdict from its :func:`_classify_batch` decision: the one built,
+    or the screen's full-rank witness at the first drift, sigma solved on read."""
+    verdict, drift = decision[2:]
+    if verdict is None:
+        volatility, notes = _sampling_volatility(vol)
+        witness = RankSample(tuple(map(tuple, drift)), volatility, g.num_edges)
+        verdict = _witness_verdict(g, vol, notes, witness)
+    return verdict
+
+
+def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[int],
+                    elapsed_ms: list[float] | None = None) -> list[tuple]:
+    """The decision cascade of :func:`classify`, for each graph of a batch
+    under its own seed, a checked ``ClassifyConfig.seed``: each graph's
+    decision (class, certificate kind, verdict, first drift), from which
+    :func:`_verdict` gives its verdict.
+
+    Every graph has the p of ``vol``.  The counting stages and the
+    simple-graph check read each graph's trek count and 2-cycle flag off its
+    mask (:func:`_mask_treks`): in one call on the stack of the masks in a
+    batch of at least ``_SCREEN_MIN_GRAPHS`` graphs, graph by graph below.  When at least ``_SCREEN_MIN_GRAPHS`` graphs reach
     sampling, their first samples are screened together by
-    :func:`_screen_full_rank`: a graph the screen proves full rank gets its
-    full-rank-witness verdict at once, its sigma solved exactly only when
-    read.  Every other graph that reaches sampling runs the exact path
-    (:func:`_rank_by_sampling`), from the same first drift (:func:`_drifts`).
-    The screen proves only the full rank that the exact path finds at that
-    sample, so a verdict's bytes do not depend on the batch.  ``elapsed_ms``,
-    when given, is extended with each graph's time; a screened graph's
-    includes its share of the screen.
+    :func:`_screen_full_rank`, and a graph it proves full rank is decided
+    by its class, kind and first drift alone: no verdict (None) is built and
+    its ``arcs`` are never read.  Every other graph that reaches sampling
+    runs the exact path (:func:`_rank_by_sampling`) from the same first
+    drift (:func:`_drifts`).  The screen proves only the full rank that the
+    exact path finds at that sample, so a verdict's bytes do not depend on
+    the batch.  ``elapsed_ms``, when given, is extended with each graph's
+    time, including its share of the stack and of the screen.
 
     Raises:
         ValueError: if some graph's p is not the size of ``vol``.
     """
-    verdicts: list[IdentVerdict | None] = [None] * len(graphs)
-    times = [0.0] * len(graphs)
-    pending: list[int] = []  # indices that reach sampling
-    for k, g in enumerate(graphs):
-        started = time.perf_counter()
+    for g in graphs:
         if g.p != vol.p:
             raise ValueError(
                 f"volatility matrix is {vol.p}x{vol.p}, but the graph has p = {g.p}")
-        verdict = _bound_verdict(g, vol)
-        if verdict is None and is_simple(g):
+    decisions: list = [None] * len(graphs)
+    times = [0.0] * len(graphs)
+    stacked, share = [], 0.0
+    if len(graphs) >= _SCREEN_MIN_GRAPHS:
+        started = time.perf_counter()
+        np = _intkernel.numpy()
+        stack = _mask_treks(vol.p, np.array([g.mask for g in graphs], dtype=np.int64))
+        stacked = list(zip(*(x.tolist() for x in stack)))  # (pairs, 2-cycle flag) per graph
+        share = (time.perf_counter() - started) * 1e3 / len(graphs)
+    pending: list[int] = []  # indices that reach sampling
+    for k, g in enumerate(graphs):
+        started = time.perf_counter()
+        pairs, cycle = stacked[k] if stacked else _mask_treks(g.p, g.mask)
+        verdict = _bound_verdict(g, vol, pairs)
+        if verdict is None and not cycle:
             # simple graphs (DAGs among them) are globally identifiable
             # for every positive definite volatility
             kind = THEOREM_DAG if is_dag(g) else THEOREM_SIMPLE
             verdict = IdentVerdict(IdentClass.GLOBALLY_IDENTIFIABLE, Certificate(kind=kind))
         if verdict is None:
             pending.append(k)
-        verdicts[k] = verdict
-        times[k] = (time.perf_counter() - started) * 1e3
+        else:
+            decisions[k] = _decided(verdict)
+        times[k] = share + (time.perf_counter() - started) * 1e3
     if pending:
         started = time.perf_counter()
         volatility, notes = _sampling_volatility(vol)
@@ -446,16 +453,16 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[in
         share = (time.perf_counter() - started) * 1e3 / len(pending)
         for i, (k, full) in enumerate(zip(pending, proved)):
             started = time.perf_counter()
-            g = graphs[k]
             if full:
-                witness = RankSample(tuple(map(tuple, first[i])), volatility, g.num_edges)
-                verdicts[k] = _witness_verdict(g, vol, notes, witness)
+                decisions[k] = (IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL,
+                                FULL_RANK_WITNESS, None, first[i])
             else:
-                verdicts[k] = _rank_by_sampling(g, vol, seeds[k], volatility, notes)
+                decisions[k] = _decided(
+                    _rank_by_sampling(graphs[k], vol, seeds[k], volatility, notes))
             times[k] += share + (time.perf_counter() - started) * 1e3
     if elapsed_ms is not None:
         elapsed_ms.extend(times)
-    return verdicts
+    return decisions
 
 
 def _residue_stack(rows: list[list], batch: int) -> np.ndarray:

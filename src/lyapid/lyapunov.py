@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _intkernel
-from .graphs import DiGraph, Edge, _closure, _is_int, _require
+from .graphs import DiGraph, Edge, _closure, _is_int, _mask_arcs, _require
 from .linalg import (
     AFFINE,
     INCONSISTENT,
@@ -451,14 +451,15 @@ def _draw_drift_rows(g: DiGraph, rng: random.Random, bound: int) -> list[list[in
     strict diagonal dominance puts every Gershgorin disc in the open left
     half-plane.  Each draw takes getrandbits(k) for the bit length k of the
     range's size and rejects values past the range, as ``rng.randint`` does
-    in CPython, so the stream and the entries are those of ``randint``.
+    in CPython, so the stream and the entries are those of ``randint``.  The
+    arcs come in ``g.arcs`` order off the mask, and ``g.arcs`` is not built.
     """
     p = g.p
     getrandbits = rng.getrandbits
     rows = [[0] * p for _ in range(p)]
     width = 2 * bound + 1
     bits = width.bit_length()
-    for (i, j) in g.arcs:
+    for (i, j) in _mask_arcs(p, g.mask):
         r = getrandbits(bits)
         while r >= width:
             r = getrandbits(bits)

@@ -20,17 +20,18 @@ one chunk, as at p = 4, runs in process and never imports
 ``multiprocessing``.  Workers share nothing but the global seed.
 
 Each chunk is classified by ``identifiability._classify_batch``, the one
-place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds the
-screen's stacks.  When at least 192 of a chunk's graphs reach sampling, as
-in every chunk of the p = 5 sweep (the p = 4 sweep has 78), their first
-samples are screened in one batch over GF(65521), the sweep's one use of
-numpy, imported before a pool forks: the vech Lyapunov systems are solved
-together, then H(Sigma mod q) is ranked together, each graph's edge rows
-zeroed so that only its non-edges count.  A full column rank mod q proves
+place the cascade of ``classify`` runs, so ``_CHUNK`` also bounds its
+stacks, the sweep's one use of numpy, imported before a pool forks.  A chunk
+of at least 192 graphs, as every chunk of the p = 5 sweep (the p = 4 sweep
+has 80 graphs), runs the counting stages once on the stack of its masks, and
+screens its sampled graphs' first samples in one batch over GF(65521): the
+vech Lyapunov systems are solved together, then H(Sigma mod q) is ranked
+together, each graph's edge rows zeroed.  A full column rank mod q proves
 the full rank over Q that the exact path would find at the same sample (see
-``_intkernel``), and only the graphs the screen cannot prove take the exact
-path, so the verdicts and the canonical bytes are those of ``classify`` by
-construction.
+``_intkernel``), so the canonical bytes are those of ``classify`` by
+construction.  A graph the screen proves never leaves its mask: the chunk
+hands back per graph only what its row needs besides the mask (class, kind,
+time and a deficit witness), and the row is read off the mask's byte views.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ from typing import IO
 
 from . import _intkernel
 from .graphs import (_MAX_P, CONNECTIVITY, DiGraph, EnumPolicy, _as_policy, _candidate_masks,
-                     _is_int, _mask_views)
+                     _is_int, _mask_arcs, _mask_views)
 from .identifiability import (
     EDGE_COUNT_BOUND,
     RANK_DEFICIT_WITNESS,
     TREK_BOUND,
-    Certificate,
     ClassifyConfig,
     IdentClass,
     IdentVerdict,
@@ -132,7 +132,8 @@ class SweepReport:
     @property
     def totals(self) -> tuple[int, int, int]:
         """(total graphs, non-identifiable, non-identifiable satisfying eq. bound)."""
-        return functools.reduce(_count, self.rows, (0, 0, 0))
+        return functools.reduce(lambda t, row: _count(t, row.classification, row.satisfies_eq9),
+                                self.rows, (0, 0, 0))
 
     def _header_json(self) -> dict:
         return {"p": self.p, "policy": self.policy.to_json(), "trials": self.trials,
@@ -158,47 +159,44 @@ def _summary_csv(report: SweepReport, totals: tuple[int, int, int]) -> str:
     return f"{CSV_HEADER}\n{report.p},{policy},{counts},{report.wall_seconds:.3f}"
 
 
-def _count(totals: tuple[int, int, int], row: SweepRow) -> tuple[int, int, int]:
-    """``totals``, as in :attr:`SweepReport.totals`, with ``row`` counted."""
-    ni = row.classification is IdentClass.NON_IDENTIFIABLE
-    return totals[0] + 1, totals[1] + ni, totals[2] + (ni and row.satisfies_eq9)
+def _count(totals: tuple[int, int, int], cls: IdentClass, eq9: bool) -> tuple[int, int, int]:
+    """``totals``, as in :attr:`SweepReport.totals`, with a row of class ``cls`` counted."""
+    ni = cls is IdentClass.NON_IDENTIFIABLE
+    return totals[0] + 1, totals[1] + ni, totals[2] + (ni and eq9)
 
 
-def _row_witness(verdict: IdentVerdict):
-    cert: Certificate = verdict.certificate
-    if cert.kind != RANK_DEFICIT_WITNESS or not cert.samples:
-        return None, None
-    sample = cert.samples[0].to_json()
+def _satisfies_eq9(kind: str) -> bool:
+    # The identity volatility is diagonal, so the cascade ran the trek criterion
+    # on every graph within the edge-count bound; one beyond it fails it too.
+    return kind not in (EDGE_COUNT_BOUND, TREK_BOUND)
+
+
+def _row_witness(verdict: IdentVerdict) -> tuple:
+    """(drift, sigma) strings of a rank-deficit verdict's first sample."""
+    sample = verdict.certificate.samples[0].to_json()
     return tuple(tuple(map(tuple, sample[k])) for k in ("drift", "sigma"))
 
 
-def _classify_chunk(chunk) -> list[SweepRow]:
+def _classify_chunk(chunk) -> list[tuple]:
     """Classify one (p, seed, masks) chunk in one batch, each graph under its
-    own seed hashed from ``seed``; picklable."""
+    own seed hashed from ``seed``; picklable.  Each graph's record is what its
+    row needs besides its mask: (class, certificate kind, elapsed_ms,
+    :func:`_row_witness` of a rank-deficit verdict, else None)."""
     p, seed, masks = chunk
     graphs = [DiGraph._from_mask(p, mask) for mask in masks]
     seeds = [derive_graph_seed(seed, g) for g in graphs]
     elapsed: list[float] = []
-    verdicts = _classify_batch(graphs, VolatilityMatrix.identity(p), seeds, elapsed)
-    rows = []
-    for g, verdict, elapsed_ms in zip(graphs, verdicts, elapsed):
-        drift, sigma = _row_witness(verdict)
-        kind = verdict.certificate.kind
-        rows.append(SweepRow(
-            p=p,
-            edges=g.arcs,
-            num_edges=g.num_edges,
-            classification=verdict.classification,
-            certificate_kind=kind,
-            # The identity volatility is diagonal, so the cascade ran the trek
-            # criterion on every graph within the edge-count bound; a graph
-            # beyond that bound fails the criterion too.
-            satisfies_eq9=kind not in (EDGE_COUNT_BOUND, TREK_BOUND),
-            elapsed_ms=elapsed_ms,
-            witness_drift=drift,
-            witness_sigma=sigma,
-        ))
-    return rows
+    decisions = _classify_batch(graphs, VolatilityMatrix.identity(p), seeds, elapsed)
+    return [(classification, kind, elapsed_ms,
+             _row_witness(verdict) if kind == RANK_DEFICIT_WITNESS else None)
+            for (classification, kind, verdict, _), elapsed_ms in zip(decisions, elapsed)]
+
+
+def _sweep_row(p: int, mask: int, record: tuple) -> SweepRow:
+    """The row of the graph with mask ``mask`` from its :func:`_classify_chunk` record."""
+    classification, kind, elapsed_ms, witness = record
+    return SweepRow(p, _mask_arcs(p, mask), p + mask.bit_count(), classification, kind,
+                    _satisfies_eq9(kind), elapsed_ms, *(witness or (None, None)))
 
 
 def _check_sweep(p: int, policy: EnumPolicy | None, seed: int, jobs: int) -> EnumPolicy:
@@ -218,7 +216,7 @@ def _check_sweep(p: int, policy: EnumPolicy | None, seed: int, jobs: int) -> Enu
 
 
 def _sweep_rows(p: int, policy: EnumPolicy, seed: int, jobs: int) -> Iterator[tuple]:
-    """(mask, row) of every graph of a checked sweep in report order, one chunk at a time.
+    """(mask, record) of every graph of a checked sweep in report order, one chunk at a time.
 
     Report order is edge count ascending, then mask descending, which is
     ``(num_edges, edges)`` under ``_arc_bit``.  A pool, when one starts,
@@ -232,8 +230,8 @@ def _sweep_rows(p: int, policy: EnumPolicy, seed: int, jobs: int) -> Iterator[tu
 
         _intkernel.numpy()  # once, before the fork: the workers inherit it
         with multiprocessing.Pool(processes=workers) as pool:
-            for chunk, rows in zip(chunks, pool.imap(_classify_chunk, chunks)):
-                yield from zip(chunk[2], rows)
+            for chunk, records in zip(chunks, pool.imap(_classify_chunk, chunks)):
+                yield from zip(chunk[2], records)
     else:
         for chunk in chunks:
             yield from zip(chunk[2], _classify_chunk(chunk))
@@ -253,7 +251,7 @@ def run_sweep(
 
     Raises:
         ValueError: before any candidate is enumerated, unless p is an
-            ``int`` with 3 <= p <= 5, ``policy`` is None or an ``EnumPolicy``
+            ``int`` with 3 <= p <= 6, ``policy`` is None or an ``EnumPolicy``
             that admits a candidate (``max_edges`` >= 2p), ``seed`` is an
             ``int`` and ``jobs`` an ``int`` >= 1; a ``bool`` is not one.
     """
@@ -261,7 +259,8 @@ def run_sweep(
     started = time.perf_counter()
     report = SweepReport(p=p, policy=policy, trials=ClassifyConfig.trials,
                          bound=ClassifyConfig.bound, seed=seed,
-                         rows=[row for _, row in _sweep_rows(p, policy, seed, jobs)])
+                         rows=[_sweep_row(p, mask, record)
+                               for mask, record in _sweep_rows(p, policy, seed, jobs)])
     report.wall_seconds = time.perf_counter() - started
     return report
 
@@ -280,19 +279,20 @@ def _write_report(out: IO[str], p: int, policy: EnumPolicy, seed: int, jobs: int
     out.write(json.dumps(report._header_json())[:-1] + ', "rows": [\n')
     totals, sep = (0, 0, 0), ""
     with closing(_sweep_rows(p, policy, seed, jobs)) as rows:  # a failed write ends the pool
-        for mask, row in rows:
-            out.write(sep + (_row_line(row, mask) if row.witness_drift is None
-                             else json.dumps(row.to_json())))
-            totals, sep = _count(totals, row), ",\n"
+        for mask, record in rows:
+            out.write(sep + (_row_line(p, mask, record) if record[3] is None
+                             else json.dumps(_sweep_row(p, mask, record).to_json())))
+            totals, sep = _count(totals, record[0], _satisfies_eq9(record[1])), ",\n"
     report.wall_seconds = time.perf_counter() - started
     tail = {"totals": dict(zip(_TOTALS, totals)), "wall_seconds": report.wall_seconds}
     out.write(f"\n], {json.dumps(tail)[1:]}\n")
     return _summary_csv(report, totals)
 
 
-def _row_line(row: SweepRow, mask: int) -> str:
-    """``json.dumps(row.to_json())`` of a witness-free ``row`` of the graph with mask ``mask``."""
-    return (f'{{"p": {row.p}, "edges": [{", ".join(_mask_views(row.p, mask, 2))}], '
-            f'"num_edges": {row.num_edges}, "class": "{row.classification.value}", '
-            f'"certificate_kind": "{row.certificate_kind}", "satisfies_eq9": '
-            f'{"true" if row.satisfies_eq9 else "false"}, "elapsed_ms": {row.elapsed_ms!r}}}')
+def _row_line(p: int, mask: int, record: tuple) -> str:
+    """``json.dumps(_sweep_row(p, mask, record).to_json())`` for a witness-free ``record``."""
+    classification, kind, elapsed_ms, _ = record
+    return (f'{{"p": {p}, "edges": [{", ".join(_mask_views(p, mask, 2))}], '
+            f'"num_edges": {p + mask.bit_count()}, "class": "{classification.value}", '
+            f'"certificate_kind": "{kind}", "satisfies_eq9": '
+            f'{"true" if _satisfies_eq9(kind) else "false"}, "elapsed_ms": {elapsed_ms!r}}}')

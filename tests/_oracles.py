@@ -4,11 +4,12 @@ Seeded generators of exact positive definite matrices, volatilities and the
 complete graph; the named graphs that only tests use (``two_cycle``,
 ``two_cycle_two_sources``, ``simple_cyclic_5a``, ``simple_cyclic_5b``); the
 graph operations that only tests use (``has_trek``, ``relabel``,
-``subgraph``); the matrix helpers that only tests use (``diagonal_matrix``,
-``scale``, ``sub``, ``trace``, ``hstack``); and the textbook Kronecker
-form of the coefficient matrix: ``vec``, ``kron``, the commutation matrix
-K_p, the square form ``atilde`` and the product form ``build_A_product`` of
-A(Sigma).  The package builds A(Sigma) entry by entry instead, so a test
+``subgraph``) and the per-graph trek oracles (``ancestor_sets``,
+``trek_free_pairs``, ``has_two_cycle``); the matrix helpers that only tests
+use (``diagonal_matrix``, ``scale``, ``sub``, ``trace``, ``hstack``); and the
+textbook Kronecker form of the coefficient matrix: ``vec``, ``kron``, the
+commutation matrix K_p, the square form ``atilde`` and the product form
+``build_A_product`` of A(Sigma).  The package builds A(Sigma) entry by entry instead, so a test
 that compares the two compares two different constructions.
 ``dag_determinant_identity`` and ``cycle3_determinant_identity`` are the
 paper's closed-form determinant factorizations for the complete DAGs and
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 from lyapid import _intkernel
 from lyapid.catalog import complete_dag, three_cycle
-from lyapid.graphs import DiGraph, Edge, _ancestor_masks, _candidate_masks, is_simple
+from lyapid.graphs import DiGraph, Edge, _candidate_masks, is_simple
 from lyapid.identifiability import _derive_rng
 from lyapid.linalg import RatMatrix, Rational, det, rat, sym_pairs
 from lyapid.lyapunov import CovMatrix, VolatilityMatrix, _h_rows, build_A, restrict_A
@@ -149,8 +150,33 @@ def has_trek(g: DiGraph, i: int, j: int) -> bool:
     """
     if not (1 <= i <= g.p and 1 <= j <= g.p):
         raise ValueError(f"nodes must lie in 1..{g.p}")
-    masks = _ancestor_masks(g)
-    return bool(masks[i - 1] & masks[j - 1])
+    ancestors = ancestor_sets(g)
+    return bool(ancestors[i - 1] & ancestors[j - 1])
+
+
+def ancestor_sets(g: DiGraph) -> list[set[int]]:
+    """Reflexive ancestor sets of nodes 1..p, grown along ``g.arcs`` to a
+    fixed point: the oracle of the package's mask closure."""
+    ancestors = [{v} for v in range(1, g.p + 1)]
+    grown = True
+    while grown:
+        grown = False
+        for (i, j) in g.arcs:
+            if not ancestors[i - 1] <= ancestors[j - 1]:
+                ancestors[j - 1] |= ancestors[i - 1]
+                grown = True
+    return ancestors
+
+
+def trek_free_pairs(g: DiGraph) -> int:
+    """Unordered pairs of distinct nodes with no common ancestor."""
+    ancestors = ancestor_sets(g)
+    return sum(not a & b for k, a in enumerate(ancestors) for b in ancestors[k + 1:])
+
+
+def has_two_cycle(g: DiGraph) -> bool:
+    """True iff some pair of distinct nodes carries arcs both ways."""
+    return any((j, i) in g.offdiag_edges for (i, j) in g.arcs)
 
 
 def relabel(g: DiGraph, perm: dict[int, int]) -> DiGraph:

@@ -22,7 +22,7 @@ from lyapid.catalog import (
     two_cycle_two_sinks,
 )
 from lyapid.cli import main
-from lyapid.graphs import DiGraph, is_simple
+from lyapid.graphs import DiGraph, EnumPolicy, is_simple
 from lyapid.identifiability import (
     FULL_RANK_WITNESS,
     ClassifyConfig,
@@ -66,6 +66,11 @@ CANONICAL_SHA256 = {
     4: "1290d02d27473cf0b42d7e3270e21e8b96c27d80f308f13bd8620dc99b665d7d",
     5: "2840b4bc359ee31444938c4b722ce5dfd02d6e4e02e9ee461f31d81edaa47c95",
 }
+
+# sha256 of SweepReport.canonical_bytes() for the seed-0 p = 6 slice
+# run_sweep(6, EnumPolicy(max_edges=13)): 1,475 graphs, whose masks use three
+# byte fields and up to 30 bits.  No published p = 6 row exists to match.
+P6_SLICE_SHA256 = "2729c13e4f71f19977e419499f030a4a2092d58ef82ac67234827b6bb1148a90"
 
 # sha256 of json.dumps(classify(g, I, ClassifyConfig(seed=s)).to_json(),
 # sort_keys=True) for two rank-deficit graphs at seeds 0-2: the certificate
@@ -237,6 +242,12 @@ class TestCriterion01Table:
         ) == PUBLISHED[5]
         assert _canonical_sha256(report) == CANONICAL_SHA256[5]
         _report("1c", f"p=5 sweep totals {PUBLISHED[5]} (exact match)")
+
+    def test_p6_slice_pinned(self):
+        report = run_sweep(6, EnumPolicy(max_edges=13))
+        assert len(report.rows) == 1475 and report.totals == (1475, 10, 9)
+        assert hashlib.sha256(report.canonical_bytes()).hexdigest() == P6_SLICE_SHA256
+        _report("1d", "p=6 slice (max_edges=13) totals (1475, 10, 9), hash pinned")
 
     def test_p4_mod_q_rank_falls_back_only_on_deficit_rows(self, monkeypatch):
         counts = _count_exact_rank_fallbacks(monkeypatch)

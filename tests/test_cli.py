@@ -281,7 +281,7 @@ class TestSweepCommand:
         assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1, err
 
     def test_p_out_of_range_exit_2(self):
-        assert main(["sweep", "--p", "6"]) == 2
+        assert main(["sweep", "--p", "7"]) == 2
 
     # p self-loops and one 2-cycle need p + 2 = 5 edges at p = 3.
     @pytest.mark.parametrize("max_edges", ["-5", "0", "4"])

@@ -9,6 +9,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from lyapid.graphs import (
     _arc_bit,
     _candidate_masks,
     _mask_arcs,
+    _mask_treks,
     _permutation_mask_tables,
     canonical_form,
     enumerate_candidates,
@@ -40,6 +42,8 @@ from lyapid.graphs import (
 
 from _oracles import (
     has_trek,
+    has_two_cycle,
+    trek_free_pairs,
     mask_arcs,
     relabel,
     subgraph,
@@ -254,6 +258,40 @@ class TestTreks:
         assert not necessary_criterion(two_cycle_two_sources())
 
 
+class TestMaskTreks:
+    """The one mask function, on an int and on a stack of masks, against the
+    per-graph oracles and the predicates that read it."""
+
+    @staticmethod
+    def _check(p: int, masks: list[int]) -> None:
+        stacked = zip(*(x.tolist() for x in _mask_treks(p, np.array(masks, dtype=np.int64))))
+        for mask, from_stack in zip(masks, stacked, strict=True):
+            g = DiGraph._from_mask(p, mask)
+            pairs, cycle = trek_free_pairs(g), has_two_cycle(g)
+            assert _mask_treks(p, mask) == from_stack == (pairs, cycle)
+            assert no_trek_pairs(g) == pairs and is_simple(g) is not cycle
+            assert necessary_criterion(g) is (pairs <= p * (p + 1) // 2 - g.num_edges)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_every_mask(self, p):
+        # every graph, so the simple graphs and DAGs that no candidate is
+        masks = list(range(1 << p * (p - 1)))
+        self._check(p, masks)
+        graphs = [DiGraph._from_mask(p, mask) for mask in masks]
+        assert [is_dag(g) for g in graphs] == [_kahn_is_dag(g) for g in graphs]
+        assert any(is_dag(g) for g in graphs) and any(is_simple(g) and not is_dag(g)
+                                                      for g in graphs)
+
+    def test_every_p5_candidate(self):
+        self._check(5, _candidate_masks(5))
+
+    def test_the_p6_slice(self):
+        # three byte fields and up to 30 bits: past a 16-bit mask, within an int64
+        masks = _candidate_masks(6, EnumPolicy(max_edges=13))
+        assert len(masks) == 1475 and max(masks).bit_length() == 30
+        self._check(6, masks)
+
+
 class TestCanonicalForm:
     def test_orbit_invariance(self):
         rng = random.Random(13)
@@ -446,13 +484,13 @@ class TestEnumeration:
 
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError):
-            list(enumerate_candidates(6))
+            list(enumerate_candidates(7))
         with pytest.raises(ValueError):
             list(enumerate_candidates(1))
 
     @pytest.mark.parametrize("p", [2.0, 3.5, True])
     def test_rejects_a_p_that_is_not_an_int(self, p):
-        with pytest.raises(ValueError, match="enumeration supports integer 2 <= p <= 5"):
+        with pytest.raises(ValueError, match="enumeration supports integer 2 <= p <= 6"):
             list(enumerate_candidates(p))
 
     @pytest.mark.parametrize("policy", [0, 6, {"max_edges": 6}])

@@ -29,6 +29,7 @@ from lyapid.graphs import (
     enumerate_candidates,
     is_dag,
     is_simple,
+    necessary_criterion,
     no_trek_pairs,
 )
 from lyapid.identifiability import (
@@ -38,8 +39,11 @@ from lyapid.identifiability import (
     THEOREM_DAG,
     THEOREM_SIMPLE,
     TREK_BOUND,
+    Certificate,
     ClassifyConfig,
     IdentClass,
+    IdentVerdict,
+    RankSample,
     classify,
 )
 from lyapid.linalg import AFFINE, RatMatrix, det, matrix_strings, rank, rat, vech
@@ -67,6 +71,7 @@ from _oracles import (
     random_volatility,
     relabel,
     scale,
+    trek_free_pairs,
     two_cycle,
     two_cycle_two_sources,
 )
@@ -136,7 +141,7 @@ class TestOneVerdictEntryPoint:
         assert len(graphs) == 3 ** (p * (p - 1) // 2)
         for g in graphs:
             assert is_simple(g)
-            assert identifiability._bound_verdict(g, vol) is None
+            assert identifiability._bound_verdict(g, vol, no_trek_pairs(g)) is None
             kind = THEOREM_DAG if is_dag(g) else THEOREM_SIMPLE
             assert classify(g, vol).to_json() == {
                 "class": IdentClass.GLOBALLY_IDENTIFIABLE.value,
@@ -147,7 +152,7 @@ class TestOneVerdictEntryPoint:
     def test_sampled_candidates_get_the_sampling_stage_bytes(self, seed):
         vol, cfg = IDENTITY4, ClassifyConfig(seed=seed)
         sampled = [g for g in enumerate_candidates(4)
-                   if identifiability._bound_verdict(g, vol) is None]
+                   if identifiability._bound_verdict(g, vol, no_trek_pairs(g)) is None]
         assert len(sampled) > 50 and not any(is_simple(g) for g in sampled)
         for g in sampled:
             assert _verdict_bytes(classify(g, vol, cfg)) == _verdict_bytes(_sampled(g, vol, cfg))
@@ -829,6 +834,12 @@ def _verdict_bytes(verdict) -> bytes:
     return json.dumps(verdict.to_json(), sort_keys=True).encode()
 
 
+def _batch_verdicts(graphs, vol, seeds, elapsed_ms=None) -> list:
+    """The verdict of each graph of one _classify_batch call, from its decision."""
+    decisions = identifiability._classify_batch(graphs, vol, seeds, elapsed_ms)
+    return [identifiability._verdict(g, vol, d) for g, d in zip(graphs, decisions)]
+
+
 # Graphs per batch that reach sampling, the fewest for which the screen runs
 SCREENED = identifiability._SCREEN_MIN_GRAPHS
 
@@ -838,7 +849,7 @@ def _screen_batch(p: int, stride: int):
     sampling, with a drift for each and the identity volatility rows."""
     vol = VolatilityMatrix.identity(p)
     graphs = [g for g in enumerate_candidates(p)
-              if identifiability._bound_verdict(g, vol) is None][::stride]
+              if identifiability._bound_verdict(g, vol, no_trek_pairs(g)) is None][::stride]
     drifts = [lyapunov._draw_drift_rows(g, identifiability._derive_rng(0, salt=p), 2**20)
               for g in graphs]
     eye = [[int(i == j) for j in range(p)] for i in range(p)]
@@ -868,7 +879,7 @@ class TestClassifyBatch:
         vol = VolatilityMatrix.identity(p)
         cfgs = [ClassifyConfig(seed=derive_graph_seed(0, g)) for g in graphs]
         elapsed = []
-        batch = identifiability._classify_batch(graphs, vol, [c.seed for c in cfgs], elapsed)
+        batch = _batch_verdicts(graphs, vol, [c.seed for c in cfgs], elapsed)
         assert len(elapsed) == len(graphs) and min(elapsed) >= 0
         screened = 0
         for g, cfg, verdict in zip(graphs, cfgs, batch):
@@ -896,7 +907,7 @@ class TestClassifyBatch:
         screened = _count_screens(monkeypatch)
         # each case SCREENED times over, so every case that samples is screened
         for (g, vol, cfg), want in zip(cases, expected):
-            batch = identifiability._classify_batch([g] * SCREENED, vol, [cfg.seed] * SCREENED)
+            batch = _batch_verdicts([g] * SCREENED, vol, [cfg.seed] * SCREENED)
             assert [_verdict_bytes(v) for v in batch] == [want] * SCREENED
         sampling = sum(1 for g, vol, cfg in cases if classify(g, vol, cfg).certificate.kind
                        in (FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS))
@@ -905,7 +916,7 @@ class TestClassifyBatch:
         for p in (2, 3, 4):
             vol = VolatilityMatrix.identity(p)
             mixed = [(g, cfg) for g, c, cfg in cases if g.p == p and c.matrix == vol.matrix]
-            batch = identifiability._classify_batch(
+            batch = _batch_verdicts(
                 [g for g, _ in mixed], vol, [cfg.seed for _, cfg in mixed]
             )
             assert [_verdict_bytes(v) for v in batch] == [
@@ -916,7 +927,7 @@ class TestClassifyBatch:
         # p = 5, since the 78 sampled p = 4 candidates are fewer than SCREENED
         vol = VolatilityMatrix.identity(5)
         sampled = [g for g in enumerate_candidates(5)
-                   if identifiability._bound_verdict(g, vol) is None][:SCREENED]
+                   if identifiability._bound_verdict(g, vol, no_trek_pairs(g)) is None][:SCREENED]
         seeds = [derive_graph_seed(0, g) for g in sampled]
         expected = [_verdict_bytes(classify(g, vol, ClassifyConfig(seed)))
                     for g, seed in zip(sampled, seeds)]
@@ -928,25 +939,55 @@ class TestClassifyBatch:
 
         # SCREENED graphs, of which all but one reach sampling: no screen
         monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
-        batch = identifiability._classify_batch(
+        batch = _batch_verdicts(
             sampled[:-1] + [simple], vol, seeds[:-1] + [ClassifyConfig.seed])
         assert [_verdict_bytes(v) for v in batch] == expected[:-1] + [simple_bytes]
         monkeypatch.undo()
         # SCREENED sampled graphs: one screen over all of them
         screened = _count_screens(monkeypatch)
-        batch = identifiability._classify_batch(sampled, vol, seeds)
+        batch = _batch_verdicts(sampled, vol, seeds)
         assert screened == [SCREENED]
         assert [_verdict_bytes(v) for v in batch] == expected
         assert any(v.certificate.witness is not None and v.certificate.witness.solved is None
                    for v in batch)
+
+    def test_the_stacked_counting_stages_keep_the_verdict_bytes(self, monkeypatch):
+        # the 31 trek-bound p = 5 candidates, a DAG, a simple graph with a
+        # cycle and one graph over the edge-count bound, stacked: every
+        # verdict is classify's, the trek-bound notes keep their text, the
+        # masks are read in one call and the screen never runs
+        vol = VolatilityMatrix.identity(5)
+        bound = [g for g in enumerate_candidates(5) if not necessary_criterion(g)]
+        cyclic = DiGraph(5, frozenset({(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)}))
+        graphs = bound + [complete_dag(5), cyclic, complete_graph(5)]
+        graphs *= -(-SCREENED // len(graphs))
+        expected = [_verdict_bytes(classify(g, vol)) for g in graphs]
+        calls, mask_treks = [], identifiability._mask_treks
+
+        def refuse(*args):
+            raise AssertionError("a batch without sampled graphs ran the screen")
+
+        monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
+        monkeypatch.setattr(identifiability, "_mask_treks",
+                            lambda p, masks: calls.append(masks) or mask_treks(p, masks))
+        batch = _batch_verdicts(graphs, vol, [ClassifyConfig.seed] * len(graphs))
+        assert [_verdict_bytes(v) for v in batch] == expected
+        assert len(calls) == 1 and calls[0].tolist() == [g.mask for g in graphs]
+        kinds = [v.certificate.kind for v in batch[:len(bound) + 3]]
+        assert kinds == [TREK_BOUND] * len(bound) + [THEOREM_DAG, THEOREM_SIMPLE,
+                                                     EDGE_COUNT_BOUND]
+        for g, verdict in zip(bound, batch):
+            assert verdict.certificate.note == (f"|E| = {g.num_edges} > 15 - "
+                                                f"{trek_free_pairs(g)} (trek-adjusted "
+                                                f"dimension bound)")
+        assert batch[0].certificate.note == "|E| = 13 > 15 - 3 (trek-adjusted dimension bound)"
 
     def test_empty_batch(self):
         assert identifiability._classify_batch([], IDENTITY3, []) == []
 
     def test_screened_witness_solves_sigma_once_on_read(self, monkeypatch):
         g, cfg = two_cycle_out_edge(), ClassifyConfig(seed=2)
-        verdict = identifiability._classify_batch([g] * SCREENED, IDENTITY3,
-                                                  [cfg.seed] * SCREENED)[0]
+        verdict = _batch_verdicts([g] * SCREENED, IDENTITY3, [cfg.seed] * SCREENED)[0]
         witness = verdict.certificate.witness
         assert witness.solved is None
         solve = identifiability._solve_sigma_scaled
@@ -1020,8 +1061,7 @@ def _sample_cases():
         for k, sample in enumerate(classify(g, vol).certificate.samples):
             yield f"{name}[{k}]", sample
     yield "exact_witness", classify(P5_FULL_RANK, vol5).certificate.witness
-    batch = identifiability._classify_batch([P5_FULL_RANK] * SCREENED, vol5,
-                                            [ClassifyConfig.seed] * SCREENED)
+    batch = _batch_verdicts([P5_FULL_RANK] * SCREENED, vol5, [ClassifyConfig.seed] * SCREENED)
     yield "screened_witness", batch[0].certificate.witness
 
 
@@ -1095,12 +1135,44 @@ class TestIntegerCertificates:
             assert dataclasses.replace(first, solved=None) == first
             assert dataclasses.replace(first, kernel=((-nums[0], *nums[1:]), den)) != first
 
+    def test_a_screened_chunk_builds_nothing_it_throws_away(self, monkeypatch):
+        # the first p = 5 chunk of the report: a graph the screen proves full
+        # rank gets its record from its class and kind alone, without a
+        # verdict object or a read of its arcs; only the exact path builds them
+        masks = sorted(_candidate_masks(5), key=lambda mask: (mask.bit_count(), -mask))
+        chunk = (5, 0, masks[:sweep._CHUNK])
+        built = {cls.__name__: 0 for cls in (RankSample, Certificate, IdentVerdict)}
+        for cls in (RankSample, Certificate, IdentVerdict):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        read, arcs = [], DiGraph.__dict__["arcs"]
+        monkeypatch.setattr(DiGraph, "arcs", property(
+            lambda g: read.append(g.mask) or arcs.func(g)))
+        proved, exact, samples = [], [], []
+        screen, sample = identifiability._screen_full_rank, identifiability._rank_by_sampling
+        test_at = identifiability._rank_test_at_sample
+        monkeypatch.setattr(identifiability, "_screen_full_rank",
+                            lambda *args: proved.extend(screen(*args)) or list(proved))
+        monkeypatch.setattr(identifiability, "_rank_by_sampling",
+                            lambda g, *args: exact.append(g.mask) or sample(g, *args))
+        monkeypatch.setattr(identifiability, "_rank_test_at_sample",
+                            lambda *args: samples.append(1) or test_at(*args))
+        records = sweep._classify_chunk(chunk)
+        unscreened = len(records) - sum(proved)
+        assert sum(proved) > 0.9 * len(records) and 0 < len(exact) < unscreened
+        assert built == {"RankSample": len(samples), "Certificate": unscreened,
+                         "IdentVerdict": unscreened}
+        assert set(read) == set(exact)
+
     def test_a_sweep_chunk_builds_no_fraction(self, monkeypatch):
         # the sweep's identity volatility is built once per p and cached
         VolatilityMatrix.identity(4)
         chunk = (4, 0, _candidate_masks(4, EnumPolicy()))
         counts = _count_fraction_and_ratmatrix(monkeypatch)
-        rows = sweep._classify_chunk(chunk)
+        records = sweep._classify_chunk(chunk)
         assert counts == {"Fraction": 0, "RatMatrix": 0}
-        assert sum(row.witness_sigma is not None for row in rows) == 1
+        assert sum(witness is not None for *_, witness in records) == 1
 

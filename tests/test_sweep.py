@@ -25,10 +25,11 @@ from _oracles import mask_arcs, relabel, view_masks
 
 
 def _exact_batch(graphs, vol, seeds, elapsed_ms=None):
-    """classify on every graph: the path the screen must reproduce."""
+    """The decision of classify on every graph: the path the screen must reproduce."""
     if elapsed_ms is not None:
         elapsed_ms.extend(0.0 for _ in graphs)
-    return [classify(g, vol, ClassifyConfig(seed)) for g, seed in zip(graphs, seeds)]
+    return [identifiability._decided(classify(g, vol, ClassifyConfig(seed)))
+            for g, seed in zip(graphs, seeds)]
 
 
 def _exact_sweep(monkeypatch, p, **kwargs):
@@ -220,7 +221,7 @@ def test_fewer_than_one_job_is_refused(jobs):
 # an empty sweep too.
 UNSERVABLE_SWEEPS = {
     "p=2": lambda: sweep.run_sweep(2),
-    "p=6": lambda: sweep.run_sweep(6),
+    "p=7": lambda: sweep.run_sweep(7),
     "p=3.5": lambda: sweep.run_sweep(3.5),
     "p=True": lambda: sweep.run_sweep(True),
     "max_edges=4": lambda: sweep.run_sweep(3, EnumPolicy(max_edges=4)),
@@ -321,9 +322,9 @@ def test_each_report_line_is_the_json_of_its_row(monkeypatch, p, max_edges, tota
     rows, classify_chunk = [], sweep._classify_chunk
 
     def recorded(chunk):
-        chunk_rows = classify_chunk(chunk)
-        rows.extend(chunk_rows)
-        return chunk_rows
+        records = classify_chunk(chunk)
+        rows.extend(sweep._sweep_row(p, mask, r) for mask, r in zip(chunk[2], records))
+        return records
 
     monkeypatch.setattr(sweep, "_classify_chunk", recorded)
     out = io.StringIO()
