@@ -16,7 +16,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, ClassVar
@@ -76,28 +76,19 @@ class RankSample:
 
     Only integers are stored: the drift as the integer rows it was drawn
     as, the sampled volatility as (integer rows, scale gamma), C = rows /
-    gamma, and a kernel vector as the lowest-terms (numerators, positive
-    den) of the exact rank test (``kernel``; None at full rank).  Sigma =
-    N / (D gamma) takes (N, D) from the exact solve of the sampling path
-    (``solved``); a witness proved by the modular screen of
-    :func:`_classify_batch` (built by :func:`_verdict`) has none, and runs
-    that same solve the first time Sigma is needed.  :meth:`to_json` writes its strings straight from
-    the integers; ``drift``, ``sigma`` and ``kernel_vector`` are exact
-    ``Fraction`` views, each built the first time it is read.
+    gamma, Sigma as (N rows, D gamma), Sigma = N / (D gamma), N symmetric,
+    from the exact solve at the drift (``scaled_sigma``), and a kernel vector
+    as the lowest-terms (numerators, positive den) of the exact rank test
+    (``kernel``; None at full rank).  :meth:`to_json` writes its strings
+    straight from the integers; ``drift``, ``sigma`` and ``kernel_vector``
+    are exact ``Fraction`` views, each built the first time it is read.
     """
 
     drift_rows: tuple[tuple[int, ...], ...]
     volatility: tuple[tuple[tuple[int, ...], ...], int]
     rank: int
+    scaled_sigma: tuple[tuple[tuple[int, ...], ...], int]
     kernel: tuple[tuple[int, ...], int] | None = None
-    solved: tuple[list[list[int]], int] | None = field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def _scaled_sigma(self) -> tuple[list[list[int]], int]:
-        """(N, D gamma): Sigma = N / (D gamma), N symmetric."""
-        c_rows, gamma = self.volatility
-        n_mat, den = self.solved or _solve_sigma_scaled(self.drift_rows, c_rows, len(c_rows))
-        return n_mat, den * gamma
 
     @functools.cached_property
     def drift(self) -> RatMatrix:
@@ -106,7 +97,7 @@ class RankSample:
 
     @functools.cached_property
     def sigma(self) -> RatMatrix:
-        n_mat, den = self._scaled_sigma
+        n_mat, den = self.scaled_sigma
         p = len(n_mat)
         return RatMatrix(p, p, [Fraction(v, den) for row in n_mat for v in row])
 
@@ -120,7 +111,7 @@ class RankSample:
     def to_json(self) -> dict:
         """The sample as exact strings, written from the integers; each Sigma
         entry is written once and mirrored."""
-        n_mat, den = self._scaled_sigma
+        n_mat, den = self.scaled_sigma
         p = len(n_mat)
         sigma = [[""] * p for _ in range(p)]
         for r in range(p):
@@ -256,7 +247,7 @@ def _rank_test_at_sample(g: DiGraph, m_rows: list[list[int]], volatility) -> Ran
     h_rank, c = _intkernel.rank_and_kernel(_h_rows(n_mat, g.non_edges()), skew)
     kernel = None if c is None else _kernel_from_h(n_mat, g, c)
     return RankSample(tuple(map(tuple, m_rows)), volatility, g.num_edges - skew + h_rank,
-                      kernel, solved=(n_mat, den))
+                      (tuple(map(tuple, n_mat)), den * volatility[1]), kernel)
 
 
 def _kernel_from_h(n_mat: list[list[int]], g: DiGraph,
@@ -289,15 +280,6 @@ def _sampling_volatility(vol: VolatilityMatrix):
     return (tuple(tuple(int(r == c) for c in range(p)) for r in range(p)), 1), notes
 
 
-def _witness_verdict(g: DiGraph, vol: VolatilityMatrix, notes: list[str],
-                     witness: RankSample) -> IdentVerdict:
-    if not vol.diagonal:
-        notes = notes + ["volatility is non-diagonal: global identifiability undetermined, "
-                         "verdict records generic identifiability only"]
-    return IdentVerdict(IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL, Certificate(
-        FULL_RANK_WITNESS, "; ".join(notes), edges=g._edge_index, witness=witness))
-
-
 def _drifts(g: DiGraph, seed: int) -> Iterator[list[list[int]]]:
     """The ``ClassifyConfig.trials`` drifts at which ``g`` is sampled under
     ``seed``, each drawn when read: the one place a graph's drift stream is
@@ -316,7 +298,11 @@ def _rank_by_sampling(g: DiGraph, vol: VolatilityMatrix, seed: int,
     for m_rows in _drifts(g, seed):
         sample = _rank_test_at_sample(g, m_rows, volatility)
         if sample.rank == g.num_edges:
-            return _witness_verdict(g, vol, notes, sample)
+            if not vol.diagonal:
+                notes = notes + ["volatility is non-diagonal: global identifiability "
+                                 "undetermined, verdict records generic identifiability only"]
+            return IdentVerdict(IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL, Certificate(
+                FULL_RANK_WITNESS, "; ".join(notes), edges=g._edge_index, witness=sample))
         deficits.append(sample)
     degree = g.num_edges * g.p * g.p
     notes = notes + [f"all {trials} samples rank-deficient; failure bound "
@@ -345,7 +331,8 @@ def classify(
     if not isinstance(cfg, ClassifyConfig | None):
         raise ValueError(f"cfg must be a ClassifyConfig, got {cfg!r}")
     seed = ClassifyConfig.seed if cfg is None else cfg.seed
-    return _verdict(g, vol, _classify_batch([g], vol, [seed])[0])
+    # a batch of one is never screened, so its verdict is built
+    return _classify_batch([g], vol, [seed])[0][2]
 
 
 def _bound_verdict(g: DiGraph, vol: VolatilityMatrix, pairs: int) -> IdentVerdict | None:
@@ -371,42 +358,26 @@ def _bound_verdict(g: DiGraph, vol: VolatilityMatrix, pairs: int) -> IdentVerdic
 _SCREEN_MIN_GRAPHS = 192
 
 
-def _decided(verdict: IdentVerdict) -> tuple:
-    """The :func:`_classify_batch` decision of a graph whose verdict was built."""
-    return verdict.classification, verdict.certificate.kind, verdict, None
-
-
-def _verdict(g: DiGraph, vol: VolatilityMatrix, decision: tuple) -> IdentVerdict:
-    """``g``'s verdict from its :func:`_classify_batch` decision: the one built,
-    or the screen's full-rank witness at the first drift, sigma solved on read."""
-    verdict, drift = decision[2:]
-    if verdict is None:
-        volatility, notes = _sampling_volatility(vol)
-        witness = RankSample(tuple(map(tuple, drift)), volatility, g.num_edges)
-        verdict = _witness_verdict(g, vol, notes, witness)
-    return verdict
-
-
-def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[int],
-                    elapsed_ms: list[float] | None = None) -> list[tuple]:
+def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix,
+                    seeds: list[int]) -> list[tuple]:
     """The decision cascade of :func:`classify`, for each graph of a batch
-    under its own seed, a checked ``ClassifyConfig.seed``: each graph's
-    decision (class, certificate kind, verdict, first drift), from which
-    :func:`_verdict` gives its verdict.
+    under its own seed, a checked ``ClassifyConfig.seed``: one record per
+    graph, (class, certificate kind, verdict or None, elapsed_ms).
 
     Every graph has the p of ``vol``.  The counting stages and the
     simple-graph check read each graph's trek count and 2-cycle flag off its
     mask (:func:`_mask_treks`): in one call on the stack of the masks in a
-    batch of at least ``_SCREEN_MIN_GRAPHS`` graphs, graph by graph below.  When at least ``_SCREEN_MIN_GRAPHS`` graphs reach
-    sampling, their first samples are screened together by
-    :func:`_screen_full_rank`, and a graph it proves full rank is decided
-    by its class, kind and first drift alone: no verdict (None) is built and
-    its ``arcs`` are never read.  Every other graph that reaches sampling
-    runs the exact path (:func:`_rank_by_sampling`) from the same first
-    drift (:func:`_drifts`).  The screen proves only the full rank that the
-    exact path finds at that sample, so a verdict's bytes do not depend on
-    the batch.  ``elapsed_ms``, when given, is extended with each graph's
-    time, including its share of the stack and of the screen.
+    batch of at least ``_SCREEN_MIN_GRAPHS`` graphs, graph by graph below.
+    When at least ``_SCREEN_MIN_GRAPHS`` graphs reach sampling, their first
+    samples are screened together by :func:`_screen_full_rank`, and a graph
+    it proves full rank is decided by its class and kind alone: its record
+    holds no verdict (None), its witness being the exact path's at its first
+    drift, and its ``arcs`` are never read.  Every other graph that
+    reaches sampling runs the exact path (:func:`_rank_by_sampling`) from
+    the same first drift (:func:`_drifts`).  The screen proves only the full
+    rank that the exact path finds at that sample, so a verdict's bytes do
+    not depend on the batch.  ``elapsed_ms`` is the graph's time, including
+    its share of the stack and of the screen.
 
     Raises:
         ValueError: if some graph's p is not the size of ``vol``.
@@ -415,7 +386,7 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[in
         if g.p != vol.p:
             raise ValueError(
                 f"volatility matrix is {vol.p}x{vol.p}, but the graph has p = {g.p}")
-    decisions: list = [None] * len(graphs)
+    verdicts: list[IdentVerdict | None] = [None] * len(graphs)
     times = [0.0] * len(graphs)
     stacked, share = [], 0.0
     if len(graphs) >= _SCREEN_MIN_GRAPHS:
@@ -436,13 +407,11 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[in
             verdict = IdentVerdict(IdentClass.GLOBALLY_IDENTIFIABLE, Certificate(kind=kind))
         if verdict is None:
             pending.append(k)
-        else:
-            decisions[k] = _decided(verdict)
+        verdicts[k] = verdict
         times[k] = share + (time.perf_counter() - started) * 1e3
     if pending:
         started = time.perf_counter()
         volatility, notes = _sampling_volatility(vol)
-        first: list[list[list[int]]] = []
         proved = [False] * len(pending)
         if len(pending) >= _SCREEN_MIN_GRAPHS:
             # Only the drifts are kept: a graph the screen leaves unproved
@@ -451,18 +420,14 @@ def _classify_batch(graphs: list[DiGraph], vol: VolatilityMatrix, seeds: list[in
             first = [next(_drifts(graphs[k], seeds[k])) for k in pending]
             proved = _screen_full_rank([graphs[k].mask for k in pending], first, volatility[0])
         share = (time.perf_counter() - started) * 1e3 / len(pending)
-        for i, (k, full) in enumerate(zip(pending, proved)):
+        for k, full in zip(pending, proved):
             started = time.perf_counter()
-            if full:
-                decisions[k] = (IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL,
-                                FULL_RANK_WITNESS, None, first[i])
-            else:
-                decisions[k] = _decided(
-                    _rank_by_sampling(graphs[k], vol, seeds[k], volatility, notes))
+            if not full:
+                verdicts[k] = _rank_by_sampling(graphs[k], vol, seeds[k], volatility, notes)
             times[k] += share + (time.perf_counter() - started) * 1e3
-    if elapsed_ms is not None:
-        elapsed_ms.extend(times)
-    return decisions
+    return [(v.classification, v.certificate.kind, v, t) if v is not None
+            else (IdentClass.GENERICALLY_IDENTIFIABLE_NOT_GLOBAL, FULL_RANK_WITNESS, None, t)
+            for v, t in zip(verdicts, times)]
 
 
 def _residue_stack(rows: list[list], batch: int) -> np.ndarray:

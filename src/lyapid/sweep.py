@@ -30,8 +30,9 @@ together, each graph's edge rows zeroed.  A full column rank mod q proves
 the full rank over Q that the exact path would find at the same sample (see
 ``_intkernel``), so the canonical bytes are those of ``classify`` by
 construction.  A graph the screen proves never leaves its mask: the chunk
-hands back per graph only what its row needs besides the mask (class, kind,
-time and a deficit witness), and the row is read off the mask's byte views.
+hands back each graph's ``_classify_batch`` record (class, kind, verdict or
+None, time), and every row line is one f-string over the mask's byte views
+and that record, a rank-deficit row's witness strings through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -179,24 +180,20 @@ def _row_witness(verdict: IdentVerdict) -> tuple:
 
 def _classify_chunk(chunk) -> list[tuple]:
     """Classify one (p, seed, masks) chunk in one batch, each graph under its
-    own seed hashed from ``seed``; picklable.  Each graph's record is what its
-    row needs besides its mask: (class, certificate kind, elapsed_ms,
-    :func:`_row_witness` of a rank-deficit verdict, else None)."""
+    own seed hashed from ``seed``; picklable.  Returns each graph's
+    :func:`_classify_batch` record."""
     p, seed, masks = chunk
     graphs = [DiGraph._from_mask(p, mask) for mask in masks]
     seeds = [derive_graph_seed(seed, g) for g in graphs]
-    elapsed: list[float] = []
-    decisions = _classify_batch(graphs, VolatilityMatrix.identity(p), seeds, elapsed)
-    return [(classification, kind, elapsed_ms,
-             _row_witness(verdict) if kind == RANK_DEFICIT_WITNESS else None)
-            for (classification, kind, verdict, _), elapsed_ms in zip(decisions, elapsed)]
+    return _classify_batch(graphs, VolatilityMatrix.identity(p), seeds)
 
 
 def _sweep_row(p: int, mask: int, record: tuple) -> SweepRow:
     """The row of the graph with mask ``mask`` from its :func:`_classify_chunk` record."""
-    classification, kind, elapsed_ms, witness = record
+    classification, kind, verdict, elapsed_ms = record
+    witness = _row_witness(verdict) if kind == RANK_DEFICIT_WITNESS else (None, None)
     return SweepRow(p, _mask_arcs(p, mask), p + mask.bit_count(), classification, kind,
-                    _satisfies_eq9(kind), elapsed_ms, *(witness or (None, None)))
+                    _satisfies_eq9(kind), elapsed_ms, *witness)
 
 
 def _check_sweep(p: int, policy: EnumPolicy | None, seed: int, jobs: int) -> EnumPolicy:
@@ -280,8 +277,7 @@ def _write_report(out: IO[str], p: int, policy: EnumPolicy, seed: int, jobs: int
     totals, sep = (0, 0, 0), ""
     with closing(_sweep_rows(p, policy, seed, jobs)) as rows:  # a failed write ends the pool
         for mask, record in rows:
-            out.write(sep + (_row_line(p, mask, record) if record[3] is None
-                             else json.dumps(_sweep_row(p, mask, record).to_json())))
+            out.write(sep + _row_line(p, mask, record))
             totals, sep = _count(totals, record[0], _satisfies_eq9(record[1])), ",\n"
     report.wall_seconds = time.perf_counter() - started
     tail = {"totals": dict(zip(_TOTALS, totals)), "wall_seconds": report.wall_seconds}
@@ -290,9 +286,15 @@ def _write_report(out: IO[str], p: int, policy: EnumPolicy, seed: int, jobs: int
 
 
 def _row_line(p: int, mask: int, record: tuple) -> str:
-    """``json.dumps(_sweep_row(p, mask, record).to_json())`` for a witness-free ``record``."""
-    classification, kind, elapsed_ms, _ = record
+    """``json.dumps(_sweep_row(p, mask, record).to_json())``, written from the
+    mask's byte views and the record's fields."""
+    classification, kind, verdict, elapsed_ms = record
+    witness = ""
+    if kind == RANK_DEFICIT_WITNESS:
+        drift, sigma = _row_witness(verdict)
+        witness = f', "witness_drift": {json.dumps(drift)}, "witness_sigma": {json.dumps(sigma)}'
     return (f'{{"p": {p}, "edges": [{", ".join(_mask_views(p, mask, 2))}], '
             f'"num_edges": {p + mask.bit_count()}, "class": "{classification.value}", '
             f'"certificate_kind": "{kind}", "satisfies_eq9": '
-            f'{"true" if _satisfies_eq9(kind) else "false"}, "elapsed_ms": {elapsed_ms!r}}}')
+            f'{"true" if _satisfies_eq9(kind) else "false"}, "elapsed_ms": {elapsed_ms!r}'
+            f'{witness}}}')

@@ -834,10 +834,30 @@ def _verdict_bytes(verdict) -> bytes:
     return json.dumps(verdict.to_json(), sort_keys=True).encode()
 
 
-def _batch_verdicts(graphs, vol, seeds, elapsed_ms=None) -> list:
-    """The verdict of each graph of one _classify_batch call, from its decision."""
-    decisions = identifiability._classify_batch(graphs, vol, seeds, elapsed_ms)
-    return [identifiability._verdict(g, vol, d) for g, d in zip(graphs, decisions)]
+def _assert_records_are_classify(graphs, vol, seeds, records) -> None:
+    """Each _classify_batch record against classify under the graph's seed:
+    its (class, kind), a built verdict's bytes, and for a screened graph (no
+    verdict) the witness drift, which is the first of the graph's stream."""
+    assert len(records) == len(graphs)
+    expected = {}
+    for g, seed, (cls, kind, verdict, elapsed_ms) in zip(graphs, seeds, records):
+        if (g, seed) not in expected:
+            expected[g, seed] = classify(g, vol, ClassifyConfig(seed))
+        want = expected[g, seed]
+        assert (cls, kind) == (want.classification, want.certificate.kind)
+        assert elapsed_ms >= 0
+        if verdict is None:
+            drift = next(identifiability._drifts(g, seed))
+            assert want.certificate.witness.drift_rows == tuple(map(tuple, drift))
+        else:
+            assert _verdict_bytes(verdict) == _verdict_bytes(want)
+
+
+def _checked_batch(graphs, vol, seeds) -> list:
+    """The records of one _classify_batch call, checked against classify."""
+    records = identifiability._classify_batch(graphs, vol, seeds)
+    _assert_records_are_classify(graphs, vol, seeds, records)
+    return records
 
 
 # Graphs per batch that reach sampling, the fewest for which the screen runs
@@ -877,17 +897,9 @@ class TestClassifyBatch:
         graphs = list(enumerate_candidates(p))[::stride]
         graphs *= -(-SCREENED // len(graphs))  # the p = 4 candidates over, so they screen
         vol = VolatilityMatrix.identity(p)
-        cfgs = [ClassifyConfig(seed=derive_graph_seed(0, g)) for g in graphs]
-        elapsed = []
-        batch = _batch_verdicts(graphs, vol, [c.seed for c in cfgs], elapsed)
-        assert len(elapsed) == len(graphs) and min(elapsed) >= 0
-        screened = 0
-        for g, cfg, verdict in zip(graphs, cfgs, batch):
-            witness = verdict.certificate.witness
-            screened += witness is not None and witness.solved is None
-            assert _verdict_bytes(verdict) == _verdict_bytes(classify(g, vol, cfg))
+        records = _checked_batch(graphs, vol, [derive_graph_seed(0, g) for g in graphs])
         # every full-rank first sample but a handful is proved by the screen
-        assert screened > 0.9 * len(graphs)
+        assert sum(verdict is None for _, _, verdict, _ in records) > 0.9 * len(graphs)
 
     def test_every_cascade_branch_alone_and_mixed(self, monkeypatch):
         rng = random.Random(3)
@@ -903,12 +915,10 @@ class TestClassifyBatch:
             (fan_in_two_cycle(), IDENTITY4, ClassifyConfig()),
             (two_cycle_two_sinks(), IDENTITY4, ClassifyConfig(seed=5)),
         ]
-        expected = [_verdict_bytes(classify(g, vol, cfg)) for g, vol, cfg in cases]
         screened = _count_screens(monkeypatch)
         # each case SCREENED times over, so every case that samples is screened
-        for (g, vol, cfg), want in zip(cases, expected):
-            batch = _batch_verdicts([g] * SCREENED, vol, [cfg.seed] * SCREENED)
-            assert [_verdict_bytes(v) for v in batch] == [want] * SCREENED
+        for g, vol, cfg in cases:
+            _checked_batch([g] * SCREENED, vol, [cfg.seed] * SCREENED)
         sampling = sum(1 for g, vol, cfg in cases if classify(g, vol, cfg).certificate.kind
                        in (FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS))
         assert sampling >= 5 and screened == [SCREENED] * sampling
@@ -916,12 +926,7 @@ class TestClassifyBatch:
         for p in (2, 3, 4):
             vol = VolatilityMatrix.identity(p)
             mixed = [(g, cfg) for g, c, cfg in cases if g.p == p and c.matrix == vol.matrix]
-            batch = _batch_verdicts(
-                [g for g, _ in mixed], vol, [cfg.seed for _, cfg in mixed]
-            )
-            assert [_verdict_bytes(v) for v in batch] == [
-                _verdict_bytes(classify(g, vol, cfg)) for g, cfg in mixed
-            ]
+            _checked_batch([g for g, _ in mixed], vol, [cfg.seed for _, cfg in mixed])
 
     def test_the_screen_runs_from_the_minimum_of_sampled_graphs(self, monkeypatch):
         # p = 5, since the 78 sampled p = 4 candidates are fewer than SCREENED
@@ -929,27 +934,21 @@ class TestClassifyBatch:
         sampled = [g for g in enumerate_candidates(5)
                    if identifiability._bound_verdict(g, vol, no_trek_pairs(g)) is None][:SCREENED]
         seeds = [derive_graph_seed(0, g) for g in sampled]
-        expected = [_verdict_bytes(classify(g, vol, ClassifyConfig(seed)))
-                    for g, seed in zip(sampled, seeds)]
-        simple = complete_dag(5)
-        simple_bytes = _verdict_bytes(classify(simple, vol))
 
         def refuse(*args):
             raise AssertionError(f"the screen ran on fewer than {SCREENED} sampled graphs")
 
         # SCREENED graphs, of which all but one reach sampling: no screen
         monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
-        batch = _batch_verdicts(
-            sampled[:-1] + [simple], vol, seeds[:-1] + [ClassifyConfig.seed])
-        assert [_verdict_bytes(v) for v in batch] == expected[:-1] + [simple_bytes]
+        records = _checked_batch(
+            sampled[:-1] + [complete_dag(5)], vol, seeds[:-1] + [ClassifyConfig.seed])
+        assert all(verdict is not None for _, _, verdict, _ in records)
         monkeypatch.undo()
         # SCREENED sampled graphs: one screen over all of them
         screened = _count_screens(monkeypatch)
-        batch = _batch_verdicts(sampled, vol, seeds)
+        records = _checked_batch(sampled, vol, seeds)
         assert screened == [SCREENED]
-        assert [_verdict_bytes(v) for v in batch] == expected
-        assert any(v.certificate.witness is not None and v.certificate.witness.solved is None
-                   for v in batch)
+        assert any(verdict is None for _, _, verdict, _ in records)
 
     def test_the_stacked_counting_stages_keep_the_verdict_bytes(self, monkeypatch):
         # the 31 trek-bound p = 5 candidates, a DAG, a simple graph with a
@@ -961,7 +960,7 @@ class TestClassifyBatch:
         cyclic = DiGraph(5, frozenset({(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)}))
         graphs = bound + [complete_dag(5), cyclic, complete_graph(5)]
         graphs *= -(-SCREENED // len(graphs))
-        expected = [_verdict_bytes(classify(g, vol)) for g in graphs]
+        seeds = [ClassifyConfig.seed] * len(graphs)
         calls, mask_treks = [], identifiability._mask_treks
 
         def refuse(*args):
@@ -970,9 +969,11 @@ class TestClassifyBatch:
         monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
         monkeypatch.setattr(identifiability, "_mask_treks",
                             lambda p, masks: calls.append(masks) or mask_treks(p, masks))
-        batch = _batch_verdicts(graphs, vol, [ClassifyConfig.seed] * len(graphs))
-        assert [_verdict_bytes(v) for v in batch] == expected
+        records = identifiability._classify_batch(graphs, vol, seeds)
         assert len(calls) == 1 and calls[0].tolist() == [g.mask for g in graphs]
+        monkeypatch.undo()
+        _assert_records_are_classify(graphs, vol, seeds, records)
+        batch = [verdict for _, _, verdict, _ in records]
         kinds = [v.certificate.kind for v in batch[:len(bound) + 3]]
         assert kinds == [TREK_BOUND] * len(bound) + [THEOREM_DAG, THEOREM_SIMPLE,
                                                      EDGE_COUNT_BOUND]
@@ -984,24 +985,6 @@ class TestClassifyBatch:
 
     def test_empty_batch(self):
         assert identifiability._classify_batch([], IDENTITY3, []) == []
-
-    def test_screened_witness_solves_sigma_once_on_read(self, monkeypatch):
-        g, cfg = two_cycle_out_edge(), ClassifyConfig(seed=2)
-        verdict = _batch_verdicts([g] * SCREENED, IDENTITY3, [cfg.seed] * SCREENED)[0]
-        witness = verdict.certificate.witness
-        assert witness.solved is None
-        solve = identifiability._solve_sigma_scaled
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(identifiability, "_solve_sigma_scaled", counted)
-        sigma = witness.sigma
-        assert witness.sigma is sigma and len(calls) == 1
-        assert sigma == solve_for_sigma(DriftMatrix(g, witness.drift), IDENTITY3).matrix
-        assert witness == classify(g, IDENTITY3, cfg).certificate.witness
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_the_builders_run_on_residue_vectors(self, p):
@@ -1054,15 +1037,13 @@ def _fraction_parts(draw):
 
 def _sample_cases():
     """(name, sample) for every sample of the two deficit graphs and a p = 5
-    full-rank witness, solved exactly and proved by the screen."""
+    full-rank witness."""
     vol5 = VolatilityMatrix.identity(5)
     for name, g, vol in (("p5_deficit", P5_DEFICIT, vol5),
                          ("p4_deficit", two_cycle_two_sinks(), IDENTITY4)):
         for k, sample in enumerate(classify(g, vol).certificate.samples):
             yield f"{name}[{k}]", sample
     yield "exact_witness", classify(P5_FULL_RANK, vol5).certificate.witness
-    batch = _batch_verdicts([P5_FULL_RANK] * SCREENED, vol5, [ClassifyConfig.seed] * SCREENED)
-    yield "screened_witness", batch[0].certificate.witness
 
 
 def _count_fraction_and_ratmatrix(monkeypatch) -> dict:
@@ -1102,8 +1083,6 @@ class TestIntegerCertificates:
                              ids=[name for name, _ in _sample_cases()])
     def test_to_json_writes_the_fraction_strings(self, name, sample):
         got = sample.to_json()
-        if name == "screened_witness":
-            assert sample.solved is None
         expected = {"drift": matrix_strings(sample.drift), "sigma": matrix_strings(sample.sigma),
                     "rank": sample.rank}
         if sample.kernel_vector:
@@ -1132,7 +1111,6 @@ class TestIntegerCertificates:
         if cert.samples:
             first = cert.samples[0]
             nums, den = first.kernel
-            assert dataclasses.replace(first, solved=None) == first
             assert dataclasses.replace(first, kernel=((-nums[0], *nums[1:]), den)) != first
 
     def test_a_screened_chunk_builds_nothing_it_throws_away(self, monkeypatch):
@@ -1173,6 +1151,7 @@ class TestIntegerCertificates:
         chunk = (4, 0, _candidate_masks(4, EnumPolicy()))
         counts = _count_fraction_and_ratmatrix(monkeypatch)
         records = sweep._classify_chunk(chunk)
+        lines = [sweep._row_line(4, mask, record) for mask, record in zip(chunk[2], records)]
         assert counts == {"Fraction": 0, "RatMatrix": 0}
-        assert sum(witness is not None for *_, witness in records) == 1
+        assert sum('"witness_drift"' in line for line in lines) == 1
 

@@ -24,12 +24,10 @@ from lyapid.lyapunov import VolatilityMatrix
 from _oracles import mask_arcs, relabel, view_masks
 
 
-def _exact_batch(graphs, vol, seeds, elapsed_ms=None):
-    """The decision of classify on every graph: the path the screen must reproduce."""
-    if elapsed_ms is not None:
-        elapsed_ms.extend(0.0 for _ in graphs)
-    return [identifiability._decided(classify(g, vol, ClassifyConfig(seed)))
-            for g, seed in zip(graphs, seeds)]
+def _exact_batch(graphs, vol, seeds):
+    """The record of classify's verdict on every graph: the path the screen must reproduce."""
+    verdicts = [classify(g, vol, ClassifyConfig(seed)) for g, seed in zip(graphs, seeds)]
+    return [(v.classification, v.certificate.kind, v, 0.0) for v in verdicts]
 
 
 def _exact_sweep(monkeypatch, p, **kwargs):
@@ -128,7 +126,7 @@ def test_chunk_k_is_the_kth_slice_of_the_report(monkeypatch, p, seed, jobs):
     _serial_pool(monkeypatch)
     batches = []
 
-    def recorded(graphs, vol, seeds, elapsed_ms):
+    def recorded(graphs, vol, seeds):
         batches.append([(g.arcs, seed) for g, seed in zip(graphs, seeds)])
         return []
 
@@ -318,7 +316,8 @@ def test_the_graph_seed_hashes_the_text_of_the_sorted_arcs(p):
 
 @pytest.mark.parametrize("p, max_edges, total, witness_rows", [(4, None, 80, 1), (5, 12, 762, 3)])
 def test_each_report_line_is_the_json_of_its_row(monkeypatch, p, max_edges, total, witness_rows):
-    # witness-free rows are written from the mask's byte views, the others by json.dumps
+    # every row line is one f-string over the mask's byte views and the record,
+    # the witness rows' matrices written into it by json.dumps
     rows, classify_chunk = [], sweep._classify_chunk
 
     def recorded(chunk):
