@@ -986,6 +986,23 @@ class TestClassifyBatch:
     def test_empty_batch(self):
         assert identifiability._classify_batch([], IDENTITY3, []) == []
 
+    def test_a_batch_of_one_builds_its_verdict_without_the_screen(self, monkeypatch):
+        # classify is the batch of one, which the screen never reaches (1 <
+        # SCREENED): the record of each kind, sampled ones among them, holds
+        # a built verdict
+        def refuse(*args):
+            raise AssertionError("a batch of one ran the screen")
+
+        monkeypatch.setattr(identifiability, "_screen_full_rank", refuse)
+        vol5 = VolatilityMatrix.identity(5)
+        kinds = set()
+        for g, vol in ((P5_FULL_RANK, vol5), (P5_DEFICIT, vol5), (complete_dag(5), vol5),
+                       (complete_graph(5), vol5), (two_cycle_out_edge(), IDENTITY3)):
+            (record,) = _checked_batch([g], vol, [ClassifyConfig.seed])
+            assert record[2] is not None
+            kinds.add(record[1])
+        assert {FULL_RANK_WITNESS, RANK_DEFICIT_WITNESS} <= kinds
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_the_builders_run_on_residue_vectors(self, p):
         """The screen's stacks of K and H, built from residue vectors, graph by
@@ -1089,6 +1106,23 @@ class TestIntegerCertificates:
             expected["kernel_vector"] = [str(x) for x in sample.kernel_vector]
         assert ("kernel_vector" in got) == name.endswith("]")
         assert got == expected
+
+    @pytest.mark.parametrize("name, sample", list(_sample_cases()),
+                             ids=[name for name, _ in _sample_cases()])
+    def test_a_sample_stores_the_exact_sigma_as_int_tuples(self, name, sample):
+        n_mat, den = sample.scaled_sigma
+        assert type(n_mat) is tuple and all(type(row) is tuple for row in n_mat)
+        assert all(type(v) is int for row in n_mat for v in row) and type(den) is int
+        assert den > 0 and n_mat == tuple(zip(*n_mat))  # N symmetric
+        # (N, D gamma) of the exact solve at the sample's drift
+        rows, gamma = sample.volatility
+        n_solved, d_solved = lyapunov._solve_sigma_scaled(
+            [list(r) for r in sample.drift_rows], [list(r) for r in rows], len(n_mat))
+        assert sample.scaled_sigma == (tuple(map(tuple, n_solved)), d_solved * gamma)
+        # hashed and compared by the stored integers
+        again = dataclasses.replace(sample)
+        assert again == sample and hash(again) == hash(sample)
+        assert dataclasses.replace(sample, scaled_sigma=(n_mat, 2 * den)) != sample
 
     @pytest.mark.parametrize("g", [P5_DEFICIT, P5_FULL_RANK], ids=["deficit", "full_rank"])
     def test_classify_to_json_builds_no_fraction(self, monkeypatch, g):
